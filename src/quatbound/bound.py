@@ -15,7 +15,7 @@ from .classgroup import (
     fill_class_data,
 )
 from .weilsets import family_A3, intersect_supports, prime_support
-from .mazur import is_in_mazur, mazur_prime_set
+from .mazur import MazurResult, is_in_mazur, mazur_prime_set
 
 SMALL_PRIME_CAP = 23
 
@@ -37,8 +37,8 @@ class BoundReport:
     components: dict[str, frozenset[int]]
     union: frozenset[int]
     certified: bool
+    mazur: MazurResult
     caveats: list[str] = field(default_factory=list)
-    cofactors: list[int] = field(default_factory=list)
     a3_set: object = None
 
 
@@ -56,15 +56,11 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
         S = choose_S(ctx)
 
     caveats: list[str] = []
-    cofactors: list[int] = []
 
     a1, a1_cert = intersect_supports(ctx, "A1", s0, params.factor_budget, params.cache)
     a2, a2_cert = intersect_supports(ctx, "A2", s0, params.factor_budget, params.cache)
     a3_raw = family_A3(ctx, S)
     a3 = prime_support(a3_raw, params.factor_budget, params.cache)
-    for f in a3.factorizations:
-        if f is not None and not f.complete:
-            cofactors.append(f.cofactor)
 
     mz = mazur_prime_set(ctx, params.mazur_bound)
     caveats.append(f"mazur set truncated at bound {params.mazur_bound}")
@@ -90,8 +86,8 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
         components=components,
         union=union,
         certified=certified,
+        mazur=mz,
         caveats=caveats,
-        cofactors=cofactors,
         a3_set=a3,
     )
 
@@ -150,7 +146,7 @@ def verify_prime_membership(ctx: FieldContext, p: int, report: BoundReport) -> E
     a3 = family_A3(ctx, report.S)
     if any(v % p == 0 for v in a3.elements if v != 0):
         claims.append("a3_support")
-    if p % 4 == 1 and p <= _mazur_bound_of(report) and is_in_mazur(ctx, p):
+    if p % 4 == 1 and p <= report.mazur.bound and is_in_mazur(ctx, p):
         claims.append("mazur_primes")
     if p in report.components["l_of_S"]:
         claims.append("l_of_S")
@@ -171,13 +167,6 @@ def verify_prime_membership(ctx: FieldContext, p: int, report: BoundReport) -> E
                 f"re-derived {claimed}, report {p in comp}"
             )
     return Evidence(p=p, claims=tuple(claims))
-
-
-def _mazur_bound_of(report: BoundReport) -> int:
-    for c in report.caveats:
-        if c.startswith("mazur set truncated at bound "):
-            return int(c.rsplit(" ", 1)[1])
-    raise AssertionError("report missing mazur truncation caveat")
 
 
 def candidate_discriminants(

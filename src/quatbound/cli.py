@@ -14,7 +14,7 @@ import tempfile
 from .arith import FactorBudget, FactoredInteger
 from .quadfield import FieldContext, make_field
 from .classgroup import enumerate_S0, fill_class_data, reduced_forms
-from .weilsets import family_A1, family_A2, prime_support
+from .weilsets import family_A1, family_A2
 from .mazur import mazur_prime_set
 from .bound import BoundParams, BoundReport, assemble_bound, candidate_discriminants, verify_prime_membership
 
@@ -158,7 +158,8 @@ def _family_doc(aset) -> dict:
     }
 
 
-def _report_doc(ctx, report: BoundReport, families: list[dict], mz, cands) -> dict:
+def _report_doc(ctx, report: BoundReport, families: list[dict], cands) -> dict:
+    mz = report.mazur
     doc = {
         "field": _field_doc(ctx),
         "S": _slist(q.l for q in report.S),
@@ -265,36 +266,31 @@ def _run(args, ctx, budget, cache) -> int:
     report = assemble_bound(ctx, params)
 
     if sub == "sets":
-        families = _all_families(ctx, report, budget, cache)
+        families = _all_families(ctx, report)
         doc = {"field": _field_doc(ctx), "families": families}
         _emit(doc, args.json_path)
         return 0
 
-    mz = mazur_prime_set(ctx, args.mazur_bound)
     cands = None
     if sub == "candidates":
         cands = candidate_discriminants(ctx, report, args.max_factors)
     if sub == "verify":
         for p in sorted(report.union):
             verify_prime_membership(ctx, p, report)
-    families = _all_families(ctx, report, budget, cache)
-    _emit(_report_doc(ctx, report, families, mz, cands), args.json_path)
+    families = _all_families(ctx, report)
+    _emit(_report_doc(ctx, report, families, cands), args.json_path)
     if args.require_certified and not report.certified:
         return 3
     return 0
 
 
-def _all_families(ctx, report, budget, cache) -> list[dict]:
-    # only the leading truncation member is factored; later members enter
-    # the intersections by divisibility alone and are emitted raw
+def _all_families(ctx, report) -> list[dict]:
+    # A1/A2 elements are emitted raw: their intersections come from one
+    # factored gcd, not from factoring the elements
     families = []
-    for i, q in enumerate(report.s0_truncation):
-        a1, a2 = family_A1(ctx, q), family_A2(ctx, q)
-        if i == 0:
-            a1 = prime_support(a1, budget, cache)
-            a2 = prime_support(a2, budget, cache)
-        families.append(_family_doc(a1))
-        families.append(_family_doc(a2))
+    for q in report.s0_truncation:
+        families.append(_family_doc(family_A1(ctx, q)))
+        families.append(_family_doc(family_A2(ctx, q)))
     families.append(_family_doc(report.a3_set))
     return families
 

@@ -2,7 +2,7 @@
 subtracted-trace families and their certified prime supports."""
 
 from dataclasses import dataclass, replace
-from math import isqrt
+from math import gcd, isqrt, prod
 
 from .arith import FactorBudget, FactoredInteger, factor
 from .quadfield import FieldContext, QuadInt, ideal_pow, shortest_generator
@@ -162,17 +162,18 @@ def intersect_supports(
 ) -> tuple[frozenset[int], bool]:
     """Intersection of the family's prime supports over the truncation.
 
-    Only the first member's elements are factored; survivors are then
-    filtered by direct divisibility into every later member's elements.
-    Any truncation yields a superset of the full (infinite) intersection.
+    The support of a gcd is the intersection of the supports of its
+    arguments, so the intersection is supp(G) for
+    G = gcd over q of the product of the nonzero elements of A_q, and only
+    G is factored; certified iff G factors completely.  Any truncation
+    yields a superset of the full (infinite) intersection.
     """
     if not s0_truncation:
         raise ValueError("intersect_supports: truncation must be nonempty")
-    first = prime_support(_family(ctx, family, s0_truncation[0]), budget, cache)
-    primes = set(first.support)
-    for q in s0_truncation[1:]:
-        if not primes:
-            break
-        elems = [v for v in _family(ctx, family, q).elements if v != 0]
-        primes = {p for p in primes if any(v % p == 0 for v in elems)}
-    return frozenset(primes), first.certified
+    g = 0
+    for q in s0_truncation:
+        g = gcd(g, prod(v for v in _family(ctx, family, q).elements if v != 0))
+        if g == 1:
+            return frozenset(), True
+    f = factor_cached(g, budget, cache)
+    return frozenset(f.primes), f.complete

@@ -62,6 +62,11 @@ class TestAssemble:
             assert rep.union
             assert any("mazur set truncated" in c for c in rep.caveats)
 
+    def test_mazur_result_carried(self, report20):
+        assert report20.mazur.bound == 10**4
+        assert frozenset(report20.mazur.members) == report20.components["mazur_primes"]
+        assert "mazur set truncated at bound 10000" in report20.caveats
+
 
 class TestVerify:
     def test_examples(self, ctx20, report20):

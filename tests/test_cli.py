@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quatbound import bound, cli
 from quatbound.arith import FactoredInteger
 from quatbound.cli import cache_load, cache_store, main
 
@@ -58,6 +59,37 @@ class TestSubcommands:
         assert code == 0
         fams = {f["family"] for f in doc["families"]}
         assert fams == {"A1", "A2", "A3"}
+
+
+class TestFamiliesSection:
+    @pytest.mark.parametrize("sub", ["sets", "bound"])
+    def test_a1_a2_raw_a3_factored(self, tmp_path, sub):
+        code, doc = run(tmp_path, sub, "--d", "-5", *BASE)
+        assert code == 0
+        for fam in doc["families"]:
+            for entry in fam["elements"]:
+                if fam["family"] == "A3" and entry["value"] != "0":
+                    assert "factors" in entry
+                elif fam["family"] != "A3":
+                    assert entry.keys() == {"value"}
+
+
+class TestOneMazurSearch:
+    @pytest.mark.parametrize("sub", ["bound", "verify"])
+    def test_single_call_per_request(self, tmp_path, monkeypatch, sub):
+        calls = []
+        real = bound.mazur_prime_set
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bound, "mazur_prime_set", counting)
+        monkeypatch.setattr(cli, "mazur_prime_set", counting)
+        code, doc = run(tmp_path, sub, "--d", "-5", *BASE)
+        assert code == 0
+        assert len(calls) == 1
+        assert doc["mazur"]["bound"] == "10000"
 
 
 class TestExitCodes:

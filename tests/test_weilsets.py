@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatbound.classgroup import enumerate_S0, choose_S
-from quatbound.quadfield import QuadInt, quadint_pow
+from quatbound import weilsets
+from quatbound.arith import FactorBudget
+from quatbound.classgroup import enumerate_S0, choose_S, fill_class_data
+from quatbound.quadfield import QuadInt, make_field, quadint_pow
 from quatbound.weilsets import (
+    ASet,
+    _family,
     beta_for,
     family_A1,
     family_A2,
@@ -189,3 +193,67 @@ class TestIntersectSupports:
             assert all(v % p for v in elems7)
         for p in two:
             assert any(v % p == 0 for v in elems7)
+
+
+def factor_then_filter(ctx, family, s0):
+    """Oracle: factor every element of the first member, then keep the
+    primes dividing some nonzero element of each later member."""
+    first = prime_support(_family(ctx, family, s0[0]))
+    primes = set(first.support)
+    for q in s0[1:]:
+        elems = [v for v in _family(ctx, family, q).elements if v != 0]
+        primes = {p for p in primes if any(v % p == 0 for v in elems)}
+    return frozenset(primes), first.certified
+
+
+def _field(D):
+    ctx = make_field(D)
+    fill_class_data(ctx)
+    return ctx
+
+
+class TestGcdIntersection:
+    @pytest.mark.parametrize("D", [-20, -419, -3299])
+    def test_equals_factor_then_filter(self, D):
+        ctx = _field(D)
+        s0 = enumerate_S0(ctx, 4)
+        for family in ("A1", "A2"):
+            expected = factor_then_filter(ctx, family, s0)
+            assert expected[1]
+            assert intersect_supports(ctx, family, s0) == expected, (D, family)
+
+    def test_large_h_certified(self):
+        ctx = _field(-1151)
+        s0 = enumerate_S0(ctx, 4)
+        budget = FactorBudget(rho_iterations=10**6, time_per_int_ms=0)
+        assert intersect_supports(ctx, "A1", s0, budget) == (
+            frozenset({2, 3, 5, 7, 17, 23, 37, 71, 1151}), True)
+        assert intersect_supports(ctx, "A2", s0, budget) == (
+            frozenset({2, 3, 5, 31, 1151}), True)
+
+    def test_gcd_goes_through_cache(self, ctx20):
+        s0 = enumerate_S0(ctx20, 4)
+        cache = {}
+        primes, _ = intersect_supports(ctx20, "A1", s0, cache=cache)
+        assert len(cache) == 1
+        (g, fac), = cache.items()
+        assert frozenset(fac.primes) == primes
+        for q in s0:
+            prod_q = 1
+            for v in family_A1(ctx20, q).elements:
+                prod_q *= v or 1
+            assert prod_q % g == 0
+
+    @pytest.mark.parametrize("member", [0, 1])
+    def test_member_without_nonzero_elements(self, ctx20, monkeypatch, member):
+        s0 = enumerate_S0(ctx20, 3)
+        real = weilsets.family_A1
+
+        def fake(ctx, q):
+            if q.l == s0[member].l:
+                return ASet(family="A1", q_list=(q.l,), shifts=(0,), elements=(0,))
+            return real(ctx, q)
+
+        monkeypatch.setattr(weilsets, "family_A1", fake)
+        assert factor_then_filter(ctx20, "A1", s0) == (frozenset(), True)
+        assert intersect_supports(ctx20, "A1", s0) == (frozenset(), True)
