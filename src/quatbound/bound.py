@@ -14,7 +14,7 @@ from .classgroup import (
     enumerate_S0,
     fill_class_data,
 )
-from .weilsets import family_A3, intersect_supports, prime_support
+from .weilsets import family_A3, intersection_set, prime_support
 from .mazur import MazurResult, is_in_mazur, mazur_prime_set
 
 SMALL_PRIME_CAP = 23
@@ -39,6 +39,8 @@ class BoundReport:
     certified: bool
     mazur: MazurResult
     caveats: list[str] = field(default_factory=list)
+    a1_set: object = None  # the A1/A2 intersections, elements the factored gcds
+    a2_set: object = None
     a3_set: object = None
 
 
@@ -57,23 +59,23 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
 
     caveats: list[str] = []
 
-    a1, a1_cert = intersect_supports(ctx, "A1", s0, params.factor_budget, params.cache)
-    a2, a2_cert = intersect_supports(ctx, "A2", s0, params.factor_budget, params.cache)
+    a1 = intersection_set(ctx, "A1", s0, params.factor_budget, params.cache)
+    a2 = intersection_set(ctx, "A2", s0, params.factor_budget, params.cache)
     a3_raw = family_A3(ctx, S)
     a3 = prime_support(a3_raw, params.factor_budget, params.cache)
 
     mz = mazur_prime_set(ctx, params.mazur_bound)
     caveats.append(f"mazur set truncated at bound {params.mazur_bound}")
 
-    certified = a1_cert and a2_cert and a3.certified
+    certified = a1.certified and a2.certified and a3.certified
     if not certified:
         caveats.append("factor budget exhausted; unfactored cofactors listed")
 
     components = {
         "ram": frozenset(ctx.ram_primes),
         "small": frozenset(primes_up_to(SMALL_PRIME_CAP)),
-        "a1_intersection": a1,
-        "a2_intersection": a2,
+        "a1_intersection": a1.support,
+        "a2_intersection": a2.support,
         "a3_support": frozenset(a3.support),
         "mazur_primes": frozenset(mz.members),
         "l_of_S": frozenset(q.l for q in S),
@@ -88,6 +90,8 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
         certified=certified,
         mazur=mz,
         caveats=caveats,
+        a1_set=a1,
+        a2_set=a2,
         a3_set=a3,
     )
 

@@ -171,6 +171,7 @@ def _report_doc(ctx, report: BoundReport, families: list[dict], cands) -> dict:
             "union": _slist(report.union),
             "certified": report.certified,
             "caveats": list(report.caveats),
+            "intersections": [_family_doc(report.a1_set), _family_doc(report.a2_set)],
         },
     }
     if cands is not None:

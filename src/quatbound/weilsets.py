@@ -153,6 +153,36 @@ def _family(ctx: FieldContext, family: str, q: SplitPrime) -> ASet:
     raise ValueError(f"unknown family {family!r}")
 
 
+def intersection_set(
+    ctx: FieldContext,
+    family: str,
+    s0_truncation: list[SplitPrime],
+    budget: FactorBudget = FactorBudget(),
+    cache: dict[int, FactoredInteger] | None = None,
+) -> ASet:
+    """The intersection of the family's prime supports over the truncation,
+    as the support of an ASet whose elements are gcds.
+
+    The support of a gcd is the intersection of the supports of its
+    arguments.  With R the gcd over the later members of the product of
+    their nonzero elements, the intersection is the union of supp(gcd(v, R))
+    over the nonzero elements v of the first member, so only those gcds
+    are factored.  A lone member has R = 0, so each v is factored itself.
+    """
+    if not s0_truncation:
+        raise ValueError("intersection_set: truncation must be nonempty")
+    rest = 0
+    for q in s0_truncation[1:]:
+        rest = gcd(rest, prod(v for v in _family(ctx, family, q).elements if v != 0))
+        if rest == 1:
+            break
+    first = _family(ctx, family, s0_truncation[0]).elements
+    gs = {gcd(v, rest) for v in first if v != 0} - {1}
+    aset = ASet(family=family, q_list=tuple(q.l for q in s0_truncation),
+                shifts=(), elements=tuple(sorted(gs)))
+    return prime_support(aset, budget, cache)
+
+
 def intersect_supports(
     ctx: FieldContext,
     family: str,
@@ -160,20 +190,8 @@ def intersect_supports(
     budget: FactorBudget = FactorBudget(),
     cache: dict[int, FactoredInteger] | None = None,
 ) -> tuple[frozenset[int], bool]:
-    """Intersection of the family's prime supports over the truncation.
-
-    The support of a gcd is the intersection of the supports of its
-    arguments, so the intersection is supp(G) for
-    G = gcd over q of the product of the nonzero elements of A_q, and only
-    G is factored; certified iff G factors completely.  Any truncation
-    yields a superset of the full (infinite) intersection.
-    """
-    if not s0_truncation:
-        raise ValueError("intersect_supports: truncation must be nonempty")
-    g = 0
-    for q in s0_truncation:
-        g = gcd(g, prod(v for v in _family(ctx, family, q).elements if v != 0))
-        if g == 1:
-            return frozenset(), True
-    f = factor_cached(g, budget, cache)
-    return frozenset(f.primes), f.complete
+    """Intersection of the family's prime supports over the truncation, and
+    whether it is certified.  Any truncation yields a superset of the full
+    (infinite) intersection."""
+    inter = intersection_set(ctx, family, s0_truncation, budget, cache)
+    return inter.support, inter.certified

@@ -67,6 +67,14 @@ class TestAssemble:
         assert frozenset(report20.mazur.members) == report20.components["mazur_primes"]
         assert "mazur set truncated at bound 10000" in report20.caveats
 
+    def test_intersection_sets_carried(self, report20):
+        for name, inter in (("a1_intersection", report20.a1_set),
+                            ("a2_intersection", report20.a2_set)):
+            assert inter.certified and inter.support == report20.components[name]
+            assert inter.q_list == tuple(q.l for q in report20.s0_truncation)
+            assert all(f.reconstruct() == v
+                       for v, f in zip(inter.elements, inter.factorizations))
+
 
 class TestVerify:
     def test_examples(self, ctx20, report20):

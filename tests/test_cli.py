@@ -74,6 +74,38 @@ class TestFamiliesSection:
                     assert entry.keys() == {"value"}
 
 
+class TestIntersections:
+    @staticmethod
+    def _product(entry):
+        out = int(entry.get("cofactor", "1"))
+        for p, e in entry["factors"]:
+            out *= int(p) ** int(e)
+        return out
+
+    def test_listed_and_matching_components(self, tmp_path):
+        code, doc = run(tmp_path, "bound", "--d", "-5", *BASE)
+        assert code == 0
+        listed = doc["bound"]["intersections"]
+        assert [f["family"] for f in listed] == ["A1", "A2"]
+        for fam, name in zip(listed, ("a1_intersection", "a2_intersection")):
+            assert fam["l"] == sorted(doc["s0_truncation"], key=int)
+            assert fam["elements"]
+            assert all(self._product(e) == int(e["value"]) for e in fam["elements"])
+            primes = {p for e in fam["elements"] for p, _ in e["factors"]}
+            assert sorted(primes, key=int) == doc["bound"]["components"][name]
+
+    def test_cofactor_listed_on_tiny_budget(self, tmp_path):
+        code, doc = run(tmp_path, "bound", "--d", "-5", *BASE, "--s0-count", "1",
+                        "--trial-bound", "50", "--rho-iters", "2",
+                        "--time-per-int-ms", "0")
+        assert code == 0
+        assert doc["bound"]["certified"] is False
+        a1 = doc["bound"]["intersections"][0]["elements"]
+        unfinished = [e for e in a1 if "cofactor" in e]
+        assert unfinished
+        assert all(self._product(e) == int(e["value"]) for e in unfinished)
+
+
 class TestOneMazurSearch:
     @pytest.mark.parametrize("sub", ["bound", "verify"])
     def test_single_call_per_request(self, tmp_path, monkeypatch, sub):

@@ -16,6 +16,7 @@ from quatbound.weilsets import (
     family_A2,
     family_A3,
     intersect_supports,
+    intersection_set,
     prime_support,
     trace_power,
     trace_set,
@@ -231,18 +232,46 @@ class TestGcdIntersection:
         assert intersect_supports(ctx, "A2", s0, budget) == (
             frozenset({2, 3, 5, 31, 1151}), True)
 
-    def test_gcd_goes_through_cache(self, ctx20):
+    def test_gcds_go_through_cache(self, ctx20):
         s0 = enumerate_S0(ctx20, 4)
         cache = {}
-        primes, _ = intersect_supports(ctx20, "A1", s0, cache=cache)
-        assert len(cache) == 1
-        (g, fac), = cache.items()
-        assert frozenset(fac.primes) == primes
-        for q in s0:
-            prod_q = 1
-            for v in family_A1(ctx20, q).elements:
-                prod_q *= v or 1
-            assert prod_q % g == 0
+        inter = intersection_set(ctx20, "A1", s0, cache=cache)
+        assert inter.elements and set(cache) == set(inter.elements)
+        assert (inter.support, inter.certified) == intersect_supports(ctx20, "A1", s0)
+        for g in cache:
+            for q in s0:
+                prod_q = 1
+                for v in family_A1(ctx20, q).elements:
+                    prod_q *= v or 1
+                assert prod_q % g == 0
+
+    @pytest.mark.parametrize("family", ["A1", "A2"])
+    def test_one_member_factors_each_element(self, family):
+        ctx = _field(-3299)
+        s0 = enumerate_S0(ctx, 1)
+        first = prime_support(_family(ctx, family, s0[0]))
+        assert first.certified
+        assert intersect_supports(ctx, family, s0) == (first.support, True)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_large_primes_of_different_elements_stay_apart(
+        self, ctx20, monkeypatch, count
+    ):
+        # two 61/63-bit primes in different elements: each is certified on
+        # its own, but their product is beyond a 10-step rho
+        p1, p2 = 2**61 - 1, 4611686018427388039
+        s0 = enumerate_S0(ctx20, count)
+        members = [(6 * p1, 10 * p2), (7 * p1, 11 * p2)][:count]
+        elements = {q.l: e for q, e in zip(s0, members)}
+
+        def fake(ctx, q):
+            return ASet(family="A1", q_list=(q.l,), shifts=(0,),
+                        elements=elements[q.l])
+
+        monkeypatch.setattr(weilsets, "family_A1", fake)
+        budget = FactorBudget(trial_bound=100, rho_iterations=10, time_per_int_ms=0)
+        expected = {p1, p2} | ({2, 3, 5} if count == 1 else set())
+        assert intersect_supports(ctx20, "A1", s0, budget) == (frozenset(expected), True)
 
     @pytest.mark.parametrize("member", [0, 1])
     def test_member_without_nonzero_elements(self, ctx20, monkeypatch, member):
