@@ -1,13 +1,23 @@
 """Exact big-integer primitives: Kronecker symbol, primality, bounded factoring."""
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
 import time
 
-# Deterministic Miller-Rabin witness threshold (Sorenson-Webster): the 13
-# bases below decide primality for every n under this.
-_MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The first k bases decide primality for every n below the k-th entry: the
+# least strong pseudoprimes to them (OEIS A014233; Jaeschke 1993,
+# Jiang-Deng 2014, Sorenson-Webster 2017).
+_MR_BASE_LIMITS = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+    3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+_MR_DETERMINISTIC_LIMIT = _MR_BASE_LIMITS[-1]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -112,7 +122,7 @@ def prime_status(n: int) -> str:
         if n % p == 0:
             return "prime" if n == p else "composite"
     if n < _MR_DETERMINISTIC_LIMIT:
-        for a in _MR_BASES:
+        for a in _MR_BASES[: bisect_right(_MR_BASE_LIMITS, n) + 1]:
             if _miller_rabin_composite(n, a):
                 return "composite"
         return "prime"
@@ -133,7 +143,7 @@ def primes_up_to(bound: int) -> list[int]:
     for p in range(2, isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, fl in enumerate(sieve) if fl]
+    return list(compress(range(bound + 1), sieve))
 
 
 @dataclass(frozen=True)

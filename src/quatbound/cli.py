@@ -11,7 +11,7 @@ import os
 import sys
 import tempfile
 
-from .arith import FactorBudget, FactoredInteger
+from .arith import FactorBudget, FactoredInteger, prime_status
 from .quadfield import FieldContext, make_field
 from .classgroup import enumerate_S0, fill_class_data, reduced_forms
 from .weilsets import family_A1, family_A2
@@ -50,16 +50,25 @@ def build_parser() -> argparse.ArgumentParser:
 # cache file format: `<value>=<p1>^<e1>*<p2>^<e2>[*...][*C<cofactor>]`
 
 def cache_load(path: str) -> dict[int, FactoredInteger]:
+    """Read a cache file.  Every entry must multiply back, and every listed
+    prime must not be composite (each distinct prime is tested once)."""
     table: dict[int, FactoredInteger] = {}
+    not_composite: set[int] = set()
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                table.update([_parse_cache_line(line)])
+                value, fac = _parse_cache_line(line)
+                for p in fac.primes:
+                    if p not in not_composite:
+                        if prime_status(p) == "composite":
+                            raise ValueError(f"listed prime {p} is composite")
+                        not_composite.add(p)
             except ValueError as e:
                 raise ValueError(f"cache parse error at line {lineno}: {e}") from None
+            table[value] = fac
     return table
 
 

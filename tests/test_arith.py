@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatbound.arith import (
+    _MR_BASE_LIMITS,
+    _MR_BASES,
     FactorBudget,
+    _miller_rabin_composite,
     factor,
     is_prime,
     kronecker,
@@ -68,6 +71,12 @@ class TestIsPrime:
         sieve = set(primes_up_to(10**6))
         for n in range(10**6):
             assert is_prime(n) == (n in sieve), n
+
+    def test_witness_limits_are_strong_pseudoprimes(self):
+        # the k-th limit passes the first k bases and is still found composite
+        for k, n in enumerate(_MR_BASE_LIMITS, start=1):
+            assert not any(_miller_rabin_composite(n, a) for a in _MR_BASES[:k]), n
+            assert prime_status(n) == "composite", n
 
     def test_large_probable(self):
         # 10^25 + 13 is the least prime above 10^25, beyond the

@@ -207,3 +207,29 @@ class TestCacheFormat:
         path.write_text("10=2^1*3^1\n")
         with pytest.raises(ValueError, match="line 1"):
             cache_load(str(path))
+
+    @pytest.mark.parametrize("line", ["15=15^1", "1=1^1"])
+    def test_composite_listed_prime_rejected(self, tmp_path, line):
+        path = tmp_path / "cache.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match="line 1"):
+            cache_load(str(path))
+
+    def test_composite_listed_prime_exits_1(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text("15=15^1\n")
+        assert main(["bound", "--d", "-5", *BASE, "--cache", str(path)]) == 1
+        assert path.read_text() == "15=15^1\n"
+
+    def test_each_distinct_prime_tested_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.txt"
+        path.write_text("6=2^1*3^1\n12=2^2*3^1\n-18=2^1*3^2\n")
+        tested = []
+
+        def status(p):
+            tested.append(p)
+            return "prime"
+
+        monkeypatch.setattr(cli, "prime_status", status)
+        assert len(cache_load(str(path))) == 3
+        assert sorted(tested) == [2, 3]

@@ -1,7 +1,7 @@
 import pytest
 
-from quatbound.arith import primes_up_to
-from quatbound.mazur import is_in_mazur, mazur_discriminants, mazur_prime_set
+from quatbound.arith import kronecker, primes_up_to
+from quatbound.mazur import PRESIEVE_PRIMES, is_in_mazur, mazur_discriminants, mazur_prime_set
 from quatbound.quadfield import splitting_type
 
 
@@ -17,6 +17,38 @@ def independent_recheck(ctx, N: int) -> bool:
         if r == 1:
             return False
     return True
+
+
+def reference_mazur_prime_set(ctx, bound: int) -> tuple[tuple[int, ...], int]:
+    """The per-candidate search that the presieve replaced: every prime
+    p = 1 mod 4 up to bound, against every odd split prime l < p/4.
+    Returns (members, largest_gap_tail)."""
+    members = []
+    split_cache: dict[int, bool] = {}
+    candidates = [p for p in primes_up_to(bound) if p % 4 == 1]
+    small_primes = primes_up_to(max(5, bound // 4 + 1))
+    for p in candidates:
+        ok = True
+        for l in small_primes:
+            if 4 * l >= p:
+                break
+            if l == 2:
+                continue
+            if l not in split_cache:
+                split_cache[l] = splitting_type(ctx, l) == "split"
+            if split_cache[l] and kronecker(p, l) == 1:
+                ok = False
+                break
+        if ok:
+            members.append(p)
+    tail = bound - members[-1] if members else bound
+    return tuple(members), tail
+
+
+def assert_matches_reference(ctx, bound: int) -> None:
+    res = mazur_prime_set(ctx, bound)
+    assert res.bound == bound and res.k_discriminant == ctx.D
+    assert (res.members, res.largest_gap_tail) == reference_mazur_prime_set(ctx, bound)
 
 
 class TestIsInMazur:
@@ -75,6 +107,28 @@ class TestMazurPrimeSet:
             import warnings
 
             warnings.warn("mazur density did not decay monotonically")
+
+
+class TestPresieveOracle:
+    @pytest.mark.parametrize(
+        "bound", [5, 6, 7, 13, 14, 17, 18, 30, 100, 10**3, 10**4, 10**5]
+    )
+    def test_every_field(self, contexts, bound):
+        for ctx in contexts.values():
+            assert_matches_reference(ctx, bound)
+
+    def test_1e6(self, ctx20):
+        assert_matches_reference(ctx20, 10**6)
+
+    def test_presieve_runs_out_of_split_primes(self, contexts):
+        # with l_K the K-th odd split prime, a bound <= 4 * l_K leaves fewer
+        # than K split primes below bound/4, so the presieve stops early;
+        # the bounds above it hand over from the presieve to the later check
+        for ctx in contexts.values():
+            split = [l for l in primes_up_to(2000) if l > 2 and splitting_type(ctx, l) == "split"]
+            l_k = split[PRESIEVE_PRIMES - 1]
+            for bound in (4 * l_k - 3, 4 * l_k, 4 * l_k + 1, 4 * l_k + 5, 8 * l_k):
+                assert_matches_reference(ctx, bound)
 
 
 class TestMazurDiscriminants:
