@@ -25,7 +25,7 @@ from .classgroup import (
     generates,
     reduced_forms,
 )
-from .weilsets import ASet, TraceSet, beta_for, family_A1, family_A2, family_A3, intersect_supports, intersection_set, prime_support, trace_power, trace_set
+from .weilsets import ASet, TraceSet, beta_for, family_A1, family_A2, family_A3, intersection_set, prime_support, trace_power, trace_set
 from .mazur import MazurResult, is_in_mazur, mazur_discriminants, mazur_prime_set
 from .bound import BoundParams, BoundReport, assemble_bound, candidate_discriminants, verify_prime_membership
 

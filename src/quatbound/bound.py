@@ -14,7 +14,7 @@ from .classgroup import (
     enumerate_S0,
     fill_class_data,
 )
-from .weilsets import family_A3, intersection_set, prime_support
+from .weilsets import ASet, family_A1, family_A2, family_A3, intersection_set, prime_support
 from .mazur import MazurResult, is_in_mazur, mazur_prime_set
 
 SMALL_PRIME_CAP = 23
@@ -38,10 +38,12 @@ class BoundReport:
     union: frozenset[int]
     certified: bool
     mazur: MazurResult
+    a1_families: list[ASet]  # one raw family per S0 member
+    a2_families: list[ASet]
+    a1_set: ASet  # the A1/A2 intersections, elements the factored gcds
+    a2_set: ASet
+    a3_set: ASet
     caveats: list[str] = field(default_factory=list)
-    a1_set: object = None  # the A1/A2 intersections, elements the factored gcds
-    a2_set: object = None
-    a3_set: object = None
 
 
 def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> BoundReport:
@@ -59,10 +61,11 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
 
     caveats: list[str] = []
 
-    a1 = intersection_set(ctx, "A1", s0, params.factor_budget, params.cache)
-    a2 = intersection_set(ctx, "A2", s0, params.factor_budget, params.cache)
-    a3_raw = family_A3(ctx, S)
-    a3 = prime_support(a3_raw, params.factor_budget, params.cache)
+    a1_families = [family_A1(ctx, q) for q in s0]
+    a2_families = [family_A2(ctx, q) for q in s0]
+    a1 = intersection_set(a1_families, params.factor_budget, params.cache)
+    a2 = intersection_set(a2_families, params.factor_budget, params.cache)
+    a3 = prime_support(family_A3(ctx, S), params.factor_budget, params.cache)
 
     mz = mazur_prime_set(ctx, params.mazur_bound)
     caveats.append(f"mazur set truncated at bound {params.mazur_bound}")
@@ -89,10 +92,12 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
         union=union,
         certified=certified,
         mazur=mz,
-        caveats=caveats,
+        a1_families=a1_families,
+        a2_families=a2_families,
         a1_set=a1,
         a2_set=a2,
         a3_set=a3,
+        caveats=caveats,
     )
 
 
@@ -131,24 +136,20 @@ class Evidence:
 
 
 def verify_prime_membership(ctx: FieldContext, p: int, report: BoundReport) -> Evidence:
-    """Re-derive, from scratch, every component's claim about p and check
-    it against the report.  Raises on any disagreement."""
-    from .weilsets import _family
-
+    """Re-derive every component's claim about p and check it against the
+    report.  Raises on any disagreement.  The A1/A2/A3 claims come from
+    direct divisibility of the report's raw family elements, not from the
+    gcds and factorizations that produced the components."""
     claims = []
     if ctx.D % p == 0:
         claims.append("ram")
     if p <= SMALL_PRIME_CAP:
         claims.append("small")
-    s0 = report.s0_truncation
-    for name, fam in (("a1_intersection", "A1"), ("a2_intersection", "A2")):
-        if all(
-            any(v % p == 0 for v in _family(ctx, fam, q).elements if v != 0)
-            for q in s0
-        ):
+    for name, families in (("a1_intersection", report.a1_families),
+                           ("a2_intersection", report.a2_families)):
+        if all(any(v % p == 0 for v in f.elements if v != 0) for f in families):
             claims.append(name)
-    a3 = family_A3(ctx, report.S)
-    if any(v % p == 0 for v in a3.elements if v != 0):
+    if any(v % p == 0 for v in report.a3_set.elements if v != 0):
         claims.append("a3_support")
     if p % 4 == 1 and p <= report.mazur.bound and is_in_mazur(ctx, p):
         claims.append("mazur_primes")

@@ -135,10 +135,6 @@ def ideal_class_of(ctx: FieldContext, I: IdealRep) -> QuadForm:
     return ideal_to_form(prim)
 
 
-def is_principal(ctx: FieldContext, I: IdealRep) -> bool:
-    return ideal_class_of(ctx, I) == reduce_form(*_pf(ctx.D))
-
-
 def _pf(D: int) -> tuple[int, int, int]:
     f = principal_form(D)
     return f.a, f.b, f.c

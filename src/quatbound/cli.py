@@ -14,7 +14,6 @@ import tempfile
 from .arith import FactorBudget, FactoredInteger, prime_status
 from .quadfield import FieldContext, make_field
 from .classgroup import enumerate_S0, fill_class_data, reduced_forms
-from .weilsets import family_A1, family_A2
 from .mazur import mazur_prime_set
 from .bound import BoundParams, BoundReport, assemble_bound, candidate_discriminants, verify_prime_membership
 
@@ -218,6 +217,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
+    loaded = dict(cache)
     try:
         code = _run(args, ctx, budget, cache)
     except ValueError as e:
@@ -227,7 +227,7 @@ def main(argv=None) -> int:
             return 2
         print(f"error: {msg}", file=sys.stderr)
         return 1
-    if args.cache:
+    if args.cache and cache != loaded:
         cache_store(args.cache, cache)
     return code
 
@@ -276,7 +276,7 @@ def _run(args, ctx, budget, cache) -> int:
     report = assemble_bound(ctx, params)
 
     if sub == "sets":
-        families = _all_families(ctx, report)
+        families = _all_families(report)
         doc = {"field": _field_doc(ctx), "families": families}
         _emit(doc, args.json_path)
         return 0
@@ -287,20 +287,19 @@ def _run(args, ctx, budget, cache) -> int:
     if sub == "verify":
         for p in sorted(report.union):
             verify_prime_membership(ctx, p, report)
-    families = _all_families(ctx, report)
+    families = _all_families(report)
     _emit(_report_doc(ctx, report, families, cands), args.json_path)
     if args.require_certified and not report.certified:
         return 3
     return 0
 
 
-def _all_families(ctx, report) -> list[dict]:
-    # A1/A2 elements are emitted raw: their intersections come from one
-    # factored gcd, not from factoring the elements
+def _all_families(report: BoundReport) -> list[dict]:
+    # A1/A2 families are emitted raw; their factored gcds are listed under
+    # bound.intersections
     families = []
-    for q in report.s0_truncation:
-        families.append(_family_doc(family_A1(ctx, q)))
-        families.append(_family_doc(family_A2(ctx, q)))
+    for a1, a2 in zip(report.a1_families, report.a2_families):
+        families += [_family_doc(a1), _family_doc(a2)]
     families.append(_family_doc(report.a3_set))
     return families
 

@@ -127,14 +127,6 @@ class QuadInt:
         return f"({self.x} + {self.y}*sqrt({self.D}))/2"
 
 
-def quadint_mul(u: QuadInt, v: QuadInt) -> QuadInt:
-    return u * v
-
-
-def quadint_conj(u: QuadInt) -> QuadInt:
-    return u.conj()
-
-
 def quadint_pow(u: QuadInt, e: int) -> QuadInt:
     out = QuadInt(2, 0, u.D)
     base = u

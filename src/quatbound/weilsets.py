@@ -69,38 +69,35 @@ class ASet:
     certified: bool = False
 
 
+def _trace_differences(family: str, h: int, pairs: list[tuple[int, int]]) -> ASet:
+    """The family {a - shift : a in trace_set(l, h)} over the (l, shift) pairs."""
+    elements: set[int] = set()
+    for l, shift in pairs:
+        elements.update(a - shift for a in trace_set(l, h).entries.values())
+    return ASet(
+        family=family,
+        q_list=tuple(l for l, _ in pairs),
+        shifts=tuple(shift for _, shift in pairs),
+        elements=tuple(sorted(elements)),
+    )
+
+
 def family_A1(ctx: FieldContext, q: SplitPrime) -> ASet:
     beta = beta_for(ctx, q)
     shift = trace_power(beta.trace, q.l**ctx.h, 24)
-    ts = trace_set(q.l, ctx.h)
-    elements = tuple(sorted({a - shift for a in ts.entries.values()}))
-    return ASet(family="A1", q_list=(q.l,), shifts=(shift,), elements=elements)
+    return _trace_differences("A1", ctx.h, [(q.l, shift)])
 
 
 def family_A2(ctx: FieldContext, q: SplitPrime) -> ASet:
     beta = beta_for(ctx, q)
     shift = q.l ** (8 * ctx.h) * trace_power(beta.trace, q.l**ctx.h, 8)
-    ts = trace_set(q.l, ctx.h)
-    elements = tuple(sorted({a - shift for a in ts.entries.values()}))
-    return ASet(family="A2", q_list=(q.l,), shifts=(shift,), elements=elements)
+    return _trace_differences("A2", ctx.h, [(q.l, shift)])
 
 
 def family_A3(ctx: FieldContext, S: list[SplitPrime]) -> ASet:
     if not S:
         raise ValueError("family_A3: S must be nonempty")
-    elements: set[int] = set()
-    shifts = []
-    for q in S:
-        shift = 2 * q.l ** (12 * ctx.h)
-        shifts.append(shift)
-        ts = trace_set(q.l, ctx.h)
-        elements.update(a - shift for a in ts.entries.values())
-    return ASet(
-        family="A3",
-        q_list=tuple(q.l for q in S),
-        shifts=tuple(shifts),
-        elements=tuple(sorted(elements)),
-    )
+    return _trace_differences("A3", ctx.h, [(q.l, 2 * q.l ** (12 * ctx.h)) for q in S])
 
 
 def factor_cached(
@@ -145,23 +142,14 @@ def prime_support(
     )
 
 
-def _family(ctx: FieldContext, family: str, q: SplitPrime) -> ASet:
-    if family == "A1":
-        return family_A1(ctx, q)
-    if family == "A2":
-        return family_A2(ctx, q)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def intersection_set(
-    ctx: FieldContext,
-    family: str,
-    s0_truncation: list[SplitPrime],
+    members: list[ASet],
     budget: FactorBudget = FactorBudget(),
     cache: dict[int, FactoredInteger] | None = None,
 ) -> ASet:
-    """The intersection of the family's prime supports over the truncation,
-    as the support of an ASet whose elements are gcds.
+    """The intersection of the members' prime supports, as the support of
+    an ASet whose elements are gcds.  Any truncation of S0 yields a
+    superset of the full (infinite) intersection.
 
     The support of a gcd is the intersection of the supports of its
     arguments.  With R the gcd over the later members of the product of
@@ -169,29 +157,15 @@ def intersection_set(
     over the nonzero elements v of the first member, so only those gcds
     are factored.  A lone member has R = 0, so each v is factored itself.
     """
-    if not s0_truncation:
+    if not members:
         raise ValueError("intersection_set: truncation must be nonempty")
     rest = 0
-    for q in s0_truncation[1:]:
-        rest = gcd(rest, prod(v for v in _family(ctx, family, q).elements if v != 0))
+    for m in members[1:]:
+        rest = gcd(rest, prod(v for v in m.elements if v != 0))
         if rest == 1:
             break
-    first = _family(ctx, family, s0_truncation[0]).elements
-    gs = {gcd(v, rest) for v in first if v != 0} - {1}
-    aset = ASet(family=family, q_list=tuple(q.l for q in s0_truncation),
+    gs = {gcd(v, rest) for v in members[0].elements if v != 0} - {1}
+    aset = ASet(family=members[0].family,
+                q_list=tuple(l for m in members for l in m.q_list),
                 shifts=(), elements=tuple(sorted(gs)))
     return prime_support(aset, budget, cache)
-
-
-def intersect_supports(
-    ctx: FieldContext,
-    family: str,
-    s0_truncation: list[SplitPrime],
-    budget: FactorBudget = FactorBudget(),
-    cache: dict[int, FactoredInteger] | None = None,
-) -> tuple[frozenset[int], bool]:
-    """Intersection of the family's prime supports over the truncation, and
-    whether it is certified.  Any truncation yields a superset of the full
-    (infinite) intersection."""
-    inter = intersection_set(ctx, family, s0_truncation, budget, cache)
-    return inter.support, inter.certified

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from quatbound.bound import (
 )
 from quatbound.classgroup import fill_class_data
 from quatbound.quadfield import make_field, splitting_type
+from quatbound.weilsets import family_A1, family_A2
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +78,13 @@ class TestAssemble:
                        for v, f in zip(inter.elements, inter.factorizations))
 
 
+    def test_families_carried(self, ctx20, report20):
+        s0 = report20.s0_truncation
+        assert report20.a1_families == [family_A1(ctx20, q) for q in s0]
+        assert report20.a2_families == [family_A2(ctx20, q) for q in s0]
+        assert report20.a3_set.q_list == tuple(q.l for q in report20.S)
+
+
 class TestVerify:
     def test_examples(self, ctx20, report20):
         ev = verify_prime_membership(ctx20, 2, report20)
@@ -97,6 +106,31 @@ class TestVerify:
             for p in rng.sample(absent, 50):
                 ev = verify_prime_membership(ctx, p, rep)
                 assert not ev.claims
+
+
+class TestVerifyMismatch:
+    @staticmethod
+    def _with(report, name, primes):
+        components = dict(report.components)
+        components[name] = frozenset(primes)
+        return dataclasses.replace(report, components=components)
+
+    def test_dropped_intersection_prime(self, ctx20, report20):
+        a1 = report20.components["a1_intersection"]
+        p = max(a1)
+        verify_prime_membership(ctx20, p, report20)
+        bad = self._with(report20, "a1_intersection", a1 - {p})
+        with pytest.raises(RuntimeError, match="evidence mismatch"):
+            verify_prime_membership(ctx20, p, bad)
+
+    def test_added_mazur_prime(self, ctx20, report20):
+        mz = report20.components["mazur_primes"]
+        p = next(p for p in primes_up_to(report20.mazur.bound)
+                 if p % 4 == 1 and p not in mz)
+        verify_prime_membership(ctx20, p, report20)
+        bad = self._with(report20, "mazur_primes", mz | {p})
+        with pytest.raises(RuntimeError, match="evidence mismatch"):
+            verify_prime_membership(ctx20, p, bad)
 
 
 class TestCandidates:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +125,36 @@ class TestOneMazurSearch:
         assert doc["mazur"]["bound"] == "10000"
 
 
+class TestOneFamilyBuild:
+    def test_each_family_built_once_per_verify(self, tmp_path, monkeypatch):
+        calls = {"family_A1": 0, "family_A2": 0, "family_A3": 0}
+        for name in calls:
+            real = getattr(bound, name)
+
+            def counting(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(bound, name, counting)
+        code, doc = run(tmp_path, "verify", "--d", "-5", *BASE)
+        assert code == 0
+        s0_count = len(doc["s0_truncation"])
+        assert s0_count == 4
+        assert calls == {"family_A1": s0_count, "family_A2": s0_count, "family_A3": 1}
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+class TestGoldenVerify:
+    @pytest.mark.parametrize("D", ["-20", "-84", "-419"])
+    def test_verify_bytes(self, tmp_path, D):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--d", D, *BASE, "--time-per-int-ms", "0",
+                     "--json", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"verify_{D}.json").read_bytes()
+
+
 class TestExitCodes:
     def test_class_number_one(self, tmp_path, capsys):
         assert main(["bound", "--d", "-1", *BASE]) == 2
@@ -165,6 +196,44 @@ class TestDeterminism:
         assert main(["bound", "--d", "-5", *BASE, "--cache", str(cache),
                      "--json", str(c)]) == 0
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+
+class TestCacheStore:
+    @staticmethod
+    def _counting_store(monkeypatch):
+        stores = []
+        real = cli.cache_store
+
+        def counting(*args):
+            stores.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "cache_store", counting)
+        return stores
+
+    def test_unchanged_cache_not_rewritten(self, tmp_path, monkeypatch):
+        cache = tmp_path / "factors.cache"
+        argv = ["bound", "--d", "-5", *BASE, "--cache", str(cache),
+                "--json", str(tmp_path / "out.json")]
+        assert main(argv) == 0
+        first = cache.read_bytes()
+        assert first
+        stores = self._counting_store(monkeypatch)
+        assert main(argv) == 0
+        assert stores == []
+        assert cache.read_bytes() == first
+
+    def test_new_entries_written(self, tmp_path, monkeypatch):
+        cache = tmp_path / "factors.cache"
+        assert main(["bound", "--d", "-5", *BASE, "--cache", str(cache),
+                     "--json", str(tmp_path / "a.json")]) == 0
+        before = cache_load(str(cache))
+        stores = self._counting_store(monkeypatch)
+        assert main(["bound", "--d", "-23", *BASE, "--cache", str(cache),
+                     "--json", str(tmp_path / "b.json")]) == 0
+        assert len(stores) == 1
+        after = cache_load(str(cache))
+        assert before.items() < after.items()
 
 
 class TestCacheFormat:

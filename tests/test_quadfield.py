@@ -12,8 +12,6 @@ from quatbound.quadfield import (
     make_field,
     prime_ideal_above,
     principal_ideal,
-    quadint_conj,
-    quadint_mul,
     shortest_generator,
     splitting_type,
     unit_ideal,
@@ -137,10 +135,10 @@ class TestShortestGenerator:
 class TestQuadInt:
     def test_examples(self):
         b = QuadInt(4, 1, -20)  # 2 + sqrt(-5)
-        sq = quadint_mul(b, b)
+        sq = b * b
         assert sq == QuadInt(-2, 4, -20)  # -1 + 4*sqrt(-5)
-        assert quadint_conj(b) == QuadInt(4, -1, -20)
-        assert quadint_mul(b, quadint_conj(b)) == QuadInt(18, 0, -20)  # 9
+        assert b.conj() == QuadInt(4, -1, -20)
+        assert b * b.conj() == QuadInt(18, 0, -20)  # 9
 
     def test_membership_constraint(self):
         with pytest.raises(ValueError):

@@ -4,18 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatbound import weilsets
 from quatbound.arith import FactorBudget
 from quatbound.classgroup import enumerate_S0, choose_S, fill_class_data
 from quatbound.quadfield import QuadInt, make_field, quadint_pow
 from quatbound.weilsets import (
     ASet,
-    _family,
     beta_for,
     family_A1,
     family_A2,
     family_A3,
-    intersect_supports,
     intersection_set,
     prime_support,
     trace_power,
@@ -168,10 +165,22 @@ class TestPrimeSupport:
             assert any(v % p == 0 for v in out.elements if v != 0)
 
 
+FAMILIES = {"A1": family_A1, "A2": family_A2}
+
+
+def members(ctx, family, s0):
+    return [FAMILIES[family](ctx, q) for q in s0]
+
+
+def intersect(ms, budget=FactorBudget()):
+    inter = intersection_set(ms, budget)
+    return inter.support, inter.certified
+
+
 class TestIntersectSupports:
     def test_length_one_equals_support(self, ctx20):
         s0 = enumerate_S0(ctx20, 1)
-        primes, cert = intersect_supports(ctx20, "A1", s0)
+        primes, cert = intersect(members(ctx20, "A1", s0))
         assert primes == prime_support(family_A1(ctx20, s0[0])).support
         assert cert
 
@@ -179,15 +188,15 @@ class TestIntersectSupports:
         s0 = enumerate_S0(ctx20, 4)
         prev = None
         for k in (1, 2, 3, 4):
-            cur, _ = intersect_supports(ctx20, "A1", s0[:k])
+            cur, _ = intersect(members(ctx20, "A1", s0[:k]))
             if prev is not None:
                 assert cur <= prev
             prev = cur
 
     def test_divisibility_filter(self, ctx20):
         s0 = enumerate_S0(ctx20, 2)
-        one, _ = intersect_supports(ctx20, "A1", s0[:1])
-        two, _ = intersect_supports(ctx20, "A1", s0)
+        one, _ = intersect(members(ctx20, "A1", s0[:1]))
+        two, _ = intersect(members(ctx20, "A1", s0))
         dropped = one - two
         elems7 = [v for v in family_A1(ctx20, s0[1]).elements if v != 0]
         for p in dropped:
@@ -196,13 +205,13 @@ class TestIntersectSupports:
             assert any(v % p == 0 for v in elems7)
 
 
-def factor_then_filter(ctx, family, s0):
+def factor_then_filter(members):
     """Oracle: factor every element of the first member, then keep the
     primes dividing some nonzero element of each later member."""
-    first = prime_support(_family(ctx, family, s0[0]))
+    first = prime_support(members[0])
     primes = set(first.support)
-    for q in s0[1:]:
-        elems = [v for v in _family(ctx, family, q).elements if v != 0]
+    for m in members[1:]:
+        elems = [v for v in m.elements if v != 0]
         primes = {p for p in primes if any(v % p == 0 for v in elems)}
     return frozenset(primes), first.certified
 
@@ -219,25 +228,27 @@ class TestGcdIntersection:
         ctx = _field(D)
         s0 = enumerate_S0(ctx, 4)
         for family in ("A1", "A2"):
-            expected = factor_then_filter(ctx, family, s0)
+            ms = members(ctx, family, s0)
+            expected = factor_then_filter(ms)
             assert expected[1]
-            assert intersect_supports(ctx, family, s0) == expected, (D, family)
+            assert intersect(ms) == expected, (D, family)
 
     def test_large_h_certified(self):
         ctx = _field(-1151)
         s0 = enumerate_S0(ctx, 4)
         budget = FactorBudget(rho_iterations=10**6, time_per_int_ms=0)
-        assert intersect_supports(ctx, "A1", s0, budget) == (
+        assert intersect(members(ctx, "A1", s0), budget) == (
             frozenset({2, 3, 5, 7, 17, 23, 37, 71, 1151}), True)
-        assert intersect_supports(ctx, "A2", s0, budget) == (
+        assert intersect(members(ctx, "A2", s0), budget) == (
             frozenset({2, 3, 5, 31, 1151}), True)
 
     def test_gcds_go_through_cache(self, ctx20):
         s0 = enumerate_S0(ctx20, 4)
         cache = {}
-        inter = intersection_set(ctx20, "A1", s0, cache=cache)
+        ms = members(ctx20, "A1", s0)
+        inter = intersection_set(ms, cache=cache)
         assert inter.elements and set(cache) == set(inter.elements)
-        assert (inter.support, inter.certified) == intersect_supports(ctx20, "A1", s0)
+        assert (inter.support, inter.certified) == intersect(ms)
         for g in cache:
             for q in s0:
                 prod_q = 1
@@ -249,40 +260,27 @@ class TestGcdIntersection:
     def test_one_member_factors_each_element(self, family):
         ctx = _field(-3299)
         s0 = enumerate_S0(ctx, 1)
-        first = prime_support(_family(ctx, family, s0[0]))
+        first = prime_support(FAMILIES[family](ctx, s0[0]))
         assert first.certified
-        assert intersect_supports(ctx, family, s0) == (first.support, True)
+        assert intersect(members(ctx, family, s0)) == (first.support, True)
 
     @pytest.mark.parametrize("count", [1, 2])
-    def test_large_primes_of_different_elements_stay_apart(
-        self, ctx20, monkeypatch, count
-    ):
+    def test_large_primes_of_different_elements_stay_apart(self, ctx20, count):
         # two 61/63-bit primes in different elements: each is certified on
         # its own, but their product is beyond a 10-step rho
         p1, p2 = 2**61 - 1, 4611686018427388039
         s0 = enumerate_S0(ctx20, count)
-        members = [(6 * p1, 10 * p2), (7 * p1, 11 * p2)][:count]
-        elements = {q.l: e for q, e in zip(s0, members)}
-
-        def fake(ctx, q):
-            return ASet(family="A1", q_list=(q.l,), shifts=(0,),
-                        elements=elements[q.l])
-
-        monkeypatch.setattr(weilsets, "family_A1", fake)
+        elements = [(6 * p1, 10 * p2), (7 * p1, 11 * p2)][:count]
+        fakes = [ASet(family="A1", q_list=(q.l,), shifts=(0,), elements=e)
+                 for q, e in zip(s0, elements)]
         budget = FactorBudget(trial_bound=100, rho_iterations=10, time_per_int_ms=0)
         expected = {p1, p2} | ({2, 3, 5} if count == 1 else set())
-        assert intersect_supports(ctx20, "A1", s0, budget) == (frozenset(expected), True)
+        assert intersect(fakes, budget) == (frozenset(expected), True)
 
     @pytest.mark.parametrize("member", [0, 1])
-    def test_member_without_nonzero_elements(self, ctx20, monkeypatch, member):
+    def test_member_without_nonzero_elements(self, ctx20, member):
         s0 = enumerate_S0(ctx20, 3)
-        real = weilsets.family_A1
-
-        def fake(ctx, q):
-            if q.l == s0[member].l:
-                return ASet(family="A1", q_list=(q.l,), shifts=(0,), elements=(0,))
-            return real(ctx, q)
-
-        monkeypatch.setattr(weilsets, "family_A1", fake)
-        assert factor_then_filter(ctx20, "A1", s0) == (frozenset(), True)
-        assert intersect_supports(ctx20, "A1", s0) == (frozenset(), True)
+        ms = members(ctx20, "A1", s0)
+        ms[member] = ASet(family="A1", q_list=(s0[member].l,), shifts=(0,), elements=(0,))
+        assert factor_then_filter(ms) == (frozenset(), True)
+        assert intersect(ms) == (frozenset(), True)
