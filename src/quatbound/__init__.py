@@ -2,17 +2,7 @@
 quadratic fields of class number > 1."""
 
 from .arith import FactorBudget, FactoredInteger, factor, is_prime, kronecker, primes_up_to
-from .quadfield import (
-    FieldContext,
-    IdealRep,
-    QuadInt,
-    ideal_mul,
-    ideal_pow,
-    make_field,
-    prime_ideal_above,
-    shortest_generator,
-    splitting_type,
-)
+from .quadfield import FieldContext, QuadInt, make_field, shortest_generator, splitting_type
 from .classgroup import (
     QuadForm,
     SplitPrime,
@@ -22,7 +12,9 @@ from .classgroup import (
     enumerate_S0,
     exponent,
     fill_class_data,
+    form_power,
     generates,
+    prime_form,
     reduced_forms,
 )
 from .weilsets import ASet, TraceSet, beta_for, family_A1, family_A2, family_A3, intersection_set, prime_support, trace_power, trace_set

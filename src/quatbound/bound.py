@@ -13,6 +13,7 @@ from .classgroup import (
     choose_S,
     enumerate_S0,
     fill_class_data,
+    generates,
 )
 from .weilsets import ASet, family_A1, family_A2, family_A3, intersection_set, prime_support
 from .mazur import MazurResult, is_in_mazur, mazur_prime_set
@@ -102,28 +103,14 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
 
 
 def _validated_override(ctx: FieldContext, ls: tuple[int, ...]) -> list[SplitPrime]:
-    from .classgroup import (
-        form_order,
-        generates,
-        ideal_class_of,
-        reduce_form,
-        _pf,
-    )
-    from .quadfield import prime_ideal_above
-
-    ident = reduce_form(*_pf(ctx.D))
     out = []
     for l in ls:
         if splitting_type(ctx, l) != "split":
             raise ValueError(f"S override: {l} does not split in k")
-        I = prime_ideal_above(ctx, l)
-        f = ideal_class_of(ctx, I)
-        if f == ident:
+        q = SplitPrime.above(ctx.D, l)
+        if q.class_order == 1:
             raise ValueError(f"S override: prime above {l} is principal")
-        out.append(
-            SplitPrime(l=l, ideal=I, form=f, principal=False,
-                       class_order=form_order(ctx.D, f))
-        )
+        out.append(q)
     if not generates(ctx.D, {q.form for q in out}):
         raise ValueError("S override does not generate the class group")
     return out

@@ -1,18 +1,14 @@
 """Class group of an imaginary quadratic field via reduced binary quadratic
-forms: class number, exponent, principality tests, and the split-prime sets
-feeding the trace families."""
+forms: Dirichlet composition, form powers, class number, exponent, and the
+split-prime sets feeding the trace families.  A form (a, b, c) stands for
+the ideal Z*a + Z*(-b + sqrt(D))/2."""
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd, isqrt, lcm
 
-from .quadfield import (
-    FieldContext,
-    IdealRep,
-    ideal_mul,
-    prime_ideal_above,
-    splitting_type,
-)
-from .arith import primes_up_to, is_prime
+from .arith import is_prime, kronecker, primes_up_to
+from .quadfield import FieldContext, splitting_type
 
 S0_SCAN_LIMIT = 10**6  # primes scanned before giving up on S0 (must not trigger)
 
@@ -39,14 +35,19 @@ class QuadForm:
 
 @dataclass(frozen=True)
 class SplitPrime:
-    """A split, non-principal degree-1 prime of k: member of the source set
-    for the trace families."""
+    """A split degree-1 prime of k: its norm l, the reduced form of its
+    class and that class's order.  The S0 members are the non-principal
+    ones (class_order > 1)."""
 
     l: int
-    ideal: IdealRep
     form: QuadForm
-    principal: bool
     class_order: int
+
+    @classmethod
+    def above(cls, D: int, l: int) -> "SplitPrime":
+        f = prime_form(D, l)
+        f = reduce_form(f.a, f.b, f.c)
+        return cls(l=l, form=f, class_order=form_order(D, f))
 
 
 def reduce_form(a: int, b: int, c: int) -> QuadForm:
@@ -91,21 +92,63 @@ def class_number(D: int) -> int:
     return len(reduced_forms(D))
 
 
-def form_to_ideal(D: int, f: QuadForm) -> IdealRep:
-    b = f.b % (2 * f.a)
-    return IdealRep(a=f.a, b=b, D=D)
+def prime_form(D: int, l: int) -> QuadForm:
+    """The form (l, b, c) of the degree-1 prime Z*l + Z*(-b + sqrt(D))/2
+    above l, with the smallest valid b >= 0."""
+    if kronecker(D, l) == -1:
+        raise ValueError(f"{l} is inert in Q(sqrt({D})): no degree-1 prime")
+    for b in range(D % 2, 2 * l, 2):
+        if (b * b - D) % (4 * l) == 0:
+            return QuadForm(l, b, (b * b - D) // (4 * l))
+    raise AssertionError(f"no square root of {D} mod 4*{l}")
 
 
-def ideal_to_form(I: IdealRep) -> QuadForm:
-    c = (I.b * I.b - I.D) // (4 * I.a)
-    return reduce_form(I.a, I.b, c)
+def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*x + v*y = g = gcd(x, y) >= 0."""
+    u0, u1, v0, v1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return (x, u0, v0) if x >= 0 else (-x, -u0, -v0)
+
+
+def _dirichlet(D: int, f: QuadForm, g: QuadForm) -> QuadForm:
+    """Dirichlet composition, unreduced, with b in [0, 2a) (Cohen, GTM 138,
+    Lemma 5.4.5): e = gcd(f.a, g.a, s) = u*f.a + v*g.a + w*s for
+    s = (f.b + g.b)/2, and the result is the form of the ideal product
+    divided by its content e."""
+    s = (f.b + g.b) // 2
+    d, _, y = _xgcd(f.a, g.a)
+    e, z, w = _xgcd(d, s)
+    v = z * y
+    a = f.a * g.a // (e * e)
+    b = (g.b + 2 * (g.a // e) * (v * (s - g.b) - w * g.c)) % (2 * a)
+    return QuadForm(a, b, (b * b - D) // (4 * a))
 
 
 def compose(D: int, f: QuadForm, g: QuadForm) -> QuadForm:
-    """Gauss composition, computed through ideal multiplication."""
-    ctx = FieldContext(D=D, ram_primes=frozenset())
-    prod = ideal_mul(ctx, form_to_ideal(D, f), form_to_ideal(D, g))
-    return ideal_to_form(prod)
+    """Gauss composition: the reduced form of the class of f*g."""
+    h = _dirichlet(D, f, g)
+    return reduce_form(h.a, h.b, h.c)
+
+
+def form_power(D: int, f: QuadForm, n: int) -> QuadForm:
+    """f^n (n >= 1) by square-and-multiply over unreduced Dirichlet
+    composition.  For the form (l, b, c) of a split prime q the result is
+    the form of the ideal q^n, with a = l^n: every step composes two powers
+    of q, whose b agree mod l and are prime to l, so e = 1."""
+    if n < 1:
+        raise ValueError("form_power: n must be >= 1")
+    result = None
+    while True:
+        if n & 1:
+            result = f if result is None else _dirichlet(D, result, f)
+        n >>= 1
+        if not n:
+            return result
+        f = _dirichlet(D, f, f)
 
 
 def form_inverse(f: QuadForm) -> QuadForm:
@@ -113,7 +156,7 @@ def form_inverse(f: QuadForm) -> QuadForm:
 
 
 def form_order(D: int, f: QuadForm) -> int:
-    ident = reduce_form(*_pf(D))
+    ident = principal_form(D)
     cur = reduce_form(f.a, f.b, f.c)
     n = 1
     while cur != ident:
@@ -125,19 +168,19 @@ def form_order(D: int, f: QuadForm) -> int:
 
 
 def exponent(D: int) -> int:
-    """Largest order of a class group element (= lcm of all orders)."""
-    return lcm(*(form_order(D, f) for f in reduced_forms(D)))
-
-
-def ideal_class_of(ctx: FieldContext, I: IdealRep) -> QuadForm:
-    # content never changes the class
-    prim = IdealRep(a=I.a, b=I.b, D=I.D)
-    return ideal_to_form(prim)
-
-
-def _pf(D: int) -> tuple[int, int, int]:
-    f = principal_form(D)
-    return f.a, f.b, f.c
+    """Largest order of a class group element: the lcm of the orders of the
+    forms that enlarge the subgroup grown from the reduced forms, which
+    generate the (abelian) group."""
+    forms = reduced_forms(D)
+    H = {principal_form(D)}
+    orders = [1]
+    for f in forms:
+        if len(H) == len(forms):
+            break
+        if f not in H:
+            H = _extend(D, H, f)
+            orders.append(form_order(D, f))
+    return lcm(*orders)
 
 
 def fill_class_data(ctx: FieldContext) -> FieldContext:
@@ -153,26 +196,7 @@ def enumerate_S0(ctx: FieldContext, count: int) -> list[SplitPrime]:
         fill_class_data(ctx)
     if ctx.class_number == 1:
         raise ValueError("S0 is empty: class number is 1")
-    out = []
-    ident = reduce_form(*_pf(ctx.D))
-    for l in _prime_stream():
-        if len(out) == count:
-            break
-        if splitting_type(ctx, l) != "split":
-            continue
-        I = prime_ideal_above(ctx, l)
-        f = ideal_class_of(ctx, I)
-        if f == ident:
-            continue
-        out.append(
-            SplitPrime(
-                l=l,
-                ideal=I,
-                form=f,
-                principal=False,
-                class_order=form_order(ctx.D, f),
-            )
-        )
+    out = list(islice(_split_primes(ctx), count))
     if len(out) < count:
         raise RuntimeError("S0 search exhausted")
     return out
@@ -189,52 +213,52 @@ def _prime_stream():
         n += 2
 
 
+def _split_primes(ctx: FieldContext):
+    """The split non-principal degree-1 primes of k, by norm."""
+    for l in _prime_stream():
+        if splitting_type(ctx, l) == "split":
+            q = SplitPrime.above(ctx.D, l)
+            if q.class_order > 1:
+                yield q
+
+
+def _extend(D: int, H: set[QuadForm], f: QuadForm) -> set[QuadForm]:
+    """The subgroup <H, f>, for a subgroup H given by its reduced forms: the
+    union of the cosets H*f^i up to the first power f^i that lies in H."""
+    out = set(H)
+    p = reduce_form(f.a, f.b, f.c)
+    while p not in H:
+        out.update(compose(D, x, p) for x in H)
+        p = compose(D, p, f)
+    return out
+
+
 def subgroup_closure(D: int, classes: set[QuadForm]) -> set[QuadForm]:
-    """Closure under composition (breadth-first; fine at desk scale)."""
-    ident = reduce_form(*_pf(D))
-    seen = {ident}
-    frontier = [ident]
-    gens = list(classes)
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in gens:
-                h = compose(D, f, g)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return seen
+    """The subgroup generated by the given classes."""
+    H = {principal_form(D)}
+    for f in classes:
+        H = _extend(D, H, f)
+    return H
 
 
 def generates(D: int, classes: set[QuadForm]) -> bool:
     return len(subgroup_closure(D, classes)) == class_number(D)
 
 
-def choose_S(ctx: FieldContext, s0: list[SplitPrime] | None = None) -> list[SplitPrime]:
-    """Greedy-minimal generating subset: scan S0 by norm, keep a prime iff
-    it enlarges the generated subgroup, stop once the whole group is hit."""
+def choose_S(ctx: FieldContext) -> list[SplitPrime]:
+    """Greedy-minimal generating subset: walk the split non-principal primes
+    by norm, keep a prime iff its class is not yet in the generated
+    subgroup, stop once the whole group is hit."""
     if ctx.class_number is None:
         fill_class_data(ctx)
     if ctx.class_number == 1:
         raise ValueError("class number is 1: no generating set needed")
-    h_k = ctx.class_number
+    H = {principal_form(ctx.D)}
     chosen: list[SplitPrime] = []
-    size = 1
-    count = 4
-    while True:
-        pool = s0 if s0 is not None else enumerate_S0(ctx, count)
-        for q in pool:
-            if any(c.l == q.l for c in chosen):
-                continue
-            trial = subgroup_closure(ctx.D, {c.form for c in chosen} | {q.form})
-            if len(trial) > size:
-                chosen.append(q)
-                size = len(trial)
-            if size == h_k:
+    for q in _split_primes(ctx):
+        if q.form not in H:
+            H = _extend(ctx.D, H, q.form)
+            chosen.append(q)
+            if len(H) == ctx.class_number:
                 return chosen
-        if s0 is not None:
-            raise RuntimeError("supplied S0 slice does not generate the class group")
-        count *= 2
-        if count > 10**4:
-            raise RuntimeError("S0 search exhausted")
+    raise RuntimeError("S0 search exhausted")

@@ -5,8 +5,8 @@ from dataclasses import dataclass, replace
 from math import gcd, isqrt, prod
 
 from .arith import FactorBudget, FactoredInteger, factor
-from .quadfield import FieldContext, QuadInt, ideal_pow, shortest_generator
-from .classgroup import SplitPrime
+from .quadfield import FieldContext, QuadInt, shortest_generator
+from .classgroup import SplitPrime, form_power, prime_form
 
 
 def trace_power(t: int, n: int, e: int) -> int:
@@ -45,10 +45,8 @@ def trace_set(l: int, h: int) -> TraceSet:
 
 def beta_for(ctx: FieldContext, q: SplitPrime) -> QuadInt:
     """Canonical generator of q^h, h the class-group exponent."""
-    if q.principal:
-        raise ValueError("beta_for: prime must be non-principal")
-    qh = ideal_pow(ctx, q.ideal, ctx.h)
-    beta = shortest_generator(ctx, qh)
+    qh = form_power(ctx.D, prime_form(ctx.D, q.l), ctx.h)
+    beta = shortest_generator(ctx.D, qh.a, qh.b)
     if beta is None:
         raise AssertionError("q^h must be principal when h is the group exponent")
     assert beta.norm == q.l**ctx.h

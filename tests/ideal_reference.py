@@ -1,0 +1,149 @@
+"""Reference ideal arithmetic for the class-group tests: integral ideals of
+an imaginary quadratic order multiplied by a two-column Hermite normal form
+of the four basis products.  This is an independent path to the products
+that `classgroup` computes by Dirichlet composition of forms, and is used
+only as the oracle those computations are compared against."""
+
+from dataclasses import dataclass
+from math import gcd
+
+from quatbound.arith import kronecker
+from quatbound.classgroup import QuadForm, reduce_form
+from quatbound.quadfield import QuadInt
+
+
+@dataclass(frozen=True)
+class IdealRep:
+    """Integral ideal g * (Z*a + Z*(-b + sqrt(D))/2), normalized with
+    0 <= b < 2a (classical form orientation).  Primitive ideals have
+    content g = 1 and norm a; in general the norm is g^2 * a."""
+
+    a: int
+    b: int
+    D: int
+    content: int = 1
+
+    def __post_init__(self):
+        if self.a <= 0 or self.content <= 0:
+            raise ValueError("ideal: a and content must be positive")
+        if not (0 <= self.b < 2 * self.a):
+            raise ValueError("ideal: b out of range [0, 2a)")
+        if (self.b - self.D) % 2 != 0:
+            raise ValueError("ideal: b must match D mod 2")
+        if (self.b * self.b - self.D) % (4 * self.a) != 0:
+            raise ValueError("ideal: b^2 must equal D mod 4a")
+
+    @property
+    def norm(self) -> int:
+        return self.content * self.content * self.a
+
+    def basis(self) -> tuple[QuadInt, QuadInt]:
+        g = self.content
+        return (
+            QuadInt(2 * self.a * g, 0, self.D),
+            QuadInt(-self.b * g, g, self.D),
+        )
+
+    def contains(self, u: QuadInt) -> bool:
+        g = self.content
+        if u.y % g or u.x % g:
+            return False
+        x, y = u.x // g, u.y // g
+        # subtract y copies of (-b + sqrt(D))/2, remainder must be in Z*a
+        return (x + y * self.b) % (2 * self.a) == 0
+
+
+def prime_ideal_above(D: int, p: int) -> IdealRep:
+    """Degree-1 prime ideal Z*p + Z*(-b + sqrt(D))/2 with the smallest valid b."""
+    if kronecker(D, p) == -1:
+        raise ValueError(f"{p} is inert in Q(sqrt({D})): no degree-1 prime")
+    for b in range(D % 2, 2 * p, 2):
+        if (b * b - D) % (4 * p) == 0:
+            return IdealRep(a=p, b=b, D=D)
+    raise AssertionError(f"no square root of {D} mod 4*{p}")
+
+
+def _ext_gcd(a: int, b: int) -> tuple[int, int]:
+    """(u, v) with u*a + v*b = gcd(a, b)."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_s, old_t
+
+
+def module_hnf(D: int, gens: list[QuadInt]) -> IdealRep:
+    """Normalize a list of O_k-module generators (in (x, y) coordinates of
+    (x + y*sqrt(D))/2) to an IdealRep via 2-column Hermite reduction."""
+    vecs = [(u.x, u.y) for u in gens if (u.x, u.y) != (0, 0)]
+    assert vecs
+    # reduce to basis (alpha, 0), (beta, g) with g = gcd of y-components
+    g = 0
+    beta = 0
+    for x, y in vecs:
+        if y == 0:
+            continue
+        if g == 0:
+            g, beta = abs(y), (x if y > 0 else -x)
+        else:
+            old_g, old_beta = g, beta
+            a0, b0 = _ext_gcd(old_g, y)
+            g = old_g * a0 + y * b0
+            beta = old_beta * a0 + x * b0
+            if g < 0:
+                g, beta = -g, -beta
+    alpha = 0
+    for x, y in vecs:
+        if g:
+            x = x - (y // g) * beta
+            assert y % g == 0
+        alpha = gcd(alpha, x)
+    assert g > 0 and alpha > 0
+    # lattice Z*(alpha,0) + Z*(beta,g); content is g, and g | alpha, g | beta
+    assert alpha % g == 0 and alpha % 2 == 0
+    assert beta % g == 0
+    a = alpha // g // 2
+    b = (-(beta // g)) % (2 * a)
+    return IdealRep(a=a, b=b, D=D, content=g)
+
+
+def ideal_mul(I: IdealRep, J: IdealRep) -> IdealRep:
+    e1, e2 = I.basis()
+    f1, f2 = J.basis()
+    return module_hnf(I.D, [e1 * f1, e1 * f2, e2 * f1, e2 * f2])
+
+
+def ideal_pow(I: IdealRep, n: int) -> IdealRep:
+    assert n >= 1
+    result = None
+    base = I
+    while n:
+        if n & 1:
+            result = base if result is None else ideal_mul(result, base)
+        n >>= 1
+        if n:
+            base = ideal_mul(base, base)
+    return result
+
+
+def principal_ideal(D: int, beta: QuadInt) -> IdealRep:
+    """The ideal beta * O_k."""
+    omega = QuadInt(D % 2, 1, D)
+    return module_hnf(D, [beta, beta * omega])
+
+
+def form_ideal(D: int, f: QuadForm) -> IdealRep:
+    return IdealRep(a=f.a, b=f.b % (2 * f.a), D=D)
+
+
+def ideal_class(I: IdealRep) -> QuadForm:
+    """The reduced form of the class of I (content never changes the class)."""
+    return reduce_form(I.a, I.b, (I.b * I.b - I.D) // (4 * I.a))
+
+
+def reference_compose(D: int, f: QuadForm, g: QuadForm) -> QuadForm:
+    return ideal_class(ideal_mul(form_ideal(D, f), form_ideal(D, g)))

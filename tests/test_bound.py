@@ -54,8 +54,15 @@ class TestAssemble:
     def test_bad_overrides_rejected(self, ctx20):
         with pytest.raises(ValueError, match="does not split"):
             assemble_bound(ctx20, BoundParams(mazur_bound=10**4, S_override=(11,)))
+        with pytest.raises(ValueError, match="does not split"):
+            assemble_bound(ctx20, BoundParams(mazur_bound=10**4, S_override=(2,)))
         with pytest.raises(ValueError, match="principal"):
             assemble_bound(ctx20, BoundParams(mazur_bound=10**4, S_override=(29,)))
+
+    def test_non_generating_override_rejected(self, contexts):
+        # the class group of -84 is (Z/2)^2: one class generates only Z/2
+        with pytest.raises(ValueError, match="does not generate"):
+            assemble_bound(contexts[-84], BoundParams(mazur_bound=10**4, S_override=(5,)))
 
     def test_all_fields_certified(self, contexts):
         for ctx in contexts.values():

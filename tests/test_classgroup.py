@@ -1,8 +1,16 @@
-from itertools import combinations
+from itertools import combinations, islice
+from math import lcm
 
 import pytest
 
-from quatbound.arith import kronecker
+from ideal_reference import (
+    ideal_class,
+    ideal_mul,
+    ideal_pow,
+    prime_ideal_above,
+    reference_compose,
+)
+from quatbound.arith import kronecker, primes_up_to
 from quatbound.classgroup import (
     QuadForm,
     choose_S,
@@ -10,21 +18,19 @@ from quatbound.classgroup import (
     compose,
     enumerate_S0,
     exponent,
+    fill_class_data,
     form_inverse,
     form_order,
+    form_power,
     generates,
-    ideal_class_of,
+    prime_form,
     principal_form,
+    reduce_form,
     reduced_forms,
     subgroup_closure,
 )
-from quatbound.quadfield import (
-    ideal_pow,
-    is_fundamental,
-    make_field,
-    prime_ideal_above,
-    shortest_generator,
-)
+from quatbound.quadfield import is_fundamental, make_field, shortest_generator
+from quatbound.weilsets import beta_for
 
 
 def dirichlet_class_number(D: int) -> int:
@@ -109,25 +115,23 @@ class TestExponent:
 
 
 class TestIdealClasses:
-    def test_examples(self, ctx20):
-        from quatbound.quadfield import unit_ideal
-
-        assert ideal_class_of(ctx20, unit_ideal(ctx20)) == QuadForm(1, 0, 5)
-        q3 = prime_ideal_above(ctx20, 3)
-        assert ideal_class_of(ctx20, q3) == QuadForm(2, 2, 3)
-        assert ideal_class_of(ctx20, ideal_pow(ctx20, q3, 2)) == QuadForm(1, 0, 5)
+    def test_examples(self):
+        q3 = prime_form(-20, 3)
+        assert reduce_form(q3.a, q3.b, q3.c) == QuadForm(2, 2, 3)
+        sq = form_power(-20, q3, 2)
+        assert reduce_form(sq.a, sq.b, sq.c) == principal_form(-20) == QuadForm(1, 0, 5)
 
     def test_consistent_with_compose(self, contexts):
         for ctx in contexts.values():
             s0 = enumerate_S0(ctx, 3)
-            from quatbound.quadfield import ideal_mul
-
             for qa in s0:
                 for qb in s0:
-                    prod = ideal_mul(ctx, qa.ideal, qb.ideal)
-                    assert ideal_class_of(ctx, prod) == compose(
-                        ctx.D, qa.form, qb.form
-                    )
+                    prod = ideal_mul(prime_ideal_above(ctx.D, qa.l),
+                                     prime_ideal_above(ctx.D, qb.l))
+                    expected = compose(ctx.D, qa.form, qb.form)
+                    assert ideal_class(prod) == expected
+                    assert compose(ctx.D, prime_form(ctx.D, qa.l),
+                                   prime_form(ctx.D, qb.l)) == expected
 
 
 class TestS0:
@@ -137,13 +141,11 @@ class TestS0:
 
     def test_29_is_principal_so_excluded(self, ctx20):
         # 29 = 3^2 + 5*2^2 splits but is principal
-        q29 = prime_ideal_above(ctx20, 29)
-        assert ideal_class_of(ctx20, q29) == QuadForm(1, 0, 5)
+        q29 = prime_form(-20, 29)
+        assert reduce_form(q29.a, q29.b, q29.c) == QuadForm(1, 0, 5)
 
     def test_class_number_one_rejected(self):
         ctx = make_field(-1)
-        from quatbound.classgroup import fill_class_data
-
         fill_class_data(ctx)
         with pytest.raises(ValueError):
             enumerate_S0(ctx, 1)
@@ -152,9 +154,10 @@ class TestS0:
         for ctx in contexts.values():
             for q in enumerate_S0(ctx, 10):
                 assert exponent(ctx.D) % q.class_order == 0
-                qh = ideal_pow(ctx, q.ideal, ctx.exponent_h)
-                assert ideal_class_of(ctx, qh) == principal_form(ctx.D)
-                assert shortest_generator(ctx, qh) is not None
+                qh = form_power(ctx.D, prime_form(ctx.D, q.l), ctx.exponent_h)
+                assert qh.a == q.l**ctx.exponent_h
+                assert reduce_form(qh.a, qh.b, qh.c) == principal_form(ctx.D)
+                assert shortest_generator(ctx.D, qh.a, qh.b) is not None
 
 
 class TestGeneratesAndChooseS:
@@ -171,10 +174,105 @@ class TestGeneratesAndChooseS:
             S = choose_S(ctx)
             assert S
             assert generates(ctx.D, {q.form for q in S})
-            assert all(not q.principal for q in S)
+            assert all(q.form != principal_form(ctx.D) for q in S)
         assert [q.l for q in choose_S(contexts[-20])] == [3]
         assert len(choose_S(contexts[-23])) == 1
         assert len(choose_S(contexts[-47])) == 1
 
     def test_closure_sizes(self):
         assert len(subgroup_closure(-84, set())) == 1
+
+
+def reference_split_primes(D: int):
+    """(l, reduced form, ideal) of the split non-principal primes by norm,
+    through the reference ideal arithmetic."""
+    ident = principal_form(D)
+    for l in primes_up_to(10**4):
+        if kronecker(D, l) == 1:
+            I = prime_ideal_above(D, l)
+            f = ideal_class(I)
+            if f != ident:
+                yield l, f, I
+
+
+def reference_s0(D: int, count: int) -> list[tuple]:
+    """(l, reduced form, class order, ideal) of the first `count` S0 members."""
+    ident = principal_form(D)
+    out = []
+    for l, f, I in islice(reference_split_primes(D), count):
+        order, cur = 1, f
+        while cur != ident:
+            cur = reference_compose(D, cur, f)
+            order += 1
+        out.append((l, f, order, I))
+    return out
+
+
+def reference_closure(D: int, classes) -> set[QuadForm]:
+    seen = {principal_form(D)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for g in classes:
+                h = reference_compose(D, f, g)
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return seen
+
+
+def reference_choose_S(D: int) -> list[int]:
+    """Greedy by norm: keep a prime iff the reference closure grows."""
+    h_k = class_number(D)
+    chosen, gens, size = [], [], 1
+    for l, f, _ in reference_split_primes(D):
+        trial = reference_closure(D, gens + [f])
+        if len(trial) > size:
+            chosen.append(l)
+            gens.append(f)
+            size = len(trial)
+        if size == h_k:
+            return chosen
+    raise AssertionError("reference S0 slice does not generate")
+
+
+def check_against_reference(D: int, s0_count: int, all_pairs: bool) -> None:
+    ctx = make_field(D)
+    fill_class_data(ctx)
+    forms = reduced_forms(D)
+    if all_pairs:
+        for f in forms:
+            for g in forms:
+                assert compose(D, f, g) == reference_compose(D, f, g), (D, f, g)
+    assert exponent(D) == lcm(*(form_order(D, f) for f in forms)), D
+    ref = reference_s0(D, s0_count)
+    s0 = enumerate_S0(ctx, s0_count)
+    assert [(q.l, q.form, q.class_order) for q in s0] == [r[:3] for r in ref], D
+    for k in range(1, len(s0) + 1):
+        gens = [q.form for q in s0[:k]]
+        assert subgroup_closure(D, set(gens)) == reference_closure(D, gens), (D, k)
+    for q, (_, _, _, I) in zip(s0, ref):
+        qh = form_power(D, prime_form(D, q.l), ctx.h)
+        Ih = ideal_pow(I, ctx.h)
+        assert (qh.a, qh.b, Ih.content) == (Ih.a, Ih.b, 1), (D, q.l)
+        assert beta_for(ctx, q) == shortest_generator(D, Ih.a, Ih.b), (D, q.l)
+
+
+class TestAgainstIdealReference:
+    """Dirichlet composition, form powers and subgroups grown coset by coset
+    against the HNF ideal product of `ideal_reference`."""
+
+    def test_fundamental_discriminants_to_500(self):
+        fields = [D for D in range(-3, -501, -1)
+                  if is_fundamental(D) and class_number(D) > 1]
+        assert len(fields) > 100
+        for D in fields:
+            check_against_reference(D, 6, all_pairs=True)
+            assert [q.l for q in choose_S(make_field(D))] == reference_choose_S(D), D
+
+    def test_h41_with_l2_in_s0(self):
+        check_against_reference(-1151, 4, all_pairs=False)
+        assert exponent(-1151) == 41
+        assert enumerate_S0(make_field(-1151), 1)[0].l == 2

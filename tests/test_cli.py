@@ -162,6 +162,7 @@ class TestExitCodes:
     def test_domain_error(self, tmp_path):
         assert main(["bound", "--d", "-12", *BASE]) == 1
         assert main(["bound", "--d", "5", *BASE]) == 1
+        assert main(["bound", "--d", "-84", "--S", "5", *BASE]) == 1  # does not generate
 
     def test_require_certified_ok_when_certified(self, tmp_path):
         out = tmp_path / "o.json"

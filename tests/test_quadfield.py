@@ -4,18 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ideal_reference import ideal_mul, prime_ideal_above, principal_ideal
 from quatbound.arith import primes_up_to
-from quatbound.quadfield import (
-    QuadInt,
-    ideal_mul,
-    ideal_pow,
-    make_field,
-    prime_ideal_above,
-    principal_ideal,
-    shortest_generator,
-    splitting_type,
-    unit_ideal,
+from quatbound.classgroup import (
+    QuadForm,
+    compose,
+    form_inverse,
+    form_power,
+    prime_form,
+    principal_form,
+    reduce_form,
 )
+from quatbound.quadfield import QuadInt, make_field, shortest_generator, splitting_type
 
 
 class TestMakeField:
@@ -46,13 +46,11 @@ class TestSplitting:
         assert splitting_type(ctx20, 3) == "split"
         assert splitting_type(ctx20, 11) == "inert"
 
-    def test_prime_ideal_examples(self, ctx20):
-        I = prime_ideal_above(ctx20, 3)
-        assert (I.a, I.b) == (3, 2)
-        I = prime_ideal_above(ctx20, 2)
-        assert (I.a, I.b) == (2, 2)
+    def test_prime_ideal_examples(self):
+        assert prime_form(-20, 3) == QuadForm(3, 2, 2)
+        assert prime_form(-20, 2) == QuadForm(2, 2, 3)
         with pytest.raises(ValueError, match="inert"):
-            prime_ideal_above(ctx20, 11)
+            prime_form(-20, 11)
 
     def test_conjugate_product_is_p(self, contexts):
         rng = random.Random(99)
@@ -60,47 +58,48 @@ class TestSplitting:
             split = [p for p in primes_up_to(10**4)
                      if splitting_type(ctx, p) == "split"]
             for p in rng.sample(split, 100):
-                I = prime_ideal_above(ctx, p)
+                f = prime_form(ctx.D, p)
+                assert compose(ctx.D, f, form_inverse(f)) == principal_form(ctx.D)
+                # the reference product q * conj(q) is p * O_k
+                I = prime_ideal_above(ctx.D, p)
                 J = type(I)(a=p, b=(2 * p - I.b) % (2 * p), D=ctx.D)
-                prod = ideal_mul(ctx, I, J)
-                assert prod.norm == p * p
-                assert prod.content == p
-                assert prod.a == 1
+                prod = ideal_mul(I, J)
+                assert (prod.a, prod.content) == (1, p)
 
 
 class TestIdealArithmetic:
-    def test_unit_identity(self, ctx20):
-        I = prime_ideal_above(ctx20, 3)
-        assert ideal_mul(ctx20, I, unit_ideal(ctx20)) == I
+    def test_unit_identity(self):
+        q3 = prime_form(-20, 3)
+        assert compose(-20, q3, principal_form(-20)) == QuadForm(2, 2, 3)
+        assert form_power(-20, q3, 1) == q3
 
-    def test_square_of_q3(self, ctx20):
-        I = prime_ideal_above(ctx20, 3)
-        sq = ideal_mul(ctx20, I, I)
-        assert sq.norm == 9
-        assert ideal_pow(ctx20, I, 2) == sq
+    def test_square_of_q3(self):
+        sq = form_power(-20, prime_form(-20, 3), 2)
+        assert (sq.a, sq.b) == (9, 14)
+        assert reduce_form(sq.a, sq.b, sq.c) == principal_form(-20)
 
-    def test_pow_examples(self, ctx20):
-        I = prime_ideal_above(ctx20, 3)
-        assert ideal_pow(ctx20, I, 1) == I
-        q4 = ideal_pow(ctx20, I, 4)
-        assert q4.norm == 81
-        assert shortest_generator(ctx20, q4) is not None  # class has order 2
+    def test_pow_examples(self):
+        q3 = prime_form(-20, 3)
+        for n in range(1, 9):
+            assert form_power(-20, q3, n).a == 3**n
+        q4 = form_power(-20, q3, 4)
+        assert shortest_generator(-20, q4.a, q4.b) is not None  # class has order 2
 
 
 class TestShortestGenerator:
-    def test_unit_ideal(self, ctx20):
-        beta = shortest_generator(ctx20, unit_ideal(ctx20))
+    def test_unit_ideal(self):
+        beta = shortest_generator(-20, 1, 0)
         assert beta == QuadInt(2, 0, -20)  # the element 1
 
-    def test_q3_squared(self, ctx20):
-        I = ideal_pow(ctx20, prime_ideal_above(ctx20, 3), 2)
-        beta = shortest_generator(ctx20, I)
+    def test_q3_squared(self):
+        sq = form_power(-20, prime_form(-20, 3), 2)
+        beta = shortest_generator(-20, sq.a, sq.b)
         # 2 + sqrt(-5), trace 4, norm 9; no norm-3 element exists
         assert beta == QuadInt(4, 1, -20)
         assert beta.norm == 9 and beta.trace == 4
 
-    def test_q3_not_principal(self, ctx20):
-        assert shortest_generator(ctx20, prime_ideal_above(ctx20, 3)) is None
+    def test_q3_not_principal(self):
+        assert shortest_generator(-20, 3, 2) is None
 
     def test_exhaustive_norm_oracle(self, ctx20):
         # brute force: no element of q3 has norm 3 (x^2 + 5 y^2 = 3 insoluble)
@@ -123,12 +122,13 @@ class TestShortestGenerator:
                 if x == 0 and y == 0:
                     x = 2
                 beta = QuadInt(x, y, ctx.D)
-                I = principal_ideal(ctx, beta)
+                I = principal_ideal(ctx.D, beta)
                 assert I.norm == abs(beta.norm)
-                g = shortest_generator(ctx, I)
+                g = shortest_generator(ctx.D, I.a, I.b)
                 assert g is not None
+                g = g * I.content
                 assert g.norm == abs(beta.norm)
-                assert principal_ideal(ctx, g) == I
+                assert principal_ideal(ctx.D, g) == I
                 assert I.contains(g)
 
 

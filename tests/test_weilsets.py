@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from quatbound.arith import FactorBudget
 from quatbound.classgroup import enumerate_S0, choose_S, fill_class_data
-from quatbound.quadfield import QuadInt, make_field, quadint_pow
+from quatbound.quadfield import QuadInt, make_field
 from quatbound.weilsets import (
     ASet,
     beta_for,
@@ -18,6 +18,18 @@ from quatbound.weilsets import (
     trace_power,
     trace_set,
 )
+
+
+def quadint_pow(u: QuadInt, e: int) -> QuadInt:
+    """u^e in O_k by binary powering: the oracle for traces of beta powers."""
+    out = QuadInt(2, 0, u.D)
+    base = u
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
 
 
 def ring_trace_oracle(t: int, n: int, e: int) -> int:
