@@ -18,7 +18,7 @@ from .classgroup import (
     reduced_forms,
 )
 from .weilsets import ASet, TraceSet, beta_for, family_A1, family_A2, family_A3, intersection_set, prime_support, trace_power, trace_set
-from .mazur import MazurResult, is_in_mazur, mazur_discriminants, mazur_prime_set
+from .mazur import MazurResult, is_in_mazur, mazur_prime_set
 from .bound import BoundParams, BoundReport, assemble_bound, candidate_discriminants, verify_prime_membership
 
 __version__ = "0.1.0"

@@ -154,6 +154,13 @@ class FactorBudget:
     rho_iterations: int = 10**7
     time_per_int_ms: int = 10_000
 
+    def deadline(self) -> float | None:
+        """The time.monotonic() instant at which the wall-clock cap of an
+        integer started now runs out; None when the cap is off."""
+        if self.time_per_int_ms <= 0:
+            return None
+        return time.monotonic() + self.time_per_int_ms / 1000.0
+
 
 @dataclass(frozen=True)
 class FactoredInteger:
@@ -226,11 +233,16 @@ def _brent_rho(n: int, max_iters: int, deadline: float | None) -> int | None:
     return None
 
 
-def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
+def factor(
+    n: int, budget: FactorBudget = FactorBudget(), deadline: float | None = None
+) -> FactoredInteger:
     """Factor n under an effort budget: trial division then Brent rho.
 
     Deterministic for a given (n, budget) up to the wall-clock cap; any
-    remaining composite part is reported as the cofactor.
+    remaining composite part, and any part that is only a BPSW probable
+    prime, is reported in the cofactor.  A `deadline` from
+    FactorBudget.deadline() replaces n's own cap, so that the parts of one
+    integer can share that integer's cap.
     """
     if n == 0:
         raise ValueError("factor: n must be nonzero")
@@ -243,18 +255,22 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
         while m % p == 0:
             powers[p] = powers.get(p, 0) + 1
             m //= p
-    deadline = None
-    if budget.time_per_int_ms > 0:
-        deadline = time.monotonic() + budget.time_per_int_ms / 1000.0
+    if deadline is None:
+        deadline = budget.deadline()
     stack = [m] if m > 1 else []
     cofactors: list[int] = []
     while stack:
         m = stack.pop()
         if m == 1:
             continue
-        if m <= budget.trial_bound * budget.trial_bound or is_prime(m):
-            # below trial_bound^2 any remaining part is prime
+        # below trial_bound^2 any remaining part is prime
+        status = "prime" if m <= budget.trial_bound * budget.trial_bound else prime_status(m)
+        if status == "prime":
             powers[m] = powers.get(m, 0) + 1
+            continue
+        if status == "probable":
+            # BPSW proves nothing: the part stays unfactored
+            cofactors.append(m)
             continue
         r = isqrt(m)
         if r * r == m:

@@ -21,17 +21,6 @@ class QuadForm:
     b: int
     c: int
 
-    @property
-    def disc(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def is_reduced(self) -> bool:
-        if not (abs(self.b) <= self.a <= self.c):
-            return False
-        if self.b < 0 and (abs(self.b) == self.a or self.a == self.c):
-            return False
-        return True
-
 
 @dataclass(frozen=True)
 class SplitPrime:

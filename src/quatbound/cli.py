@@ -50,9 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cache_load(path: str) -> dict[int, FactoredInteger]:
     """Read a cache file.  Every entry must multiply back, and every listed
-    prime must not be composite (each distinct prime is tested once)."""
+    prime must be proven prime, not composite nor only BPSW-probable (each
+    distinct prime is tested once)."""
     table: dict[int, FactoredInteger] = {}
-    not_composite: set[int] = set()
+    proven: set[int] = set()
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -61,10 +62,11 @@ def cache_load(path: str) -> dict[int, FactoredInteger]:
             try:
                 value, fac = _parse_cache_line(line)
                 for p in fac.primes:
-                    if p not in not_composite:
-                        if prime_status(p) == "composite":
-                            raise ValueError(f"listed prime {p} is composite")
-                        not_composite.add(p)
+                    if p not in proven:
+                        status = prime_status(p)
+                        if status != "prime":
+                            raise ValueError(f"listed prime {p} is {status}")
+                        proven.add(p)
             except ValueError as e:
                 raise ValueError(f"cache parse error at line {lineno}: {e}") from None
             table[value] = fac

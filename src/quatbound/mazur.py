@@ -18,8 +18,6 @@ PRESIEVE_PRIMES = 16
 class MazurResult:
     bound: int
     members: tuple[int, ...]
-    k_discriminant: int
-    largest_gap_tail: int
 
 
 def is_in_mazur(ctx: FieldContext, N: int) -> bool:
@@ -86,13 +84,7 @@ def mazur_prime_set(ctx: FieldContext, bound: int) -> MazurResult:
         if is_prime(p) and _passes_later(p, later, split_primes):
             members.append(p)
         i = alive.find(1, i + 1)
-    tail = bound - members[-1] if members else bound
-    return MazurResult(
-        bound=bound,
-        members=tuple(members),
-        k_discriminant=ctx.D,
-        largest_gap_tail=tail,
-    )
+    return MazurResult(bound=bound, members=tuple(members))
 
 
 def _passes_later(p: int, later: list[int], split_primes) -> bool:
@@ -108,21 +100,3 @@ def _passes_later(p: int, later: list[int], split_primes) -> bool:
         if kronecker(p, l) == 1:
             return False
 
-
-def mazur_discriminants(ctx: FieldContext, bound: int) -> MazurResult:
-    """All fundamental discriminants N with |N| <= bound passing the test."""
-    if bound < 1:
-        raise ValueError("mazur_discriminants: bound must be >= 1")
-    members = []
-    for N in range(-bound, bound + 1):
-        if N in (0, 1) or not is_fundamental(N):
-            continue
-        if is_in_mazur(ctx, N):
-            members.append(N)
-    tail = bound - max((abs(N) for N in members), default=0)
-    return MazurResult(
-        bound=bound,
-        members=tuple(members),
-        k_discriminant=ctx.D,
-        largest_gap_tail=tail,
-    )

@@ -132,6 +132,23 @@ class TestFactor:
         with pytest.raises(ValueError):
             factor(0)
 
+    def test_probable_prime_stays_cofactor(self):
+        # BPSW passes for 2^89 - 1 and P98 but proves neither prime
+        m89, p98 = 2**89 - 1, 242158526118349748939022266021
+        assert prime_status(m89) == prime_status(p98) == "probable"
+        f = factor(3 * m89)
+        assert f.complete is False
+        assert f.prime_powers == ((3, 1),) and f.cofactor == m89
+        f = factor(p98)
+        assert f.prime_powers == () and f.cofactor == p98
+
+    def test_shared_deadline_in_the_past(self):
+        # a spent deadline stops rho at once, whatever the budget's own cap
+        p, q = 1000000007, 998244353
+        f = factor(p * q, FactorBudget(trial_bound=100, time_per_int_ms=0), deadline=0.0)
+        assert f.cofactor == p * q
+        assert factor(p * q, FactorBudget(trial_bound=100, time_per_int_ms=0)).complete
+
     def test_reconstruction_random(self):
         rng = random.Random(1234)
         budget = FactorBudget()

@@ -154,6 +154,13 @@ class TestGoldenVerify:
                      "--json", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / f"verify_{D}.json").read_bytes()
 
+    def test_bound_large_h_bytes(self, tmp_path):
+        # h = 41: A3 elements of 494 bits, factored through their Lucas parts
+        out = tmp_path / "bound.json"
+        assert main(["bound", "--d", "-1151", "--rho-iters", "1000000",
+                     "--time-per-int-ms", "0", "--json", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "bound_-1151.json").read_bytes()
+
 
 class TestExitCodes:
     def test_class_number_one(self, tmp_path, capsys):
@@ -170,14 +177,26 @@ class TestExitCodes:
                      "--json", str(out)])
         assert code == 0
 
+    TINY = ("--trial-bound", "50", "--rho-iters", "2", "--time-per-int-ms", "50")
+
     def test_require_certified_fails_on_tiny_budget(self, tmp_path):
         out = tmp_path / "o.json"
-        code = main(["bound", "--d", "-47", *BASE, "--require-certified",
-                     "--trial-bound", "50", "--rho-iters", "2",
-                     "--time-per-int-ms", "50", "--json", str(out)])
+        code = main(["bound", "--d", "-1151", *BASE, "--require-certified",
+                     *self.TINY, "--json", str(out)])
         assert code == 3
         doc = json.loads(out.read_text())
         assert doc["bound"]["certified"] is False
+
+    def test_tiny_budget_certifies_small_a3_parts(self, tmp_path):
+        # the A3 elements of -47 split into parts small enough for the tiny
+        # budget, which then gives the default union
+        tiny, default = tmp_path / "tiny.json", tmp_path / "default.json"
+        assert main(["bound", "--d", "-47", *BASE, "--require-certified",
+                     *self.TINY, "--json", str(tiny)]) == 0
+        assert main(["bound", "--d", "-47", *BASE, "--json", str(default)]) == 0
+        tiny_doc, default_doc = json.loads(tiny.read_text()), json.loads(default.read_text())
+        assert tiny_doc["bound"]["certified"] is True
+        assert tiny_doc["bound"]["union"] == default_doc["bound"]["union"]
 
 
 class TestDeterminism:
@@ -284,6 +303,14 @@ class TestCacheFormat:
         path.write_text(line + "\n")
         with pytest.raises(ValueError, match="line 1"):
             cache_load(str(path))
+
+    def test_probable_listed_prime_rejected(self, tmp_path):
+        p98 = 242158526118349748939022266021
+        path = tmp_path / "cache.txt"
+        path.write_text(f"{2 * p98}=2^1*{p98}^1\n")
+        with pytest.raises(ValueError, match="line 1: listed prime .* probable"):
+            cache_load(str(path))
+        assert main(["bound", "--d", "-5", *BASE, "--cache", str(path)]) == 1
 
     def test_composite_listed_prime_exits_1(self, tmp_path):
         path = tmp_path / "cache.txt"

@@ -1,14 +1,18 @@
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatbound.arith import FactorBudget
+from quatbound import weilsets
+from quatbound.arith import FactorBudget, factor
 from quatbound.classgroup import enumerate_S0, choose_S, fill_class_data
-from quatbound.quadfield import QuadInt, make_field
+from quatbound.quadfield import QuadInt, is_fundamental, make_field
 from quatbound.weilsets import (
     ASet,
+    _lucas,
+    _lucas_parts,
     beta_for,
     family_A1,
     family_A2,
@@ -30,6 +34,11 @@ def quadint_pow(u: QuadInt, e: int) -> QuadInt:
         base = base * base
         e >>= 1
     return out
+
+
+def weil_cap(ts) -> int:
+    """2 * l^(12h): the Weil bound on the traces of a TraceSet."""
+    return 2 * ts.l ** (12 * ts.h)
 
 
 def ring_trace_oracle(t: int, n: int, e: int) -> int:
@@ -70,6 +79,14 @@ class TestTracePower:
     @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(0, 120))
     def test_matches_ring_oracle_hypothesis(self, t, n, e):
         assert trace_power(t, n, e) == ring_trace_oracle(t, n, e)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(0, 120))
+    def test_lucas_u_matches_recurrence(self, P, Q, n):
+        u_prev, u = 0, 1  # U_0, U_1
+        for _ in range(n):
+            u_prev, u = u, P * u - Q * u_prev
+        assert _lucas(P, Q, n)[0] == u_prev
 
 
 class TestBeta:
@@ -112,7 +129,7 @@ class TestTraceSet:
         for ctx in contexts.values():
             for q in enumerate_S0(ctx, 4):
                 ts = trace_set(q.l, ctx.exponent_h)
-                cap = ts.weil_cap
+                cap = weil_cap(ts)
                 for m, s in ts.entries.items():
                     assert abs(s) <= cap
                     assert s == ts.entries[-m]
@@ -296,3 +313,98 @@ class TestGcdIntersection:
         ms[member] = ASet(family="A1", q_list=(s0[member].l,), shifts=(0,), elements=(0,))
         assert factor_then_filter(ms) == (frozenset(), True)
         assert intersect(ms) == (frozenset(), True)
+
+
+def whole_element_factorizations(aset, budget):
+    """The oracle: factor() on each whole nonzero element, as prime_support
+    did before A3 elements were split into their Lucas parts."""
+    return tuple(factor(v, budget) if v else None for v in aset.elements)
+
+
+@pytest.fixture(scope="module")
+def a3_panel():
+    """family_A3 of every fundamental D in [-500, -3] with h_k > 1, and of
+    -1151 (h = 41)."""
+    out = []
+    for D in [*range(-3, -501, -1), -1151]:
+        if not is_fundamental(D):
+            continue
+        ctx = _field(D)
+        if ctx.class_number > 1:
+            out.append(family_A3(ctx, choose_S(ctx)))
+    return out
+
+
+class TestA3Split:
+    BUDGET = FactorBudget(rho_iterations=10**6, time_per_int_ms=0)
+
+    def test_panel(self, a3_panel):
+        assert len(a3_panel) == 145
+        for a3 in a3_panel:
+            assert len(a3.lucas) == len(a3.elements)
+
+    def test_identity(self, a3_panel):
+        for a3 in a3_panel:
+            for v, (l, m, h) in zip(a3.elements, a3.lucas):
+                assert v == trace_power(-m, l, 24 * h) - 2 * l ** (12 * h)
+                if v == 0:
+                    continue
+                delta, psi = _lucas_parts(l, m, h)
+                assert v == delta * prod(psi.values()) ** 2
+                assert sorted(psi) == [d for d in range(2, 12 * h + 1) if 12 * h % d == 0]
+
+    def test_equals_whole_element_oracle(self, a3_panel):
+        for a3 in a3_panel:
+            split = prime_support(a3, self.BUDGET)
+            assert split.certified, a3.q_list
+            assert split.factorizations == whole_element_factorizations(a3, self.BUDGET)
+
+    def test_primitive_part_primes(self, a3_panel):
+        # every prime of Psi_d divides d or is +-1 mod d
+        for a3 in a3_panel:
+            for v, (l, m, h) in zip(a3.elements, a3.lucas):
+                if v == 0:
+                    continue
+                for d, part in _lucas_parts(l, m, h)[1].items():
+                    f = factor(part, self.BUDGET)
+                    assert f.complete
+                    for p in f.primes:
+                        assert d % p == 0 or p % d in (1, d - 1), (l, m, d, p)
+
+    def test_cache_keyed_by_whole_value(self, a3_panel):
+        a3 = a3_panel[-1]
+        cache = {}
+        out = prime_support(a3, self.BUDGET, cache)
+        assert set(cache) == {v for v in a3.elements if v}
+        assert all(cache[v] == f for v, f in zip(a3.elements, out.factorizations) if v)
+
+    def test_parts_share_one_deadline(self, a3_panel, monkeypatch):
+        deadlines = []
+        real = weilsets.factor
+
+        def recording(n, budget, deadline=None):
+            deadlines.append(deadline)
+            return real(n, budget, deadline)
+
+        monkeypatch.setattr(weilsets, "factor", recording)
+        a3 = a3_panel[-1]
+        v, lucas = next((v, s) for v, s in zip(a3.elements, a3.lucas) if v)
+        weilsets.factor_cached(v, FactorBudget(time_per_int_ms=10_000), None, lucas)
+        assert len(deadlines) == len(_lucas_parts(*lucas)[1]) + 1
+        assert deadlines[0] is not None and len(set(deadlines)) == 1
+
+    def test_incomplete_cofactor_is_squared(self):
+        # on a tiny budget each unfinished Psi_d enters the cofactor squared
+        ctx = _field(-1151)
+        a3 = family_A3(ctx, choose_S(ctx))
+        tiny = FactorBudget(trial_bound=50, rho_iterations=2, time_per_int_ms=0)
+        out = prime_support(a3, tiny)
+        assert not out.certified
+        unfinished = [(s, f) for s, f in zip(a3.lucas, out.factorizations)
+                      if f is not None and not f.complete]
+        assert unfinished
+        for (l, m, h), f in unfinished:
+            delta, psi = _lucas_parts(l, m, h)
+            expected = prod(factor(p, tiny).cofactor or 1 for p in psi.values()) ** 2
+            assert f.cofactor == expected * (factor(delta, tiny).cofactor or 1)
+            assert f.reconstruct() == f.value
