@@ -4,7 +4,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt
-import time
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The first k bases decide primality for every n below the k-th entry: the
@@ -148,18 +147,16 @@ def primes_up_to(bound: int) -> list[int]:
 
 @dataclass(frozen=True)
 class FactorBudget:
-    """Effort limits for factor(); exhaustion yields a cofactor, not an error."""
+    """Effort limits for factor(); exhaustion yields a cofactor, not an error.
+    Every part below trial_bound**2 left after trial division is prime, so
+    trial_bound must be at least 2."""
 
     trial_bound: int = 10**6
     rho_iterations: int = 10**7
-    time_per_int_ms: int = 10_000
 
-    def deadline(self) -> float | None:
-        """The time.monotonic() instant at which the wall-clock cap of an
-        integer started now runs out; None when the cap is off."""
-        if self.time_per_int_ms <= 0:
-            return None
-        return time.monotonic() + self.time_per_int_ms / 1000.0
+    def __post_init__(self):
+        if self.trial_bound < 2:
+            raise ValueError(f"trial bound must be >= 2, got {self.trial_bound}")
 
 
 @dataclass(frozen=True)
@@ -193,11 +190,11 @@ def _trial_primes(bound: int) -> list[int]:
     if bound not in _TRIAL_PRIMES:
         if len(_TRIAL_PRIMES) > 8:
             _TRIAL_PRIMES.clear()
-        _TRIAL_PRIMES[bound] = primes_up_to(max(2, bound))
+        _TRIAL_PRIMES[bound] = primes_up_to(bound)
     return _TRIAL_PRIMES[bound]
 
 
-def _brent_rho(n: int, max_iters: int, deadline: float | None) -> int | None:
+def _brent_rho(n: int, max_iters: int) -> int | None:
     """Brent-cycle rho; returns a nontrivial factor of composite odd n, or
     None when the iteration budget (fixed seed schedule) runs out."""
     spent = 0
@@ -219,7 +216,7 @@ def _brent_rho(n: int, max_iters: int, deadline: float | None) -> int | None:
                 k += m
             r *= 2
             spent += r
-            if spent > max_iters or (deadline is not None and time.monotonic() > deadline):
+            if spent > max_iters:
                 return None
         if g == n:
             # backtrack one step at a time
@@ -233,16 +230,12 @@ def _brent_rho(n: int, max_iters: int, deadline: float | None) -> int | None:
     return None
 
 
-def factor(
-    n: int, budget: FactorBudget = FactorBudget(), deadline: float | None = None
-) -> FactoredInteger:
+def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
     """Factor n under an effort budget: trial division then Brent rho.
 
-    Deterministic for a given (n, budget) up to the wall-clock cap; any
-    remaining composite part, and any part that is only a BPSW probable
-    prime, is reported in the cofactor.  A `deadline` from
-    FactorBudget.deadline() replaces n's own cap, so that the parts of one
-    integer can share that integer's cap.
+    The result depends on (n, budget) alone.  Any composite part left when
+    rho runs out of iterations, and any part that is only a BPSW probable
+    prime, is reported in the cofactor.
     """
     if n == 0:
         raise ValueError("factor: n must be nonzero")
@@ -255,8 +248,6 @@ def factor(
         while m % p == 0:
             powers[p] = powers.get(p, 0) + 1
             m //= p
-    if deadline is None:
-        deadline = budget.deadline()
     stack = [m] if m > 1 else []
     cofactors: list[int] = []
     while stack:
@@ -276,7 +267,7 @@ def factor(
         if r * r == m:
             stack.extend((r, r))
             continue
-        f = _brent_rho(m, budget.rho_iterations, deadline)
+        f = _brent_rho(m, budget.rho_iterations)
         if f is None:
             cofactors.append(m)
         else:

@@ -7,10 +7,8 @@ from dataclasses import dataclass
 from itertools import islice
 from math import gcd, isqrt, lcm
 
-from .arith import is_prime, kronecker, primes_up_to
-from .quadfield import FieldContext, splitting_type
-
-S0_SCAN_LIMIT = 10**6  # primes scanned before giving up on S0 (must not trigger)
+from .arith import kronecker
+from .quadfield import FieldContext, split_primes
 
 
 @dataclass(frozen=True, order=True)
@@ -185,30 +183,15 @@ def enumerate_S0(ctx: FieldContext, count: int) -> list[SplitPrime]:
         fill_class_data(ctx)
     if ctx.class_number == 1:
         raise ValueError("S0 is empty: class number is 1")
-    out = list(islice(_split_primes(ctx), count))
-    if len(out) < count:
-        raise RuntimeError("S0 search exhausted")
-    return out
-
-
-def _prime_stream():
-    yield from primes_up_to(10**4)
-    n = 10**4 + 1
-    scanned = 0
-    while scanned < S0_SCAN_LIMIT:
-        if is_prime(n):
-            yield n
-            scanned += 1
-        n += 2
+    return list(islice(_split_primes(ctx), count))
 
 
 def _split_primes(ctx: FieldContext):
-    """The split non-principal degree-1 primes of k, by norm."""
-    for l in _prime_stream():
-        if splitting_type(ctx, l) == "split":
-            q = SplitPrime.above(ctx.D, l)
-            if q.class_order > 1:
-                yield q
+    """The split non-principal degree-1 primes of k, by norm, without end."""
+    for l in split_primes(ctx):
+        q = SplitPrime.above(ctx.D, l)
+        if q.class_order > 1:
+            yield q
 
 
 def _extend(D: int, H: set[QuadForm], f: QuadForm) -> set[QuadForm]:
@@ -250,4 +233,3 @@ def choose_S(ctx: FieldContext) -> list[SplitPrime]:
             chosen.append(q)
             if len(H) == ctx.class_number:
                 return chosen
-    raise RuntimeError("S0 search exhausted")

@@ -20,8 +20,17 @@ from .bound import BoundParams, BoundReport, assemble_bound, candidate_discrimin
 SUBCOMMANDS = ("field", "classgroup", "s0", "sets", "mazur", "bound", "candidates", "verify")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors mapped to exit 1: exit 2 means class
+    number 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="quatbound",
         description="Finite prime superset for quaternion discriminants whose "
         "Shimura curve can acquire a point over an imaginary quadratic field.",
@@ -33,7 +42,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--mazur-bound", type=int, default=10**6)
     ap.add_argument("--trial-bound", type=int, default=10**6)
     ap.add_argument("--rho-iters", type=int, default=10**7)
-    ap.add_argument("--time-per-int-ms", type=int, default=10_000)
+    # factoring has no wall-clock cap; the flag is kept, accepting only 0
+    # and read by nothing, because the benchmark workloads still pass 0
+    ap.add_argument("--time-per-int-ms", type=int, choices=(0,), default=0,
+                    help=argparse.SUPPRESS)
     ap.add_argument("--cache", type=str, default=None)
     ap.add_argument("--require-certified", action="store_true")
     ap.add_argument("--S", type=str, default=None,
@@ -200,11 +212,6 @@ def _emit(doc: dict, path: str | None) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    budget = FactorBudget(
-        trial_bound=args.trial_bound,
-        rho_iterations=args.rho_iters,
-        time_per_int_ms=args.time_per_int_ms,
-    )
     cache = {}
     if args.cache and os.path.exists(args.cache):
         try:
@@ -213,6 +220,7 @@ def main(argv=None) -> int:
             print(f"error: {e}", file=sys.stderr)
             return 1
     try:
+        budget = FactorBudget(trial_bound=args.trial_bound, rho_iterations=args.rho_iters)
         ctx = make_field(args.d)
         fill_class_data(ctx)
     except ValueError as e:

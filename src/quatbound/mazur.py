@@ -2,12 +2,11 @@
 |N|/4 splitting in k splits in Q(sqrt(N)); finite by Mazur-type results,
 searched here up to a configurable bound."""
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count, islice
 
 from .arith import is_prime, kronecker, primes_up_to
-from .quadfield import FieldContext, is_fundamental, splitting_type
+from .quadfield import FieldContext, is_fundamental, split_primes, splitting_type
 
 # Odd split primes whose quadratic-residue classes mazur_prime_set clears
 # with bytearray slices before any survivor reaches kronecker.
@@ -40,18 +39,6 @@ def _odd_primes_below(four_times_limit: int):
     return [l for l in primes_up_to(cap) if l > 2]
 
 
-def _odd_split_primes(ctx: FieldContext):
-    """The odd primes split in k, ascending and without end.  Primes are
-    sieved in doubling ranges, so only the primes consumed get classified."""
-    lo, hi = 3, 1024
-    while True:
-        primes = primes_up_to(hi)
-        for l in primes[bisect_left(primes, lo):]:
-            if splitting_type(ctx, l) == "split":
-                yield l
-        lo, hi = hi + 1, 2 * hi
-
-
 def mazur_prime_set(ctx: FieldContext, bound: int) -> MazurResult:
     """Primes p <= bound with p = 1 mod 4 passing the membership test.
 
@@ -66,10 +53,10 @@ def mazur_prime_set(ctx: FieldContext, bound: int) -> MazurResult:
     """
     if bound < 5:
         raise ValueError("mazur_prime_set: bound must be >= 5")
-    split_primes = _odd_split_primes(ctx)
+    odd_split = (l for l in split_primes(ctx) if l != 2)
     size = (bound - 1) // 4 + 1  # alive[i] stands for n = 4i + 1 <= bound
     alive = bytearray([1]) * size
-    for l in islice(split_primes, PRESIEVE_PRIMES):
+    for l in islice(odd_split, PRESIEVE_PRIMES):
         if l >= size:
             break  # n > 4l means i >= l: no n <= bound is left to clear
         inv4 = pow(4, -1, l)
@@ -81,19 +68,19 @@ def mazur_prime_set(ctx: FieldContext, bound: int) -> MazurResult:
     i = alive.find(1)
     while i >= 0:
         p = 4 * i + 1
-        if is_prime(p) and _passes_later(p, later, split_primes):
+        if is_prime(p) and _passes_later(p, later, odd_split):
             members.append(p)
         i = alive.find(1, i + 1)
     return MazurResult(bound=bound, members=tuple(members))
 
 
-def _passes_later(p: int, later: list[int], split_primes) -> bool:
+def _passes_later(p: int, later: list[int], odd_split) -> bool:
     """kronecker(p, l) != 1 for each split prime l < p/4 past the presieve.
-    `later` holds those primes drawn from `split_primes` so far; more are
+    `later` holds those primes drawn from `odd_split` so far; more are
     drawn only while p has not been rejected."""
     for j in count():
         if j == len(later):
-            later.append(next(split_primes))
+            later.append(next(odd_split))
         l = later[j]
         if 4 * l >= p:
             return True

@@ -1,9 +1,10 @@
 """Imaginary quadratic field arithmetic: integers, prime splitting, and
 principal-ideal generators via two-dimensional lattice reduction."""
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .arith import kronecker
+from .arith import kronecker, primes_up_to
 
 
 def _squarefree(n: int) -> bool:
@@ -131,6 +132,18 @@ def splitting_type(ctx: FieldContext, p: int) -> str:
     if s == 0:
         return "ramified"
     return "split" if s == 1 else "inert"
+
+
+def split_primes(ctx: FieldContext):
+    """The primes split in k, ascending and without end.  Primes are sieved
+    in doubling ranges, so only the primes consumed get classified."""
+    lo, hi = 2, 1024
+    while True:
+        primes = primes_up_to(hi)
+        for l in primes[bisect_left(primes, lo):]:
+            if splitting_type(ctx, l) == "split":
+                yield l
+        lo, hi = hi + 1, 2 * hi
 
 
 def shortest_generator(D: int, a: int, b: int):

@@ -129,14 +129,12 @@ def _lucas_parts(l: int, m: int, h: int) -> tuple[int, dict[int, int]]:
 def _factor_a3(v: int, l: int, m: int, h: int, budget: FactorBudget) -> FactoredInteger:
     """factor(v) for the A3 element v = V_24h(-m, l) - 2*l^12h, by factoring
     Delta once and each Psi_d, whose exponents count twice.  The cofactor
-    is Delta's times the squares of the Psi_d's.  All parts share v's
-    wall-clock cap."""
+    is Delta's times the squares of the Psi_d's."""
     delta, psi = _lucas_parts(l, m, h)
-    deadline = budget.deadline()
     powers: dict[int, int] = {}
     cofactor = 1
     for part, twice in [(delta, 1), *((p, 2) for p in psi.values())]:
-        f = factor(part, budget, deadline)
+        f = factor(part, budget)
         for p, e in f.prime_powers:
             powers[p] = powers.get(p, 0) + twice * e
         if not f.complete:

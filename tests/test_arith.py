@@ -122,7 +122,7 @@ class TestFactor:
         p = 100000000000000000000000012349  # 30-digit primes
         q = 100000000000000000000000098811
         assert is_prime(p) and is_prime(q)
-        tiny = FactorBudget(trial_bound=100, rho_iterations=10, time_per_int_ms=200)
+        tiny = FactorBudget(trial_bound=100, rho_iterations=10)
         f = factor(p * q, tiny)
         assert f.prime_powers == ()
         assert f.cofactor == p * q
@@ -142,12 +142,16 @@ class TestFactor:
         f = factor(p98)
         assert f.prime_powers == () and f.cofactor == p98
 
-    def test_shared_deadline_in_the_past(self):
-        # a spent deadline stops rho at once, whatever the budget's own cap
-        p, q = 1000000007, 998244353
-        f = factor(p * q, FactorBudget(trial_bound=100, time_per_int_ms=0), deadline=0.0)
-        assert f.cofactor == p * q
-        assert factor(p * q, FactorBudget(trial_bound=100, time_per_int_ms=0)).complete
+    @pytest.mark.parametrize("trial_bound", [-5, 0, 1])
+    def test_trial_bound_below_2_rejected(self, trial_bound):
+        # every part below trial_bound**2 would be taken for prime: with
+        # trial_bound -5, 9 was listed as a prime factor of 18
+        with pytest.raises(ValueError):
+            FactorBudget(trial_bound=trial_bound)
+
+    def test_smallest_trial_bound(self):
+        f = factor(18, FactorBudget(trial_bound=2))
+        assert f.prime_powers == ((2, 1), (3, 2)) and f.complete
 
     def test_reconstruction_random(self):
         rng = random.Random(1234)

@@ -1,10 +1,11 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from quatbound import bound, cli
-from quatbound.arith import FactoredInteger
+from quatbound.arith import FactorBudget, FactoredInteger, factor
 from quatbound.cli import cache_load, cache_store, main
 
 
@@ -97,8 +98,7 @@ class TestIntersections:
 
     def test_cofactor_listed_on_tiny_budget(self, tmp_path):
         code, doc = run(tmp_path, "bound", "--d", "-5", *BASE, "--s0-count", "1",
-                        "--trial-bound", "50", "--rho-iters", "2",
-                        "--time-per-int-ms", "0")
+                        "--trial-bound", "50", "--rho-iters", "2")
         assert code == 0
         assert doc["bound"]["certified"] is False
         a1 = doc["bound"]["intersections"][0]["elements"]
@@ -150,21 +150,61 @@ class TestGoldenVerify:
     @pytest.mark.parametrize("D", ["-20", "-84", "-419"])
     def test_verify_bytes(self, tmp_path, D):
         out = tmp_path / "verify.json"
-        assert main(["verify", "--d", D, *BASE, "--time-per-int-ms", "0",
-                     "--json", str(out)]) == 0
+        assert main(["verify", "--d", D, *BASE, "--json", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / f"verify_{D}.json").read_bytes()
 
     def test_bound_large_h_bytes(self, tmp_path):
         # h = 41: A3 elements of 494 bits, factored through their Lucas parts
         out = tmp_path / "bound.json"
         assert main(["bound", "--d", "-1151", "--rho-iters", "1000000",
-                     "--time-per-int-ms", "0", "--json", str(out)]) == 0
+                     "--json", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "bound_-1151.json").read_bytes()
+
+    def test_clock_changes_nothing(self, tmp_path, monkeypatch):
+        # factoring is bounded by iterations alone: a clock that jumps by
+        # 10^6 s on every read changes no factorization and no byte
+        clock = iter(range(0, 10**15, 10**6))
+        monkeypatch.setattr(time, "monotonic", lambda: float(next(clock)))
+        p, q = 1000000007, 998244353
+        assert factor(p * q, FactorBudget(trial_bound=100)).complete
+        out = tmp_path / "bound.json"
+        assert main(["bound", "--d", "-1151", "--rho-iters", "1000000",
+                     "--json", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "bound_-1151.json").read_bytes()
+
+    def test_time_flag_zero_changes_nothing(self, tmp_path):
+        # --time-per-int-ms is accepted as 0 only, and not read
+        with_flag, without = tmp_path / "with.json", tmp_path / "without.json"
+        assert main(["verify", "--d", "-84", *BASE, "--time-per-int-ms", "0",
+                     "--json", str(with_flag)]) == 0
+        assert main(["verify", "--d", "-84", *BASE, "--json", str(without)]) == 0
+        assert with_flag.read_bytes() == without.read_bytes()
 
 
 class TestExitCodes:
     def test_class_number_one(self, tmp_path, capsys):
         assert main(["bound", "--d", "-1", *BASE]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--d", "abc"],
+        ["bound"],
+        ["frobnicate", "--d", "-5"],
+        ["bound", "--d", "-5", "--s0-count", "x"],
+        ["bound", "--d", "-5", "--time-per-int-ms", "5"],
+    ])
+    def test_malformed_flags(self, argv, capsys):
+        # usage errors exit 1, not 2, which means class number 1
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_negative_trial_bound(self, tmp_path):
+        # a trial bound below 2 would list composites as primes
+        out = tmp_path / "o.json"
+        assert main(["bound", "--d", "-5", "--trial-bound", "-40",
+                     "--mazur-bound", "1000", "--json", str(out)]) == 1
+        assert not out.exists()
 
     def test_domain_error(self, tmp_path):
         assert main(["bound", "--d", "-12", *BASE]) == 1
@@ -177,7 +217,7 @@ class TestExitCodes:
                      "--json", str(out)])
         assert code == 0
 
-    TINY = ("--trial-bound", "50", "--rho-iters", "2", "--time-per-int-ms", "50")
+    TINY = ("--trial-bound", "50", "--rho-iters", "2")
 
     def test_require_certified_fails_on_tiny_budget(self, tmp_path):
         out = tmp_path / "o.json"

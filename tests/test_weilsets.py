@@ -265,7 +265,7 @@ class TestGcdIntersection:
     def test_large_h_certified(self):
         ctx = _field(-1151)
         s0 = enumerate_S0(ctx, 4)
-        budget = FactorBudget(rho_iterations=10**6, time_per_int_ms=0)
+        budget = FactorBudget(rho_iterations=10**6)
         assert intersect(members(ctx, "A1", s0), budget) == (
             frozenset({2, 3, 5, 7, 17, 23, 37, 71, 1151}), True)
         assert intersect(members(ctx, "A2", s0), budget) == (
@@ -302,7 +302,7 @@ class TestGcdIntersection:
         elements = [(6 * p1, 10 * p2), (7 * p1, 11 * p2)][:count]
         fakes = [ASet(family="A1", q_list=(q.l,), shifts=(0,), elements=e)
                  for q, e in zip(s0, elements)]
-        budget = FactorBudget(trial_bound=100, rho_iterations=10, time_per_int_ms=0)
+        budget = FactorBudget(trial_bound=100, rho_iterations=10)
         expected = {p1, p2} | ({2, 3, 5} if count == 1 else set())
         assert intersect(fakes, budget) == (frozenset(expected), True)
 
@@ -336,7 +336,7 @@ def a3_panel():
 
 
 class TestA3Split:
-    BUDGET = FactorBudget(rho_iterations=10**6, time_per_int_ms=0)
+    BUDGET = FactorBudget(rho_iterations=10**6)
 
     def test_panel(self, a3_panel):
         assert len(a3_panel) == 145
@@ -378,26 +378,27 @@ class TestA3Split:
         assert set(cache) == {v for v in a3.elements if v}
         assert all(cache[v] == f for v, f in zip(a3.elements, out.factorizations) if v)
 
-    def test_parts_share_one_deadline(self, a3_panel, monkeypatch):
-        deadlines = []
+    def test_one_factor_call_per_part(self, a3_panel, monkeypatch):
+        # one factor() call for Delta and one for each Psi_d
+        calls = []
         real = weilsets.factor
 
-        def recording(n, budget, deadline=None):
-            deadlines.append(deadline)
-            return real(n, budget, deadline)
+        def recording(n, budget):
+            calls.append(n)
+            return real(n, budget)
 
         monkeypatch.setattr(weilsets, "factor", recording)
         a3 = a3_panel[-1]
         v, lucas = next((v, s) for v, s in zip(a3.elements, a3.lucas) if v)
-        weilsets.factor_cached(v, FactorBudget(time_per_int_ms=10_000), None, lucas)
-        assert len(deadlines) == len(_lucas_parts(*lucas)[1]) + 1
-        assert deadlines[0] is not None and len(set(deadlines)) == 1
+        weilsets.factor_cached(v, self.BUDGET, None, lucas)
+        delta, psi = _lucas_parts(*lucas)
+        assert calls == [delta, *psi.values()]
 
     def test_incomplete_cofactor_is_squared(self):
         # on a tiny budget each unfinished Psi_d enters the cofactor squared
         ctx = _field(-1151)
         a3 = family_A3(ctx, choose_S(ctx))
-        tiny = FactorBudget(trial_bound=50, rho_iterations=2, time_per_int_ms=0)
+        tiny = FactorBudget(trial_bound=50, rho_iterations=2)
         out = prime_support(a3, tiny)
         assert not out.certified
         unfinished = [(s, f) for s, f in zip(a3.lucas, out.factorizations)
