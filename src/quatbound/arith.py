@@ -2,7 +2,7 @@
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, isqrt
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -230,10 +230,46 @@ def _brent_rho(n: int, max_iters: int) -> int | None:
     return None
 
 
-def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
-    """Factor n under an effort budget: trial division then Brent rho.
+def _pollard_pm1(n: int, primes: list[int]) -> int | None:
+    """Pollard p-1 with base 3 over the trial primes (Pollard 1974).
 
-    The result depends on (n, budget) alone.  Any composite part left when
+    With T = primes[-1], stage 1 raises the base to every prime power up to
+    sqrt(T); stage 2 (Montgomery 1987) then takes each further prime q <= T,
+    stepping between consecutive primes by a table of a^gap.  A prime p | n
+    is found when p - 1 divides the stage-1 exponent times at most one
+    stage-2 prime.  Returns a proper factor of n, or None, also when every
+    prime of n is found at once (the gcd is n) and rho must split it.
+    """
+    root = isqrt(primes[-1])
+    a = 3
+    for q in primes:
+        if q > root:
+            break
+        qk = q
+        while qk * q <= root:
+            qk *= q
+        a = pow(a, qk, n)
+    steps: dict[int, int] = {}
+    acc, b, prev = a - 1, 1, 0
+    for i, q in enumerate(islice(primes, bisect_right(primes, root), None), 1):
+        step = steps.get(q - prev)
+        if step is None:
+            step = steps[q - prev] = pow(a, q - prev, n)
+        b, prev = b * step % n, q
+        acc = acc * (b - 1) % n
+        if i % 1024 == 0 and gcd(acc, n) != 1:
+            break
+    g = gcd(acc, n)
+    return g if 1 < g < n else None
+
+
+def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
+    """Factor n under an effort budget: trial division, then for each
+    composite part Pollard p-1 over the trial primes and Brent rho.
+
+    The result depends on (n, budget) alone.  p-1 runs only when its one
+    step per trial prime fits in the rho iteration budget; if it finds
+    nothing, rho runs with the whole budget.  Any composite part left when
     rho runs out of iterations, and any part that is only a BPSW probable
     prime, is reported in the cofactor.
     """
@@ -242,7 +278,8 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
     sign = -1 if n < 0 else 1
     m = abs(n)
     powers: dict[int, int] = {}
-    for p in _trial_primes(budget.trial_bound):
+    primes = _trial_primes(budget.trial_bound)
+    for p in primes:
         if p * p > m:
             break
         while m % p == 0:
@@ -267,7 +304,11 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
         if r * r == m:
             stack.extend((r, r))
             continue
-        f = _brent_rho(m, budget.rho_iterations)
+        f = None
+        if len(primes) <= budget.rho_iterations:
+            f = _pollard_pm1(m, primes)
+        if f is None:
+            f = _brent_rho(m, budget.rho_iterations)
         if f is None:
             cofactors.append(m)
         else:

@@ -54,7 +54,7 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
     if ctx.class_number == 1:
         raise ValueError("theorem inapplicable: class number is 1")
 
-    s0 = enumerate_S0(ctx, max(params.s0_count, 1))
+    s0 = enumerate_S0(ctx, params.s0_count)
     if params.S_override is not None:
         S = _validated_override(ctx, params.S_override)
     else:

@@ -183,6 +183,8 @@ def enumerate_S0(ctx: FieldContext, count: int) -> list[SplitPrime]:
         fill_class_data(ctx)
     if ctx.class_number == 1:
         raise ValueError("S0 is empty: class number is 1")
+    if count < 1:
+        raise ValueError(f"S0 count must be >= 1, got {count}")
     return list(islice(_split_primes(ctx), count))
 
 

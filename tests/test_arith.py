@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quatbound import arith
 from quatbound.arith import (
     _MR_BASE_LIMITS,
     _MR_BASES,
@@ -171,3 +172,65 @@ class TestFactor:
     def test_reconstruction_hypothesis(self, n):
         f = factor(n)
         assert f.complete and f.reconstruct() == n
+
+
+class TestPollardPm1:
+    # -2999's Psi_876 leaves this 104-bit part after trial division; rho
+    # spends 10^6 iterations on it in vain, while its 43-bit prime has
+    # p - 1 = 2^6 * 3^3 * 17 * 67 * 73 * 43943
+    PSI_876_PART = 16326167728726390155402199602193
+    # the composite parts that reach rho on bound -1151 and -2999
+    LARGE_H_PARTS = (4626154257697182281987, 5022138166514252974259, PSI_876_PART)
+
+    def test_splits_psi_876_part_without_rho(self, monkeypatch):
+        monkeypatch.setattr(arith, "_brent_rho", lambda n, max_iters: None)
+        f = factor(self.PSI_876_PART, FactorBudget(rho_iterations=10**6))
+        assert f.complete
+        assert f.prime_powers == ((6313643057089, 1), (2585855358166829137, 1))
+
+    @pytest.mark.parametrize("trial_bound, rho_iterations", [(50, 2), (100, 10)])
+    def test_tiny_budget_skips_pm1(self, monkeypatch, trial_bound, rho_iterations):
+        calls = []
+        monkeypatch.setattr(arith, "_pollard_pm1", lambda n, primes: calls.append(n))
+        p = 100000000000000000000000012349
+        q = 100000000000000000000000098811
+        factor(p * q, FactorBudget(trial_bound, rho_iterations))
+        assert calls == []
+        factor(p * q, FactorBudget(rho_iterations=10**5))  # 78,498 trial primes fit
+        assert calls == [p * q]
+
+    def _oracle_check(self, monkeypatch, n, budget):
+        with_pm1 = factor(n, budget)
+        with monkeypatch.context() as m:
+            m.setattr(arith, "_pollard_pm1", lambda n, primes: None)
+            rho_only = factor(n, budget)
+        if with_pm1.complete and rho_only.complete:
+            assert with_pm1 == rho_only, n
+        return with_pm1, rho_only
+
+    def test_same_factorization_as_rho_only(self, monkeypatch):
+        rng = random.Random(2024)
+
+        def prime_in(lo, hi):
+            p = rng.randrange(lo, hi)
+            while not is_prime(p):
+                p += 1
+            return p
+
+        for _ in range(12):
+            n = prime_in(10**6, 10**10) * prime_in(10**6, 10**10)
+            with_pm1, rho_only = self._oracle_check(monkeypatch, n, FactorBudget())
+            assert with_pm1.complete and rho_only.complete
+        budget = FactorBudget(rho_iterations=10**6)
+        for n in self.LARGE_H_PARTS:
+            with_pm1, _ = self._oracle_check(monkeypatch, n, budget)
+            assert with_pm1.complete
+
+    def test_gcd_n_falls_through_to_rho(self):
+        # p - 1 = 2^3 * 487 * 773 * 997 and q - 1 = 2^3 * 61 * 487 * 881:
+        # stage 1 alone catches both primes, so the gcd is n itself
+        p, q = 3002573177, 209374937
+        primes = arith._trial_primes(10**6)
+        assert arith._pollard_pm1(p * q, primes) is None
+        f = factor(p * q)
+        assert f.complete and f.prime_powers == ((q, 1), (p, 1))

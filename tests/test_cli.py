@@ -160,6 +160,15 @@ class TestGoldenVerify:
                      "--json", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "bound_-1151.json").read_bytes()
 
+    def test_bound_minus_2999_certified_at_1e6_rho(self, tmp_path):
+        # h = 73: Psi_876 leaves a 104-bit part that 10^6 rho iterations do
+        # not split; p-1 over the trial primes does, and the report equals
+        # the one recorded at the default budget
+        out = tmp_path / "bound.json"
+        assert main(["bound", "--d", "-2999", "--rho-iters", "1000000",
+                     "--require-certified", "--json", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "bound_-2999.json").read_bytes()
+
     def test_clock_changes_nothing(self, tmp_path, monkeypatch):
         # factoring is bounded by iterations alone: a clock that jumps by
         # 10^6 s on every read changes no factorization and no byte
@@ -205,6 +214,16 @@ class TestExitCodes:
         assert main(["bound", "--d", "-5", "--trial-bound", "-40",
                      "--mazur-bound", "1000", "--json", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["bound", "verify", "s0"])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_s0_count_below_1(self, tmp_path, capsys, sub, count):
+        # bound and verify ran a count below 1 as 1, s0 printed [] for 0
+        out = tmp_path / "o.json"
+        assert main([sub, "--d", "-5", "--s0-count", count, "--mazur-bound", "1000",
+                     "--json", str(out)]) == 1
+        assert not out.exists()
+        assert f"S0 count must be >= 1, got {count}" in capsys.readouterr().err
 
     def test_domain_error(self, tmp_path):
         assert main(["bound", "--d", "-12", *BASE]) == 1
