@@ -2,7 +2,7 @@
 quadratic fields of class number > 1."""
 
 from .arith import FactorBudget, FactoredInteger, factor, is_prime, kronecker, primes_up_to
-from .quadfield import FieldContext, QuadInt, make_field, shortest_generator, splitting_type
+from .quadfield import FieldContext, make_field, splitting_type
 from .classgroup import (
     QuadForm,
     SplitPrime,
@@ -15,9 +15,10 @@ from .classgroup import (
     form_power,
     generates,
     prime_form,
+    principal_generator,
     reduced_forms,
 )
-from .weilsets import ASet, TraceSet, beta_for, family_A1, family_A2, family_A3, intersection_set, prime_support, trace_power, trace_set
+from .weilsets import ASet, beta_for, family_A1, family_A2, family_A3, intersection_set, prime_support, trace_power, trace_set
 from .mazur import MazurResult, is_in_mazur, mazur_prime_set
 from .bound import BoundParams, BoundReport, assemble_bound, candidate_discriminants, verify_prime_membership
 

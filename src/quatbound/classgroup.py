@@ -1,7 +1,7 @@
 """Class group of an imaginary quadratic field via reduced binary quadratic
-forms: Dirichlet composition, form powers, class number, exponent, and the
-split-prime sets feeding the trace families.  A form (a, b, c) stands for
-the ideal Z*a + Z*(-b + sqrt(D))/2."""
+forms: Dirichlet composition, form powers, principal generators, class
+number, exponent, and the split-prime sets feeding the trace families.  A
+form (a, b, c) stands for the ideal Z*a + Z*(-b + sqrt(D))/2."""
 
 from dataclasses import dataclass
 from itertools import islice
@@ -37,17 +37,45 @@ class SplitPrime:
         return cls(l=l, form=f, class_order=form_order(D, f))
 
 
-def reduce_form(a: int, b: int, c: int) -> QuadForm:
-    """Standard reduction loop for positive-definite forms."""
+def _reduce(a: int, b: int, c: int) -> tuple[QuadForm, tuple[int, int]]:
+    """Standard reduction loop for positive-definite forms (Cohen, GTM 138,
+    Algorithm 5.4.2).  Besides the reduced form it returns the image (x, y)
+    of the first basis vector: the reduced form's a is the minimum a*x^2 +
+    b*x*y + c*y^2 of the input form.  The columns (x, y), (u, v) follow each
+    step: a translation b -> b + 2at adds t*(x, y) to (u, v), and a swap
+    (a, b, c) -> (c, -b, a) maps them to (u, v), (-x, -y)."""
     D = b * b - 4 * a * c
+    x, y, u, v = 1, 0, 0, 1
     while True:
         if not -a < b <= a:
             # normalize b into (-a, a]
-            b = a - (a - b) % (2 * a)
+            t = (a - b) // (2 * a)
+            b += 2 * a * t
             c = (b * b - D) // (4 * a)
+            u, v = u + t * x, v + t * y
         if a < c or (a == c and b >= 0):
-            return QuadForm(a, b, c)
+            return QuadForm(a, b, c), (x, y)
         a, b, c = c, -b, a
+        x, y, u, v = u, v, -x, -y
+
+
+def reduce_form(a: int, b: int, c: int) -> QuadForm:
+    return _reduce(a, b, c)[0]
+
+
+def principal_generator(D: int, f: QuadForm) -> tuple[int, int] | None:
+    """A generator (t + y*sqrt(D))/2 of the ideal Z*a + Z*(-b + sqrt(D))/2
+    of the form f = (a, b, c), as the pair (t, y), or None when the ideal is
+    not principal.  The element x*a + y*(-b + sqrt(D))/2 has norm
+    a*(a*x^2 - b*x*y + c*y^2), so the ideal is principal exactly when
+    (a, -b, c) reduces to the principal form, and the vector (x, y) of that
+    minimum 1 gives a generator.  It is canonicalized to t > 0, or t = 0
+    and y > 0."""
+    g, (x, y) = _reduce(f.a, -f.b, f.c)
+    if g.a != 1:
+        return None
+    t = 2 * f.a * x - f.b * y
+    return (t, y) if t > 0 or (t == 0 and y > 0) else (-t, -y)
 
 
 def principal_form(D: int) -> QuadForm:

@@ -101,9 +101,12 @@ def _parse_cache_line(line: str) -> tuple[int, FactoredInteger]:
             continue
         if "^" in part:
             p, e = part.split("^", 1)
-            powers.append((int(p), int(e)))
+            p, e = int(p), int(e)
         else:
-            powers.append((int(part), 1))
+            p, e = int(part), 1
+        if e < 1:
+            raise ValueError(f"exponent {e} of {p} below 1")
+        powers.append((p, e))
     fac = FactoredInteger(
         value=value,
         sign=-1 if value < 0 else 1,

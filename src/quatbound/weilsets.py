@@ -5,8 +5,8 @@ from dataclasses import dataclass, replace
 from math import gcd, isqrt, prod
 
 from .arith import FactorBudget, FactoredInteger, factor
-from .quadfield import FieldContext, QuadInt, shortest_generator
-from .classgroup import SplitPrime, form_power, prime_form
+from .quadfield import FieldContext
+from .classgroup import SplitPrime, form_power, prime_form, principal_generator
 
 
 def _lucas(P: int, Q: int, n: int) -> tuple[int, int]:
@@ -28,30 +28,22 @@ def trace_power(t: int, n: int, e: int) -> int:
     return _lucas(t, n, e)[1]
 
 
-@dataclass(frozen=True)
-class TraceSet:
+def trace_set(l: int, h: int) -> dict[int, int]:
     """Candidate Frobenius traces at the 24h-th power level: for each m with
     m^2 <= 4l, the trace of the 24h-th power of a root of X^2 + m*X + l."""
-
-    l: int
-    h: int
-    entries: dict[int, int]
-
-
-def trace_set(l: int, h: int) -> TraceSet:
     m_max = isqrt(4 * l)
-    e = 24 * h
-    entries = {m: trace_power(-m, l, e) for m in range(-m_max, m_max + 1)}
-    return TraceSet(l=l, h=h, entries=entries)
+    return {m: trace_power(-m, l, 24 * h) for m in range(-m_max, m_max + 1)}
 
 
-def beta_for(ctx: FieldContext, q: SplitPrime) -> QuadInt:
-    """Canonical generator of q^h, h the class-group exponent."""
+def beta_for(ctx: FieldContext, q: SplitPrime) -> tuple[int, int]:
+    """Canonical generator (t + y*sqrt(D))/2 of q^h, h the class-group
+    exponent, as the pair (t, y)."""
     qh = form_power(ctx.D, prime_form(ctx.D, q.l), ctx.h)
-    beta = shortest_generator(ctx.D, qh.a, qh.b)
+    beta = principal_generator(ctx.D, qh)
     if beta is None:
         raise AssertionError("q^h must be principal when h is the group exponent")
-    assert beta.norm == q.l**ctx.h
+    t, y = beta
+    assert t * t - ctx.D * y * y == 4 * q.l**ctx.h
     return beta
 
 
@@ -77,7 +69,7 @@ def _trace_differences(family: str, h: int, pairs: list[tuple[int, int]]) -> ASe
     pairs, with the first (l, m, h) that gives each element."""
     origin: dict[int, tuple[int, int, int]] = {}
     for l, shift in pairs:
-        for m, a in trace_set(l, h).entries.items():
+        for m, a in trace_set(l, h).items():
             origin.setdefault(a - shift, (l, m, h))
     elements = tuple(sorted(origin))
     return ASet(
@@ -90,14 +82,14 @@ def _trace_differences(family: str, h: int, pairs: list[tuple[int, int]]) -> ASe
 
 
 def family_A1(ctx: FieldContext, q: SplitPrime) -> ASet:
-    beta = beta_for(ctx, q)
-    shift = trace_power(beta.trace, q.l**ctx.h, 24)
+    t, _ = beta_for(ctx, q)
+    shift = trace_power(t, q.l**ctx.h, 24)
     return _trace_differences("A1", ctx.h, [(q.l, shift)])
 
 
 def family_A2(ctx: FieldContext, q: SplitPrime) -> ASet:
-    beta = beta_for(ctx, q)
-    shift = q.l ** (8 * ctx.h) * trace_power(beta.trace, q.l**ctx.h, 8)
+    t, _ = beta_for(ctx, q)
+    shift = q.l ** (8 * ctx.h) * trace_power(t, q.l**ctx.h, 8)
     return _trace_differences("A2", ctx.h, [(q.l, shift)])
 
 

@@ -1,15 +1,96 @@
-"""Reference ideal arithmetic for the class-group tests: integral ideals of
-an imaginary quadratic order multiplied by a two-column Hermite normal form
-of the four basis products.  This is an independent path to the products
-that `classgroup` computes by Dirichlet composition of forms, and is used
-only as the oracle those computations are compared against."""
+"""Reference ideal arithmetic for the class-group tests: ring elements
+(x + y*sqrt(D))/2, integral ideals of an imaginary quadratic order
+multiplied by a two-column Hermite normal form of the four basis products,
+and principal-ideal generators by Gauss-Lagrange lattice reduction.  This
+is an independent path to the products and generators that `classgroup`
+computes on forms, and is used only as the oracle those computations are
+compared against."""
 
 from dataclasses import dataclass
 from math import gcd
 
 from quatbound.arith import kronecker
 from quatbound.classgroup import QuadForm, reduce_form
-from quatbound.quadfield import QuadInt
+
+
+@dataclass(frozen=True)
+class QuadInt:
+    """(x + y*sqrt(D))/2 with x congruent to D*y mod 2, an element of O_k."""
+
+    x: int
+    y: int
+    D: int
+
+    def __post_init__(self):
+        if (self.x - self.D * self.y) % 2 != 0:
+            raise ValueError(f"({self.x} + {self.y}*sqrt({self.D}))/2 not in O_k")
+
+    @property
+    def trace(self) -> int:
+        return self.x
+
+    @property
+    def norm(self) -> int:
+        n4 = self.x * self.x - self.D * self.y * self.y
+        assert n4 % 4 == 0
+        return n4 // 4
+
+    def conj(self) -> "QuadInt":
+        return QuadInt(self.x, -self.y, self.D)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return QuadInt(self.x * other, self.y * other, self.D)
+        assert self.D == other.D
+        x = (self.x * other.x + self.D * self.y * other.y) // 2
+        y = (self.x * other.y + self.y * other.x) // 2
+        return QuadInt(x, y, self.D)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        assert self.D == other.D
+        return QuadInt(self.x + other.x, self.y + other.y, self.D)
+
+    def __sub__(self, other):
+        assert self.D == other.D
+        return QuadInt(self.x - other.x, self.y - other.y, self.D)
+
+    def __neg__(self):
+        return QuadInt(-self.x, -self.y, self.D)
+
+    def __repr__(self):
+        return f"({self.x} + {self.y}*sqrt({self.D}))/2"
+
+
+def shortest_generator(D: int, a: int, b: int):
+    """Return a generator of the ideal Z*a + Z*(-b + sqrt(D))/2 (the ideal
+    of the form (a, b, c)) when principal, else None.
+
+    Gauss-Lagrange reduction of the rank-2 lattice under the norm form; the
+    first reduced basis vector realizes the lattice minimum, and the ideal
+    is principal exactly when that minimum equals its norm a.  The result
+    is canonicalized to trace >= 0, and y > 0 when the trace is 0.
+    """
+    u, v = QuadInt(2 * a, 0, D), QuadInt(-b, 1, D)
+    # Gauss reduction: norm is positive definite on the lattice
+    if u.norm > v.norm:
+        u, v = v, u
+    while True:
+        # bilinear form value 2*B(u,v) = N(u+v) - N(u) - N(v)
+        two_b = (u + v).norm - u.norm - v.norm
+        # nearest integer to B/N(u) = two_b / (2*N(u))
+        t = (two_b + u.norm) // (2 * u.norm)
+        v = v - t * u
+        if v.norm >= u.norm:
+            break
+        u, v = v, u
+    if u.norm != a:
+        return None
+    beta = u
+    if beta.trace < 0 or (beta.trace == 0 and beta.y < 0):
+        beta = -beta
+    return beta
 
 
 @dataclass(frozen=True)

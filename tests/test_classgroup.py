@@ -9,6 +9,7 @@ from ideal_reference import (
     ideal_pow,
     prime_ideal_above,
     reference_compose,
+    shortest_generator,
 )
 from quatbound.arith import kronecker, primes_up_to
 from quatbound.classgroup import (
@@ -25,11 +26,12 @@ from quatbound.classgroup import (
     generates,
     prime_form,
     principal_form,
+    principal_generator,
     reduce_form,
     reduced_forms,
     subgroup_closure,
 )
-from quatbound.quadfield import is_fundamental, make_field, shortest_generator
+from quatbound.quadfield import is_fundamental, make_field
 from quatbound.weilsets import beta_for
 
 
@@ -168,7 +170,7 @@ class TestS0:
                 qh = form_power(ctx.D, prime_form(ctx.D, q.l), ctx.exponent_h)
                 assert qh.a == q.l**ctx.exponent_h
                 assert reduce_form(qh.a, qh.b, qh.c) == principal_form(ctx.D)
-                assert shortest_generator(ctx.D, qh.a, qh.b) is not None
+                assert principal_generator(ctx.D, qh) is not None
 
 
 class TestGeneratesAndChooseS:
@@ -268,7 +270,8 @@ def check_against_reference(D: int, s0_count: int, all_pairs: bool) -> None:
         qh = form_power(D, prime_form(D, q.l), ctx.h)
         Ih = ideal_pow(I, ctx.h)
         assert (qh.a, qh.b, Ih.content) == (Ih.a, Ih.b, 1), (D, q.l)
-        assert beta_for(ctx, q) == shortest_generator(D, Ih.a, Ih.b), (D, q.l)
+        beta = shortest_generator(D, Ih.a, Ih.b)
+        assert beta_for(ctx, q) == (beta.x, beta.y), (D, q.l)
 
 
 class TestAgainstIdealReference:
@@ -287,3 +290,40 @@ class TestAgainstIdealReference:
         check_against_reference(-1151, 4, all_pairs=False)
         assert exponent(-1151) == 41
         assert enumerate_S0(make_field(-1151), 1)[0].l == 2
+
+
+def lattice_generator(D: int, f: QuadForm):
+    """The Gauss-Lagrange oracle's generator of the ideal of f, as (t, y)."""
+    beta = shortest_generator(D, f.a, f.b)
+    return None if beta is None else (beta.x, beta.y)
+
+
+class TestPrincipalGenerator:
+    """Generators read off the form reduction against Gauss-Lagrange
+    reduction of the ideal lattice in `ideal_reference`."""
+
+    def test_examples(self):
+        q3 = prime_form(-20, 3)
+        assert principal_generator(-20, principal_form(-20)) == (2, 0)  # 1
+        assert principal_generator(-20, q3) is None
+        # 2 + sqrt(-5), trace 4, norm 9; no norm-3 element exists
+        assert principal_generator(-20, form_power(-20, q3, 2)) == (4, 1)
+
+    def test_matches_lattice_reduction_oracle(self):
+        # every reduced form, and q, q^2, q^h, q^2h for the first four
+        # split non-principal primes q, h the exponent
+        fields = [D for D in range(-3, -1501, -1)
+                  if is_fundamental(D) and class_number(D) > 1]
+        nones = 0
+        for D in [*fields, -2999, -5711]:
+            ctx = make_field(D)
+            fill_class_data(ctx)
+            forms = list(reduced_forms(D))
+            for q in enumerate_S0(ctx, 4):
+                f = prime_form(D, q.l)
+                forms += [form_power(D, f, n) for n in (1, 2, ctx.h, 2 * ctx.h)]
+            for f in forms:
+                g = principal_generator(D, f)
+                assert g == lattice_generator(D, f), (D, f)
+                nones += g is None
+        assert (len(fields), nones) == (448, 8504)

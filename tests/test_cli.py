@@ -377,6 +377,20 @@ class TestCacheFormat:
         assert main(["bound", "--d", "-5", *BASE, "--cache", str(path)]) == 1
         assert path.read_text() == "15=15^1\n"
 
+    @pytest.mark.parametrize("extra", ["*1000003^0", "*7^-1*7^1"])
+    def test_exponent_below_1_rejected(self, tmp_path, extra):
+        # a zero exponent put 1000003 in the -20 union and made verify
+        # raise; a negative one multiplied back through a float
+        path = tmp_path / "cache.txt"
+        argv = ["bound", "--d", "-20", "--mazur-bound", "1000", "--cache", str(path)]
+        assert run(tmp_path, *argv)[0] == 0
+        lines = path.read_text().splitlines()
+        lines[0] += extra
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 1: exponent"):
+            cache_load(str(path))
+        assert main(argv) == 1
+
     def test_each_distinct_prime_tested_once(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.txt"
         path.write_text("6=2^1*3^1\n12=2^2*3^1\n-18=2^1*3^2\n")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ideal_reference import ideal_mul, prime_ideal_above, principal_ideal
+from ideal_reference import QuadInt, ideal_mul, prime_ideal_above, principal_ideal, shortest_generator
 from quatbound.arith import primes_up_to
 from quatbound.classgroup import (
     QuadForm,
@@ -13,9 +13,47 @@ from quatbound.classgroup import (
     form_power,
     prime_form,
     principal_form,
+    principal_generator,
     reduce_form,
 )
-from quatbound.quadfield import QuadInt, make_field, shortest_generator, splitting_type
+from quatbound.quadfield import is_fundamental, make_field, splitting_type
+
+
+def old_squarefree(n: int) -> bool:
+    """The squarefree test make_field used before it shared one trial
+    division loop with the ramified primes: the oracle for that loop."""
+    n = abs(n)
+    d = 2
+    while d * d <= n:
+        if n % (d * d) == 0:
+            return False
+        while n % d == 0:
+            n //= d
+        d += 1
+    return True
+
+
+def old_prime_divisors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def old_is_fundamental(D: int) -> bool:
+    if D % 4 == 1:
+        return old_squarefree(D)
+    if D % 4 == 0:
+        m = D // 4
+        return m % 4 in (2, 3) and old_squarefree(m)
+    return False
 
 
 class TestMakeField:
@@ -38,6 +76,20 @@ class TestMakeField:
             make_field(-12)  # -12 = 4*(-3), -3 = 1 mod 4: not fundamental
         with pytest.raises(ValueError):
             make_field(-45)
+
+    def test_matches_old_trial_division(self):
+        for n in range(-1, -10**4 - 1, -1):
+            assert is_fundamental(n) == old_is_fundamental(n), n
+            if old_is_fundamental(n):
+                D = n
+            elif old_squarefree(n):
+                D = n if n % 4 == 1 else 4 * n
+            else:
+                with pytest.raises(ValueError):
+                    make_field(n)
+                continue
+            ctx = make_field(n)
+            assert (ctx.D, ctx.ram_primes) == (D, frozenset(old_prime_divisors(-D))), n
 
 
 class TestSplitting:
@@ -83,7 +135,7 @@ class TestIdealArithmetic:
         for n in range(1, 9):
             assert form_power(-20, q3, n).a == 3**n
         q4 = form_power(-20, q3, 4)
-        assert shortest_generator(-20, q4.a, q4.b) is not None  # class has order 2
+        assert principal_generator(-20, q4) is not None  # class has order 2
 
 
 class TestShortestGenerator:

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ideal_reference import QuadInt
 from quatbound import weilsets
 from quatbound.arith import FactorBudget, factor
 from quatbound.classgroup import enumerate_S0, choose_S, fill_class_data
-from quatbound.quadfield import QuadInt, is_fundamental, make_field
+from quatbound.quadfield import is_fundamental, make_field
 from quatbound.weilsets import (
     ASet,
     _lucas,
@@ -36,9 +37,9 @@ def quadint_pow(u: QuadInt, e: int) -> QuadInt:
     return out
 
 
-def weil_cap(ts) -> int:
-    """2 * l^(12h): the Weil bound on the traces of a TraceSet."""
-    return 2 * ts.l ** (12 * ts.h)
+def weil_cap(l: int, h: int) -> int:
+    """2 * l^(12h): the Weil bound on the traces of trace_set(l, h)."""
+    return 2 * l ** (12 * h)
 
 
 def ring_trace_oracle(t: int, n: int, e: int) -> int:
@@ -92,20 +93,21 @@ class TestTracePower:
 class TestBeta:
     def test_q3_beta(self, ctx20):
         s0 = enumerate_S0(ctx20, 2)
-        beta = beta_for(ctx20, s0[0])
-        assert beta == QuadInt(4, 1, -20)  # 2 + sqrt(-5)
+        t, y = beta_for(ctx20, s0[0])
+        assert (t, y) == (4, 1)  # 2 + sqrt(-5)
+        beta = QuadInt(t, y, -20)
         assert beta.trace == 4 and beta.norm == 9
 
     def test_q7_beta(self, ctx20):
         s0 = enumerate_S0(ctx20, 2)
-        beta = beta_for(ctx20, s0[1])
+        beta = QuadInt(*beta_for(ctx20, s0[1]), -20)
         assert beta.norm == 49
         assert beta.trace == 4  # 2 +- 3*sqrt(-5): x^2 + 5 y^2 = 49
 
     def test_iterated_squaring_oracle(self, ctx20):
         # Tr(beta^e) via exact powering in O_k with a norm check per step
         s0 = enumerate_S0(ctx20, 1)
-        beta = beta_for(ctx20, s0[0])
+        beta = QuadInt(*beta_for(ctx20, s0[0]), -20)
         for e in (2, 4, 8, 16, 24):
             p = quadint_pow(beta, e)
             assert p.norm == 9**e
@@ -117,23 +119,23 @@ class TestBeta:
 class TestTraceSet:
     def test_m_range_and_anchor(self):
         ts = trace_set(3, 2)
-        assert sorted(ts.entries) == [-3, -2, -1, 0, 1, 2, 3]
-        assert ts.entries[0] == 2 * 3**24 == 564859072962
+        assert sorted(ts) == [-3, -2, -1, 0, 1, 2, 3]
+        assert ts[0] == 2 * 3**24 == 564859072962
 
     def test_extreme_m_root_of_unity(self):
         # gamma for m = +-3 is sqrt(3) times a 12th root of unity
         ts = trace_set(3, 2)
-        assert ts.entries[3] == ts.entries[-3] == 2 * 3**24
+        assert ts[3] == ts[-3] == 2 * 3**24
 
     def test_weil_bound_and_symmetry(self, contexts):
         for ctx in contexts.values():
             for q in enumerate_S0(ctx, 4):
                 ts = trace_set(q.l, ctx.exponent_h)
-                cap = weil_cap(ts)
-                for m, s in ts.entries.items():
+                cap = weil_cap(q.l, ctx.exponent_h)
+                for m, s in ts.items():
                     assert abs(s) <= cap
-                    assert s == ts.entries[-m]
-                assert ts.entries[0] == cap
+                    assert s == ts[-m]
+                assert ts[0] == cap
 
 
 class TestFamilies:
@@ -150,7 +152,7 @@ class TestFamilies:
         # only even powers of beta occur: -beta and conj(beta) give the
         # same shifts, hence the same element sets
         q3 = enumerate_S0(ctx20, 1)[0]
-        beta = beta_for(ctx20, q3)
+        beta = QuadInt(*beta_for(ctx20, q3), -20)
         for alt in (-beta, beta.conj(), -beta.conj()):
             assert quadint_pow(alt, 24).trace == quadint_pow(beta, 24).trace
             assert quadint_pow(alt, 8).trace == quadint_pow(beta, 8).trace
