@@ -3,7 +3,7 @@
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, islice
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The first k bases decide primality for every n below the k-th entry: the
@@ -183,15 +183,44 @@ class FactoredInteger:
         return [p for p, _ in self.prime_powers]
 
 
-_TRIAL_PRIMES: dict[int, list[int]] = {}
+# Trial division goes by runs of this many consecutive trial primes, one
+# gcd with the run's product per run; a run's product has about 2,300-2,600
+# bits below 10^6.
+_TRIAL_RUN = 128
+
+_TRIAL_PRIMES: dict[int, tuple[list[int], list[int]]] = {}
 
 
-def _trial_primes(bound: int) -> list[int]:
+def _trial_primes(bound: int) -> tuple[list[int], list[int]]:
+    """The primes up to bound, and the products of their runs built so far.
+    _trial_divide appends a run's product the first time it reaches the run,
+    so a process builds only the products it uses."""
     if bound not in _TRIAL_PRIMES:
         if len(_TRIAL_PRIMES) > 8:
             _TRIAL_PRIMES.clear()
-        _TRIAL_PRIMES[bound] = primes_up_to(bound)
+        _TRIAL_PRIMES[bound] = (primes_up_to(bound), [])
     return _TRIAL_PRIMES[bound]
+
+
+def _trial_divide(m: int, primes: list[int], products: list[int]) -> tuple[dict[int, int], int]:
+    """Divide m > 0 by every trial prime p with p*p <= m: the prime powers
+    found and what is left.  A run whose product is coprime to m is passed
+    over with one gcd instead of one division per prime."""
+    powers: dict[int, int] = {}
+    for i, start in enumerate(range(0, len(primes), _TRIAL_RUN)):
+        if primes[start] * primes[start] > m:
+            break
+        if i == len(products):
+            products.append(prod(primes[start : start + _TRIAL_RUN]))
+        if gcd(m, products[i]) == 1:
+            continue
+        for p in primes[start : start + _TRIAL_RUN]:
+            if p * p > m:
+                break
+            while m % p == 0:
+                powers[p] = powers.get(p, 0) + 1
+                m //= p
+    return powers, m
 
 
 def _brent_rho(n: int, max_iters: int) -> int | None:
@@ -267,6 +296,11 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
     """Factor n under an effort budget: trial division, then for each
     composite part Pollard p-1 over the trial primes and Brent rho.
 
+    Trial division goes by runs of 128 consecutive trial primes, one gcd
+    per run: a run coprime to the part is skipped, any other is divided
+    prime by prime.  It leaves the same prime powers and part as dividing
+    by each prime p with p*p <= the part in turn.
+
     The result depends on (n, budget) alone.  p-1 runs only when its one
     step per trial prime fits in the rho iteration budget; if it finds
     nothing, rho runs with the whole budget.  Any composite part left when
@@ -276,15 +310,8 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
     if n == 0:
         raise ValueError("factor: n must be nonzero")
     sign = -1 if n < 0 else 1
-    m = abs(n)
-    powers: dict[int, int] = {}
-    primes = _trial_primes(budget.trial_bound)
-    for p in primes:
-        if p * p > m:
-            break
-        while m % p == 0:
-            powers[p] = powers.get(p, 0) + 1
-            m //= p
+    primes, products = _trial_primes(budget.trial_bound)
+    powers, m = _trial_divide(abs(n), primes, products)
     stack = [m] if m > 1 else []
     cofactors: list[int] = []
     while stack:

@@ -61,9 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
 # cache file format: `<value>=<p1>^<e1>*<p2>^<e2>[*...][*C<cofactor>]`
 
 def cache_load(path: str) -> dict[int, FactoredInteger]:
-    """Read a cache file.  Every entry must multiply back, and every listed
-    prime must be proven prime, not composite nor only BPSW-probable (each
-    distinct prime is tested once)."""
+    """Read a cache file.  Every entry must multiply back and list its
+    primes in strictly ascending order, and every listed prime must be
+    proven prime, not composite nor only BPSW-probable (each distinct
+    prime is tested once)."""
     table: dict[int, FactoredInteger] = {}
     proven: set[int] = set()
     with open(path, "r", encoding="ascii") as fh:
@@ -95,6 +96,7 @@ def _parse_cache_line(line: str) -> tuple[int, FactoredInteger]:
         raise ValueError(f"bad value {lhs!r}")
     powers = []
     cofactor = None
+    last = 0
     for part in rhs.split("*") if rhs else []:
         if part.startswith("C"):
             cofactor = int(part[1:])
@@ -106,6 +108,11 @@ def _parse_cache_line(line: str) -> tuple[int, FactoredInteger]:
             p, e = int(part), 1
         if e < 1:
             raise ValueError(f"exponent {e} of {p} below 1")
+        # the report prints the primes as listed, so they must be in the
+        # order factor() gives them
+        if p <= last:
+            raise ValueError(f"prime {p} after {last}: primes not strictly ascending")
+        last = p
         powers.append((p, e))
     fac = FactoredInteger(
         value=value,

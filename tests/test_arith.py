@@ -1,5 +1,6 @@
+import os
 import random
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from quatbound.arith import (
     prime_status,
     primes_up_to,
 )
+from quatbound.cli import main
 
 
 def legendre_euler(a, p):
@@ -230,7 +232,124 @@ class TestPollardPm1:
         # p - 1 = 2^3 * 487 * 773 * 997 and q - 1 = 2^3 * 61 * 487 * 881:
         # stage 1 alone catches both primes, so the gcd is n itself
         p, q = 3002573177, 209374937
-        primes = arith._trial_primes(10**6)
+        primes, _ = arith._trial_primes(10**6)
         assert arith._pollard_pm1(p * q, primes) is None
         f = factor(p * q)
         assert f.complete and f.prime_powers == ((q, 1), (p, 1))
+
+
+def reference_trial_divide(m, primes):
+    """The prime-by-prime loop that runs of primes replaced: divide m by each
+    trial prime p in turn until p*p > m.  Returns (powers, what is left)."""
+    powers = {}
+    for p in primes:
+        if p * p > m:
+            break
+        while m % p == 0:
+            powers[p] = powers.get(p, 0) + 1
+            m //= p
+    return powers, m
+
+
+def reference_factor(monkeypatch, n, budget):
+    """factor() with its trial division done by the reference loop."""
+    with monkeypatch.context() as mp:
+        mp.setattr(arith, "_trial_divide",
+                   lambda m, primes, products: reference_trial_divide(m, primes))
+        return factor(n, budget)
+
+
+class TestTrialDivision:
+    # 719 and 727 are the 128th and 129th primes: the last prime of the
+    # first run and the first of the second
+    EDGE_VALUES = (
+        719 * 727, 719**2, 727**2, 719 * 727 * 733, 999983**2,
+        999983 * 1000003, 1000003**2, 2**200 * 3**5, 2**200 * 3**5 * 999983,
+        1, 2, 719, 727, 10**12 + 39, 2 * (10**12 + 39),
+    )
+    TRIAL_BOUNDS = (2, 3, 719, 727, 10**6)
+
+    def test_run_edges(self):
+        assert primes_up_to(727)[127:] == [719, 727]
+        assert arith._TRIAL_RUN == 128
+
+    def test_benchmark_pass_inputs(self, monkeypatch):
+        # every factor() input of one pass over the benchmark's small_panel
+        # (verify) and large_h (bound --rho-iters 10^6) fields
+        seen = []
+        real = arith._trial_divide
+
+        def checked(m, primes, products):
+            got = real(m, primes, products)
+            assert got == reference_trial_divide(m, primes), m
+            seen.append(m)
+            return got
+
+        monkeypatch.setattr(arith, "_trial_divide", checked)
+        for D in (-20, -23, -84, -71, -419, -3299):
+            assert main(["verify", "--d", str(D), "--json", os.devnull]) == 0
+        for D in (-1151, -2999):
+            assert main(["bound", "--d", str(D), "--rho-iters", "1000000",
+                         "--json", os.devnull]) == 0
+        assert len(seen) > 250 and max(seen).bit_length() > 140
+
+    @pytest.mark.parametrize("trial_bound", TRIAL_BOUNDS)
+    def test_edges_match_reference(self, trial_bound):
+        primes = primes_up_to(trial_bound)
+        for n in self.EDGE_VALUES:
+            got = arith._trial_divide(n, *arith._trial_primes(trial_bound))
+            assert got == reference_trial_divide(n, primes), (n, trial_bound)
+
+    def test_a_prime_from_every_run(self):
+        # each value has a prime in every run of 128, at a different place
+        # in each run: a run passed over without its gcd loses its prime
+        primes = primes_up_to(10**6)
+        trial = arith._trial_primes(10**6)
+        for chosen, extra in ((primes[::127], 1), (primes[127::128], 1000003**2),
+                              (primes[5::131], 1000003 * 1000033)):
+            n = prod(chosen) * extra
+            got = arith._trial_divide(n, *trial)
+            assert got == reference_trial_divide(n, primes)
+            # the largest chosen prime may be left over once p*p passes m
+            assert got[0].keys() >= set(chosen[:-1])
+
+    @pytest.mark.parametrize("trial_bound", TRIAL_BOUNDS)
+    def test_random_match_reference(self, trial_bound):
+        rng = random.Random(trial_bound)
+        primes = primes_up_to(trial_bound)
+        trial = arith._trial_primes(trial_bound)
+        pool = primes_up_to(2 * 10**6)[::37]
+        for _ in range(100):
+            n = 1
+            for _ in range(rng.randrange(1, 6)):
+                n *= rng.choice(pool) ** rng.randrange(1, 4)
+            n *= rng.randrange(1, 10**rng.randrange(1, 40))
+            assert arith._trial_divide(n, *trial) == reference_trial_divide(n, primes), n
+
+    @pytest.mark.parametrize("rho_iterations", [2, 10, 1000])
+    @pytest.mark.parametrize("trial_bound", TRIAL_BOUNDS)
+    def test_factor_matches_reference_path(self, monkeypatch, trial_bound, rho_iterations):
+        # whole results, cofactor included, also where the budget runs out
+        budget = FactorBudget(trial_bound, rho_iterations)
+        rng = random.Random(rho_iterations * trial_bound)
+        values = [*self.EDGE_VALUES, -1, -(719 * 727), -(2**200 * 3**5 * 999983)]
+        values += [rng.choice((1, -1)) * rng.randrange(2, 10**30) for _ in range(20)]
+        incomplete = 0
+        for n in values:
+            f = factor(n, budget)
+            assert f == reference_factor(monkeypatch, n, budget), (n, budget)
+            incomplete += not f.complete
+        if rho_iterations < 1000:
+            assert incomplete > 0
+
+    def test_products_built_lazily(self, monkeypatch):
+        # the products are built when a factorization first reaches their
+        # run: building all 614 up front costs every process about 7 ms
+        monkeypatch.setattr(arith, "_TRIAL_PRIMES", {})
+        assert factor(2**20 * 3**10).prime_powers == ((2, 20), (3, 10))
+        assert factor(719 * 727).prime_powers == ((719, 1), (727, 1))
+        primes, products = arith._TRIAL_PRIMES[10**6]
+        assert products == [prod(primes[:128])]
+        factor(1000003**2)
+        assert len(products) == 614
+        assert products == [prod(primes[i : i + 128]) for i in range(0, len(primes), 128)]

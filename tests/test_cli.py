@@ -391,6 +391,25 @@ class TestCacheFormat:
             cache_load(str(path))
         assert main(argv) == 1
 
+    @pytest.mark.parametrize("rhs", [
+        "7^2*5^2*2^9*23^2*47^2",
+        "47^2*23^2*7^2*5^2*2^9",
+        "2^8*2^1*5^2*7^2*23^2*47^2",
+    ])
+    def test_primes_not_ascending_rejected(self, tmp_path, rhs):
+        # the report printed the line's factors as listed: reversed, the
+        # -20 report's factors started with 47 instead of 2
+        path = tmp_path / "cache.txt"
+        argv = ["bound", "--d", "-20", "--mazur-bound", "1000", "--cache", str(path)]
+        assert run(tmp_path, *argv)[0] == 0
+        lines = path.read_text().splitlines()
+        assert lines[0] == "-732921459200=2^9*5^2*7^2*23^2*47^2"
+        lines[0] = "-732921459200=" + rhs
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 1: .*not strictly ascending"):
+            cache_load(str(path))
+        assert main(argv) == 1
+
     def test_each_distinct_prime_tested_once(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.txt"
         path.write_text("6=2^1*3^1\n12=2^2*3^1\n-18=2^1*3^2\n")
