@@ -4,6 +4,7 @@ quadratic fields of class number > 1."""
 from .arith import FactorBudget, FactoredInteger, factor, is_prime, kronecker, primes_up_to
 from .quadfield import FieldContext, make_field, splitting_type
 from .classgroup import (
+    ClassNumberOne,
     QuadForm,
     SplitPrime,
     choose_S,
@@ -11,7 +12,6 @@ from .classgroup import (
     compose,
     enumerate_S0,
     exponent,
-    fill_class_data,
     form_power,
     generates,
     prime_form,

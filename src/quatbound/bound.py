@@ -12,7 +12,6 @@ from .classgroup import (
     SplitPrime,
     choose_S,
     enumerate_S0,
-    fill_class_data,
     generates,
 )
 from .weilsets import ASet, family_A1, family_A2, family_A3, intersection_set, prime_support
@@ -32,7 +31,6 @@ class BoundParams:
 
 @dataclass
 class BoundReport:
-    field: FieldContext
     S: list[SplitPrime]
     s0_truncation: list[SplitPrime]
     components: dict[str, frozenset[int]]
@@ -48,12 +46,8 @@ class BoundReport:
 
 
 def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> BoundReport:
-    """Compute every component of the containment and union them."""
-    if ctx.class_number is None:
-        fill_class_data(ctx)
-    if ctx.class_number == 1:
-        raise ValueError("theorem inapplicable: class number is 1")
-
+    """Compute every component of the containment and union them.  Raises
+    ClassNumberOne, from enumerate_S0, when k has class number 1."""
     s0 = enumerate_S0(ctx, params.s0_count)
     if params.S_override is not None:
         S = _validated_override(ctx, params.S_override)
@@ -86,7 +80,6 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
     }
     union = frozenset().union(*components.values())
     return BoundReport(
-        field=ctx,
         S=S,
         s0_truncation=s0,
         components=components,
@@ -105,13 +98,15 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
 def _validated_override(ctx: FieldContext, ls: tuple[int, ...]) -> list[SplitPrime]:
     out = []
     for l in ls:
+        if l in (q.l for q in out):
+            raise ValueError(f"S override: {l} listed twice")
         if splitting_type(ctx, l) != "split":
             raise ValueError(f"S override: {l} does not split in k")
         q = SplitPrime.above(ctx.D, l)
         if q.class_order == 1:
             raise ValueError(f"S override: prime above {l} is principal")
         out.append(q)
-    if not generates(ctx.D, {q.form for q in out}):
+    if not generates(ctx, {q.form for q in out}):
         raise ValueError("S override does not generate the class group")
     return out
 

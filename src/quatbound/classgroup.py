@@ -198,19 +198,19 @@ def exponent(D: int) -> int:
     return lcm(*orders)
 
 
-def fill_class_data(ctx: FieldContext) -> FieldContext:
-    """Populate class_number and exponent_h on the context."""
-    ctx.class_number = class_number(ctx.D)
-    ctx.exponent_h = exponent(ctx.D)
-    return ctx
+class ClassNumberOne(ValueError):
+    """k has class number 1: no split prime is non-principal, so there is
+    nothing to bound."""
+
+
+def _require_class_number_above_1(ctx: FieldContext) -> None:
+    if ctx.class_number == 1:
+        raise ClassNumberOne("theorem inapplicable: class number is 1")
 
 
 def enumerate_S0(ctx: FieldContext, count: int) -> list[SplitPrime]:
     """The first `count` split non-principal degree-1 primes, by norm."""
-    if ctx.class_number is None:
-        fill_class_data(ctx)
-    if ctx.class_number == 1:
-        raise ValueError("S0 is empty: class number is 1")
+    _require_class_number_above_1(ctx)
     if count < 1:
         raise ValueError(f"S0 count must be >= 1, got {count}")
     return list(islice(_split_primes(ctx), count))
@@ -243,18 +243,15 @@ def subgroup_closure(D: int, classes: set[QuadForm]) -> set[QuadForm]:
     return H
 
 
-def generates(D: int, classes: set[QuadForm]) -> bool:
-    return len(subgroup_closure(D, classes)) == class_number(D)
+def generates(ctx: FieldContext, classes: set[QuadForm]) -> bool:
+    return len(subgroup_closure(ctx.D, classes)) == ctx.class_number
 
 
 def choose_S(ctx: FieldContext) -> list[SplitPrime]:
     """Greedy-minimal generating subset: walk the split non-principal primes
     by norm, keep a prime iff its class is not yet in the generated
     subgroup, stop once the whole group is hit."""
-    if ctx.class_number is None:
-        fill_class_data(ctx)
-    if ctx.class_number == 1:
-        raise ValueError("class number is 1: no generating set needed")
+    _require_class_number_above_1(ctx)
     H = {principal_form(ctx.D)}
     chosen: list[SplitPrime] = []
     for q in _split_primes(ctx):

@@ -1,8 +1,8 @@
 """Command-line frontend: JSON reports, factorization cache, exit codes.
 
-Exit codes: 0 success, 1 usage or domain error, 2 class number 1 (nothing
-to bound), 3 --require-certified set but some support was not fully
-factored.
+Exit codes: 0 success, 1 usage, domain or file error (a bad cache file, an
+unwritable --cache or --json path), 2 class number 1 (nothing to bound), 3
+--require-certified set but some support was not fully factored.
 """
 
 import argparse
@@ -13,7 +13,7 @@ import tempfile
 
 from .arith import FactorBudget, FactoredInteger, prime_status
 from .quadfield import FieldContext, make_field
-from .classgroup import enumerate_S0, fill_class_data, reduced_forms
+from .classgroup import ClassNumberOne, enumerate_S0, reduced_forms
 from .mazur import mazur_prime_set
 from .bound import BoundParams, BoundReport, assemble_bound, candidate_discriminants, verify_prime_membership
 
@@ -135,7 +135,11 @@ def cache_store(path: str, table: dict[int, FactoredInteger]) -> None:
         lines.append(f"{value}={'*'.join(parts)}")
     payload = "\n".join(lines) + ("\n" if lines else "")
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".cache-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".cache-")
+    except OSError as e:
+        # name the cache file, not the temporary one beside it
+        raise OSError(e.errno, e.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(payload)
@@ -162,7 +166,7 @@ def _field_doc(ctx: FieldContext) -> dict:
         "D": _s(ctx.D),
         "ram": _slist(ctx.ram_primes),
         "h_k": _s(ctx.class_number),
-        "h": _s(ctx.exponent_h),
+        "h": _s(ctx.h),
     }
 
 
@@ -222,33 +226,19 @@ def _emit(doc: dict, path: str | None) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cache = {}
-    if args.cache and os.path.exists(args.cache):
-        try:
-            cache = cache_load(args.cache)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
     try:
+        cache = cache_load(args.cache) if args.cache and os.path.exists(args.cache) else {}
+        loaded = dict(cache)
         budget = FactorBudget(trial_bound=args.trial_bound, rho_iterations=args.rho_iters)
-        ctx = make_field(args.d)
-        fill_class_data(ctx)
-    except ValueError as e:
+        code = _run(args, make_field(args.d), budget, cache)
+        if args.cache and cache != loaded:
+            cache_store(args.cache, cache)
+    except ClassNumberOne as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-    loaded = dict(cache)
-    try:
-        code = _run(args, ctx, budget, cache)
-    except ValueError as e:
-        msg = str(e)
-        if "class number is 1" in msg:
-            print(f"error: {msg}", file=sys.stderr)
-            return 2
-        print(f"error: {msg}", file=sys.stderr)
-        return 1
-    if args.cache and cache != loaded:
-        cache_store(args.cache, cache)
     return code
 
 

@@ -1,8 +1,9 @@
-"""Imaginary quadratic fields: discriminants, ramified primes and prime
-splitting."""
+"""Imaginary quadratic fields: discriminants, ramified primes, prime
+splitting, and the field context that carries the class data."""
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arith import kronecker, primes_up_to
 
@@ -33,21 +34,26 @@ def is_fundamental(D: int) -> bool:
     return False
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldContext:
-    """The field k = Q(sqrt(D)): fundamental discriminant, ramified primes,
-    and (once computed) class number and group exponent."""
+    """The field k = Q(sqrt(D)): fundamental discriminant and ramified
+    primes.  The class number and the class-group exponent h are computed
+    once, on first use."""
 
     D: int
     ram_primes: frozenset[int]
-    class_number: int | None = None
-    exponent_h: int | None = None
 
-    @property
+    @cached_property
+    def class_number(self) -> int:
+        from .classgroup import class_number
+
+        return class_number(self.D)
+
+    @cached_property
     def h(self) -> int:
-        if self.exponent_h is None:
-            raise ValueError("class-group exponent not computed yet")
-        return self.exponent_h
+        from .classgroup import exponent
+
+        return exponent(self.D)
 
 
 def make_field(d_or_D: int) -> FieldContext:

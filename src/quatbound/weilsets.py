@@ -56,7 +56,6 @@ class ASet:
 
     family: str  # "A1" | "A2" | "A3"
     q_list: tuple[int, ...]
-    shifts: tuple[int, ...]
     elements: tuple[int, ...]
     factorizations: tuple[FactoredInteger | None, ...] = ()
     support: frozenset[int] = frozenset()
@@ -75,7 +74,6 @@ def _trace_differences(family: str, h: int, pairs: list[tuple[int, int]]) -> ASe
     return ASet(
         family=family,
         q_list=tuple(l for l, _ in pairs),
-        shifts=tuple(shift for _, shift in pairs),
         elements=elements,
         lucas=tuple(origin[v] for v in elements) if family == "A3" else (),
     )
@@ -213,5 +211,5 @@ def intersection_set(
     gs = {gcd(v, rest) for v in members[0].elements if v != 0} - {1}
     aset = ASet(family=members[0].family,
                 q_list=tuple(l for m in members for l in m.q_list),
-                shifts=(), elements=tuple(sorted(gs)))
+                elements=tuple(sorted(gs)))
     return prime_support(aset, budget, cache)

@@ -1,18 +1,13 @@
 import pytest
 
-from quatbound import fill_class_data, make_field
+from quatbound import make_field
 
 TEST_FIELDS = (-20, -23, -24, -47, -84)
 
 
 @pytest.fixture(scope="session")
 def contexts():
-    out = {}
-    for D in TEST_FIELDS:
-        ctx = make_field(D)
-        fill_class_data(ctx)
-        out[D] = ctx
-    return out
+    return {D: make_field(D) for D in TEST_FIELDS}
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import pytest
 from ideal_reference import QuadInt
 from quatbound.arith import kronecker, primes_up_to
 from quatbound.bound import BoundParams, assemble_bound, verify_prime_membership
-from quatbound.classgroup import class_number, enumerate_S0, fill_class_data
+from quatbound.classgroup import class_number, enumerate_S0
 from quatbound.cli import main
 from quatbound.mazur import mazur_prime_set
 from quatbound.quadfield import is_fundamental, make_field
@@ -20,9 +20,7 @@ TEST_FIELDS = (-20, -23, -24, -47, -84)
 
 
 def _ctx(D):
-    ctx = make_field(D)
-    fill_class_data(ctx)
-    return ctx
+    return make_field(D)
 
 
 def _report(msg):
@@ -119,8 +117,8 @@ def test_criterion_4_weil_bound():
     for D in TEST_FIELDS[:4]:  # -20, -23, -24, -47
         ctx = _ctx(D)
         for q in enumerate_S0(ctx, 4):
-            ts = trace_set(q.l, ctx.exponent_h)
-            cap = 2 * q.l ** (12 * ctx.exponent_h)
+            ts = trace_set(q.l, ctx.h)
+            cap = 2 * q.l ** (12 * ctx.h)
             for s in ts.values():
                 assert abs(s) <= cap
                 count += 1
@@ -200,7 +198,7 @@ def test_criterion_10_pipeline_robustness():
     t0 = time.monotonic()
     for D in TEST_FIELDS:
         ctx = _ctx(D)
-        assert (ctx.class_number, ctx.exponent_h) == expected[D], D
+        assert (ctx.class_number, ctx.h) == expected[D], D
         rep = assemble_bound(ctx, BoundParams(mazur_bound=10**5))
         assert rep.certified
         assert rep.union == frozenset().union(*rep.components.values())

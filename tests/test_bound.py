@@ -10,7 +10,7 @@ from quatbound.bound import (
     candidate_discriminants,
     verify_prime_membership,
 )
-from quatbound.classgroup import fill_class_data
+from quatbound.classgroup import ClassNumberOne
 from quatbound.quadfield import make_field, splitting_type
 from quatbound.weilsets import family_A1, family_A2
 
@@ -31,8 +31,7 @@ class TestAssemble:
 
     def test_class_number_one_error(self):
         ctx = make_field(-1)
-        fill_class_data(ctx)
-        with pytest.raises(ValueError, match="class number is 1"):
+        with pytest.raises(ClassNumberOne, match="class number is 1"):
             assemble_bound(ctx)
 
     def test_monotone_in_s0_count(self, ctx20):
@@ -58,6 +57,8 @@ class TestAssemble:
             assemble_bound(ctx20, BoundParams(mazur_bound=10**4, S_override=(2,)))
         with pytest.raises(ValueError, match="principal"):
             assemble_bound(ctx20, BoundParams(mazur_bound=10**4, S_override=(29,)))
+        with pytest.raises(ValueError, match="S override: 3 listed twice"):
+            assemble_bound(ctx20, BoundParams(mazur_bound=10**4, S_override=(3, 7, 3)))
 
     def test_non_generating_override_rejected(self, contexts):
         # the class group of -84 is (Z/2)^2: one class generates only Z/2

@@ -13,13 +13,13 @@ from ideal_reference import (
 )
 from quatbound.arith import kronecker, primes_up_to
 from quatbound.classgroup import (
+    ClassNumberOne,
     QuadForm,
     choose_S,
     class_number,
     compose,
     enumerate_S0,
     exponent,
-    fill_class_data,
     form_inverse,
     form_order,
     form_power,
@@ -159,34 +159,36 @@ class TestS0:
 
     def test_class_number_one_rejected(self):
         ctx = make_field(-1)
-        fill_class_data(ctx)
-        with pytest.raises(ValueError):
+        with pytest.raises(ClassNumberOne, match="class number is 1"):
             enumerate_S0(ctx, 1)
+        with pytest.raises(ClassNumberOne, match="class number is 1"):
+            choose_S(ctx)
 
     def test_first_members_power_principal(self, contexts):
         for ctx in contexts.values():
             for q in enumerate_S0(ctx, 10):
                 assert exponent(ctx.D) % q.class_order == 0
-                qh = form_power(ctx.D, prime_form(ctx.D, q.l), ctx.exponent_h)
-                assert qh.a == q.l**ctx.exponent_h
+                qh = form_power(ctx.D, prime_form(ctx.D, q.l), ctx.h)
+                assert qh.a == q.l**ctx.h
                 assert reduce_form(qh.a, qh.b, qh.c) == principal_form(ctx.D)
                 assert principal_generator(ctx.D, qh) is not None
 
 
 class TestGeneratesAndChooseS:
     def test_examples(self):
-        assert generates(-20, {QuadForm(2, 2, 3)})
-        assert not generates(-20, {QuadForm(1, 0, 5)})
+        k20, k84 = make_field(-20), make_field(-84)
+        assert generates(k20, {QuadForm(2, 2, 3)})
+        assert not generates(k20, {QuadForm(1, 0, 5)})
         # D=-84: exponent 2 with four classes needs two generators
         non_identity = [f for f in reduced_forms(-84) if f != principal_form(-84)]
         for f in non_identity:
-            assert not generates(-84, {f})
+            assert not generates(k84, {f})
 
     def test_choose_S_fields(self, contexts):
         for ctx in contexts.values():
             S = choose_S(ctx)
             assert S
-            assert generates(ctx.D, {q.form for q in S})
+            assert generates(ctx, {q.form for q in S})
             assert all(q.form != principal_form(ctx.D) for q in S)
         assert [q.l for q in choose_S(contexts[-20])] == [3]
         assert len(choose_S(contexts[-23])) == 1
@@ -253,7 +255,6 @@ def reference_choose_S(D: int) -> list[int]:
 
 def check_against_reference(D: int, s0_count: int, all_pairs: bool) -> None:
     ctx = make_field(D)
-    fill_class_data(ctx)
     forms = reduced_forms(D)
     if all_pairs:
         for f in forms:
@@ -317,7 +318,6 @@ class TestPrincipalGenerator:
         nones = 0
         for D in [*fields, -2999, -5711]:
             ctx = make_field(D)
-            fill_class_data(ctx)
             forms = list(reduced_forms(D))
             for q in enumerate_S0(ctx, 4):
                 f = prime_form(D, q.l)

@@ -147,7 +147,7 @@ GOLDEN = Path(__file__).parent / "data"
 
 
 class TestGoldenVerify:
-    @pytest.mark.parametrize("D", ["-20", "-84", "-419"])
+    @pytest.mark.parametrize("D", ["-20", "-23", "-71", "-84", "-419", "-3299"])
     def test_verify_bytes(self, tmp_path, D):
         out = tmp_path / "verify.json"
         assert main(["verify", "--d", D, *BASE, "--json", str(out)]) == 0
@@ -192,7 +192,21 @@ class TestGoldenVerify:
 
 class TestExitCodes:
     def test_class_number_one(self, tmp_path, capsys):
-        assert main(["bound", "--d", "-1", *BASE]) == 2
+        # class data and the Mazur search exist for Q(i); everything built
+        # on S0 or S has nothing to bound
+        codes = {"field": 0, "classgroup": 0, "mazur": 0, "s0": 2, "sets": 2,
+                 "bound": 2, "candidates": 2, "verify": 2}
+        assert sorted(codes) == sorted(cli.SUBCOMMANDS)
+        for sub, code in codes.items():
+            out = tmp_path / f"{sub}.json"
+            assert main([sub, "--d", "-1", *BASE, "--json", str(out)]) == code, sub
+            err = capsys.readouterr().err
+            if code == 2:
+                assert "class number is 1" in err, sub
+                assert not out.exists(), sub
+            else:
+                assert err == "", sub
+                assert json.loads(out.read_text())["field"]["h_k"] == "1", sub
 
     @pytest.mark.parametrize("argv", [
         ["bound", "--d", "abc"],
@@ -229,6 +243,29 @@ class TestExitCodes:
         assert main(["bound", "--d", "-12", *BASE]) == 1
         assert main(["bound", "--d", "5", *BASE]) == 1
         assert main(["bound", "--d", "-84", "--S", "5", *BASE]) == 1  # does not generate
+
+    def test_s_listed_twice(self, tmp_path, capsys):
+        # 5 was kept twice: "S" printed ["5", "5", "11"] and exit 0
+        out = tmp_path / "o.json"
+        assert main(["bound", "--d", "-84", "--S", "5,11,5", *BASE,
+                     "--json", str(out)]) == 1
+        assert not out.exists()
+        assert "error: S override: 5 listed twice" in capsys.readouterr().err
+
+    def test_unwritable_json_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.json"
+        assert main(["field", "--d", "-5", "--json", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{out}'" in err
+
+    def test_unwritable_cache_dir(self, tmp_path, capsys):
+        # the error named the temporary .cache-XXXX file beside the cache
+        cache = tmp_path / "missing" / "factors.cache"
+        assert main(["bound", "--d", "-5", *BASE, "--cache", str(cache),
+                     "--json", str(tmp_path / "o.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{cache}'" in err
+        assert ".cache-" not in err
 
     def test_require_certified_ok_when_certified(self, tmp_path):
         out = tmp_path / "o.json"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ideal_reference import QuadInt
 from quatbound import weilsets
 from quatbound.arith import FactorBudget, factor
-from quatbound.classgroup import enumerate_S0, choose_S, fill_class_data
+from quatbound.classgroup import enumerate_S0, choose_S
 from quatbound.quadfield import is_fundamental, make_field
 from quatbound.weilsets import (
     ASet,
@@ -130,8 +130,8 @@ class TestTraceSet:
     def test_weil_bound_and_symmetry(self, contexts):
         for ctx in contexts.values():
             for q in enumerate_S0(ctx, 4):
-                ts = trace_set(q.l, ctx.exponent_h)
-                cap = weil_cap(q.l, ctx.exponent_h)
+                ts = trace_set(q.l, ctx.h)
+                cap = weil_cap(q.l, ctx.h)
                 for m, s in ts.items():
                     assert abs(s) <= cap
                     assert s == ts[-m]
@@ -142,10 +142,10 @@ class TestFamilies:
     def test_a1_a2_shifts_and_elements(self, ctx20):
         q3 = enumerate_S0(ctx20, 1)[0]
         a1 = family_A1(ctx20, q3)
-        assert a1.shifts == (131360949442,)
+        assert set(a1.elements) == {a - 131360949442 for a in trace_set(3, ctx20.h).values()}
         assert 564859072962 - 131360949442 in a1.elements
         a2 = family_A2(ctx20, q3)
-        assert a2.shifts == (3**16 * 11842,)
+        assert set(a2.elements) == {a - 3**16 * 11842 for a in trace_set(3, ctx20.h).values()}
         assert 564859072962 - 509759270082 in a2.elements
 
     def test_beta_choice_invariance(self, ctx20):
@@ -177,14 +177,14 @@ class TestPrimeSupport:
     def test_zero_only(self):
         from quatbound.weilsets import ASet
 
-        aset = ASet(family="A3", q_list=(3,), shifts=(0,), elements=(0,))
+        aset = ASet(family="A3", q_list=(3,), elements=(0,))
         out = prime_support(aset)
         assert out.support == frozenset() and out.certified
 
     def test_small_values(self):
         from quatbound.weilsets import ASet
 
-        aset = ASet(family="A1", q_list=(3,), shifts=(0,), elements=(-12, 18))
+        aset = ASet(family="A1", q_list=(3,), elements=(-12, 18))
         assert prime_support(aset).support == {2, 3}
 
     def test_a1_certified(self, ctx20):
@@ -248,9 +248,7 @@ def factor_then_filter(members):
 
 
 def _field(D):
-    ctx = make_field(D)
-    fill_class_data(ctx)
-    return ctx
+    return make_field(D)
 
 
 class TestGcdIntersection:
@@ -302,7 +300,7 @@ class TestGcdIntersection:
         p1, p2 = 2**61 - 1, 4611686018427388039
         s0 = enumerate_S0(ctx20, count)
         elements = [(6 * p1, 10 * p2), (7 * p1, 11 * p2)][:count]
-        fakes = [ASet(family="A1", q_list=(q.l,), shifts=(0,), elements=e)
+        fakes = [ASet(family="A1", q_list=(q.l,), elements=e)
                  for q, e in zip(s0, elements)]
         budget = FactorBudget(trial_bound=100, rho_iterations=10)
         expected = {p1, p2} | ({2, 3, 5} if count == 1 else set())
@@ -312,7 +310,7 @@ class TestGcdIntersection:
     def test_member_without_nonzero_elements(self, ctx20, member):
         s0 = enumerate_S0(ctx20, 3)
         ms = members(ctx20, "A1", s0)
-        ms[member] = ASet(family="A1", q_list=(s0[member].l,), shifts=(0,), elements=(0,))
+        ms[member] = ASet(family="A1", q_list=(s0[member].l,), elements=(0,))
         assert factor_then_filter(ms) == (frozenset(), True)
         assert intersect(ms) == (frozenset(), True)
 
