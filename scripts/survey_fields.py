@@ -3,10 +3,11 @@
 
 For every fundamental discriminant D from -3 down to --min whose field has
 class number > 1, runs the full pipeline and prints one row: the class
-number h_k and the class-group exponent h (read off the field context,
-which computes each once, on first use), the chosen generators S, the size
-of the union, whether it is certified, the time taken, and the union.
-Fields of class number 1 are skipped.
+number h_k and the class-group exponent h, the chosen generators S, the
+size of the union, whether it is certified, the time taken, and the union.
+h_k and h are read off the field context, which walks the class group
+once, on first use: its greedy generating set is the report's S, and h is
+the lcm of the class orders of its members.  Fields of class number 1 are skipped.
 
     python3 scripts/survey_fields.py --min -100 [--s0-count 4] [--mazur-bound 100000]
 """

@@ -11,14 +11,14 @@ from .classgroup import (
     class_number,
     compose,
     enumerate_S0,
-    exponent,
+    form_order,
     form_power,
     generates,
     prime_form,
     principal_generator,
     reduced_forms,
 )
-from .weilsets import ASet, beta_for, family_A1, family_A2, family_A3, intersection_set, prime_support, trace_power, trace_set
+from .weilsets import ASet, beta_for, families_A1_A2, family_A3, intersection_set, prime_support, trace_power, trace_set
 from .mazur import MazurResult, is_in_mazur, mazur_prime_set
 from .bound import BoundParams, BoundReport, assemble_bound, candidate_discriminants, verify_prime_membership
 

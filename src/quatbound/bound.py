@@ -6,15 +6,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import prod
 
-from .arith import FactorBudget, primes_up_to
+from .arith import FactorBudget, is_prime, primes_up_to
 from .quadfield import FieldContext, splitting_type
-from .classgroup import (
-    SplitPrime,
-    choose_S,
-    enumerate_S0,
-    generates,
-)
-from .weilsets import ASet, family_A1, family_A2, family_A3, intersection_set, prime_support
+from .classgroup import SplitPrime, choose_S, enumerate_S0, generates, principal_form
+from .weilsets import ASet, families_A1_A2, family_A3, intersection_set, prime_support
 from .mazur import MazurResult, is_in_mazur, mazur_prime_set
 
 SMALL_PRIME_CAP = 23
@@ -56,8 +51,9 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
 
     caveats: list[str] = []
 
-    a1_families = [family_A1(ctx, q) for q in s0]
-    a2_families = [family_A2(ctx, q) for q in s0]
+    pairs = [families_A1_A2(ctx, q) for q in s0]
+    a1_families = [a1 for a1, _ in pairs]
+    a2_families = [a2 for _, a2 in pairs]
     a1 = intersection_set(a1_families, params.factor_budget, params.cache)
     a2 = intersection_set(a2_families, params.factor_budget, params.cache)
     a3 = prime_support(family_A3(ctx, S), params.factor_budget, params.cache)
@@ -100,10 +96,13 @@ def _validated_override(ctx: FieldContext, ls: tuple[int, ...]) -> list[SplitPri
     for l in ls:
         if l in (q.l for q in out):
             raise ValueError(f"S override: {l} listed twice")
+        # the Kronecker symbol is multiplicative: a composite can look split
+        if not is_prime(l):
+            raise ValueError(f"S override: {l} is not a prime")
         if splitting_type(ctx, l) != "split":
             raise ValueError(f"S override: {l} does not split in k")
         q = SplitPrime.above(ctx.D, l)
-        if q.class_order == 1:
+        if q.form == principal_form(ctx.D):
             raise ValueError(f"S override: prime above {l} is principal")
         out.append(q)
     if not generates(ctx, {q.form for q in out}):

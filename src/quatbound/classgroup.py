@@ -1,11 +1,11 @@
 """Class group of an imaginary quadratic field via reduced binary quadratic
 forms: Dirichlet composition, form powers, principal generators, class
-number, exponent, and the split-prime sets feeding the trace families.  A
-form (a, b, c) stands for the ideal Z*a + Z*(-b + sqrt(D))/2."""
+number, class orders, and the split-prime sets feeding the trace families.
+A form (a, b, c) stands for the ideal Z*a + Z*(-b + sqrt(D))/2."""
 
 from dataclasses import dataclass
 from itertools import islice
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .arith import kronecker
 from .quadfield import FieldContext, split_primes
@@ -22,19 +22,16 @@ class QuadForm:
 
 @dataclass(frozen=True)
 class SplitPrime:
-    """A split degree-1 prime of k: its norm l, the reduced form of its
-    class and that class's order.  The S0 members are the non-principal
-    ones (class_order > 1)."""
+    """A split degree-1 prime of k: its norm l and the reduced form of its
+    class.  The S0 members are the non-principal ones."""
 
     l: int
     form: QuadForm
-    class_order: int
 
     @classmethod
     def above(cls, D: int, l: int) -> "SplitPrime":
         f = prime_form(D, l)
-        f = reduce_form(f.a, f.b, f.c)
-        return cls(l=l, form=f, class_order=form_order(D, f))
+        return cls(l=l, form=reduce_form(f.a, f.b, f.c))
 
 
 def _reduce(a: int, b: int, c: int) -> tuple[QuadForm, tuple[int, int]]:
@@ -182,22 +179,6 @@ def form_order(D: int, f: QuadForm) -> int:
     return n
 
 
-def exponent(D: int) -> int:
-    """Largest order of a class group element: the lcm of the orders of the
-    forms that enlarge the subgroup grown from the reduced forms, which
-    generate the (abelian) group."""
-    forms = reduced_forms(D)
-    H = {principal_form(D)}
-    orders = [1]
-    for f in forms:
-        if len(H) == len(forms):
-            break
-        if f not in H:
-            H = _extend(D, H, f)
-            orders.append(form_order(D, f))
-    return lcm(*orders)
-
-
 class ClassNumberOne(ValueError):
     """k has class number 1: no split prime is non-principal, so there is
     nothing to bound."""
@@ -218,9 +199,10 @@ def enumerate_S0(ctx: FieldContext, count: int) -> list[SplitPrime]:
 
 def _split_primes(ctx: FieldContext):
     """The split non-principal degree-1 primes of k, by norm, without end."""
+    ident = principal_form(ctx.D)
     for l in split_primes(ctx):
         q = SplitPrime.above(ctx.D, l)
-        if q.class_order > 1:
+        if q.form != ident:
             yield q
 
 
@@ -247,16 +229,23 @@ def generates(ctx: FieldContext, classes: set[QuadForm]) -> bool:
     return len(subgroup_closure(ctx.D, classes)) == ctx.class_number
 
 
-def choose_S(ctx: FieldContext) -> list[SplitPrime]:
+def generating_set(ctx: FieldContext) -> tuple[SplitPrime, ...]:
     """Greedy-minimal generating subset: walk the split non-principal primes
     by norm, keep a prime iff its class is not yet in the generated
-    subgroup, stop once the whole group is hit."""
-    _require_class_number_above_1(ctx)
+    subgroup, stop once the whole group is hit (at once for class number
+    1).  FieldContext.generators caches it."""
     H = {principal_form(ctx.D)}
     chosen: list[SplitPrime] = []
-    for q in _split_primes(ctx):
+    primes = _split_primes(ctx)
+    while len(H) < ctx.class_number:
+        q = next(primes)
         if q.form not in H:
             H = _extend(ctx.D, H, q.form)
             chosen.append(q)
-            if len(H) == ctx.class_number:
-                return chosen
+    return tuple(chosen)
+
+
+def choose_S(ctx: FieldContext) -> list[SplitPrime]:
+    """The field's generating set (FieldContext.generators)."""
+    _require_class_number_above_1(ctx)
+    return list(ctx.generators)

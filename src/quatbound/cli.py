@@ -13,7 +13,7 @@ import tempfile
 
 from .arith import FactorBudget, FactoredInteger, prime_status
 from .quadfield import FieldContext, make_field
-from .classgroup import ClassNumberOne, enumerate_S0, reduced_forms
+from .classgroup import ClassNumberOne, enumerate_S0, form_order, reduced_forms
 from .mazur import mazur_prime_set
 from .bound import BoundParams, BoundReport, assemble_bound, candidate_discriminants, verify_prime_membership
 
@@ -194,14 +194,17 @@ def _family_doc(aset) -> dict:
     }
 
 
-def _report_doc(ctx, report: BoundReport, families: list[dict], cands) -> dict:
-    mz = report.mazur
+def _mazur_doc(mz) -> dict:
+    return {"bound": _s(mz.bound), "primes": _slist(mz.members)}
+
+
+def _report_doc(ctx, report: BoundReport, cands) -> dict:
     doc = {
         "field": _field_doc(ctx),
         "S": _slist(q.l for q in report.S),
         "s0_truncation": [_s(q.l) for q in report.s0_truncation],
-        "families": families,
-        "mazur": {"bound": _s(mz.bound), "primes": _slist(mz.members)},
+        "families": _all_families(report),
+        "mazur": _mazur_doc(report.mazur),
         "bound": {
             "components": {k: _slist(v) for k, v in sorted(report.components.items())},
             "union": _slist(report.union),
@@ -230,9 +233,11 @@ def main(argv=None) -> int:
         cache = cache_load(args.cache) if args.cache and os.path.exists(args.cache) else {}
         loaded = dict(cache)
         budget = FactorBudget(trial_bound=args.trial_bound, rho_iterations=args.rho_iters)
-        code = _run(args, make_field(args.d), budget, cache)
+        doc, code = _run(args, make_field(args.d), budget, cache)
+        # the report is written last, so a failed cache store leaves none
         if args.cache and cache != loaded:
             cache_store(args.cache, cache)
+        _emit(doc, args.json_path)
     except ClassNumberOne as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -242,39 +247,25 @@ def main(argv=None) -> int:
     return code
 
 
-def _run(args, ctx, budget, cache) -> int:
+def _run(args, ctx, budget, cache) -> tuple[dict, int]:
+    """The JSON report of one request and its exit code."""
     sub = args.subcommand
+    doc = {"field": _field_doc(ctx)}
     if sub == "field":
-        _emit({"field": _field_doc(ctx)}, args.json_path)
-        return 0
+        return doc, 0
     if sub == "classgroup":
-        forms = reduced_forms(ctx.D)
-        doc = {
-            "field": _field_doc(ctx),
-            "forms": [[_s(f.a), _s(f.b), _s(f.c)] for f in forms],
-        }
-        _emit(doc, args.json_path)
-        return 0
+        doc["forms"] = [[_s(f.a), _s(f.b), _s(f.c)] for f in reduced_forms(ctx.D)]
+        return doc, 0
     if sub == "s0":
-        s0 = enumerate_S0(ctx, args.s0_count)
-        doc = {
-            "field": _field_doc(ctx),
-            "s0": [
-                {"l": _s(q.l), "form": [_s(q.form.a), _s(q.form.b), _s(q.form.c)],
-                 "class_order": _s(q.class_order)}
-                for q in s0
-            ],
-        }
-        _emit(doc, args.json_path)
-        return 0
+        doc["s0"] = [
+            {"l": _s(q.l), "form": [_s(q.form.a), _s(q.form.b), _s(q.form.c)],
+             "class_order": _s(form_order(ctx.D, q.form))}
+            for q in enumerate_S0(ctx, args.s0_count)
+        ]
+        return doc, 0
     if sub == "mazur":
-        mz = mazur_prime_set(ctx, args.mazur_bound)
-        doc = {
-            "field": _field_doc(ctx),
-            "mazur": {"bound": _s(mz.bound), "primes": _slist(mz.members)},
-        }
-        _emit(doc, args.json_path)
-        return 0
+        doc["mazur"] = _mazur_doc(mazur_prime_set(ctx, args.mazur_bound))
+        return doc, 0
 
     params = BoundParams(
         s0_count=args.s0_count,
@@ -286,10 +277,8 @@ def _run(args, ctx, budget, cache) -> int:
     report = assemble_bound(ctx, params)
 
     if sub == "sets":
-        families = _all_families(report)
-        doc = {"field": _field_doc(ctx), "families": families}
-        _emit(doc, args.json_path)
-        return 0
+        doc["families"] = _all_families(report)
+        return doc, 0
 
     cands = None
     if sub == "candidates":
@@ -297,11 +286,8 @@ def _run(args, ctx, budget, cache) -> int:
     if sub == "verify":
         for p in sorted(report.union):
             verify_prime_membership(ctx, p, report)
-    families = _all_families(report)
-    _emit(_report_doc(ctx, report, families, cands), args.json_path)
-    if args.require_certified and not report.certified:
-        return 3
-    return 0
+    code = 3 if args.require_certified and not report.certified else 0
+    return _report_doc(ctx, report, cands), code
 
 
 def _all_families(report: BoundReport) -> list[dict]:

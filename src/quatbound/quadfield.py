@@ -4,6 +4,7 @@ splitting, and the field context that carries the class data."""
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .arith import kronecker, primes_up_to
 
@@ -37,8 +38,8 @@ def is_fundamental(D: int) -> bool:
 @dataclass(frozen=True)
 class FieldContext:
     """The field k = Q(sqrt(D)): fundamental discriminant and ramified
-    primes.  The class number and the class-group exponent h are computed
-    once, on first use."""
+    primes.  The class number, the greedy generating set of the class
+    group and the class-group exponent h are computed once, on first use."""
 
     D: int
     ram_primes: frozenset[int]
@@ -50,10 +51,19 @@ class FieldContext:
         return class_number(self.D)
 
     @cached_property
-    def h(self) -> int:
-        from .classgroup import exponent
+    def generators(self) -> tuple:
+        """The greedy generating set (classgroup.generating_set)."""
+        from .classgroup import generating_set
 
-        return exponent(self.D)
+        return generating_set(self)
+
+    @cached_property
+    def h(self) -> int:
+        """The exponent of the (abelian) class group: the lcm of the class
+        orders of any generating set."""
+        from .classgroup import form_order
+
+        return lcm(*(form_order(self.D, q.form) for q in self.generators))
 
 
 def make_field(d_or_D: int) -> FieldContext:

@@ -63,38 +63,43 @@ class ASet:
     lucas: tuple[tuple[int, int, int], ...] = ()
 
 
-def _trace_differences(family: str, h: int, pairs: list[tuple[int, int]]) -> ASet:
-    """The family {a - shift : a in trace_set(l, h)} over the (l, shift)
-    pairs, with the first (l, m, h) that gives each element."""
+def _trace_differences(
+    family: str, h: int, triples: list[tuple[int, dict[int, int], int]]
+) -> ASet:
+    """The family {a - shift : a in traces} over the (l, traces, shift)
+    triples, traces = trace_set(l, h), with the first (l, m, h) that gives
+    each element."""
     origin: dict[int, tuple[int, int, int]] = {}
-    for l, shift in pairs:
-        for m, a in trace_set(l, h).items():
+    for l, traces, shift in triples:
+        for m, a in traces.items():
             origin.setdefault(a - shift, (l, m, h))
     elements = tuple(sorted(origin))
     return ASet(
         family=family,
-        q_list=tuple(l for l, _ in pairs),
+        q_list=tuple(l for l, _, _ in triples),
         elements=elements,
         lucas=tuple(origin[v] for v in elements) if family == "A3" else (),
     )
 
 
-def family_A1(ctx: FieldContext, q: SplitPrime) -> ASet:
+def families_A1_A2(ctx: FieldContext, q: SplitPrime) -> tuple[ASet, ASet]:
+    """The A1 and A2 families of the S0 member q, from one beta and one
+    trace set: the traces shifted by those of beta^24 and l^8h*beta^8."""
     t, _ = beta_for(ctx, q)
-    shift = trace_power(t, q.l**ctx.h, 24)
-    return _trace_differences("A1", ctx.h, [(q.l, shift)])
-
-
-def family_A2(ctx: FieldContext, q: SplitPrime) -> ASet:
-    t, _ = beta_for(ctx, q)
-    shift = q.l ** (8 * ctx.h) * trace_power(t, q.l**ctx.h, 8)
-    return _trace_differences("A2", ctx.h, [(q.l, shift)])
+    traces = trace_set(q.l, ctx.h)
+    n = q.l**ctx.h
+    a1_shift = trace_power(t, n, 24)
+    a2_shift = q.l ** (8 * ctx.h) * trace_power(t, n, 8)
+    return (_trace_differences("A1", ctx.h, [(q.l, traces, a1_shift)]),
+            _trace_differences("A2", ctx.h, [(q.l, traces, a2_shift)]))
 
 
 def family_A3(ctx: FieldContext, S: list[SplitPrime]) -> ASet:
     if not S:
         raise ValueError("family_A3: S must be nonempty")
-    return _trace_differences("A3", ctx.h, [(q.l, 2 * q.l ** (12 * ctx.h)) for q in S])
+    return _trace_differences(
+        "A3", ctx.h,
+        [(q.l, trace_set(q.l, ctx.h), 2 * q.l ** (12 * ctx.h)) for q in S])
 
 
 def _lucas_parts(l: int, m: int, h: int) -> tuple[int, dict[int, int]]:

@@ -14,7 +14,7 @@ from quatbound.classgroup import class_number, enumerate_S0
 from quatbound.cli import main
 from quatbound.mazur import mazur_prime_set
 from quatbound.quadfield import is_fundamental, make_field
-from quatbound.weilsets import beta_for, family_A1, family_A2, family_A3, trace_power, trace_set
+from quatbound.weilsets import beta_for, families_A1_A2, family_A3, trace_power, trace_set
 
 TEST_FIELDS = (-20, -23, -24, -47, -84)
 
@@ -55,8 +55,7 @@ def test_criterion_1_end_to_end_sqrt_minus_5(tmp_path):
     assert trace_power(beta.trace, 9, 8) == 11842
     assert trace_power(beta.trace, 9, 24) == 131360949442
 
-    a1 = family_A1(ctx, q3)
-    a2 = family_A2(ctx, q3)
+    a1, a2 = families_A1_A2(ctx, q3)
     a3 = family_A3(ctx, [q3])
     assert 0 in a3.elements
     assert 0 not in a1.elements
@@ -130,8 +129,8 @@ def test_criterion_5_nonvanishing():
     for D in TEST_FIELDS:
         ctx = _ctx(D)
         for q in enumerate_S0(ctx, 5):
-            assert 0 not in family_A1(ctx, q).elements, (D, q.l)
-            assert 0 not in family_A2(ctx, q).elements, (D, q.l)
+            assert 0 not in families_A1_A2(ctx, q)[0].elements, (D, q.l)
+            assert 0 not in families_A1_A2(ctx, q)[1].elements, (D, q.l)
     _report("criterion 5: 0 absent from A1 and A2 for first 5 of S0, all fields")
 
 

@@ -1,9 +1,11 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
-from quatbound.arith import primes_up_to
+from quatbound import classgroup, weilsets
+from quatbound.arith import FactorBudget, primes_up_to
 from quatbound.bound import (
     BoundParams,
     assemble_bound,
@@ -12,7 +14,7 @@ from quatbound.bound import (
 )
 from quatbound.classgroup import ClassNumberOne
 from quatbound.quadfield import make_field, splitting_type
-from quatbound.weilsets import family_A1, family_A2
+from quatbound.weilsets import families_A1_A2
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,15 @@ class TestAssemble:
             assemble_bound(ctx20, BoundParams(mazur_bound=10**4, S_override=(29,)))
         with pytest.raises(ValueError, match="S override: 3 listed twice"):
             assemble_bound(ctx20, BoundParams(mazur_bound=10**4, S_override=(3, 7, 3)))
+        # the Kronecker symbol is multiplicative, so a composite can look split
+        for D, S, bad in [
+            (-71, (4,), 4),  # (-71|4) = 1: certified with 4 in the union
+            (-52, (-3,), -3),  # ended in an AssertionError from prime_form
+            (-3299, (3, 5, 9), 9),  # "9 is not a fundamental discriminant"
+            (-20, (0,), 0),  # "kronecker: n must be nonzero"
+        ]:
+            with pytest.raises(ValueError, match=f"^S override: {bad} is not a prime$"):
+                assemble_bound(make_field(D), BoundParams(mazur_bound=10**3, S_override=S))
 
     def test_non_generating_override_rejected(self, contexts):
         # the class group of -84 is (Z/2)^2: one class generates only Z/2
@@ -88,9 +99,29 @@ class TestAssemble:
 
     def test_families_carried(self, ctx20, report20):
         s0 = report20.s0_truncation
-        assert report20.a1_families == [family_A1(ctx20, q) for q in s0]
-        assert report20.a2_families == [family_A2(ctx20, q) for q in s0]
+        assert report20.a1_families == [families_A1_A2(ctx20, q)[0] for q in s0]
+        assert report20.a2_families == [families_A1_A2(ctx20, q)[1] for q in s0]
         assert report20.a3_set.q_list == tuple(q.l for q in report20.S)
+
+
+class TestBuildOnce:
+    @pytest.mark.parametrize("D, composes, orders", [
+        (-2999, 216, 1), (-1151, 120, 1), (-3299, 52, 2)])
+    def test_class_group_walked_once(self, monkeypatch, D, composes, orders):
+        # the generating-set walk gives S and, by the class orders of its
+        # members, h; S0 needs no class order and one beta per member
+        calls = Counter()
+        for module, name in ((classgroup, "compose"), (classgroup, "form_order"),
+                             (weilsets, "beta_for")):
+            def counting(*args, _name=name, _real=getattr(module, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        rep = assemble_bound(make_field(D), BoundParams(
+            mazur_bound=10**4, factor_budget=FactorBudget(rho_iterations=10**6)))
+        assert len(rep.S) == orders
+        assert calls == {"compose": composes, "form_order": orders, "beta_for": 4}
 
 
 class TestVerify:

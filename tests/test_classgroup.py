@@ -19,7 +19,6 @@ from quatbound.classgroup import (
     class_number,
     compose,
     enumerate_S0,
-    exponent,
     form_inverse,
     form_order,
     form_power,
@@ -115,13 +114,13 @@ class TestCompose:
 
 class TestExponent:
     def test_examples(self):
-        assert exponent(-20) == 2
-        assert exponent(-84) == 2  # four classes, all two-torsion
-        assert exponent(-47) == 5
+        assert make_field(-20).h == 2
+        assert make_field(-84).h == 2  # four classes, all two-torsion
+        assert make_field(-47).h == 5
 
     def test_divides_and_attained(self):
         for D in (-20, -23, -24, -47, -84):
-            h = exponent(D)
+            h = make_field(D).h
             orders = [form_order(D, f) for f in reduced_forms(D)]
             assert all(h % o == 0 for o in orders)
             assert h in orders
@@ -167,7 +166,7 @@ class TestS0:
     def test_first_members_power_principal(self, contexts):
         for ctx in contexts.values():
             for q in enumerate_S0(ctx, 10):
-                assert exponent(ctx.D) % q.class_order == 0
+                assert ctx.h % form_order(ctx.D, q.form) == 0
                 qh = form_power(ctx.D, prime_form(ctx.D, q.l), ctx.h)
                 assert qh.a == q.l**ctx.h
                 assert reduce_form(qh.a, qh.b, qh.c) == principal_form(ctx.D)
@@ -260,10 +259,10 @@ def check_against_reference(D: int, s0_count: int, all_pairs: bool) -> None:
         for f in forms:
             for g in forms:
                 assert compose(D, f, g) == reference_compose(D, f, g), (D, f, g)
-    assert exponent(D) == lcm(*(form_order(D, f) for f in forms)), D
+    assert make_field(D).h == lcm(*(form_order(D, f) for f in forms)), D
     ref = reference_s0(D, s0_count)
     s0 = enumerate_S0(ctx, s0_count)
-    assert [(q.l, q.form, q.class_order) for q in s0] == [r[:3] for r in ref], D
+    assert [(q.l, q.form, form_order(D, q.form)) for q in s0] == [r[:3] for r in ref], D
     for k in range(1, len(s0) + 1):
         gens = [q.form for q in s0[:k]]
         assert subgroup_closure(D, set(gens)) == reference_closure(D, gens), (D, k)
@@ -289,7 +288,7 @@ class TestAgainstIdealReference:
 
     def test_h41_with_l2_in_s0(self):
         check_against_reference(-1151, 4, all_pairs=False)
-        assert exponent(-1151) == 41
+        assert make_field(-1151).h == 41
         assert enumerate_S0(make_field(-1151), 1)[0].l == 2
 
 

@@ -1,10 +1,11 @@
 import json
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from quatbound import bound, cli
+from quatbound import bound, classgroup, cli, weilsets
 from quatbound.arith import FactorBudget, FactoredInteger, factor
 from quatbound.cli import cache_load, cache_store, main
 
@@ -127,20 +128,22 @@ class TestOneMazurSearch:
 
 class TestOneFamilyBuild:
     def test_each_family_built_once_per_verify(self, tmp_path, monkeypatch):
-        calls = {"family_A1": 0, "family_A2": 0, "family_A3": 0}
-        for name in calls:
-            real = getattr(bound, name)
-
-            def counting(*args, _name=name, _real=real):
+        # one beta per S0 member for both A1 and A2, and class orders only
+        # for the generating set that gives h
+        calls = Counter()
+        for module, name in ((bound, "families_A1_A2"), (bound, "family_A3"),
+                             (weilsets, "beta_for"), (classgroup, "form_order")):
+            def counting(*args, _name=name, _real=getattr(module, name)):
                 calls[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(bound, name, counting)
+            monkeypatch.setattr(module, name, counting)
         code, doc = run(tmp_path, "verify", "--d", "-5", *BASE)
         assert code == 0
         s0_count = len(doc["s0_truncation"])
         assert s0_count == 4
-        assert calls == {"family_A1": s0_count, "family_A2": s0_count, "family_A3": 1}
+        assert calls == {"families_A1_A2": s0_count, "family_A3": 1,
+                         "beta_for": s0_count, "form_order": len(doc["S"])}
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -152,6 +155,13 @@ class TestGoldenVerify:
         out = tmp_path / "verify.json"
         assert main(["verify", "--d", D, *BASE, "--json", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / f"verify_{D}.json").read_bytes()
+
+    @pytest.mark.parametrize("D", ["-2999", "-3299"])
+    def test_s0_bytes(self, tmp_path, D):
+        # class_order is computed where the s0 report prints it
+        out = tmp_path / "s0.json"
+        assert main(["s0", "--d", D, "--s0-count", "10", "--json", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"s0_{D}.json").read_bytes()
 
     def test_bound_large_h_bytes(self, tmp_path):
         # h = 41: A3 elements of 494 bits, factored through their Lucas parts
@@ -206,7 +216,9 @@ class TestExitCodes:
                 assert not out.exists(), sub
             else:
                 assert err == "", sub
-                assert json.loads(out.read_text())["field"]["h_k"] == "1", sub
+                field = json.loads(out.read_text())["field"]
+                # the generating set is empty, and lcm() = 1
+                assert (field["h_k"], field["h"]) == ("1", "1"), sub
 
     @pytest.mark.parametrize("argv", [
         ["bound", "--d", "abc"],
@@ -252,6 +264,20 @@ class TestExitCodes:
         assert not out.exists()
         assert "error: S override: 5 listed twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--d", "-71", "--S", "4"],
+        ["bound", "--d", "-52", "--S=-3"],
+        ["verify", "--d", "-3299", "--S", "3,5,9"],
+        ["bound", "--d", "-5", "--S", "0"],
+    ])
+    def test_s_not_prime(self, tmp_path, capsys, argv):
+        # 4 was certified into the -71 union; the others failed elsewhere
+        out = tmp_path / "o.json"
+        assert main([*argv, "--mazur-bound", "1000", "--json", str(out)]) == 1
+        assert not out.exists()
+        bad = argv[-1].rsplit(",", 1)[-1].removeprefix("--S=")
+        assert f"error: S override: {bad} is not a prime" in capsys.readouterr().err
+
     def test_unwritable_json_path(self, tmp_path, capsys):
         out = tmp_path / "missing" / "o.json"
         assert main(["field", "--d", "-5", "--json", str(out)]) == 1
@@ -266,6 +292,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{cache}'" in err
         assert ".cache-" not in err
+        # the report was written before the store and left behind
+        assert not (tmp_path / "o.json").exists()
 
     def test_require_certified_ok_when_certified(self, tmp_path):
         out = tmp_path / "o.json"

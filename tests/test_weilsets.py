@@ -15,8 +15,7 @@ from quatbound.weilsets import (
     _lucas,
     _lucas_parts,
     beta_for,
-    family_A1,
-    family_A2,
+    families_A1_A2,
     family_A3,
     intersection_set,
     prime_support,
@@ -141,10 +140,9 @@ class TestTraceSet:
 class TestFamilies:
     def test_a1_a2_shifts_and_elements(self, ctx20):
         q3 = enumerate_S0(ctx20, 1)[0]
-        a1 = family_A1(ctx20, q3)
+        a1, a2 = families_A1_A2(ctx20, q3)
         assert set(a1.elements) == {a - 131360949442 for a in trace_set(3, ctx20.h).values()}
         assert 564859072962 - 131360949442 in a1.elements
-        a2 = family_A2(ctx20, q3)
         assert set(a2.elements) == {a - 3**16 * 11842 for a in trace_set(3, ctx20.h).values()}
         assert 564859072962 - 509759270082 in a2.elements
 
@@ -160,8 +158,8 @@ class TestFamilies:
     def test_nonvanishing_first_five(self, contexts):
         for ctx in contexts.values():
             for q in enumerate_S0(ctx, 5):
-                assert 0 not in family_A1(ctx, q).elements, (ctx.D, q.l)
-                assert 0 not in family_A2(ctx, q).elements, (ctx.D, q.l)
+                assert 0 not in families_A1_A2(ctx, q)[0].elements, (ctx.D, q.l)
+                assert 0 not in families_A1_A2(ctx, q)[1].elements, (ctx.D, q.l)
 
     def test_a3(self, ctx20):
         S = choose_S(ctx20)
@@ -189,18 +187,18 @@ class TestPrimeSupport:
 
     def test_a1_certified(self, ctx20):
         q3 = enumerate_S0(ctx20, 1)[0]
-        out = prime_support(family_A1(ctx20, q3))
+        out = prime_support(families_A1_A2(ctx20, q3)[0])
         assert out.certified
         # cross-check the support by direct divisibility
         for p in out.support:
             assert any(v % p == 0 for v in out.elements if v != 0)
 
 
-FAMILIES = {"A1": family_A1, "A2": family_A2}
+FAMILIES = {"A1": 0, "A2": 1}
 
 
 def members(ctx, family, s0):
-    return [FAMILIES[family](ctx, q) for q in s0]
+    return [families_A1_A2(ctx, q)[FAMILIES[family]] for q in s0]
 
 
 def intersect(ms, budget=FactorBudget()):
@@ -212,7 +210,7 @@ class TestIntersectSupports:
     def test_length_one_equals_support(self, ctx20):
         s0 = enumerate_S0(ctx20, 1)
         primes, cert = intersect(members(ctx20, "A1", s0))
-        assert primes == prime_support(family_A1(ctx20, s0[0])).support
+        assert primes == prime_support(families_A1_A2(ctx20, s0[0])[0]).support
         assert cert
 
     def test_monotone_shrinking(self, ctx20):
@@ -229,7 +227,7 @@ class TestIntersectSupports:
         one, _ = intersect(members(ctx20, "A1", s0[:1]))
         two, _ = intersect(members(ctx20, "A1", s0))
         dropped = one - two
-        elems7 = [v for v in family_A1(ctx20, s0[1]).elements if v != 0]
+        elems7 = [v for v in families_A1_A2(ctx20, s0[1])[0].elements if v != 0]
         for p in dropped:
             assert all(v % p for v in elems7)
         for p in two:
@@ -281,7 +279,7 @@ class TestGcdIntersection:
         for g in cache:
             for q in s0:
                 prod_q = 1
-                for v in family_A1(ctx20, q).elements:
+                for v in families_A1_A2(ctx20, q)[0].elements:
                     prod_q *= v or 1
                 assert prod_q % g == 0
 
@@ -289,7 +287,7 @@ class TestGcdIntersection:
     def test_one_member_factors_each_element(self, family):
         ctx = _field(-3299)
         s0 = enumerate_S0(ctx, 1)
-        first = prime_support(FAMILIES[family](ctx, s0[0]))
+        first = prime_support(families_A1_A2(ctx, s0[0])[FAMILIES[family]])
         assert first.certified
         assert intersect(members(ctx, family, s0)) == (first.support, True)
 
