@@ -2,6 +2,7 @@
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, islice
 from math import gcd, isqrt, prod
 
@@ -149,7 +150,7 @@ def primes_up_to(bound: int) -> list[int]:
 class FactorBudget:
     """Effort limits for factor(); exhaustion yields a cofactor, not an error.
     Every part below trial_bound**2 left after trial division is prime, so
-    trial_bound must be at least 2."""
+    trial_bound must be at least 2.  rho_iterations = 0 runs no rho."""
 
     trial_bound: int = 10**6
     rho_iterations: int = 10**7
@@ -157,14 +158,19 @@ class FactorBudget:
     def __post_init__(self):
         if self.trial_bound < 2:
             raise ValueError(f"trial bound must be >= 2, got {self.trial_bound}")
+        if self.rho_iterations < 0:
+            raise ValueError(f"rho iterations must be >= 0, got {self.rho_iterations}")
 
 
 @dataclass(frozen=True)
 class FactoredInteger:
     value: int
-    sign: int
     prime_powers: tuple[tuple[int, int], ...]
     cofactor: int | None = None
+
+    @property
+    def sign(self) -> int:
+        return -1 if self.value < 0 else 1
 
     def reconstruct(self) -> int:
         out = self.sign
@@ -188,18 +194,13 @@ class FactoredInteger:
 # bits below 10^6.
 _TRIAL_RUN = 128
 
-_TRIAL_PRIMES: dict[int, tuple[list[int], list[int]]] = {}
 
-
+@lru_cache(maxsize=8)
 def _trial_primes(bound: int) -> tuple[list[int], list[int]]:
     """The primes up to bound, and the products of their runs built so far.
     _trial_divide appends a run's product the first time it reaches the run,
     so a process builds only the products it uses."""
-    if bound not in _TRIAL_PRIMES:
-        if len(_TRIAL_PRIMES) > 8:
-            _TRIAL_PRIMES.clear()
-        _TRIAL_PRIMES[bound] = (primes_up_to(bound), [])
-    return _TRIAL_PRIMES[bound]
+    return primes_up_to(bound), []
 
 
 def _trial_divide(m: int, primes: list[int], products: list[int]) -> tuple[dict[int, int], int]:
@@ -309,15 +310,13 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
     """
     if n == 0:
         raise ValueError("factor: n must be nonzero")
-    sign = -1 if n < 0 else 1
     primes, products = _trial_primes(budget.trial_bound)
     powers, m = _trial_divide(abs(n), primes, products)
+    # every part pushed is above 1: isqrt(m) >= 2, and p-1 and rho give 1 < f < m
     stack = [m] if m > 1 else []
-    cofactors: list[int] = []
+    cofactor = 1
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         # below trial_bound^2 any remaining part is prime
         status = "prime" if m <= budget.trial_bound * budget.trial_bound else prime_status(m)
         if status == "prime":
@@ -325,7 +324,7 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
             continue
         if status == "probable":
             # BPSW proves nothing: the part stays unfactored
-            cofactors.append(m)
+            cofactor *= m
             continue
         r = isqrt(m)
         if r * r == m:
@@ -337,17 +336,11 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
         if f is None:
             f = _brent_rho(m, budget.rho_iterations)
         if f is None:
-            cofactors.append(m)
+            cofactor *= m
         else:
             stack.extend((f, m // f))
-    cofactor = None
-    if cofactors:
-        cofactor = 1
-        for c in cofactors:
-            cofactor *= c
     return FactoredInteger(
         value=n,
-        sign=sign,
         prime_powers=tuple(sorted(powers.items())),
-        cofactor=cofactor,
+        cofactor=cofactor if cofactor > 1 else None,
     )

@@ -70,7 +70,7 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
         "small": frozenset(primes_up_to(SMALL_PRIME_CAP)),
         "a1_intersection": a1.support,
         "a2_intersection": a2.support,
-        "a3_support": frozenset(a3.support),
+        "a3_support": a3.support,
         "mazur_primes": frozenset(mz.members),
         "l_of_S": frozenset(q.l for q in S),
     }

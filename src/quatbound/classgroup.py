@@ -104,12 +104,34 @@ def class_number(D: int) -> int:
     return len(reduced_forms(D))
 
 
+def _sqrt_mod(n: int, l: int) -> int:
+    """A square root of n, a nonzero square mod the odd prime l
+    (Tonelli-Shanks; Shanks 1973).  Every loop is bounded, so a composite
+    l that passed as a probable prime yields a wrong root, not a hang."""
+    q, s = l - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next((z for z in range(2, l) if kronecker(z, l) == -1), 1)
+    c, t, r = pow(z, q, l), pow(n, q, l), pow(n, (q + 1) // 2, l)
+    # r^2 = t*n and t^(2^(s-1)) = 1 mod l; each step lowers s
+    while t != 1:
+        i = next((i for i in range(1, s) if pow(t, 1 << i, l) == 1), 0)
+        if not i:
+            break
+        u = pow(c, 1 << (s - i - 1), l)
+        s, c, t, r = i, u * u % l, t * u * u % l, r * u % l
+    return r
+
+
 def prime_form(D: int, l: int) -> QuadForm:
     """The form (l, b, c) of the degree-1 prime Z*l + Z*(-b + sqrt(D))/2
-    above l, with the smallest valid b >= 0."""
+    above l, with the smallest valid b >= 0.  The valid b in [0, 2l) are
+    = +-r mod l, of the parity of D, for r a square root of D mod l; l = 2
+    tries both b of that parity."""
     if kronecker(D, l) == -1:
         raise ValueError(f"{l} is inert in Q(sqrt({D})): no degree-1 prime")
-    for b in range(D % 2, 2 * l, 2):
+    r = D % l if l == 2 or D % l == 0 else _sqrt_mod(D, l)
+    for b in sorted(b for b in (r, l - r, l + r, 2 * l - r) if b % 2 == D % 2):
         if (b * b - D) % (4 * l) == 0:
             return QuadForm(l, b, (b * b - D) // (4 * l))
     raise AssertionError(f"no square root of {D} mod 4*{l}")
@@ -161,10 +183,6 @@ def form_power(D: int, f: QuadForm, n: int) -> QuadForm:
         if not n:
             return result
         f = _dirichlet(D, f, f)
-
-
-def form_inverse(f: QuadForm) -> QuadForm:
-    return reduce_form(f.a, -f.b, f.c)
 
 
 def form_order(D: int, f: QuadForm) -> int:

@@ -114,12 +114,7 @@ def _parse_cache_line(line: str) -> tuple[int, FactoredInteger]:
             raise ValueError(f"prime {p} after {last}: primes not strictly ascending")
         last = p
         powers.append((p, e))
-    fac = FactoredInteger(
-        value=value,
-        sign=-1 if value < 0 else 1,
-        prime_powers=tuple(powers),
-        cofactor=cofactor,
-    )
+    fac = FactoredInteger(value=value, prime_powers=tuple(powers), cofactor=cofactor)
     if fac.reconstruct() != value:
         raise ValueError(f"entry for {value} does not multiply back")
     return value, fac
@@ -170,9 +165,7 @@ def _field_doc(ctx: FieldContext) -> dict:
     }
 
 
-def _fac_doc(f: FactoredInteger | None) -> dict:
-    if f is None:
-        return {"factors": [], "zero": True}
+def _fac_doc(f: FactoredInteger) -> dict:
     doc = {"factors": [[_s(p), _s(e)] for p, e in f.prime_powers]}
     if f.cofactor is not None:
         doc["cofactor"] = _s(f.cofactor)

@@ -49,8 +49,9 @@ def beta_for(ctx: FieldContext, q: SplitPrime) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ASet:
-    """One subtracted-trace family: raw elements, factorizations of the
-    nonzero ones, and the certified prime support.  An A3 family also keeps,
+    """One subtracted-trace family: raw elements, the factorizations of the
+    nonzero ones once prime_support has run, and the prime support and its
+    certification, read off the factorizations.  An A3 family also keeps,
     for each element, an (l, m, h) it comes from: the element is
     V_24h(-m, l) - 2*l^12h, which prime_support factors through its parts."""
 
@@ -58,9 +59,19 @@ class ASet:
     q_list: tuple[int, ...]
     elements: tuple[int, ...]
     factorizations: tuple[FactoredInteger | None, ...] = ()
-    support: frozenset[int] = frozenset()
-    certified: bool = False
     lucas: tuple[tuple[int, int, int], ...] = ()
+
+    @property
+    def support(self) -> frozenset[int]:
+        return frozenset(p for f in self.factorizations if f is not None
+                         for p in f.primes)
+
+    @property
+    def certified(self) -> bool:
+        """Every nonzero element has a complete factorization."""
+        facs = self.factorizations or (None,) * len(self.elements)
+        return all(f is not None and f.complete
+                   for v, f in zip(self.elements, facs) if v != 0)
 
 
 def _trace_differences(
@@ -134,12 +145,8 @@ def _factor_a3(v: int, l: int, m: int, h: int, budget: FactorBudget) -> Factored
             powers[p] = powers.get(p, 0) + twice * e
         if not f.complete:
             cofactor *= f.cofactor**twice
-    merged = FactoredInteger(
-        value=v,
-        sign=-1 if v < 0 else 1,
-        prime_powers=tuple(sorted(powers.items())),
-        cofactor=cofactor if cofactor > 1 else None,
-    )
+    merged = FactoredInteger(value=v, prime_powers=tuple(sorted(powers.items())),
+                             cofactor=cofactor if cofactor > 1 else None)
     if merged.reconstruct() != v:
         raise AssertionError(f"A3 parts of ({l}, {m}, {h}) do not multiply back")
     return merged
@@ -169,26 +176,11 @@ def prime_support(
     budget: FactorBudget = FactorBudget(),
     cache: dict[int, FactoredInteger] | None = None,
 ) -> ASet:
-    """Factor each nonzero element; support is the union of found primes,
-    certified iff every factorization completed within budget."""
-    facs: list[FactoredInteger | None] = []
-    support: set[int] = set()
-    certified = True
-    for v, lucas in zip(aset.elements, aset.lucas or [None] * len(aset.elements)):
-        if v == 0:
-            facs.append(None)
-            continue
-        f = factor_cached(v, budget, cache, lucas)
-        facs.append(f)
-        support.update(f.primes)
-        if not f.complete:
-            certified = False
-    return replace(
-        aset,
-        factorizations=tuple(facs),
-        support=frozenset(support),
-        certified=certified,
-    )
+    """The family with each nonzero element factored within budget."""
+    lucas = aset.lucas or (None,) * len(aset.elements)
+    return replace(aset, factorizations=tuple(
+        factor_cached(v, budget, cache, o) if v != 0 else None
+        for v, o in zip(aset.elements, lucas)))
 
 
 def intersection_set(

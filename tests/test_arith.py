@@ -152,6 +152,18 @@ class TestFactor:
         with pytest.raises(ValueError):
             FactorBudget(trial_bound=trial_bound)
 
+    @pytest.mark.parametrize("rho_iterations", [-1, -10**7])
+    def test_negative_rho_iterations_rejected(self, rho_iterations):
+        # -1 ran as no rho at all and left an uncertified report at exit 0
+        with pytest.raises(ValueError, match="rho iterations must be >= 0"):
+            FactorBudget(rho_iterations=rho_iterations)
+
+    def test_zero_rho_iterations_run_no_rho(self):
+        # 0 stays legal: no p-1, no rho, so a product of two primes above
+        # the trial bound stays a cofactor
+        f = factor(1000003 * 1000033, FactorBudget(trial_bound=100, rho_iterations=0))
+        assert f.prime_powers == () and f.cofactor == 1000003 * 1000033
+
     def test_smallest_trial_bound(self):
         f = factor(18, FactorBudget(trial_bound=2))
         assert f.prime_powers == ((2, 1), (3, 2)) and f.complete
@@ -345,10 +357,10 @@ class TestTrialDivision:
     def test_products_built_lazily(self, monkeypatch):
         # the products are built when a factorization first reaches their
         # run: building all 614 up front costs every process about 7 ms
-        monkeypatch.setattr(arith, "_TRIAL_PRIMES", {})
+        arith._trial_primes.cache_clear()
         assert factor(2**20 * 3**10).prime_powers == ((2, 20), (3, 10))
         assert factor(719 * 727).prime_powers == ((719, 1), (727, 1))
-        primes, products = arith._TRIAL_PRIMES[10**6]
+        primes, products = arith._trial_primes(10**6)
         assert products == [prod(primes[:128])]
         factor(1000003**2)
         assert len(products) == 614

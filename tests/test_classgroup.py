@@ -11,7 +11,7 @@ from ideal_reference import (
     reference_compose,
     shortest_generator,
 )
-from quatbound.arith import kronecker, primes_up_to
+from quatbound.arith import is_prime, kronecker, primes_up_to
 from quatbound.classgroup import (
     ClassNumberOne,
     QuadForm,
@@ -19,7 +19,6 @@ from quatbound.classgroup import (
     class_number,
     compose,
     enumerate_S0,
-    form_inverse,
     form_order,
     form_power,
     generates,
@@ -93,7 +92,7 @@ class TestCompose:
 
     def test_inverse_law(self):
         f = QuadForm(2, 1, 3)
-        assert compose(-23, f, form_inverse(f)) == principal_form(-23)
+        assert compose(-23, f, reduce_form(f.a, -f.b, f.c)) == principal_form(-23)
 
     @pytest.mark.parametrize("D", [-20, -23, -24, -47, -84])
     def test_group_laws_all_triples(self, D):
@@ -101,7 +100,7 @@ class TestCompose:
         ident = principal_form(D)
         for f in forms:
             assert compose(D, f, ident) == f
-            assert compose(D, f, form_inverse(f)) == ident
+            assert compose(D, f, reduce_form(f.a, -f.b, f.c)) == ident
         for f, g in combinations(forms, 2):
             assert compose(D, f, g) == compose(D, g, f)
         for f in forms:
@@ -290,6 +289,49 @@ class TestAgainstIdealReference:
         check_against_reference(-1151, 4, all_pairs=False)
         assert make_field(-1151).h == 41
         assert enumerate_S0(make_field(-1151), 1)[0].l == 2
+
+
+class TestPrimeForm:
+    """prime_form's square root mod l against the linear scan over b of
+    `ideal_reference.prime_ideal_above`."""
+
+    def test_matches_scan(self):
+        fields = [D for D in range(-3, -401, -1) if is_fundamental(D)][::4]
+        fields += [-1151, -2999, -3299, -5879, -999_995, -4_000_004, -8_000_008]
+        pairs = ramified = 0
+        for D in fields:
+            for l in primes_up_to(3000):
+                if kronecker(D, l) == -1:
+                    continue
+                f, I = prime_form(D, l), prime_ideal_above(D, l)
+                assert (f.a, f.b) == (I.a, I.b), (D, l)
+                assert f.b * f.b - 4 * f.a * f.c == D
+                pairs += 1
+                ramified += D % l == 0
+        assert (len(fields), pairs, ramified) == (38, 8100, 60)
+
+    def test_large_l(self):
+        # the scan takes about 0.8 s for this l, and would not end for
+        # the 89-bit Mersenne prime, which is only BPSW-probable
+        assert prime_form(-20, 10_000_103) == QuadForm(10_000_103, 5_860_194, 858_538)
+        l = 2**89 - 1
+        f = prime_form(-23, l)
+        assert f.a == l and 0 < f.b < 2 * l and f.b * f.b - 4 * l * f.c == -23
+
+    def test_composite_l_ends(self):
+        # every loop is bounded: a composite l, squares included, gets a
+        # valid form or the AssertionError, never a hang
+        for D in (-7, -20, -23, -84):
+            for l in range(9, 600, 2):
+                if is_prime(l) or kronecker(D, l) == -1:
+                    continue
+                try:
+                    f = prime_form(D, l)
+                except AssertionError:
+                    continue
+                assert (f.b * f.b - D) % (4 * l) == 0
+        with pytest.raises(AssertionError):
+            prime_form(-7, 15)  # (-7|15) = 1, yet -7 is a square mod neither 3 nor 5
 
 
 def lattice_generator(D: int, f: QuadForm):

@@ -179,6 +179,14 @@ class TestGoldenVerify:
                      "--require-certified", "--json", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "bound_-2999.json").read_bytes()
 
+    def test_bound_uncertified_bytes(self, tmp_path):
+        # a budget too small for -1151: composite cofactors in A3 and in an
+        # A1 intersection, and the "factor budget exhausted" caveat
+        out = tmp_path / "bound.json"
+        assert main(["bound", "--d", "-1151", "--trial-bound", "50", "--rho-iters", "2",
+                     "--mazur-bound", "1000", "--json", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "bound_-1151_tiny.json").read_bytes()
+
     def test_clock_changes_nothing(self, tmp_path, monkeypatch):
         # factoring is bounded by iterations alone: a clock that jumps by
         # 10^6 s on every read changes no factorization and no byte
@@ -240,6 +248,14 @@ class TestExitCodes:
         assert main(["bound", "--d", "-5", "--trial-bound", "-40",
                      "--mazur-bound", "1000", "--json", str(out)]) == 1
         assert not out.exists()
+
+    def test_negative_rho_iters(self, tmp_path, capsys):
+        # -1 ran as no rho at all: an uncertified report at exit 0
+        out = tmp_path / "o.json"
+        assert main(["bound", "--d", "-2999", "--rho-iters", "-1",
+                     "--mazur-bound", "1000", "--json", str(out)]) == 1
+        assert not out.exists()
+        assert "rho iterations must be >= 0, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub", ["bound", "verify", "s0"])
     @pytest.mark.parametrize("count", ["0", "-1"])
@@ -385,13 +401,13 @@ class TestCacheFormat:
         path = tmp_path / "cache.txt"
         table = {
             564859072962: FactoredInteger(
-                value=564859072962, sign=1, prime_powers=((2, 1), (3, 24))
+                value=564859072962, prime_powers=((2, 1), (3, 24))
             ),
             -90: FactoredInteger(
-                value=-90, sign=-1, prime_powers=((2, 1), (3, 2), (5, 1))
+                value=-90, prime_powers=((2, 1), (3, 2), (5, 1))
             ),
             1000036000099: FactoredInteger(
-                value=1000036000099, sign=1, prime_powers=(),
+                value=1000036000099, prime_powers=(),
                 cofactor=1000036000099,
             ),
         }

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import prod
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from ideal_reference import QuadInt
 from quatbound import weilsets
-from quatbound.arith import FactorBudget, factor
+from quatbound.arith import FactorBudget, FactoredInteger, factor
 from quatbound.classgroup import enumerate_S0, choose_S
 from quatbound.quadfield import is_fundamental, make_field
 from quatbound.weilsets import (
@@ -192,6 +193,44 @@ class TestPrimeSupport:
         # cross-check the support by direct divisibility
         for p in out.support:
             assert any(v % p == 0 for v in out.elements if v != 0)
+
+
+class TestReadOff:
+    """support and certified are read off the factorizations, so they
+    follow every replace() of them."""
+
+    def test_replaced_factorizations(self, ctx20):
+        a = prime_support(family_A3(ctx20, choose_S(ctx20)))
+        assert a.support and a.certified
+        bare = replace(a, factorizations=())
+        assert bare.support == frozenset() and not bare.certified
+        # one element left unfactored: its primes leave the support
+        i = next(i for i, v in enumerate(a.elements) if v != 0)
+        v = a.elements[i]
+        facs = list(a.factorizations)
+        facs[i] = FactoredInteger(value=v, prime_powers=(), cofactor=abs(v))
+        rest = [f.primes for f in facs if f is not None]
+        part = replace(a, factorizations=tuple(facs))
+        assert part.support == frozenset().union(*rest) and not part.certified
+
+    def test_raw_families_uncertified(self, contexts):
+        for ctx in contexts.values():
+            for q in enumerate_S0(ctx, 2):
+                for raw in families_A1_A2(ctx, q):
+                    assert raw.support == frozenset() and not raw.certified
+
+    def test_empty_family_certified(self):
+        # an intersection with no element has nothing left to factor
+        assert ASet(family="A1", q_list=(3, 7), elements=()).certified
+
+    def test_panel_support_is_union(self, a3_panel):
+        budget = FactorBudget(rho_iterations=10**6)
+        for a3 in a3_panel:
+            out = prime_support(a3, budget)
+            facs = [f for f in out.factorizations if f is not None]
+            assert len(facs) == sum(v != 0 for v in a3.elements)
+            assert out.support == frozenset(p for f in facs for p in f.primes)
+            assert out.certified == all(f.complete for f in facs)
 
 
 FAMILIES = {"A1": 0, "A2": 1}
