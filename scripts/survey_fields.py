@@ -8,12 +8,16 @@ size of the union, whether it is certified, the time taken, and the union.
 h_k and h are read off the field context, which walks the class group
 once, on first use: its greedy generating set is the report's S, and h is
 the lcm of the class orders of its members.  Fields of class number 1 are skipped.
+After the table, one line per band of h (1-9, 10-39, 40-99, >= 100) counts
+the certified fields of the band out of all its fields.
 
     python3 scripts/survey_fields.py --min -100 [--s0-count 4] [--mazur-bound 100000]
 """
 
 import argparse
 import time
+
+H_BANDS = ((1, 9), (10, 39), (40, 99), (100, None))
 
 from quatbound.bound import BoundParams, assemble_bound
 from quatbound.quadfield import is_fundamental, make_field
@@ -29,6 +33,7 @@ def main():
     params = BoundParams(s0_count=args.s0_count, mazur_bound=args.mazur_bound)
     print(f"{'D':>6} {'h_k':>4} {'h':>3} {'S':<12} {'|union|':>7} "
           f"{'cert':>5} {'time':>6}  union")
+    surveyed = []  # (h, certified) per field
     for D in range(-3, args.min - 1, -1):
         if not is_fundamental(D):
             continue
@@ -42,6 +47,11 @@ def main():
         union = ",".join(str(p) for p in sorted(rep.union))
         print(f"{D:>6} {ctx.class_number:>4} {ctx.h:>3} {S:<12} "
               f"{len(rep.union):>7} {str(rep.certified):>5} {dt:>5.1f}s  {union}")
+        surveyed.append((ctx.h, rep.certified))
+    for lo, hi in H_BANDS:
+        band = [cert for h, cert in surveyed if lo <= h and (hi is None or h <= hi)]
+        label = f"h {lo}-{hi}" if hi else f"h >= {lo}"
+        print(f"{label:<9} certified {sum(band)}/{len(band)}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Exact big-integer primitives: Kronecker symbol, primality, bounded factoring."""
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import compress
 from math import gcd, isqrt, prod
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -195,12 +196,18 @@ class FactoredInteger:
 _TRIAL_RUN = 128
 
 
+# p-1 stage 2 pairs its primes around the multiples of 2*3*5*7*11.
+_D = 2310
+
+
 @lru_cache(maxsize=8)
-def _trial_primes(bound: int) -> tuple[list[int], list[int]]:
-    """The primes up to bound, and the products of their runs built so far.
-    _trial_divide appends a run's product the first time it reaches the run,
-    so a process builds only the products it uses."""
-    return primes_up_to(bound), []
+def _trial_primes(bound: int) -> tuple[list[int], list[int], array, array]:
+    """The primes up to bound, the products of their runs built so far, and
+    the rows of p-1's stage-2 grid built so far: row k is js[ends[k]:ends[k+1]],
+    the distinct j with k*_D - j or k*_D + j a stage-2 prime.  _trial_divide
+    and _pollard_pm1 append a run's product or a row the first time they
+    reach it, so a process builds only what it uses."""
+    return primes_up_to(bound), [], array("H"), array("I", [0])
 
 
 def _trial_divide(m: int, primes: list[int], products: list[int]) -> tuple[dict[int, int], int]:
@@ -260,15 +267,20 @@ def _brent_rho(n: int, max_iters: int) -> int | None:
     return None
 
 
-def _pollard_pm1(n: int, primes: list[int]) -> int | None:
+def _pollard_pm1(n: int, primes: list[int], js: array, ends: array) -> int | None:
     """Pollard p-1 with base 3 over the trial primes (Pollard 1974).
 
     With T = primes[-1], stage 1 raises the base to every prime power up to
-    sqrt(T); stage 2 (Montgomery 1987) then takes each further prime q <= T,
-    stepping between consecutive primes by a table of a^gap.  A prime p | n
-    is found when p - 1 divides the stage-1 exponent times at most one
-    stage-2 prime.  Returns a proper factor of n, or None, also when every
-    prime of n is found at once (the gcd is n) and rho must split it.
+    sqrt(T), giving a = 3^E; stage 2 takes the further primes q <= T, paired
+    around multiples of _D (Montgomery 1987, section 4).  Each q is k*_D +- j
+    with j <= _D/2, and with X = a^(k*_D), Y = a^j,
+        (X + 1/X) - (Y + 1/Y) = (X - Y)(XY - 1)/(XY),
+    so one product term per pair (k, j) catches both k*_D - j and k*_D + j.
+    A prime p | n is caught when ord_p(3) divides E, or E times a stage-2
+    prime, or E times the partner k*_D -+ j of one (a number below T + _D).
+    The grid's rows are js[ends[k]:ends[k+1]], built the first time a call
+    reaches them.  Returns a proper factor of n, or None, also when every
+    prime of n is caught within one row (the gcd is n) and rho must split it.
     """
     root = isqrt(primes[-1])
     a = 3
@@ -279,18 +291,43 @@ def _pollard_pm1(n: int, primes: list[int]) -> int | None:
         while qk * q <= root:
             qk *= q
         a = pow(a, qk, n)
-    steps: dict[int, int] = {}
-    acc, b, prev = a - 1, 1, 0
-    for i, q in enumerate(islice(primes, bisect_right(primes, root), None), 1):
-        step = steps.get(q - prev)
-        if step is None:
-            step = steps[q - prev] = pow(a, q - prev, n)
-        b, prev = b * step % n, q
-        acc = acc * (b - 1) % n
-        if i % 1024 == 0 and gcd(acc, n) != 1:
-            break
-    g = gcd(acc, n)
-    return g if 1 < g < n else None
+    g = gcd(a, n)  # 3 | n: a has no inverse
+    if g > 1:
+        return g if g < n else None
+    y = [2, (a + pow(a, -1, n)) % n]  # y[j] = a^j + a^-j, one Lucas step each
+    for _ in range(_D // 2 - 1):
+        y.append((y[1] * y[-1] - y[-2]) % n)
+    v_d = (y[-1] * y[-1] - 2) % n
+
+    def walk(k0, k1, acc, x, x_prev):
+        # rows k0 <= k < k1; x = V_{k*_D} = X + 1/X and x_prev = V_{(k-1)*_D}
+        for k in range(k0, k1):
+            if k == len(ends) - 1:
+                lo = bisect_right(primes, max(root, k * _D - _D // 2))
+                hi = bisect_right(primes, k * _D + _D // 2, lo)
+                js.extend({abs(q - k * _D) for q in primes[lo:hi]})
+                ends.append(len(js))
+            for j in js[ends[k] : ends[k + 1]]:
+                acc = acc * (x - y[j]) % n
+            x, x_prev = (x * v_d - x_prev) % n, x
+        return acc, x, x_prev
+
+    rows = (primes[-1] + _D // 2) // _D + 1
+    state = (a - 1, 2, v_d)  # V_0 = 2 and V_{-D} = V_D
+    for k0 in range(0, rows, 4):
+        k1 = min(k0 + 4, rows)
+        nxt = walk(k0, k1, *state)
+        g = gcd(nxt[0], n)
+        if g == n:  # redo the window one row at a time
+            for k in range(k0, k1):
+                state = walk(k, k + 1, *state)
+                g = gcd(state[0], n)
+                if g > 1:
+                    return g if g < n else None
+        if g > 1:
+            return g
+        state = nxt
+    return None
 
 
 def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
@@ -302,15 +339,15 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
     prime by prime.  It leaves the same prime powers and part as dividing
     by each prime p with p*p <= the part in turn.
 
-    The result depends on (n, budget) alone.  p-1 runs only when its one
-    step per trial prime fits in the rho iteration budget; if it finds
+    The result depends on (n, budget) alone.  p-1 runs only when the trial
+    primes, one step each, fit in the rho iteration budget; if it finds
     nothing, rho runs with the whole budget.  Any composite part left when
     rho runs out of iterations, and any part that is only a BPSW probable
     prime, is reported in the cofactor.
     """
     if n == 0:
         raise ValueError("factor: n must be nonzero")
-    primes, products = _trial_primes(budget.trial_bound)
+    primes, products, js, ends = _trial_primes(budget.trial_bound)
     powers, m = _trial_divide(abs(n), primes, products)
     # every part pushed is above 1: isqrt(m) >= 2, and p-1 and rho give 1 < f < m
     stack = [m] if m > 1 else []
@@ -332,7 +369,7 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
             continue
         f = None
         if len(primes) <= budget.rho_iterations:
-            f = _pollard_pm1(m, primes)
+            f = _pollard_pm1(m, primes, js, ends)
         if f is None:
             f = _brent_rho(m, budget.rho_iterations)
         if f is None:

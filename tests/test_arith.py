@@ -1,6 +1,8 @@
 import os
 import random
-from math import isqrt, prod
+from bisect import bisect_right
+from itertools import islice
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -205,7 +207,7 @@ class TestPollardPm1:
     @pytest.mark.parametrize("trial_bound, rho_iterations", [(50, 2), (100, 10)])
     def test_tiny_budget_skips_pm1(self, monkeypatch, trial_bound, rho_iterations):
         calls = []
-        monkeypatch.setattr(arith, "_pollard_pm1", lambda n, primes: calls.append(n))
+        monkeypatch.setattr(arith, "_pollard_pm1", lambda n, *grid: calls.append(n))
         p = 100000000000000000000000012349
         q = 100000000000000000000000098811
         factor(p * q, FactorBudget(trial_bound, rho_iterations))
@@ -216,7 +218,7 @@ class TestPollardPm1:
     def _oracle_check(self, monkeypatch, n, budget):
         with_pm1 = factor(n, budget)
         with monkeypatch.context() as m:
-            m.setattr(arith, "_pollard_pm1", lambda n, primes: None)
+            m.setattr(arith, "_pollard_pm1", lambda n, *grid: None)
             rho_only = factor(n, budget)
         if with_pm1.complete and rho_only.complete:
             assert with_pm1 == rho_only, n
@@ -244,8 +246,8 @@ class TestPollardPm1:
         # p - 1 = 2^3 * 487 * 773 * 997 and q - 1 = 2^3 * 61 * 487 * 881:
         # stage 1 alone catches both primes, so the gcd is n itself
         p, q = 3002573177, 209374937
-        primes, _ = arith._trial_primes(10**6)
-        assert arith._pollard_pm1(p * q, primes) is None
+        primes, _, js, ends = arith._trial_primes(10**6)
+        assert arith._pollard_pm1(p * q, primes, js, ends) is None
         f = factor(p * q)
         assert f.complete and f.prime_powers == ((q, 1), (p, 1))
 
@@ -261,6 +263,33 @@ def reference_trial_divide(m, primes):
             powers[p] = powers.get(p, 0) + 1
             m //= p
     return powers, m
+
+
+def reference_pm1(n, primes):
+    """The p-1 that the paired stage 2 replaced: stage 1 as in arith, then
+    a^q - 1 for each stage-2 prime q in turn, stepping between consecutive
+    primes by a table of a^gap, with a gcd every 1024 primes."""
+    root = isqrt(primes[-1])
+    a = 3
+    for q in primes:
+        if q > root:
+            break
+        qk = q
+        while qk * q <= root:
+            qk *= q
+        a = pow(a, qk, n)
+    steps = {}
+    acc, b, prev = a - 1, 1, 0
+    for i, q in enumerate(islice(primes, bisect_right(primes, root), None), 1):
+        step = steps.get(q - prev)
+        if step is None:
+            step = steps[q - prev] = pow(a, q - prev, n)
+        b, prev = b * step % n, q
+        acc = acc * (b - 1) % n
+        if i % 1024 == 0 and gcd(acc, n) != 1:
+            break
+    g = gcd(acc, n)
+    return g if 1 < g < n else None
 
 
 def reference_factor(monkeypatch, n, budget):
@@ -309,14 +338,14 @@ class TestTrialDivision:
     def test_edges_match_reference(self, trial_bound):
         primes = primes_up_to(trial_bound)
         for n in self.EDGE_VALUES:
-            got = arith._trial_divide(n, *arith._trial_primes(trial_bound))
+            got = arith._trial_divide(n, *arith._trial_primes(trial_bound)[:2])
             assert got == reference_trial_divide(n, primes), (n, trial_bound)
 
     def test_a_prime_from_every_run(self):
         # each value has a prime in every run of 128, at a different place
         # in each run: a run passed over without its gcd loses its prime
         primes = primes_up_to(10**6)
-        trial = arith._trial_primes(10**6)
+        trial = arith._trial_primes(10**6)[:2]
         for chosen, extra in ((primes[::127], 1), (primes[127::128], 1000003**2),
                               (primes[5::131], 1000003 * 1000033)):
             n = prod(chosen) * extra
@@ -329,7 +358,7 @@ class TestTrialDivision:
     def test_random_match_reference(self, trial_bound):
         rng = random.Random(trial_bound)
         primes = primes_up_to(trial_bound)
-        trial = arith._trial_primes(trial_bound)
+        trial = arith._trial_primes(trial_bound)[:2]
         pool = primes_up_to(2 * 10**6)[::37]
         for _ in range(100):
             n = 1
@@ -360,8 +389,152 @@ class TestTrialDivision:
         arith._trial_primes.cache_clear()
         assert factor(2**20 * 3**10).prime_powers == ((2, 20), (3, 10))
         assert factor(719 * 727).prime_powers == ((719, 1), (727, 1))
-        primes, products = arith._trial_primes(10**6)
+        primes, products, *_ = arith._trial_primes(10**6)
         assert products == [prod(primes[:128])]
         factor(1000003**2)
         assert len(products) == 614
         assert products == [prod(primes[i : i + 128]) for i in range(0, len(primes), 128)]
+
+
+class TestPairedStage2:
+    # safe primes: (R - 1)/2 is a prime far above every trial bound below,
+    # and its partners, so p-1 never catches R; R * R2 is a full walk
+    R, R2 = 2199023255867, 2199023258567
+
+    @staticmethod
+    def grid(trial_bound):
+        primes, _, js, ends = arith._trial_primes(trial_bound)
+        return primes, js, ends
+
+    @staticmethod
+    def stage2_rows(primes):
+        """{k: stage-2 primes q with q = k*D +- j, j <= D/2}"""
+        D = arith._D
+        rows = {}
+        for q in primes[bisect_right(primes, isqrt(primes[-1])):]:
+            rows.setdefault((q + D // 2) // D, []).append(q)
+        return rows
+
+    @staticmethod
+    def caught_by(rng, primes, q):
+        """A prime p with p - 1 = 2*m*q, m a product of three odd primes
+        below sqrt(T): ord_p(3) divides the stage-1 exponent times q."""
+        small = primes[1 : bisect_right(primes, isqrt(primes[-1]))]
+        while True:
+            p = 2 * prod(rng.sample(small, 3)) * q + 1
+            if is_prime(p):
+                return p
+
+    def _corpus(self, rng, trial_bound, rows_taken):
+        primes = primes_up_to(trial_bound)
+        rows = self.stage2_rows(primes)
+        D = arith._D
+        for k in rows_taken:
+            # one prime from each side of k*D, where the row has it
+            for side in ([q for q in rows[k] if q < k * D], [q for q in rows[k] if q > k * D]):
+                if side:
+                    yield self.caught_by(rng, primes, rng.choice(side))
+        # p - 1 = 2*m*q with q a prime above T + D: no stage catches p
+        for _ in range(4):
+            q = rng.randrange(primes[-1] + D, 2 * primes[-1] + D)
+            while not is_prime(q):
+                q += 1
+            yield self.caught_by(rng, primes, q)
+
+    def _check(self, trial_bound, corpus):
+        for r in (self.R, self.R2):
+            assert is_prime(r) and is_prime((r - 1) // 2)
+        primes = primes_up_to(trial_bound)
+        caught = 0
+        for p in corpus:
+            expected = reference_pm1(p * self.R, primes)
+            assert expected in (p, None)
+            assert arith._pollard_pm1(p * self.R, *self.grid(trial_bound)) == expected, p
+            caught += expected == p
+        return caught
+
+    def test_every_row_matches_reference(self):
+        rng = random.Random(14)
+        rows = self.stage2_rows(primes_up_to(10**5))
+        corpus = list(self._corpus(rng, 10**5, sorted(rows)))
+        assert self._check(10**5, corpus) == len(corpus) - 4
+
+    def test_sampled_rows_match_reference(self):
+        rng = random.Random(15)
+        rows = sorted(self.stage2_rows(primes_up_to(10**6)))
+        assert len(rows) == 434
+        taken = [*rows[:5], *rng.sample(rows[5:-4], 12), *rows[-4:]]
+        corpus = list(self._corpus(rng, 10**6, taken))
+        assert self._check(10**6, corpus) == len(corpus) - 4
+
+    def test_random_parts_match_reference(self):
+        rng = random.Random(16)
+        corpus = []
+        for _ in range(40):
+            p = rng.randrange(2**30, 2**40)
+            while not is_prime(p):
+                p += 1
+            corpus.append(p)
+        assert self._check(10**5, corpus) > 0
+
+    def test_large_h_parts_match_reference(self):
+        primes = primes_up_to(10**6)
+        for n in TestPollardPm1.LARGE_H_PARTS:
+            got = arith._pollard_pm1(n, *self.grid(10**6))
+            assert got is not None and got == reference_pm1(n, primes), n
+
+    @pytest.mark.parametrize("trial_bound", [2, 3, 50, 2311, 10**5, 10**6])
+    def test_rows_pair_every_stage2_prime(self, trial_bound):
+        primes, js, ends = self.grid(trial_bound)
+        assert arith._pollard_pm1(self.R * self.R2, primes, js, ends) is None
+        D = arith._D
+        rows = self.stage2_rows(primes)
+        assert len(ends) - 1 == (primes[-1] + D // 2) // D + 1
+        for k in range(len(ends) - 1):
+            row = js[ends[k] : ends[k + 1]]
+            assert len(set(row)) == len(row)
+            assert set(row) == {abs(q - k * D) for q in rows.get(k, ())}, k
+
+    def test_rows_built_lazily(self):
+        # building all 434 rows takes about 10 ms, a cost only a process
+        # that runs p-1 should pay
+        arith._trial_primes.cache_clear()
+        assert factor(2**20 * 999983 * 1000003).complete  # no part reaches p-1
+        _, _, js, ends = arith._trial_primes(10**6)
+        assert list(ends) == [0] and len(js) == 0
+        factor(self.R * self.R2, FactorBudget(rho_iterations=10**5))
+        assert len(ends) == 435 and len(js) == ends[-1]
+
+    def test_window_gcd_n_redone_row_by_row(self):
+        # p and p2 are caught by rows 5 and 6, one 4-row window: the window's
+        # gcd is n, and its rows one at a time give p
+        rng = random.Random(17)
+        primes = primes_up_to(10**6)
+        rows = self.stage2_rows(primes)
+        p = self.caught_by(rng, primes, rows[5][0])
+        p2 = self.caught_by(rng, primes, rows[6][-1])
+        assert arith._pollard_pm1(p * p2, *self.grid(10**6)) == p
+        assert reference_pm1(p * p2, primes) is None
+
+    @pytest.mark.parametrize("trial_bound", [2, 3, 5, 7, 50])
+    def test_tiny_trial_bounds(self, monkeypatch, trial_bound):
+        # at T = 2, 3 is no trial prime, so for 3 | n a = 3^E has no inverse
+        # modulo n; at T = 7, 11, 13, 61 and 547 are caught by the stage-2
+        # primes 5, 3, 5 and 7, which divide D (3^10, 3^6, 3^10 and 3^14 are
+        # 1 modulo them)
+        budget = FactorBudget(trial_bound, rho_iterations=10**5)
+        values = (3 * 1000003, 27 * 1000003, 3**5, 3 * 11 * 13, 11 * self.R,
+                  13 * 1000003, 61 * 1000033, 547 * 1093 * 1000003,
+                  11**3 * 13 * 61, 9 * 1000003 * 1000033)
+        for n in values:
+            f = factor(n, budget)
+            with monkeypatch.context() as m:
+                m.setattr(arith, "_pollard_pm1", lambda n, *grid: None)
+                rho_only = factor(n, budget)
+            assert f.complete and f == rho_only, n
+
+    def test_no_inverse_and_divisors_of_d(self):
+        assert arith._pollard_pm1(3 * self.R, *self.grid(2)) == 3
+        assert arith._pollard_pm1(27 * self.R, *self.grid(3)) == 3
+        for p in (11, 13, 61, 547):
+            assert arith._pollard_pm1(p * self.R, *self.grid(7)) == p

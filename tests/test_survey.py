@@ -1,0 +1,17 @@
+import runpy
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "survey_fields.py"
+
+
+def test_certified_count_per_h_band(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", [str(SCRIPT), "--min", "-60", "--mazur-bound", "1000"])
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    header, rows, bands = lines[0], lines[1:-4], lines[-4:]
+    assert header.split() == ["D", "h_k", "h", "S", "|union|", "cert", "time", "union"]
+    # every fundamental D in [-60, -3] of class number > 1
+    assert [int(row.split()[0]) for row in rows] == [
+        -15, -20, -23, -24, -31, -35, -39, -40, -47, -51, -52, -55, -56, -59]
+    assert bands == ["h 1-9     certified 14/14", "h 10-39   certified 0/0",
+                     "h 40-99   certified 0/0", "h >= 100  certified 0/0"]
