@@ -61,10 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
 # cache file format: `<value>=<p1>^<e1>*<p2>^<e2>[*...][*C<cofactor>]`
 
 def cache_load(path: str) -> dict[int, FactoredInteger]:
-    """Read a cache file.  Every entry must multiply back and list its
-    primes in strictly ascending order, and every listed prime must be
-    proven prime, not composite nor only BPSW-probable (each distinct
-    prime is tested once)."""
+    """Read a cache file.  Every entry must multiply back, list its primes
+    in strictly ascending order and any cofactor once, last and at least
+    2, and every listed prime must be proven prime, not composite nor only
+    BPSW-probable (each distinct prime is tested once)."""
     table: dict[int, FactoredInteger] = {}
     proven: set[int] = set()
     with open(path, "r", encoding="ascii") as fh:
@@ -98,8 +98,13 @@ def _parse_cache_line(line: str) -> tuple[int, FactoredInteger]:
     cofactor = None
     last = 0
     for part in rhs.split("*") if rhs else []:
+        # cache_store writes at most one cofactor, last and above 1
+        if cofactor is not None:
+            raise ValueError(f"{part!r} after the cofactor C{cofactor}")
         if part.startswith("C"):
             cofactor = int(part[1:])
+            if cofactor < 2:
+                raise ValueError(f"cofactor {cofactor} below 2")
             continue
         if "^" in part:
             p, e = part.split("^", 1)
@@ -223,12 +228,15 @@ def _emit(doc: dict, path: str | None) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cache = cache_load(args.cache) if args.cache and os.path.exists(args.cache) else {}
+        existed = bool(args.cache) and os.path.exists(args.cache)
+        cache = cache_load(args.cache) if existed else {}
         loaded = dict(cache)
         budget = FactorBudget(trial_bound=args.trial_bound, rho_iterations=args.rho_iters)
         doc, code = _run(args, make_field(args.d), budget, cache)
-        # the report is written last, so a failed cache store leaves none
-        if args.cache and cache != loaded:
+        # the report is written last, so a failed cache store leaves none; a
+        # new cache file is written even when empty, so that every request
+        # finds out whether the --cache path is writable
+        if args.cache and (cache != loaded or not existed):
             cache_store(args.cache, cache)
         _emit(doc, args.json_path)
     except ClassNumberOne as e:

@@ -160,13 +160,23 @@ def factor_cached(
 ) -> FactoredInteger:
     """factor() through an optional memo table; incomplete cached entries
     are re-attempted so a grown budget can still finish them.  An A3
-    element with its (l, m, h) is factored through its Lucas parts."""
+    element with its (l, m, h) is factored through its Lucas parts.
+
+    A factorization is stored only when it is complete and at least two of
+    its primes, counted with multiplicity, exceed the trial bound: exactly
+    when trial division leaves a composite part and p-1, rho or the square
+    check has to run.  Anything else is refactored faster than a cache file
+    is read.  The rule reads only the factorization and the budget, so the
+    stored entries depend on the requests and the budget alone.  For an A3
+    element a large prime of a Psi_d has exponent 2 in the merged result,
+    so it qualifies even when trial division finishes that part alone."""
     if cache is not None:
         hit = cache.get(v)
         if hit is not None and hit.complete:
             return hit
     f = _factor_a3(v, *lucas, budget) if lucas else factor(v, budget)
-    if cache is not None:
+    if cache is not None and f.complete and sum(
+            e for p, e in f.prime_powers if p > budget.trial_bound) >= 2:
         cache[v] = f
     return f
 

@@ -18,6 +18,9 @@ def run(tmp_path, *argv):
 
 
 BASE = ("--mazur-bound", "10000")
+# a trial bound below the primes of the -5 and -20 family elements, so that
+# factor_cached stores them in a --cache file
+STORED = ("--trial-bound", "10")
 
 
 class TestSubcommands:
@@ -349,11 +352,11 @@ class TestDeterminism:
     def test_cache_does_not_change_output(self, tmp_path):
         a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
         cache = tmp_path / "factors.cache"
-        assert main(["bound", "--d", "-5", *BASE, "--json", str(a)]) == 0
-        assert main(["bound", "--d", "-5", *BASE, "--cache", str(cache),
+        assert main(["bound", "--d", "-5", *BASE, *STORED, "--json", str(a)]) == 0
+        assert main(["bound", "--d", "-5", *BASE, *STORED, "--cache", str(cache),
                      "--json", str(b)]) == 0
         assert cache.exists()
-        assert main(["bound", "--d", "-5", *BASE, "--cache", str(cache),
+        assert main(["bound", "--d", "-5", *BASE, *STORED, "--cache", str(cache),
                      "--json", str(c)]) == 0
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
@@ -373,7 +376,7 @@ class TestCacheStore:
 
     def test_unchanged_cache_not_rewritten(self, tmp_path, monkeypatch):
         cache = tmp_path / "factors.cache"
-        argv = ["bound", "--d", "-5", *BASE, "--cache", str(cache),
+        argv = ["bound", "--d", "-5", *BASE, *STORED, "--cache", str(cache),
                 "--json", str(tmp_path / "out.json")]
         assert main(argv) == 0
         first = cache.read_bytes()
@@ -385,11 +388,11 @@ class TestCacheStore:
 
     def test_new_entries_written(self, tmp_path, monkeypatch):
         cache = tmp_path / "factors.cache"
-        assert main(["bound", "--d", "-5", *BASE, "--cache", str(cache),
+        assert main(["bound", "--d", "-5", *BASE, *STORED, "--cache", str(cache),
                      "--json", str(tmp_path / "a.json")]) == 0
         before = cache_load(str(cache))
         stores = self._counting_store(monkeypatch)
-        assert main(["bound", "--d", "-23", *BASE, "--cache", str(cache),
+        assert main(["bound", "--d", "-23", *BASE, *STORED, "--cache", str(cache),
                      "--json", str(tmp_path / "b.json")]) == 0
         assert len(stores) == 1
         after = cache_load(str(cache))
@@ -463,7 +466,8 @@ class TestCacheFormat:
         # a zero exponent put 1000003 in the -20 union and made verify
         # raise; a negative one multiplied back through a float
         path = tmp_path / "cache.txt"
-        argv = ["bound", "--d", "-20", "--mazur-bound", "1000", "--cache", str(path)]
+        argv = ["bound", "--d", "-20", "--mazur-bound", "1000", *STORED,
+                "--cache", str(path)]
         assert run(tmp_path, *argv)[0] == 0
         lines = path.read_text().splitlines()
         lines[0] += extra
@@ -481,7 +485,8 @@ class TestCacheFormat:
         # the report printed the line's factors as listed: reversed, the
         # -20 report's factors started with 47 instead of 2
         path = tmp_path / "cache.txt"
-        argv = ["bound", "--d", "-20", "--mazur-bound", "1000", "--cache", str(path)]
+        argv = ["bound", "--d", "-20", "--mazur-bound", "1000", *STORED,
+                "--cache", str(path)]
         assert run(tmp_path, *argv)[0] == 0
         lines = path.read_text().splitlines()
         assert lines[0] == "-732921459200=2^9*5^2*7^2*23^2*47^2"
@@ -490,6 +495,15 @@ class TestCacheFormat:
         with pytest.raises(ValueError, match="line 1: .*not strictly ascending"):
             cache_load(str(path))
         assert main(argv) == 1
+
+    @pytest.mark.parametrize("line", ["30=2^1*C3*C15", "30=C15*2^1", "5=5^1*C1"])
+    def test_cofactor_not_once_last_and_above_1_rejected(self, tmp_path, line):
+        # each multiplied back: the C3 was dropped, and a C1 kept
+        path = tmp_path / "cache.txt"
+        path.write_text(f"6=2^1*3^1\n{line}\n")
+        with pytest.raises(ValueError, match="line 2: .*cofactor"):
+            cache_load(str(path))
+        assert main(["bound", "--d", "-5", *BASE, "--cache", str(path)]) == 1
 
     def test_each_distinct_prime_tested_once(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.txt"
@@ -503,3 +517,61 @@ class TestCacheFormat:
         monkeypatch.setattr(cli, "prime_status", status)
         assert len(cache_load(str(path))) == 3
         assert sorted(tested) == [2, 3]
+
+
+def _recording_factor_cached(monkeypatch):
+    """Every (value, factorization) that factor_cached returns."""
+    seen = {}
+    real = weilsets.factor_cached
+
+    def recording(v, budget, cache, lucas=None):
+        seen[v] = real(v, budget, cache, lucas)
+        return seen[v]
+
+    monkeypatch.setattr(weilsets, "factor_cached", recording)
+    return seen
+
+
+class TestStoredEntries:
+    # a slice of the fields in [-400, -3] with h_k > 1: four of them store
+    # entries, at the survey's rho budget
+    SURVEY = ("-340", "-344", "-347", "-355", "-356", "-359", "-367", "-371", "-372")
+    SURVEY_FLAGS = (*BASE, "--rho-iters", "1000000")
+
+    def test_cold_pass_stores_exactly_the_rule(self, tmp_path, monkeypatch):
+        seen = _recording_factor_cached(monkeypatch)
+        cache = tmp_path / "factors.cache"
+        for D in self.SURVEY:
+            assert main(["bound", "--d", D, *self.SURVEY_FLAGS, "--cache", str(cache),
+                         "--json", str(tmp_path / "o.json")]) == 0
+        expected = {v: f for v, f in seen.items() if f.complete
+                    and sum(e for p, e in f.prime_powers if p > 10**6) >= 2}
+        assert len(expected) == 7 and len(seen) > 100
+        assert cache_load(str(cache)) == expected
+
+    def test_file_listing_every_value_still_loads(self, tmp_path, monkeypatch):
+        # files written before the rule listed every factored value; they
+        # still load, give a hit for every value, and change no report
+        fields = ("-20", "-372", "-1151")
+        seen = _recording_factor_cached(monkeypatch)
+        plain = [main(["bound", "--d", D, *BASE, "--json", str(tmp_path / f"p{D}.json")])
+                 for D in fields]
+        assert plain == [0, 0, 0]
+        every = tmp_path / "every.cache"
+        cache_store(str(every), seen)
+        listed = every.read_bytes()
+        small = tmp_path / "small.cache"
+        calls = []
+        monkeypatch.setattr(weilsets, "factor", lambda n, budget: calls.append(n) or factor(n, budget))
+        runs = [("every", every), ("cold", small), ("warm", small)]
+        for D in fields:
+            for name, path in runs:
+                before = len(calls)
+                assert main(["bound", "--d", D, *BASE, "--cache", str(path),
+                             "--json", str(tmp_path / f"{name}{D}.json")]) == 0
+                if name == "every":
+                    assert len(calls) == before
+            want = (tmp_path / f"p{D}.json").read_bytes()
+            assert all((tmp_path / f"{name}{D}.json").read_bytes() == want for name, _ in runs)
+        assert every.read_bytes() == listed
+        assert len(cache_load(str(small))) < len(seen) == len(cache_load(str(every)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ideal_reference import QuadInt
-from quatbound import weilsets
+from quatbound import arith, weilsets
 from quatbound.arith import FactorBudget, FactoredInteger, factor
 from quatbound.classgroup import enumerate_S0, choose_S
 from quatbound.quadfield import is_fundamental, make_field
@@ -309,10 +309,13 @@ class TestGcdIntersection:
             frozenset({2, 3, 5, 31, 1151}), True)
 
     def test_gcds_go_through_cache(self, ctx20):
+        # at trial bound 10 every gcd has two primes above the bound, so
+        # factor_cached stores each of them
         s0 = enumerate_S0(ctx20, 4)
         cache = {}
         ms = members(ctx20, "A1", s0)
-        inter = intersection_set(ms, cache=cache)
+        budget = FactorBudget(trial_bound=10)
+        inter = intersection_set(ms, budget, cache=cache)
         assert inter.elements and set(cache) == set(inter.elements)
         assert (inter.support, inter.certified) == intersect(ms)
         for g in cache:
@@ -446,3 +449,58 @@ class TestA3Split:
             expected = prod(factor(p, tiny).cofactor or 1 for p in psi.values()) ** 2
             assert f.cofactor == expected * (factor(delta, tiny).cofactor or 1)
             assert f.reconstruct() == f.value
+
+
+class TestCacheRule:
+    """factor_cached stores a factorization only when it is complete and
+    has two primes above the trial bound, counted with multiplicity."""
+
+    P, Q = 1000003, 1000033  # the first primes above the default trial bound
+
+    @pytest.mark.parametrize("v, trial_bound, stored", [
+        (-732921459200, 10**6, False),  # 2^9*5^2*7^2*23^2*47^2: trial division alone
+        (-732921459200, 10, True),  # the same value below its primes 23 and 47
+        (2 * 3 * P, 10**6, False),  # one large prime: left prime after trial division
+        (2 * P * P, 10**6, True),  # the square check splits what trial division leaves
+        (-5 * P * Q, 10**6, True),  # p-1 or rho splits what trial division leaves
+    ])
+    def test_two_primes_above_trial_bound(self, v, trial_bound, stored):
+        cache = {}
+        f = weilsets.factor_cached(v, FactorBudget(trial_bound=trial_bound), cache)
+        assert f.complete
+        assert cache == ({v: f} if stored else {})
+
+    def test_minus_1151_element_needing_pm1_stored(self, monkeypatch):
+        # the Psi_492 part of its one nonzero A3 element leaves a 72-bit
+        # composite after trial division, which p-1 splits
+        calls = []
+        real = arith._pollard_pm1
+
+        def recording(n, *grid):
+            calls.append(n)
+            return real(n, *grid)
+
+        monkeypatch.setattr(arith, "_pollard_pm1", recording)
+        ctx = _field(-1151)
+        a3 = family_A3(ctx, choose_S(ctx))
+        cache = {}
+        out = prime_support(a3, FactorBudget(), cache)
+        assert 4626154257697182281987 in calls
+        nonzero = {v: f for v, f in zip(a3.elements, out.factorizations) if v}
+        assert len(nonzero) == 1 and cache == nonzero
+
+    def test_incomplete_not_stored(self):
+        ctx = _field(-1151)
+        a3 = family_A3(ctx, choose_S(ctx))
+        cache = {}
+        out = prime_support(a3, FactorBudget(trial_bound=50, rho_iterations=2), cache)
+        assert not out.certified
+        assert cache == {}
+
+    def test_incomplete_entry_replaced(self):
+        # an incomplete entry is re-attempted, never returned as a hit
+        v = -5 * self.P * self.Q
+        stale = FactoredInteger(value=v, prime_powers=((5, 1),), cofactor=self.P * self.Q)
+        cache = {v: stale}
+        f = weilsets.factor_cached(v, FactorBudget(), cache)
+        assert f.complete and cache == {v: f}
