@@ -21,7 +21,6 @@ class BoundParams:
     mazur_bound: int = 10**6
     factor_budget: FactorBudget = FactorBudget()
     S_override: tuple[int, ...] | None = None
-    cache: dict | None = None
 
 
 @dataclass
@@ -54,9 +53,9 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
     pairs = [families_A1_A2(ctx, q) for q in s0]
     a1_families = [a1 for a1, _ in pairs]
     a2_families = [a2 for _, a2 in pairs]
-    a1 = intersection_set(a1_families, params.factor_budget, params.cache)
-    a2 = intersection_set(a2_families, params.factor_budget, params.cache)
-    a3 = prime_support(family_A3(ctx, S), params.factor_budget, params.cache)
+    a1 = intersection_set(a1_families, params.factor_budget)
+    a2 = intersection_set(a2_families, params.factor_budget)
+    a3 = prime_support(family_A3(ctx, S), params.factor_budget)
 
     mz = mazur_prime_set(ctx, params.mazur_bound)
     caveats.append(f"mazur set truncated at bound {params.mazur_bound}")

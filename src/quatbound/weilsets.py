@@ -152,52 +152,16 @@ def _factor_a3(v: int, l: int, m: int, h: int, budget: FactorBudget) -> Factored
     return merged
 
 
-def factor_cached(
-    v: int,
-    budget: FactorBudget,
-    cache: dict[int, FactoredInteger] | None,
-    lucas: tuple[int, int, int] | None = None,
-) -> FactoredInteger:
-    """factor() through an optional memo table; incomplete cached entries
-    are re-attempted so a grown budget can still finish them.  An A3
-    element with its (l, m, h) is factored through its Lucas parts.
-
-    A factorization is stored only when it is complete and at least two of
-    its primes, counted with multiplicity, exceed the trial bound: exactly
-    when trial division leaves a composite part and p-1, rho or the square
-    check has to run.  Anything else is refactored faster than a cache file
-    is read.  The rule reads only the factorization and the budget, so the
-    stored entries depend on the requests and the budget alone.  For an A3
-    element a large prime of a Psi_d has exponent 2 in the merged result,
-    so it qualifies even when trial division finishes that part alone."""
-    if cache is not None:
-        hit = cache.get(v)
-        if hit is not None and hit.complete:
-            return hit
-    f = _factor_a3(v, *lucas, budget) if lucas else factor(v, budget)
-    if cache is not None and f.complete and sum(
-            e for p, e in f.prime_powers if p > budget.trial_bound) >= 2:
-        cache[v] = f
-    return f
-
-
-def prime_support(
-    aset: ASet,
-    budget: FactorBudget = FactorBudget(),
-    cache: dict[int, FactoredInteger] | None = None,
-) -> ASet:
-    """The family with each nonzero element factored within budget."""
+def prime_support(aset: ASet, budget: FactorBudget = FactorBudget()) -> ASet:
+    """The family with each nonzero element factored within budget; an A3
+    element with its (l, m, h) is factored through its Lucas parts."""
     lucas = aset.lucas or (None,) * len(aset.elements)
     return replace(aset, factorizations=tuple(
-        factor_cached(v, budget, cache, o) if v != 0 else None
+        None if v == 0 else _factor_a3(v, *o, budget) if o else factor(v, budget)
         for v, o in zip(aset.elements, lucas)))
 
 
-def intersection_set(
-    members: list[ASet],
-    budget: FactorBudget = FactorBudget(),
-    cache: dict[int, FactoredInteger] | None = None,
-) -> ASet:
+def intersection_set(members: list[ASet], budget: FactorBudget = FactorBudget()) -> ASet:
     """The intersection of the members' prime supports, as the support of
     an ASet whose elements are gcds.  Any truncation of S0 yields a
     superset of the full (infinite) intersection.
@@ -219,4 +183,4 @@ def intersection_set(
     aset = ASet(family=members[0].family,
                 q_list=tuple(l for m in members for l in m.q_list),
                 elements=tuple(sorted(gs)))
-    return prime_support(aset, budget, cache)
+    return prime_support(aset, budget)

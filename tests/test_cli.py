@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from quatbound import bound, classgroup, cli, weilsets
-from quatbound.arith import FactorBudget, FactoredInteger, factor
-from quatbound.cli import cache_load, cache_store, main
+from quatbound.arith import FactorBudget, factor
+from quatbound.cli import main
 
 
 def run(tmp_path, *argv):
@@ -18,8 +18,8 @@ def run(tmp_path, *argv):
 
 
 BASE = ("--mazur-bound", "10000")
-# a trial bound below the primes of the -5 and -20 family elements, so that
-# factor_cached stores them in a --cache file
+# a trial bound below the primes of the -5 family elements, so that factoring
+# goes past trial division
 STORED = ("--trial-bound", "10")
 
 
@@ -361,217 +361,24 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
-class TestCacheStore:
-    @staticmethod
-    def _counting_store(monkeypatch):
-        stores = []
-        real = cli.cache_store
+class TestInertCache:
+    """--cache is accepted for one release; it only creates its file."""
 
-        def counting(*args):
-            stores.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(cli, "cache_store", counting)
-        return stores
-
-    def test_unchanged_cache_not_rewritten(self, tmp_path, monkeypatch):
+    def test_rejected_lines_ignored(self, tmp_path):
+        # each of these lines was rejected when the file was loaded, and the
+        # request exited 1
+        lines = b"30=2^1*C3*C15\n5=5^1*C1\n6=2^1*3^1*C1\n"
         cache = tmp_path / "factors.cache"
-        argv = ["bound", "--d", "-5", *BASE, *STORED, "--cache", str(cache),
-                "--json", str(tmp_path / "out.json")]
-        assert main(argv) == 0
-        first = cache.read_bytes()
-        assert first
-        stores = self._counting_store(monkeypatch)
-        assert main(argv) == 0
-        assert stores == []
-        assert cache.read_bytes() == first
+        cache.write_bytes(lines)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["bound", "--d", "-5", *BASE, *STORED, "--json", str(a)]) == 0
+        assert main(["bound", "--d", "-5", *BASE, *STORED, "--cache", str(cache),
+                     "--json", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert cache.read_bytes() == lines
 
-    def test_new_entries_written(self, tmp_path, monkeypatch):
+    def test_missing_file_created_empty(self, tmp_path):
         cache = tmp_path / "factors.cache"
         assert main(["bound", "--d", "-5", *BASE, *STORED, "--cache", str(cache),
-                     "--json", str(tmp_path / "a.json")]) == 0
-        before = cache_load(str(cache))
-        stores = self._counting_store(monkeypatch)
-        assert main(["bound", "--d", "-23", *BASE, *STORED, "--cache", str(cache),
-                     "--json", str(tmp_path / "b.json")]) == 0
-        assert len(stores) == 1
-        after = cache_load(str(cache))
-        assert before.items() < after.items()
-
-
-class TestCacheFormat:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "cache.txt"
-        table = {
-            564859072962: FactoredInteger(
-                value=564859072962, prime_powers=((2, 1), (3, 24))
-            ),
-            -90: FactoredInteger(
-                value=-90, prime_powers=((2, 1), (3, 2), (5, 1))
-            ),
-            1000036000099: FactoredInteger(
-                value=1000036000099, prime_powers=(),
-                cofactor=1000036000099,
-            ),
-        }
-        cache_store(str(path), table)
-        assert cache_load(str(path)) == table
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "cache.txt"
-        path.write_text("")
-        assert cache_load(str(path)) == {}
-
-    def test_example_line(self, tmp_path):
-        path = tmp_path / "cache.txt"
-        path.write_text("564859072962=2^1*3^24\n")
-        table = cache_load(str(path))
-        assert table[564859072962].prime_powers == ((2, 1), (3, 24))
-
-    def test_parse_error_names_line(self, tmp_path):
-        path = tmp_path / "cache.txt"
-        path.write_text("abc=2\n")
-        with pytest.raises(ValueError, match="line 1"):
-            cache_load(str(path))
-
-    def test_inconsistent_entry_rejected(self, tmp_path):
-        path = tmp_path / "cache.txt"
-        path.write_text("10=2^1*3^1\n")
-        with pytest.raises(ValueError, match="line 1"):
-            cache_load(str(path))
-
-    @pytest.mark.parametrize("line", ["15=15^1", "1=1^1"])
-    def test_composite_listed_prime_rejected(self, tmp_path, line):
-        path = tmp_path / "cache.txt"
-        path.write_text(line + "\n")
-        with pytest.raises(ValueError, match="line 1"):
-            cache_load(str(path))
-
-    def test_probable_listed_prime_rejected(self, tmp_path):
-        p98 = 242158526118349748939022266021
-        path = tmp_path / "cache.txt"
-        path.write_text(f"{2 * p98}=2^1*{p98}^1\n")
-        with pytest.raises(ValueError, match="line 1: listed prime .* probable"):
-            cache_load(str(path))
-        assert main(["bound", "--d", "-5", *BASE, "--cache", str(path)]) == 1
-
-    def test_composite_listed_prime_exits_1(self, tmp_path):
-        path = tmp_path / "cache.txt"
-        path.write_text("15=15^1\n")
-        assert main(["bound", "--d", "-5", *BASE, "--cache", str(path)]) == 1
-        assert path.read_text() == "15=15^1\n"
-
-    @pytest.mark.parametrize("extra", ["*1000003^0", "*7^-1*7^1"])
-    def test_exponent_below_1_rejected(self, tmp_path, extra):
-        # a zero exponent put 1000003 in the -20 union and made verify
-        # raise; a negative one multiplied back through a float
-        path = tmp_path / "cache.txt"
-        argv = ["bound", "--d", "-20", "--mazur-bound", "1000", *STORED,
-                "--cache", str(path)]
-        assert run(tmp_path, *argv)[0] == 0
-        lines = path.read_text().splitlines()
-        lines[0] += extra
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="line 1: exponent"):
-            cache_load(str(path))
-        assert main(argv) == 1
-
-    @pytest.mark.parametrize("rhs", [
-        "7^2*5^2*2^9*23^2*47^2",
-        "47^2*23^2*7^2*5^2*2^9",
-        "2^8*2^1*5^2*7^2*23^2*47^2",
-    ])
-    def test_primes_not_ascending_rejected(self, tmp_path, rhs):
-        # the report printed the line's factors as listed: reversed, the
-        # -20 report's factors started with 47 instead of 2
-        path = tmp_path / "cache.txt"
-        argv = ["bound", "--d", "-20", "--mazur-bound", "1000", *STORED,
-                "--cache", str(path)]
-        assert run(tmp_path, *argv)[0] == 0
-        lines = path.read_text().splitlines()
-        assert lines[0] == "-732921459200=2^9*5^2*7^2*23^2*47^2"
-        lines[0] = "-732921459200=" + rhs
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="line 1: .*not strictly ascending"):
-            cache_load(str(path))
-        assert main(argv) == 1
-
-    @pytest.mark.parametrize("line", ["30=2^1*C3*C15", "30=C15*2^1", "5=5^1*C1"])
-    def test_cofactor_not_once_last_and_above_1_rejected(self, tmp_path, line):
-        # each multiplied back: the C3 was dropped, and a C1 kept
-        path = tmp_path / "cache.txt"
-        path.write_text(f"6=2^1*3^1\n{line}\n")
-        with pytest.raises(ValueError, match="line 2: .*cofactor"):
-            cache_load(str(path))
-        assert main(["bound", "--d", "-5", *BASE, "--cache", str(path)]) == 1
-
-    def test_each_distinct_prime_tested_once(self, tmp_path, monkeypatch):
-        path = tmp_path / "cache.txt"
-        path.write_text("6=2^1*3^1\n12=2^2*3^1\n-18=2^1*3^2\n")
-        tested = []
-
-        def status(p):
-            tested.append(p)
-            return "prime"
-
-        monkeypatch.setattr(cli, "prime_status", status)
-        assert len(cache_load(str(path))) == 3
-        assert sorted(tested) == [2, 3]
-
-
-def _recording_factor_cached(monkeypatch):
-    """Every (value, factorization) that factor_cached returns."""
-    seen = {}
-    real = weilsets.factor_cached
-
-    def recording(v, budget, cache, lucas=None):
-        seen[v] = real(v, budget, cache, lucas)
-        return seen[v]
-
-    monkeypatch.setattr(weilsets, "factor_cached", recording)
-    return seen
-
-
-class TestStoredEntries:
-    # a slice of the fields in [-400, -3] with h_k > 1: four of them store
-    # entries, at the survey's rho budget
-    SURVEY = ("-340", "-344", "-347", "-355", "-356", "-359", "-367", "-371", "-372")
-    SURVEY_FLAGS = (*BASE, "--rho-iters", "1000000")
-
-    def test_cold_pass_stores_exactly_the_rule(self, tmp_path, monkeypatch):
-        seen = _recording_factor_cached(monkeypatch)
-        cache = tmp_path / "factors.cache"
-        for D in self.SURVEY:
-            assert main(["bound", "--d", D, *self.SURVEY_FLAGS, "--cache", str(cache),
-                         "--json", str(tmp_path / "o.json")]) == 0
-        expected = {v: f for v, f in seen.items() if f.complete
-                    and sum(e for p, e in f.prime_powers if p > 10**6) >= 2}
-        assert len(expected) == 7 and len(seen) > 100
-        assert cache_load(str(cache)) == expected
-
-    def test_file_listing_every_value_still_loads(self, tmp_path, monkeypatch):
-        # files written before the rule listed every factored value; they
-        # still load, give a hit for every value, and change no report
-        fields = ("-20", "-372", "-1151")
-        seen = _recording_factor_cached(monkeypatch)
-        plain = [main(["bound", "--d", D, *BASE, "--json", str(tmp_path / f"p{D}.json")])
-                 for D in fields]
-        assert plain == [0, 0, 0]
-        every = tmp_path / "every.cache"
-        cache_store(str(every), seen)
-        listed = every.read_bytes()
-        small = tmp_path / "small.cache"
-        calls = []
-        monkeypatch.setattr(weilsets, "factor", lambda n, budget: calls.append(n) or factor(n, budget))
-        runs = [("every", every), ("cold", small), ("warm", small)]
-        for D in fields:
-            for name, path in runs:
-                before = len(calls)
-                assert main(["bound", "--d", D, *BASE, "--cache", str(path),
-                             "--json", str(tmp_path / f"{name}{D}.json")]) == 0
-                if name == "every":
-                    assert len(calls) == before
-            want = (tmp_path / f"p{D}.json").read_bytes()
-            assert all((tmp_path / f"{name}{D}.json").read_bytes() == want for name, _ in runs)
-        assert every.read_bytes() == listed
-        assert len(cache_load(str(small))) < len(seen) == len(cache_load(str(every)))
+                     "--json", str(tmp_path / "o.json")]) == 0
+        assert cache.read_bytes() == b""
