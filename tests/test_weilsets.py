@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ideal_reference import QuadInt
-from quatbound import weilsets
-from quatbound.arith import FactorBudget, FactoredInteger, factor
+from quatbound import arith, weilsets
+from quatbound.arith import FactorBudget, FactoredInteger, factor, is_prime
 from quatbound.classgroup import enumerate_S0, choose_S
 from quatbound.quadfield import is_fundamental, make_field
 from quatbound.weilsets import (
@@ -437,3 +437,53 @@ class TestA3Split:
             expected = prod(factor(p, tiny).cofactor or 1 for p in psi.values()) ** 2
             assert f.cofactor == expected * (factor(delta, tiny).cofactor or 1)
             assert f.reconstruct() == f.value
+
+
+class TestCacheRule:
+    """The rule by which the former --cache file chose what to store: a
+    complete factorization with two primes above the trial bound, counted
+    with multiplicity.  The rule holds exactly when trial division leaves a
+    composite part, so it names the values that p-1, rho or the square
+    check must finish; each of them must still factor completely."""
+
+    P, Q = 1000003, 1000033  # the first primes above the default trial bound
+
+    @pytest.mark.parametrize("v, trial_bound, past_trial", [
+        (-732921459200, 10**6, False),  # 2^9*5^2*7^2*23^2*47^2: trial division alone
+        (-732921459200, 10, True),  # the same value below its primes 23 and 47
+        (2 * 3 * P, 10**6, False),  # one large prime: left prime after trial division
+        (2 * P * P, 10**6, True),  # the square check splits what trial division leaves
+        (-5 * P * Q, 10**6, True),  # p-1 or rho splits what trial division leaves
+    ])
+    def test_two_primes_above_trial_bound(self, v, trial_bound, past_trial):
+        f = factor(v, FactorBudget(trial_bound=trial_bound))
+        assert f.complete
+        assert (sum(e for p, e in f.prime_powers if p > trial_bound) >= 2) == past_trial
+        _, rest = arith._trial_divide(abs(v), *arith._trial_primes(trial_bound)[:2])
+        assert (rest > 1 and not is_prime(rest)) == past_trial
+
+    def test_minus_1151_element_needing_pm1_stored(self, monkeypatch):
+        # the Psi_492 part of its one nonzero A3 element leaves a 72-bit
+        # composite after trial division, which p-1 splits
+        calls = []
+        real = arith._pollard_pm1
+
+        def recording(n, *grid):
+            calls.append(n)
+            return real(n, *grid)
+
+        monkeypatch.setattr(arith, "_pollard_pm1", recording)
+        ctx = _field(-1151)
+        a3 = family_A3(ctx, choose_S(ctx))
+        out = prime_support(a3, FactorBudget())
+        assert 4626154257697182281987 in calls
+        nonzero = [f for v, f in zip(a3.elements, out.factorizations) if v]
+        assert len(nonzero) == 1 and nonzero[0].complete
+        assert sum(e for p, e in nonzero[0].prime_powers if p > FactorBudget().trial_bound) >= 2
+
+    def test_incomplete_not_stored(self):
+        ctx = _field(-1151)
+        a3 = family_A3(ctx, choose_S(ctx))
+        out = prime_support(a3, FactorBudget(trial_bound=50, rho_iterations=2))
+        assert not out.certified
+        assert any(f is not None and not f.complete for f in out.factorizations)
