@@ -3,14 +3,9 @@
 searched here up to a configurable bound."""
 
 from dataclasses import dataclass
-from itertools import count, islice
 
 from .arith import is_prime, kronecker, primes_up_to
 from .quadfield import FieldContext, is_fundamental, split_primes, splitting_type
-
-# Odd split primes whose quadratic-residue classes mazur_prime_set clears
-# with bytearray slices before any survivor reaches kronecker.
-PRESIEVE_PRIMES = 16
 
 
 @dataclass(frozen=True)
@@ -45,45 +40,33 @@ def mazur_prime_set(ctx: FieldContext, bound: int) -> MazurResult:
     Only these can enter the final union through the discriminant set: a
     prime equal to a fundamental discriminant is 1 mod 4.
 
-    For a prime p > 4l, kronecker(p, l) == 1 exactly when p mod l is a
-    nonzero square.  So a bytearray over n = 4i + 1 <= bound first clears,
-    for each of the first PRESIEVE_PRIMES odd split primes l, every n > 4l
-    in a nonzero square class mod l.  Each survivor is then proved prime
-    and checked with kronecker against the later split primes below p/4.
+    Bit i of the int `alive` stands for n = 4i + 1 <= bound.  For each odd
+    split prime l in ascending order, the bits with i >= l (n > 4l) whose
+    n mod l is a nonzero square are cleared: an l-bit pattern of the
+    classes to keep is tiled by shift-or doubling and ANDed in.  The loop
+    stops at the first l with no live bit i >= l.  Invariant: every live
+    n is 0 or a nonresidue mod each odd split prime l < n/4.  A prime p
+    is never 0 mod such an l, so the members are exactly the live n that
+    are prime.
     """
     if bound < 5:
         raise ValueError("mazur_prime_set: bound must be >= 5")
-    odd_split = (l for l in split_primes(ctx) if l != 2)
-    size = (bound - 1) // 4 + 1  # alive[i] stands for n = 4i + 1 <= bound
-    alive = bytearray([1]) * size
-    for l in islice(odd_split, PRESIEVE_PRIMES):
-        if l >= size:
-            break  # n > 4l means i >= l: no n <= bound is left to clear
+    alive = (1 << ((bound - 1) // 4 + 1)) - 1
+    for l in split_primes(ctx):
+        if l == 2:
+            continue
+        size = alive.bit_length()
+        if size <= l:
+            break  # every live n = 4i + 1 has i < l, so n < 4l
         inv4 = pow(4, -1, l)
-        for r in {x * x % l for x in range(1, (l + 1) // 2)}:
-            start = l + (r - 1) * inv4 % l  # least i >= l with 4i + 1 = r mod l
-            alive[start::l] = bytes(len(range(start, size, l)))
-    later: list[int] = []
-    members = []
-    i = alive.find(1)
-    while i >= 0:
-        p = 4 * i + 1
-        if is_prime(p) and _passes_later(p, later, odd_split):
-            members.append(p)
-        i = alive.find(1, i + 1)
-    return MazurResult(bound=bound, members=tuple(members))
-
-
-def _passes_later(p: int, later: list[int], odd_split) -> bool:
-    """kronecker(p, l) != 1 for each split prime l < p/4 past the presieve.
-    `later` holds those primes drawn from `odd_split` so far; more are
-    drawn only while p has not been rejected."""
-    for j in count():
-        if j == len(later):
-            later.append(next(odd_split))
-        l = later[j]
-        if 4 * l >= p:
-            return True
-        if kronecker(p, l) == 1:
-            return False
-
+        keep = (1 << l) - 1
+        for x in range(1, (l + 1) // 2):  # each nonzero square once
+            keep &= ~(1 << ((x * x - 1) * inv4 % l))  # the i with 4i + 1 = x^2 mod l
+        width = l
+        while width < size:
+            keep |= keep << width
+            width *= 2
+        alive &= keep | ((1 << l) - 1)
+    members = tuple(4 * i + 1 for i in range(alive.bit_length())
+                    if alive >> i & 1 and is_prime(4 * i + 1))
+    return MazurResult(bound=bound, members=members)

@@ -32,7 +32,9 @@ def trace_set(l: int, h: int) -> dict[int, int]:
     """Candidate Frobenius traces at the 24h-th power level: for each m with
     m^2 <= 4l, the trace of the 24h-th power of a root of X^2 + m*X + l."""
     m_max = isqrt(4 * l)
-    return {m: trace_power(-m, l, 24 * h) for m in range(-m_max, m_max + 1)}
+    # V_n(-P, Q) = (-1)^n V_n(P, Q) and n = 24h is even: one ladder per |m|
+    traces = [trace_power(m, l, 24 * h) for m in range(m_max + 1)]
+    return {m: traces[abs(m)] for m in range(-m_max, m_max + 1)}
 
 
 def beta_for(ctx: FieldContext, q: SplitPrime) -> tuple[int, int]:

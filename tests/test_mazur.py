@@ -1,8 +1,15 @@
+import inspect
+
 import pytest
 
+from quatbound import mazur
 from quatbound.arith import kronecker, primes_up_to
-from quatbound.mazur import PRESIEVE_PRIMES, is_in_mazur, mazur_prime_set
-from quatbound.quadfield import is_fundamental, splitting_type
+from quatbound.mazur import is_in_mazur, mazur_prime_set
+from quatbound.quadfield import is_fundamental, make_field, splitting_type
+
+# The fields of the benchmark's small_panel workload.
+SMALL_PANEL_FIELDS = (-20, -23, -84, -71, -419, -3299)
+ORACLE_BOUNDS = (5, 6, 7, 13, 14, 17, 18, 30, 100, 10**3, 10**4, 10**5)
 
 
 def mazur_discriminants(ctx, bound: int) -> tuple[int, ...]:
@@ -33,7 +40,7 @@ def independent_recheck(ctx, N: int) -> bool:
 
 
 def reference_mazur_prime_set(ctx, bound: int) -> tuple[tuple[int, ...], int]:
-    """The per-candidate search that the presieve replaced: every prime
+    """The per-candidate search that the sieve replaced: every prime
     p = 1 mod 4 up to bound, against every odd split prime l < p/4.
     Returns (members, largest_gap_tail)."""
     members = []
@@ -58,8 +65,8 @@ def reference_mazur_prime_set(ctx, bound: int) -> tuple[tuple[int, ...], int]:
     return tuple(members), tail
 
 
-def assert_matches_reference(ctx, bound: int) -> None:
-    res = mazur_prime_set(ctx, bound)
+def assert_matches_reference(ctx, bound: int, search=mazur_prime_set) -> None:
+    res = search(ctx, bound)
     assert res.bound == bound
     assert (res.members, largest_gap_tail(res)) == reference_mazur_prime_set(ctx, bound)
 
@@ -123,9 +130,7 @@ class TestMazurPrimeSet:
 
 
 class TestPresieveOracle:
-    @pytest.mark.parametrize(
-        "bound", [5, 6, 7, 13, 14, 17, 18, 30, 100, 10**3, 10**4, 10**5]
-    )
+    @pytest.mark.parametrize("bound", ORACLE_BOUNDS)
     def test_every_field(self, contexts, bound):
         for ctx in contexts.values():
             assert_matches_reference(ctx, bound)
@@ -134,14 +139,38 @@ class TestPresieveOracle:
         assert_matches_reference(ctx20, 10**6)
 
     def test_presieve_runs_out_of_split_primes(self, contexts):
-        # with l_K the K-th odd split prime, a bound <= 4 * l_K leaves fewer
-        # than K split primes below bound/4, so the presieve stops early;
-        # the bounds above it hand over from the presieve to the later check
+        # the sieve stops at the first odd split l_k with no live n > 4 * l_k;
+        # bounds on both sides of 4 * l_k move that stop by one prime
         for ctx in contexts.values():
             split = [l for l in primes_up_to(2000) if l > 2 and splitting_type(ctx, l) == "split"]
-            l_k = split[PRESIEVE_PRIMES - 1]
-            for bound in (4 * l_k - 3, 4 * l_k, 4 * l_k + 1, 4 * l_k + 5, 8 * l_k):
-                assert_matches_reference(ctx, bound)
+            for l_k in split[:24]:
+                for bound in (4 * l_k - 3, 4 * l_k, 4 * l_k + 1, 4 * l_k + 5):
+                    assert_matches_reference(ctx, bound)
+
+    def test_small_panel_prefix_1e6_of_1e7(self):
+        for D in SMALL_PANEL_FIELDS:
+            ctx = make_field(D)
+            small = mazur_prime_set(ctx, 10**6).members
+            large = mazur_prime_set(ctx, 10**7).members
+            assert small == tuple(p for p in large if p <= 10**6), D
+
+    def test_mutant_clearing_i_below_l_fails(self, contexts):
+        # a sieve that also clears the classes with i < l (n < 4l), where
+        # (n/l) does not matter, must be caught by the oracle comparison
+        source = inspect.getsource(mazur.mazur_prime_set)
+        kept = "alive &= keep | ((1 << l) - 1)"
+        assert kept in source
+        namespace = dict(vars(mazur))
+        exec(source.replace(kept, "alive &= keep"), namespace)
+        mutant = namespace["mazur_prime_set"]
+        caught = 0
+        for ctx in contexts.values():
+            for bound in ORACLE_BOUNDS:
+                try:
+                    assert_matches_reference(ctx, bound, search=mutant)
+                except AssertionError:
+                    caught += 1
+        assert caught > 0
 
 
 class TestMazurDiscriminants:

@@ -1,6 +1,6 @@
 import random
 from dataclasses import replace
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +126,15 @@ class TestTraceSet:
         # gamma for m = +-3 is sqrt(3) times a 12th root of unity
         ts = trace_set(3, 2)
         assert ts[3] == ts[-3] == 2 * 3**24
+
+    def test_each_trace_from_its_own_ladder(self):
+        # trace_set mirrors the |m| ladders; every m, in order from -m_max
+        for l, h in ((3, 2), (5, 1), (7, 3), (41, 12), (101, 5), (1009, 2)):
+            ts = trace_set(l, h)
+            m_max = isqrt(4 * l)
+            assert list(ts) == list(range(-m_max, m_max + 1))
+            for m, s in ts.items():
+                assert s == trace_power(-m, l, 24 * h), (l, h, m)
 
     def test_weil_bound_and_symmetry(self, contexts):
         for ctx in contexts.values():
