@@ -6,8 +6,9 @@ set but some support was not fully factored.
 """
 
 import argparse
-import json
 import sys
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .arith import FactorBudget, FactoredInteger
 from .quadfield import FieldContext, make_field
@@ -27,6 +28,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# built once per process: parse_args leaves the parser unchanged and returns
+# a fresh Namespace on every call
+@cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="quatbound",
@@ -119,8 +123,35 @@ def _report_doc(ctx, report: BoundReport, cands) -> dict:
     return doc
 
 
+def _json(x, indent: str = "\n") -> str:
+    """The bytes of json.dumps(x, indent=2, sort_keys=True) for str, bool,
+    list, tuple and str-keyed dict, written by joins: json.dumps runs its C
+    encoder only without indent.  Any other type, as a value or a key,
+    raises TypeError (encode_basestring_ascii does for keys)."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    inner = indent + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        # keys are distinct, so sorting the items compares keys only
+        body = [encode_basestring_ascii(k) + ": "
+                + (encode_basestring_ascii(v) if isinstance(v, str) else _json(v, inner))
+                for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(body) + indent + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        body = [encode_basestring_ascii(v) if isinstance(v, str) else _json(v, inner)
+                for v in x]
+        return "[" + inner + ("," + inner).join(body) + indent + "]"
+    raise TypeError(f"_json: cannot write {type(x).__name__}")
+
+
 def _emit(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = _json(doc) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

@@ -91,11 +91,36 @@ class TestIsPrime:
         assert prime_status((10**10 + 19) ** 2) == "composite"
 
 
+def trial_division_primes(bound):
+    return [n for n in range(2, bound + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
+
+
 class TestPrimesUpTo:
     def test_examples(self):
         assert primes_up_to(23) == [2, 3, 5, 7, 11, 13, 17, 19, 23]
         assert primes_up_to(2) == [2]
         assert len(primes_up_to(10**6)) == 78498
+
+    def test_every_bound_to_5000(self):
+        naive = trial_division_primes(5000)
+        for n in range(2, 5001):
+            assert primes_up_to(n) == naive[:bisect_right(naive, n)], n
+
+    def test_bounds_around_prime_squares(self):
+        # from n = p^2 on the sieve loops over p, and p^2 is the first number
+        # it clears; the reference is a sieve over all numbers, checked
+        # against trial division up to 10^4
+        top = 997**2 + 1
+        sieve = bytearray([1]) * (top + 1)
+        sieve[:2] = b"\0\0"
+        for p in range(2, isqrt(top) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
+        reference = [n for n in range(top + 1) if sieve[n]]
+        assert reference[:1229] == trial_division_primes(10**4)
+        for p in trial_division_primes(999):
+            for n in (p * p - 1, p * p, p * p + 1):
+                assert primes_up_to(n) == reference[:bisect_right(reference, n)], n
 
     def test_bound_too_small(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
+import inspect
 import json
 import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatbound import bound, classgroup, cli, weilsets
 from quatbound.arith import FactorBudget, factor
@@ -202,6 +205,17 @@ class TestGoldenVerify:
                      "--json", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "bound_-1151.json").read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["classgroup", "--d", "-3299"],
+        ["sets", "--d", "-419", *BASE],
+        ["candidates", "--d", "-84", *BASE],
+    ], ids=["classgroup_-3299", "sets_-419", "candidates_-84"])
+    def test_other_subcommand_bytes(self, tmp_path, argv):
+        # recorded with json.dumps(indent=2, sort_keys=True)
+        out = tmp_path / "out.json"
+        assert main([*argv, "--json", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{argv[0]}_{argv[2]}.json").read_bytes()
+
     def test_time_flag_zero_changes_nothing(self, tmp_path):
         # --time-per-int-ms is accepted as 0 only, and not read
         with_flag, without = tmp_path / "with.json", tmp_path / "without.json"
@@ -209,6 +223,90 @@ class TestGoldenVerify:
                      "--json", str(with_flag)]) == 0
         assert main(["verify", "--d", "-84", *BASE, "--json", str(without)]) == 0
         assert with_flag.read_bytes() == without.read_bytes()
+
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates:
+# one of each kind that encode_basestring_ascii escapes differently
+TEXT = st.text(st.sampled_from(
+    '"\\/ aZ0~\x7f' '\b\f\n\r\t\x00\x1f' '\x80\xe9\u2028\ufffd'
+    '\ud800\udbff\udc00\udfff' '\U0001f600\U0010ffff'), max_size=8)
+DOCS = st.recursive(
+    TEXT | st.booleans(),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(TEXT, children)),
+    max_leaves=20,
+)
+
+
+def assert_writes_like_dumps(writer):
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              report_multiple_bugs=False)
+    @given(DOCS)
+    def check(doc):
+        assert writer(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    check()
+
+
+class TestJsonWriter:
+    def test_matches_json_dumps(self):
+        assert_writes_like_dumps(cli._json)
+
+    def test_empty_containers(self):
+        for doc in ([], (), {}, {"a": []}, [{}, [[]]]):
+            assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [1, 1.5, None])
+    def test_other_types_rejected(self, value):
+        # json.dumps would write these, and turn such keys into strings
+        for doc in (value, [value], {"k": value}, {value: "v"}):
+            with pytest.raises(TypeError):
+                cli._json(doc)
+
+    def test_mutant_without_sort_keys_fails(self):
+        source = inspect.getsource(cli._json)
+        ordered = "sorted(x.items())"
+        assert ordered in source
+        namespace = dict(vars(cli))
+        exec(source.replace(ordered, "x.items()"), namespace)
+        with pytest.raises(AssertionError):
+            assert_writes_like_dumps(namespace["_json"])
+
+
+class TestParserReuse:
+    """The parser is built once per process, and no option of one request
+    reaches the next."""
+
+    PLAIN = ["bound", "--d", "-20", *BASE]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_option_carries_over(self, tmp_path, capsys):
+        with_s = [*self.PLAIN, "--S", "3,7"]
+
+        def stdout_of(argv, fresh_parser=False):
+            if fresh_parser:
+                cli.build_parser.cache_clear()
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        # each request's stand-alone bytes, from a parser built for it alone
+        plain = stdout_of(self.PLAIN, fresh_parser=True)
+        s_report = stdout_of(with_s, fresh_parser=True)
+        assert s_report != plain
+
+        assert stdout_of(with_s) == s_report
+        assert stdout_of(self.PLAIN) == plain
+        out = tmp_path / "out.json"
+        assert stdout_of([*self.PLAIN, "--json", str(out)]) == ""
+        assert out.read_text() == plain
+        assert stdout_of(self.PLAIN) == plain
+        with pytest.raises(SystemExit) as e:
+            main([*with_s, "--s0-count", "x"])
+        assert e.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+        assert stdout_of(self.PLAIN) == plain
 
 
 class TestExitCodes:
