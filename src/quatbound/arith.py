@@ -4,7 +4,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count, islice
 from math import gcd, isqrt, prod
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -202,24 +202,80 @@ _TRIAL_RUN = 128
 # p-1 stage 2 pairs its primes around the multiples of 2*3*5*7*11.
 _D = 2310
 
+# The trial primes are sieved up to this bound first, then in segments as
+# trial division reaches past them.
+_FIRST_SIEVE = 4096
+
+
+class _TrialPrimes:
+    """The primes up to bound, sieved as far as limit so far; the products
+    of their runs built so far; and the rows of p-1's stage-2 grid built so
+    far: row k is js[ends[k]:ends[k+1]], the distinct j with k*_D - j or
+    k*_D + j a stage-2 prime.  Each is built the first time a factorization
+    reaches it, so a process builds only what it uses."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.limit = min(bound, _FIRST_SIEVE)
+        self.primes = primes_up_to(self.limit)
+        self.products: list[int] = []
+        self.js = array("H")
+        self.ends = array("I", [0])
+
+    def extend(self) -> bool:
+        """Sieve the odd numbers in (limit, min(4*limit, bound)] and append
+        their primes (segmented sieve, Bays-Hudson 1977); False when limit
+        is bound already.  The segment has under bound/2 bytes, no more
+        than primes_up_to(bound)'s sieve.  Its sieving primes, p*p <= hi,
+        are all listed: limit >= 4, so 2*sqrt(limit) <= limit."""
+        lo, hi = self.limit, min(4 * self.limit, self.bound)
+        if lo == hi:
+            return False
+        # index i stands for first + 2i
+        first = (lo + 1) | 1
+        n = (hi - first) // 2 + 1
+        segment = bytearray([1]) * n
+        for p in islice(self.primes, 1, None):
+            if p * p > hi:
+                break
+            start = max(p * p, -(-first // p) * p)
+            if start % 2 == 0:
+                start += p
+            i = (start - first) // 2
+            segment[i::p] = bytes(len(range(i, n, p)))
+        self.primes += compress(range(first, hi + 1, 2), segment)
+        self.limit = hi
+        return True
+
+    def complete(self) -> list[int]:
+        """All the primes up to bound."""
+        while self.extend():
+            pass
+        return self.primes
+
 
 @lru_cache(maxsize=8)
-def _trial_primes(bound: int) -> tuple[list[int], list[int], array, array]:
-    """The primes up to bound, the products of their runs built so far, and
-    the rows of p-1's stage-2 grid built so far: row k is js[ends[k]:ends[k+1]],
-    the distinct j with k*_D - j or k*_D + j a stage-2 prime.  _trial_divide
-    and _pollard_pm1 append a run's product or a row the first time they
-    reach it, so a process builds only what it uses."""
-    return primes_up_to(bound), [], array("H"), array("I", [0])
+def _trial_primes(bound: int) -> _TrialPrimes:
+    return _TrialPrimes(bound)
 
 
-def _trial_divide(m: int, primes: list[int], products: list[int]) -> tuple[dict[int, int], int]:
+def _trial_divide(m: int, trial: _TrialPrimes) -> tuple[dict[int, int], int]:
     """Divide m > 0 by every trial prime p with p*p <= m: the prime powers
     found and what is left.  A run whose product is coprime to m is passed
-    over with one gcd instead of one division per prime."""
+    over with one gcd instead of one division per prime.  Division ends
+    once m is proven prime, on entry or after a run that divided it.  The
+    list is sieved on only while a run it cuts short may be needed."""
     powers: dict[int, int] = {}
-    for i, start in enumerate(range(0, len(primes), _TRIAL_RUN)):
-        if primes[start] * primes[start] > m:
+    if _proven_prime(m):
+        return powers, m
+    primes, products = trial.primes, trial.products
+    for i in count():
+        start = i * _TRIAL_RUN
+        while (len(primes) < start + _TRIAL_RUN
+               and (start >= len(primes) or primes[start] * primes[start] <= m)
+               and trial.extend()):
+            pass
+        if start >= len(primes) or primes[start] * primes[start] > m:
             break
         if i == len(products):
             products.append(prod(primes[start : start + _TRIAL_RUN]))
@@ -231,7 +287,15 @@ def _trial_divide(m: int, primes: list[int], products: list[int]) -> tuple[dict[
             while m % p == 0:
                 powers[p] = powers.get(p, 0) + 1
                 m //= p
+        if _proven_prime(m):
+            break
     return powers, m
+
+
+def _proven_prime(m: int) -> bool:
+    # prime_status says "prime" only below the deterministic limit: a larger
+    # m is not tested, as its test could only cost time
+    return m < _MR_DETERMINISTIC_LIMIT and prime_status(m) == "prime"
 
 
 def _brent_rho(n: int, max_iters: int) -> int | None:
@@ -270,7 +334,7 @@ def _brent_rho(n: int, max_iters: int) -> int | None:
     return None
 
 
-def _pollard_pm1(n: int, primes: list[int], js: array, ends: array) -> int | None:
+def _pollard_pm1(n: int, trial: _TrialPrimes) -> int | None:
     """Pollard p-1 with base 3 over the trial primes (Pollard 1974).
 
     With T = primes[-1], stage 1 raises the base to every prime power up to
@@ -281,10 +345,12 @@ def _pollard_pm1(n: int, primes: list[int], js: array, ends: array) -> int | Non
     so one product term per pair (k, j) catches both k*_D - j and k*_D + j.
     A prime p | n is caught when ord_p(3) divides E, or E times a stage-2
     prime, or E times the partner k*_D -+ j of one (a number below T + _D).
-    The grid's rows are js[ends[k]:ends[k+1]], built the first time a call
-    reaches them.  Returns a proper factor of n, or None, also when every
-    prime of n is caught within one row (the gcd is n) and rho must split it.
+    It reads every trial prime, so it completes the list first.  The grid's
+    rows are js[ends[k]:ends[k+1]], built the first time a call reaches
+    them.  Returns a proper factor of n, or None, also when every prime of
+    n is caught within one row (the gcd is n) and rho must split it.
     """
+    primes, js, ends = trial.complete(), trial.js, trial.ends
     root = isqrt(primes[-1])
     a = 3
     for q in primes:
@@ -339,8 +405,13 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
 
     Trial division goes by runs of 128 consecutive trial primes, one gcd
     per run: a run coprime to the part is skipped, any other is divided
-    prime by prime.  It leaves the same prime powers and part as dividing
-    by each prime p with p*p <= the part in turn.
+    prime by prime.  It ends once the part is proven prime by deterministic
+    Miller-Rabin, on entry or after a run that divided it; a BPSW probable
+    prime proves nothing and is divided on.  A prime part has no trial
+    divisor p with p*p <= it, so neither runs nor the early end change the
+    result: the same prime powers and part as dividing by each prime p
+    with p*p <= the part in turn.  The trial primes are sieved as far as
+    the division reaches; p-1 completes them to the trial bound.
 
     The result depends on (n, budget) alone.  p-1 runs only when the trial
     primes, one step each, fit in the rho iteration budget; if it finds
@@ -350,8 +421,8 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
     """
     if n == 0:
         raise ValueError("factor: n must be nonzero")
-    primes, products, js, ends = _trial_primes(budget.trial_bound)
-    powers, m = _trial_divide(abs(n), primes, products)
+    trial = _trial_primes(budget.trial_bound)
+    powers, m = _trial_divide(abs(n), trial)
     # every part pushed is above 1: isqrt(m) >= 2, and p-1 and rho give 1 < f < m
     stack = [m] if m > 1 else []
     cofactor = 1
@@ -371,8 +442,9 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
             stack.extend((r, r))
             continue
         f = None
-        if len(primes) <= budget.rho_iterations:
-            f = _pollard_pm1(m, primes, js, ends)
+        # pi(T), the count of p-1's steps, needs the whole list
+        if len(trial.complete()) <= budget.rho_iterations:
+            f = _pollard_pm1(m, trial)
         if f is None:
             f = _brent_rho(m, budget.rho_iterations)
         if f is None:

@@ -24,41 +24,56 @@ class BoundParams:
 
 
 @dataclass
-class BoundReport:
+class FamilySets:
     S: list[SplitPrime]
     s0_truncation: list[SplitPrime]
-    components: dict[str, frozenset[int]]
-    union: frozenset[int]
-    certified: bool
-    mazur: MazurResult
     a1_families: list[ASet]  # one raw family per S0 member
     a2_families: list[ASet]
     a1_set: ASet  # the A1/A2 intersections, elements the factored gcds
     a2_set: ASet
     a3_set: ASet
+
+
+@dataclass
+class BoundReport(FamilySets):
+    components: dict[str, frozenset[int]]
+    union: frozenset[int]
+    certified: bool
+    mazur: MazurResult
     caveats: list[str] = field(default_factory=list)
 
 
-def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> BoundReport:
-    """Compute every component of the containment and union them.  Raises
-    ClassNumberOne, from enumerate_S0, when k has class number 1."""
+def assemble_sets(ctx: FieldContext, params: BoundParams = BoundParams()) -> FamilySets:
+    """S0, S, the A1/A2 families and their intersections, and the A3
+    support: everything but the Mazur search.  Raises ClassNumberOne, from
+    enumerate_S0, when k has class number 1."""
     s0 = enumerate_S0(ctx, params.s0_count)
     if params.S_override is not None:
         S = _validated_override(ctx, params.S_override)
     else:
         S = choose_S(ctx)
-
-    caveats: list[str] = []
-
     pairs = [families_A1_A2(ctx, q) for q in s0]
     a1_families = [a1 for a1, _ in pairs]
     a2_families = [a2 for _, a2 in pairs]
-    a1 = intersection_set(a1_families, params.factor_budget)
-    a2 = intersection_set(a2_families, params.factor_budget)
-    a3 = prime_support(family_A3(ctx, S), params.factor_budget)
+    return FamilySets(
+        S=S,
+        s0_truncation=s0,
+        a1_families=a1_families,
+        a2_families=a2_families,
+        a1_set=intersection_set(a1_families, params.factor_budget),
+        a2_set=intersection_set(a2_families, params.factor_budget),
+        a3_set=prime_support(family_A3(ctx, S), params.factor_budget),
+    )
+
+
+def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> BoundReport:
+    """Compute every component of the containment and union them.  Raises
+    ClassNumberOne, from enumerate_S0, when k has class number 1."""
+    sets = assemble_sets(ctx, params)
+    a1, a2, a3 = sets.a1_set, sets.a2_set, sets.a3_set
 
     mz = mazur_prime_set(ctx, params.mazur_bound)
-    caveats.append(f"mazur set truncated at bound {params.mazur_bound}")
+    caveats = [f"mazur set truncated at bound {params.mazur_bound}"]
 
     certified = a1.certified and a2.certified and a3.certified
     if not certified:
@@ -71,21 +86,15 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
         "a2_intersection": a2.support,
         "a3_support": a3.support,
         "mazur_primes": frozenset(mz.members),
-        "l_of_S": frozenset(q.l for q in S),
+        "l_of_S": frozenset(q.l for q in sets.S),
     }
     union = frozenset().union(*components.values())
     return BoundReport(
-        S=S,
-        s0_truncation=s0,
+        **vars(sets),
         components=components,
         union=union,
         certified=certified,
         mazur=mz,
-        a1_families=a1_families,
-        a2_families=a2_families,
-        a1_set=a1,
-        a2_set=a2,
-        a3_set=a3,
         caveats=caveats,
     )
 

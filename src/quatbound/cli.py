@@ -14,7 +14,8 @@ from .arith import FactorBudget, FactoredInteger
 from .quadfield import FieldContext, make_field
 from .classgroup import ClassNumberOne, enumerate_S0, form_order, reduced_forms
 from .mazur import mazur_prime_set
-from .bound import BoundParams, BoundReport, assemble_bound, candidate_discriminants, verify_prime_membership
+from .bound import (BoundParams, BoundReport, FamilySets, assemble_bound, assemble_sets,
+                    candidate_discriminants, verify_prime_membership)
 
 SUBCOMMANDS = ("field", "classgroup", "s0", "sets", "mazur", "bound", "candidates", "verify")
 
@@ -205,11 +206,11 @@ def _run(args, ctx, budget) -> tuple[dict, int]:
         factor_budget=budget,
         S_override=_parse_S(args.S),
     )
-    report = assemble_bound(ctx, params)
-
     if sub == "sets":
-        doc["families"] = _all_families(report)
+        doc["families"] = _all_families(assemble_sets(ctx, params))
         return doc, 0
+
+    report = assemble_bound(ctx, params)
 
     cands = None
     if sub == "candidates":
@@ -221,7 +222,7 @@ def _run(args, ctx, budget) -> tuple[dict, int]:
     return _report_doc(ctx, report, cands), code
 
 
-def _all_families(report: BoundReport) -> list[dict]:
+def _all_families(report: FamilySets) -> list[dict]:
     # A1/A2 families are emitted raw; their factored gcds are listed under
     # bound.intersections
     families = []

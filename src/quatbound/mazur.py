@@ -4,8 +4,8 @@ searched here up to a configurable bound."""
 
 from dataclasses import dataclass
 
-from .arith import is_prime, kronecker, primes_up_to
-from .quadfield import FieldContext, is_fundamental, split_primes, splitting_type
+from .arith import is_prime, kronecker
+from .quadfield import FieldContext, is_fundamental, split_primes
 
 
 @dataclass(frozen=True)
@@ -16,22 +16,16 @@ class MazurResult:
 
 def is_in_mazur(ctx: FieldContext, N: int) -> bool:
     """Membership test: every split-in-k prime l with 2 < l < |N|/4 must
-    have kronecker(N, l) != 1.  Vacuously true when the range is empty."""
+    have kronecker(N, l) != 1.  Vacuously true when the range is empty.
+    The split primes are walked by Kronecker symbol alone, independent of
+    mazur_prime_set's bitset sieve, up to the first witness."""
     if not is_fundamental(N):
         raise ValueError(f"{N} is not a fundamental discriminant")
-    limit = abs(N)  # l < |N|/4  <=>  4l < |N|
-    for l in _odd_primes_below(limit):
-        if splitting_type(ctx, l) == "split" and kronecker(N, l) == 1:
+    for l in split_primes(ctx):
+        if 4 * l >= abs(N):  # l < |N|/4  <=>  4l < |N|
+            return True
+        if l > 2 and kronecker(N, l) == 1:
             return False
-    return True
-
-
-def _odd_primes_below(four_times_limit: int):
-    """Odd primes l with 4*l < four_times_limit."""
-    cap = (four_times_limit - 1) // 4
-    if cap < 3:
-        return []
-    return [l for l in primes_up_to(cap) if l > 2]
 
 
 def mazur_prime_set(ctx: FieldContext, bound: int) -> MazurResult:

@@ -92,8 +92,9 @@ def splitting_type(ctx: FieldContext, p: int) -> str:
 
 def split_primes(ctx: FieldContext):
     """The primes split in k, ascending and without end.  Primes are sieved
-    in doubling ranges, so only the primes consumed get classified."""
-    lo, hi = 2, 1024
+    in doubling ranges from 64, so only the primes consumed get classified
+    and a short walk sieves little."""
+    lo, hi = 2, 64
     while True:
         primes = primes_up_to(hi)
         for l in primes[bisect_left(primes, lo):]:

@@ -1,6 +1,7 @@
 import os
 import random
 from bisect import bisect_right
+from functools import cache
 from itertools import islice
 from math import gcd, isqrt, prod
 
@@ -271,10 +272,15 @@ class TestPollardPm1:
         # p - 1 = 2^3 * 487 * 773 * 997 and q - 1 = 2^3 * 61 * 487 * 881:
         # stage 1 alone catches both primes, so the gcd is n itself
         p, q = 3002573177, 209374937
-        primes, _, js, ends = arith._trial_primes(10**6)
-        assert arith._pollard_pm1(p * q, primes, js, ends) is None
+        assert arith._pollard_pm1(p * q, arith._trial_primes(10**6)) is None
         f = factor(p * q)
         assert f.complete and f.prime_powers == ((q, 1), (p, 1))
+
+
+@cache
+def all_primes(bound):
+    """primes_up_to(bound), shared by the reference paths."""
+    return primes_up_to(bound)
 
 
 def reference_trial_divide(m, primes):
@@ -321,7 +327,7 @@ def reference_factor(monkeypatch, n, budget):
     """factor() with its trial division done by the reference loop."""
     with monkeypatch.context() as mp:
         mp.setattr(arith, "_trial_divide",
-                   lambda m, primes, products: reference_trial_divide(m, primes))
+                   lambda m, trial: reference_trial_divide(m, all_primes(trial.bound)))
         return factor(n, budget)
 
 
@@ -345,9 +351,9 @@ class TestTrialDivision:
         seen = []
         real = arith._trial_divide
 
-        def checked(m, primes, products):
-            got = real(m, primes, products)
-            assert got == reference_trial_divide(m, primes), m
+        def checked(m, trial):
+            got = real(m, trial)
+            assert got == reference_trial_divide(m, all_primes(trial.bound)), m
             seen.append(m)
             return got
 
@@ -363,18 +369,18 @@ class TestTrialDivision:
     def test_edges_match_reference(self, trial_bound):
         primes = primes_up_to(trial_bound)
         for n in self.EDGE_VALUES:
-            got = arith._trial_divide(n, *arith._trial_primes(trial_bound)[:2])
+            got = arith._trial_divide(n, arith._trial_primes(trial_bound))
             assert got == reference_trial_divide(n, primes), (n, trial_bound)
 
     def test_a_prime_from_every_run(self):
         # each value has a prime in every run of 128, at a different place
         # in each run: a run passed over without its gcd loses its prime
         primes = primes_up_to(10**6)
-        trial = arith._trial_primes(10**6)[:2]
+        trial = arith._trial_primes(10**6)
         for chosen, extra in ((primes[::127], 1), (primes[127::128], 1000003**2),
                               (primes[5::131], 1000003 * 1000033)):
             n = prod(chosen) * extra
-            got = arith._trial_divide(n, *trial)
+            got = arith._trial_divide(n, trial)
             assert got == reference_trial_divide(n, primes)
             # the largest chosen prime may be left over once p*p passes m
             assert got[0].keys() >= set(chosen[:-1])
@@ -383,14 +389,14 @@ class TestTrialDivision:
     def test_random_match_reference(self, trial_bound):
         rng = random.Random(trial_bound)
         primes = primes_up_to(trial_bound)
-        trial = arith._trial_primes(trial_bound)[:2]
+        trial = arith._trial_primes(trial_bound)
         pool = primes_up_to(2 * 10**6)[::37]
         for _ in range(100):
             n = 1
             for _ in range(rng.randrange(1, 6)):
                 n *= rng.choice(pool) ** rng.randrange(1, 4)
             n *= rng.randrange(1, 10**rng.randrange(1, 40))
-            assert arith._trial_divide(n, *trial) == reference_trial_divide(n, primes), n
+            assert arith._trial_divide(n, trial) == reference_trial_divide(n, primes), n
 
     @pytest.mark.parametrize("rho_iterations", [2, 10, 1000])
     @pytest.mark.parametrize("trial_bound", TRIAL_BOUNDS)
@@ -414,10 +420,12 @@ class TestTrialDivision:
         arith._trial_primes.cache_clear()
         assert factor(2**20 * 3**10).prime_powers == ((2, 20), (3, 10))
         assert factor(719 * 727).prime_powers == ((719, 1), (727, 1))
-        primes, products, *_ = arith._trial_primes(10**6)
-        assert products == [prod(primes[:128])]
+        trial = arith._trial_primes(10**6)
+        products = trial.products
+        assert products == [prod(trial.primes[:128])]
         factor(1000003**2)
-        assert len(products) == 614
+        primes = primes_up_to(10**6)
+        assert trial.primes == primes and len(products) == 614
         assert products == [prod(primes[i : i + 128]) for i in range(0, len(primes), 128)]
 
 
@@ -428,8 +436,7 @@ class TestPairedStage2:
 
     @staticmethod
     def grid(trial_bound):
-        primes, _, js, ends = arith._trial_primes(trial_bound)
-        return primes, js, ends
+        return (arith._trial_primes(trial_bound),)
 
     @staticmethod
     def stage2_rows(primes):
@@ -510,8 +517,10 @@ class TestPairedStage2:
 
     @pytest.mark.parametrize("trial_bound", [2, 3, 50, 2311, 10**5, 10**6])
     def test_rows_pair_every_stage2_prime(self, trial_bound):
-        primes, js, ends = self.grid(trial_bound)
-        assert arith._pollard_pm1(self.R * self.R2, primes, js, ends) is None
+        trial = arith._trial_primes(trial_bound)
+        assert arith._pollard_pm1(self.R * self.R2, trial) is None
+        primes, js, ends = trial.primes, trial.js, trial.ends
+        assert primes == primes_up_to(trial_bound)
         D = arith._D
         rows = self.stage2_rows(primes)
         assert len(ends) - 1 == (primes[-1] + D // 2) // D + 1
@@ -525,7 +534,8 @@ class TestPairedStage2:
         # that runs p-1 should pay
         arith._trial_primes.cache_clear()
         assert factor(2**20 * 999983 * 1000003).complete  # no part reaches p-1
-        _, _, js, ends = arith._trial_primes(10**6)
+        trial = arith._trial_primes(10**6)
+        js, ends = trial.js, trial.ends
         assert list(ends) == [0] and len(js) == 0
         factor(self.R * self.R2, FactorBudget(rho_iterations=10**5))
         assert len(ends) == 435 and len(js) == ends[-1]
@@ -563,3 +573,121 @@ class TestPairedStage2:
         assert arith._pollard_pm1(27 * self.R, *self.grid(3)) == 3
         for p in (11, 13, 61, 547):
             assert arith._pollard_pm1(p * self.R, *self.grid(7)) == p
+
+
+class TestGrownList:
+    """The trial primes are sieved as far as trial division reaches, in
+    segments of up to 4 times the last limit, and completed for p-1."""
+
+    EDGE_BOUNDS = (2, 3, 719, 727, 4095, 4096, 4097, 16385, 10**6)
+
+    @pytest.fixture(autouse=True)
+    def fresh_list(self):
+        arith._trial_primes.cache_clear()
+        yield
+        arith._trial_primes.cache_clear()
+
+    @pytest.mark.parametrize("D", [-20, -3299])
+    def test_verify_stays_short(self, D):
+        assert main(["verify", "--d", str(D), "--json", os.devnull]) == 0
+        assert len(arith._trial_primes(10**6).primes) < 2000
+
+    def test_pm1_request_completes_the_list(self):
+        assert main(["bound", "--d", "-1151", "--rho-iters", "1000000",
+                     "--json", os.devnull]) == 0
+        assert arith._trial_primes(10**6).primes == primes_up_to(10**6)
+
+    @pytest.mark.parametrize("bound", EDGE_BOUNDS)
+    def test_segment_edges(self, bound):
+        full = primes_up_to(bound)
+        trial = arith._trial_primes(bound)
+        limits = [trial.limit]
+        assert trial.primes == full[: bisect_right(full, trial.limit)]
+        while trial.extend():
+            limits.append(trial.limit)
+            # every intermediate list is the primes up to its limit
+            assert trial.primes == full[: bisect_right(full, trial.limit)]
+        assert trial.primes == full and trial.complete() == full
+        assert limits[0] == min(bound, 4096) and limits[-1] == bound
+        for lo, hi in zip(limits, limits[1:]):
+            assert hi == min(4 * lo, bound)
+            # a segment's buffer is no larger than primes_up_to(bound)'s sieve
+            assert (hi - lo + 1) // 2 <= (bound + 1) // 2
+
+    @pytest.mark.parametrize("bound", EDGE_BOUNDS)
+    def test_division_grows_the_list(self, bound):
+        # 4093 and 4099 sit either side of the first limit, 16381 and 16411
+        # of the second, and 719 and 727 of the first run
+        full = primes_up_to(bound)
+        trial = arith._trial_primes(bound)
+        values = (719 * 727, 4093 * 4099, 4099**2, 16381 * 16411 * 4099,
+                  65521 * 65537 * 5, 999983 * 1000003, 10**12 + 39, 1000003**2 * 6)
+        for n in values:
+            assert arith._trial_divide(n, trial) == reference_trial_divide(n, full), n
+            assert trial.primes == full[: bisect_right(full, trial.limit)]
+            assert trial.products == [prod(full[i : i + 128])
+                                      for i in range(0, 128 * len(trial.products), 128)]
+        # 10^12 + 39 is proven prime, so only 1000003^2 * 6 walks to the end
+        assert trial.primes == full
+
+
+class TestEarlyStop:
+    """Trial division ends once what is left is proven prime."""
+
+    T = 10**6
+    P_BELOW = 100000000003  # a prime below T^2
+    P_ABOVE = 100000000000000000039  # a prime between T^2 and 3.3e24
+    M89 = 2**89 - 1  # prime, but above 3.3e24 prime_status says "probable"
+    # strong pseudoprimes to the first 1, 2, 3 and 4 bases (OEIS A014233)
+    PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751)
+
+    @classmethod
+    def divide(cls, m):
+        """_trial_divide on a fresh list: (its result, the list)."""
+        arith._trial_primes.cache_clear()
+        trial = arith._trial_primes(cls.T)
+        return arith._trial_divide(m, trial), trial
+
+    @classmethod
+    def check_fires(cls):
+        for p in (cls.P_BELOW, cls.P_ABOVE):
+            assert prime_status(p) == "prime"
+            got, trial = cls.divide(p)
+            assert got == ({}, p) and trial.products == [] and trial.limit == 4096
+        # after the first run divides m
+        got, trial = cls.divide(2**5 * 3 * cls.P_ABOVE)
+        assert got == ({2: 5, 3: 1}, cls.P_ABOVE)
+        assert len(trial.products) == 1 and trial.limit == 4096
+        # 7919, the 1000th prime, is in run 7, past the first limit
+        got, trial = cls.divide(7919 * cls.P_BELOW)
+        assert got == ({7919: 1}, cls.P_BELOW)
+        assert len(trial.products) == 8 and trial.limit == 16384
+
+    @classmethod
+    def check_does_not_fire(cls):
+        full = all_primes(cls.T)
+        values = (*cls.PSEUDOPRIMES, *(2 * q for q in cls.PSEUDOPRIMES),
+                  999983 * 1000003 * 1000033, 2**40 * 999983**2)
+        for m in values:
+            got, _ = cls.divide(m)
+            assert got == reference_trial_divide(m, full), m
+        for m in (cls.M89, 6 * cls.M89):
+            assert prime_status(cls.M89) == "probable"
+            got, trial = cls.divide(m)
+            assert got == reference_trial_divide(m, full) and got[1] == cls.M89
+            # a probable prime is divided by the whole list
+            assert trial.primes == full and len(trial.products) == 614
+
+    def test_fires_on_proven_primes(self):
+        self.check_fires()
+
+    def test_does_not_fire_on_pseudoprimes_or_probable_primes(self):
+        self.check_does_not_fire()
+
+    def test_mutant_stopping_above_t_squared_fails(self, monkeypatch):
+        # a stop at every part above T^2, with no primality test
+        monkeypatch.setattr(arith, "_proven_prime", lambda m: m > self.T * self.T)
+        for check in (self.check_fires, self.check_does_not_fire):
+            with pytest.raises(AssertionError):
+                check()
+        arith._trial_primes.cache_clear()

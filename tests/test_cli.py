@@ -131,6 +131,19 @@ class TestOneMazurSearch:
         assert len(calls) == 1
         assert doc["mazur"]["bound"] == "10000"
 
+    def test_sets_runs_none(self, tmp_path, monkeypatch):
+        # sets prints no Mazur primes, so it must not search for them
+        def refuse(*args):
+            raise RuntimeError("sets ran the Mazur search")
+
+        monkeypatch.setattr(bound, "mazur_prime_set", refuse)
+        monkeypatch.setattr(cli, "mazur_prime_set", refuse)
+        out = tmp_path / "sets.json"
+        assert main(["sets", "--d", "-419", *BASE, "--json", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "sets_-419.json").read_bytes()
+        with pytest.raises(RuntimeError):
+            main(["bound", "--d", "-419", *BASE, "--json", str(out)])
+
 
 class TestOneFamilyBuild:
     def test_each_family_built_once_per_verify(self, tmp_path, monkeypatch):

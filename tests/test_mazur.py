@@ -79,6 +79,34 @@ class TestIsInMazur:
         with pytest.raises(ValueError):
             is_in_mazur(ctx20, 20)  # 20 = 4*5 with 5 = 1 mod 4: not fundamental
 
+    def test_matches_independent_recheck(self, contexts):
+        # every fundamental N with |N| <= 4000, members and non-members
+        for ctx in contexts.values():
+            split = [l for l in primes_up_to(1000)
+                     if l > 2 and pow(ctx.D % l, (l - 1) // 2, l) == 1]
+            got = [is_in_mazur(ctx, N) for N in range(-4000, 4001)
+                   if N not in (0, 1) and is_fundamental(N)]
+            expected = [independent_recheck(N, split) for N in range(-4000, 4001)
+                        if N not in (0, 1) and is_fundamental(N)]
+            assert got == expected and 0 < sum(got) < len(got)
+
+    def test_stops_at_first_witness(self, ctx20, monkeypatch):
+        # l = 3 splits in k and in Q(sqrt(N)) for N = 4*10^7 + 9 (= 1 mod 3):
+        # no split prime past it is classified
+        N = 4 * 10**7 + 9
+        assert is_fundamental(N) and kronecker(N, 3) == 1
+        walked = []
+
+        def recording(ctx):
+            for l in real(ctx):
+                walked.append(l)
+                yield l
+
+        real = mazur.split_primes
+        monkeypatch.setattr(mazur, "split_primes", recording)
+        assert not is_in_mazur(ctx20, N)
+        assert walked == [3]
+
 
 class TestMazurPrimeSet:
     def test_small_bound_examples(self, ctx20):

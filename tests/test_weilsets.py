@@ -468,7 +468,7 @@ class TestCacheRule:
         f = factor(v, FactorBudget(trial_bound=trial_bound))
         assert f.complete
         assert (sum(e for p, e in f.prime_powers if p > trial_bound) >= 2) == past_trial
-        _, rest = arith._trial_divide(abs(v), *arith._trial_primes(trial_bound)[:2])
+        _, rest = arith._trial_divide(abs(v), arith._trial_primes(trial_bound))
         assert (rest > 1 and not is_prime(rest)) == past_trial
 
     def test_minus_1151_element_needing_pm1_stored(self, monkeypatch):
