@@ -135,19 +135,43 @@ def prime_status(n: int) -> str:
     return "probable" if _lucas_strong_probable_prime(n) else "composite"
 
 
+def _segment(lo: int, hi: int, base: list[int]) -> list[int]:
+    """The primes in (lo, hi], 2 <= lo <= hi: the odd numbers there sieved
+    by the odd primes p*p <= hi of base, which lists the primes from 2 on
+    as far as sqrt(hi) at least (segmented sieve, Bays-Hudson 1977)."""
+    # index i stands for first + 2i
+    first = (lo + 1) | 1
+    n = (hi - first) // 2 + 1
+    segment = bytearray([1]) * n
+    for p in islice(base, 1, None):
+        if p * p > hi:
+            break
+        start = max(p * p, -(-first // p) * p)
+        if start % 2 == 0:
+            start += p
+        i = (start - first) // 2
+        segment[i::p] = bytes(len(range(i, n, p)))
+    return list(compress(range(first, hi + 1, 2), segment))
+
+
+def prime_stream():
+    """The primes, ascending and without end: 2 and 3, then the primes of
+    (lo, 2*lo] for lo = 4, 8, 16, ..., so each number is sieved once.  The
+    primes up to lo include every sieving prime, as sqrt(2*lo) <= lo."""
+    found, lo = [2, 3], 4
+    yield from found
+    while True:
+        new = _segment(lo, 2 * lo, found)
+        yield from new
+        found += new
+        lo *= 2
+
+
 def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound by sieve of Eratosthenes over the odd numbers."""
+    """All primes <= bound."""
     if bound < 2:
         raise ValueError("primes_up_to: bound must be >= 2")
-    # index i stands for 2i + 1; the odd multiples of p from p^2 are p apart
-    n = (bound + 1) // 2
-    sieve = bytearray([1]) * n
-    sieve[0] = 0
-    for i in range(1, (isqrt(bound) + 1) // 2):
-        if sieve[i]:
-            p = 2 * i + 1
-            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, n, p)))
-    return [2, *compress(range(1, bound + 1, 2), sieve)]
+    return _TrialPrimes(bound).complete()
 
 
 @dataclass(frozen=True)
@@ -202,10 +226,6 @@ _TRIAL_RUN = 128
 # p-1 stage 2 pairs its primes around the multiples of 2*3*5*7*11.
 _D = 2310
 
-# The trial primes are sieved up to this bound first, then in segments as
-# trial division reaches past them.
-_FIRST_SIEVE = 4096
-
 
 class _TrialPrimes:
     """The primes up to bound, sieved as far as limit so far; the products
@@ -216,34 +236,20 @@ class _TrialPrimes:
 
     def __init__(self, bound: int):
         self.bound = bound
-        self.limit = min(bound, _FIRST_SIEVE)
-        self.primes = primes_up_to(self.limit)
+        self.limit = min(bound, 4)
+        self.primes = [p for p in (2, 3) if p <= bound]
         self.products: list[int] = []
         self.js = array("H")
         self.ends = array("I", [0])
 
     def extend(self) -> bool:
-        """Sieve the odd numbers in (limit, min(4*limit, bound)] and append
-        their primes (segmented sieve, Bays-Hudson 1977); False when limit
-        is bound already.  The segment has under bound/2 bytes, no more
-        than primes_up_to(bound)'s sieve.  Its sieving primes, p*p <= hi,
-        are all listed: limit >= 4, so 2*sqrt(limit) <= limit."""
+        """Append the primes in (limit, min(4*limit, bound)]; False when
+        limit is bound already.  The segment has under bound/2 bytes, and
+        its sieving primes are listed, as sqrt(4*limit) <= limit."""
         lo, hi = self.limit, min(4 * self.limit, self.bound)
         if lo == hi:
             return False
-        # index i stands for first + 2i
-        first = (lo + 1) | 1
-        n = (hi - first) // 2 + 1
-        segment = bytearray([1]) * n
-        for p in islice(self.primes, 1, None):
-            if p * p > hi:
-                break
-            start = max(p * p, -(-first // p) * p)
-            if start % 2 == 0:
-                start += p
-            i = (start - first) // 2
-            segment[i::p] = bytes(len(range(i, n, p)))
-        self.primes += compress(range(first, hi + 1, 2), segment)
+        self.primes += _segment(lo, hi, self.primes)
         self.limit = hi
         return True
 

@@ -1,29 +1,20 @@
 """Imaginary quadratic fields: discriminants, ramified primes, prime
 splitting, and the field context that carries the class data."""
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
-from .arith import kronecker, primes_up_to
-
-
-def _prime_powers(n: int) -> dict[int, int]:
-    """The factorization p -> e of |n| by trial division."""
-    n, out, d = abs(n), {}, 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = 1
-    return out
+from .arith import factor, kronecker, prime_stream
 
 
 def _squarefree(n: int) -> bool:
-    return all(e == 1 for e in _prime_powers(n).values())
+    # trial division alone completes factor(n) for |n| < 10^12: every part
+    # it leaves below the trial bound squared is prime
+    f = factor(n)
+    if not f.complete:
+        raise ValueError(f"{n} could not be factored completely")
+    return all(e == 1 for _, e in f.prime_powers)
 
 
 def is_fundamental(D: int) -> bool:
@@ -80,7 +71,7 @@ def make_field(d_or_D: int) -> FieldContext:
         raise ValueError(
             f"{n} is neither squarefree nor a fundamental discriminant"
         )
-    return FieldContext(D=D, ram_primes=frozenset(_prime_powers(D)))
+    return FieldContext(D=D, ram_primes=frozenset(factor(D).primes))
 
 
 def splitting_type(ctx: FieldContext, p: int) -> str:
@@ -91,14 +82,7 @@ def splitting_type(ctx: FieldContext, p: int) -> str:
 
 
 def split_primes(ctx: FieldContext):
-    """The primes split in k, ascending and without end.  Primes are sieved
-    in doubling ranges from 64, so only the primes consumed get classified
-    and a short walk sieves little."""
-    lo, hi = 2, 64
-    while True:
-        primes = primes_up_to(hi)
-        for l in primes[bisect_left(primes, lo):]:
-            if splitting_type(ctx, l) == "split":
-                yield l
-        lo, hi = hi + 1, 2 * hi
-
+    """The primes split in k, ascending and without end."""
+    for l in prime_stream():
+        if splitting_type(ctx, l) == "split":
+            yield l

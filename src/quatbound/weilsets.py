@@ -45,7 +45,8 @@ def beta_for(ctx: FieldContext, q: SplitPrime) -> tuple[int, int]:
     if beta is None:
         raise AssertionError("q^h must be principal when h is the group exponent")
     t, y = beta
-    assert t * t - ctx.D * y * y == 4 * q.l**ctx.h
+    if t * t - ctx.D * y * y != 4 * q.l**ctx.h:
+        raise AssertionError(f"the generator of q^h for l = {q.l} has the wrong norm")
     return beta
 
 

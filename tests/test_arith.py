@@ -74,7 +74,7 @@ class TestIsPrime:
         assert is_prime(1000000007)
 
     def test_agrees_with_sieve_below_1e6(self):
-        sieve = set(primes_up_to(10**6))
+        sieve = set(all_primes(10**6))
         for n in range(10**6):
             assert is_prime(n) == (n in sieve), n
 
@@ -96,6 +96,18 @@ def trial_division_primes(bound):
     return [n for n in range(2, bound + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
 
 
+@cache
+def all_primes(bound):
+    """The primes up to bound by a sieve of Eratosthenes over all the
+    integers: the reference for the program's one segmented sieve."""
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return [n for n in range(bound + 1) if sieve[n]]
+
+
 class TestPrimesUpTo:
     def test_examples(self):
         assert primes_up_to(23) == [2, 3, 5, 7, 11, 13, 17, 19, 23]
@@ -109,15 +121,9 @@ class TestPrimesUpTo:
 
     def test_bounds_around_prime_squares(self):
         # from n = p^2 on the sieve loops over p, and p^2 is the first number
-        # it clears; the reference is a sieve over all numbers, checked
-        # against trial division up to 10^4
-        top = 997**2 + 1
-        sieve = bytearray([1]) * (top + 1)
-        sieve[:2] = b"\0\0"
-        for p in range(2, isqrt(top) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
-        reference = [n for n in range(top + 1) if sieve[n]]
+        # it clears; the reference sieve is checked against trial division
+        # up to 10^4
+        reference = all_primes(997**2 + 1)
         assert reference[:1229] == trial_division_primes(10**4)
         for p in trial_division_primes(999):
             for n in (p * p - 1, p * p, p * p + 1):
@@ -126,6 +132,32 @@ class TestPrimesUpTo:
     def test_bound_too_small(self):
         with pytest.raises(ValueError):
             primes_up_to(1)
+
+
+class TestPrimeStream:
+    # the last prime up to 2^k and the first above it, for the segment
+    # edges 2^13, 2^16, 2^17 and 2^18
+    EDGES = ((8191, 8209), (65521, 65537), (131071, 131101), (262139, 262147))
+
+    def test_prefix_through_2_18(self):
+        reference = all_primes(2**18 + 16)
+        assert list(islice(arith.prime_stream(), len(reference))) == reference
+        for below, above in self.EDGES:
+            i = bisect_right(reference, below)
+            assert reference[i - 1 : i + 1] == [below, above]
+            assert below < 2 ** (above.bit_length() - 1) < above
+
+    def test_sieves_each_number_once(self, monkeypatch):
+        calls = []
+        real = arith._segment
+
+        def recording(lo, hi, base):
+            calls.append((lo, hi))
+            return real(lo, hi, base)
+
+        monkeypatch.setattr(arith, "_segment", recording)
+        assert list(islice(arith.prime_stream(), 1000))[-1] == 7919
+        assert calls == [(2**k, 2 ** (k + 1)) for k in range(2, 13)]
 
 
 class TestIsqrt:
@@ -277,12 +309,6 @@ class TestPollardPm1:
         assert f.complete and f.prime_powers == ((q, 1), (p, 1))
 
 
-@cache
-def all_primes(bound):
-    """primes_up_to(bound), shared by the reference paths."""
-    return primes_up_to(bound)
-
-
 def reference_trial_divide(m, primes):
     """The prime-by-prime loop that runs of primes replaced: divide m by each
     trial prime p in turn until p*p > m.  Returns (powers, what is left)."""
@@ -367,7 +393,7 @@ class TestTrialDivision:
 
     @pytest.mark.parametrize("trial_bound", TRIAL_BOUNDS)
     def test_edges_match_reference(self, trial_bound):
-        primes = primes_up_to(trial_bound)
+        primes = all_primes(trial_bound)
         for n in self.EDGE_VALUES:
             got = arith._trial_divide(n, arith._trial_primes(trial_bound))
             assert got == reference_trial_divide(n, primes), (n, trial_bound)
@@ -375,7 +401,7 @@ class TestTrialDivision:
     def test_a_prime_from_every_run(self):
         # each value has a prime in every run of 128, at a different place
         # in each run: a run passed over without its gcd loses its prime
-        primes = primes_up_to(10**6)
+        primes = all_primes(10**6)
         trial = arith._trial_primes(10**6)
         for chosen, extra in ((primes[::127], 1), (primes[127::128], 1000003**2),
                               (primes[5::131], 1000003 * 1000033)):
@@ -388,9 +414,9 @@ class TestTrialDivision:
     @pytest.mark.parametrize("trial_bound", TRIAL_BOUNDS)
     def test_random_match_reference(self, trial_bound):
         rng = random.Random(trial_bound)
-        primes = primes_up_to(trial_bound)
+        primes = all_primes(trial_bound)
         trial = arith._trial_primes(trial_bound)
-        pool = primes_up_to(2 * 10**6)[::37]
+        pool = all_primes(2 * 10**6)[::37]
         for _ in range(100):
             n = 1
             for _ in range(rng.randrange(1, 6)):
@@ -424,7 +450,7 @@ class TestTrialDivision:
         products = trial.products
         assert products == [prod(trial.primes[:128])]
         factor(1000003**2)
-        primes = primes_up_to(10**6)
+        primes = all_primes(10**6)
         assert trial.primes == primes and len(products) == 614
         assert products == [prod(primes[i : i + 128]) for i in range(0, len(primes), 128)]
 
@@ -458,7 +484,7 @@ class TestPairedStage2:
                 return p
 
     def _corpus(self, rng, trial_bound, rows_taken):
-        primes = primes_up_to(trial_bound)
+        primes = all_primes(trial_bound)
         rows = self.stage2_rows(primes)
         D = arith._D
         for k in rows_taken:
@@ -476,7 +502,7 @@ class TestPairedStage2:
     def _check(self, trial_bound, corpus):
         for r in (self.R, self.R2):
             assert is_prime(r) and is_prime((r - 1) // 2)
-        primes = primes_up_to(trial_bound)
+        primes = all_primes(trial_bound)
         caught = 0
         for p in corpus:
             expected = reference_pm1(p * self.R, primes)
@@ -487,13 +513,13 @@ class TestPairedStage2:
 
     def test_every_row_matches_reference(self):
         rng = random.Random(14)
-        rows = self.stage2_rows(primes_up_to(10**5))
+        rows = self.stage2_rows(all_primes(10**5))
         corpus = list(self._corpus(rng, 10**5, sorted(rows)))
         assert self._check(10**5, corpus) == len(corpus) - 4
 
     def test_sampled_rows_match_reference(self):
         rng = random.Random(15)
-        rows = sorted(self.stage2_rows(primes_up_to(10**6)))
+        rows = sorted(self.stage2_rows(all_primes(10**6)))
         assert len(rows) == 434
         taken = [*rows[:5], *rng.sample(rows[5:-4], 12), *rows[-4:]]
         corpus = list(self._corpus(rng, 10**6, taken))
@@ -510,7 +536,7 @@ class TestPairedStage2:
         assert self._check(10**5, corpus) > 0
 
     def test_large_h_parts_match_reference(self):
-        primes = primes_up_to(10**6)
+        primes = all_primes(10**6)
         for n in TestPollardPm1.LARGE_H_PARTS:
             got = arith._pollard_pm1(n, *self.grid(10**6))
             assert got is not None and got == reference_pm1(n, primes), n
@@ -520,7 +546,7 @@ class TestPairedStage2:
         trial = arith._trial_primes(trial_bound)
         assert arith._pollard_pm1(self.R * self.R2, trial) is None
         primes, js, ends = trial.primes, trial.js, trial.ends
-        assert primes == primes_up_to(trial_bound)
+        assert primes == all_primes(trial_bound)
         D = arith._D
         rows = self.stage2_rows(primes)
         assert len(ends) - 1 == (primes[-1] + D // 2) // D + 1
@@ -544,7 +570,7 @@ class TestPairedStage2:
         # p and p2 are caught by rows 5 and 6, one 4-row window: the window's
         # gcd is n, and its rows one at a time give p
         rng = random.Random(17)
-        primes = primes_up_to(10**6)
+        primes = all_primes(10**6)
         rows = self.stage2_rows(primes)
         p = self.caught_by(rng, primes, rows[5][0])
         p2 = self.caught_by(rng, primes, rows[6][-1])
@@ -576,10 +602,11 @@ class TestPairedStage2:
 
 
 class TestGrownList:
-    """The trial primes are sieved as far as trial division reaches, in
-    segments of up to 4 times the last limit, and completed for p-1."""
+    """The trial primes start from 2 and 3, are sieved as far as trial
+    division reaches, in segments of up to 4 times the last limit, and are
+    completed for p-1."""
 
-    EDGE_BOUNDS = (2, 3, 719, 727, 4095, 4096, 4097, 16385, 10**6)
+    EDGE_BOUNDS = (2, 3, 4, 5, 17, 719, 727, 4095, 4096, 4097, 16385, 10**6)
 
     @pytest.fixture(autouse=True)
     def fresh_list(self):
@@ -595,11 +622,11 @@ class TestGrownList:
     def test_pm1_request_completes_the_list(self):
         assert main(["bound", "--d", "-1151", "--rho-iters", "1000000",
                      "--json", os.devnull]) == 0
-        assert arith._trial_primes(10**6).primes == primes_up_to(10**6)
+        assert arith._trial_primes(10**6).primes == all_primes(10**6)
 
     @pytest.mark.parametrize("bound", EDGE_BOUNDS)
     def test_segment_edges(self, bound):
-        full = primes_up_to(bound)
+        full = all_primes(bound)
         trial = arith._trial_primes(bound)
         limits = [trial.limit]
         assert trial.primes == full[: bisect_right(full, trial.limit)]
@@ -608,17 +635,17 @@ class TestGrownList:
             # every intermediate list is the primes up to its limit
             assert trial.primes == full[: bisect_right(full, trial.limit)]
         assert trial.primes == full and trial.complete() == full
-        assert limits[0] == min(bound, 4096) and limits[-1] == bound
+        assert limits[0] == min(bound, 4) and limits[-1] == bound
         for lo, hi in zip(limits, limits[1:]):
             assert hi == min(4 * lo, bound)
-            # a segment's buffer is no larger than primes_up_to(bound)'s sieve
+            # a segment's buffer holds the odd numbers in (lo, hi], under bound/2
             assert (hi - lo + 1) // 2 <= (bound + 1) // 2
 
     @pytest.mark.parametrize("bound", EDGE_BOUNDS)
     def test_division_grows_the_list(self, bound):
-        # 4093 and 4099 sit either side of the first limit, 16381 and 16411
-        # of the second, and 719 and 727 of the first run
-        full = primes_up_to(bound)
+        # 4093 and 4099 sit either side of the limit 4096, 16381 and 16411
+        # of 16384, and 719 and 727 of the first run
+        full = all_primes(bound)
         trial = arith._trial_primes(bound)
         values = (719 * 727, 4093 * 4099, 4099**2, 16381 * 16411 * 4099,
                   65521 * 65537 * 5, 999983 * 1000003, 10**12 + 39, 1000003**2 * 6)
@@ -653,12 +680,12 @@ class TestEarlyStop:
         for p in (cls.P_BELOW, cls.P_ABOVE):
             assert prime_status(p) == "prime"
             got, trial = cls.divide(p)
-            assert got == ({}, p) and trial.products == [] and trial.limit == 4096
-        # after the first run divides m
+            assert got == ({}, p) and trial.products == [] and trial.limit == 4
+        # after the first run divides m: its 128 primes end at 719
         got, trial = cls.divide(2**5 * 3 * cls.P_ABOVE)
         assert got == ({2: 5, 3: 1}, cls.P_ABOVE)
-        assert len(trial.products) == 1 and trial.limit == 4096
-        # 7919, the 1000th prime, is in run 7, past the first limit
+        assert len(trial.products) == 1 and trial.limit == 1024
+        # 7919, the 1000th prime, is in run 7, past the limit 4096
         got, trial = cls.divide(7919 * cls.P_BELOW)
         assert got == ({7919: 1}, cls.P_BELOW)
         assert len(trial.products) == 8 and trial.limit == 16384

@@ -1,10 +1,12 @@
 import random
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ideal_reference import QuadInt, ideal_mul, prime_ideal_above, principal_ideal, shortest_generator
+from quatbound import arith
 from quatbound.arith import primes_up_to
 from quatbound.classgroup import (
     QuadForm,
@@ -15,7 +17,7 @@ from quatbound.classgroup import (
     principal_generator,
     reduce_form,
 )
-from quatbound.quadfield import is_fundamental, make_field, splitting_type
+from quatbound.quadfield import is_fundamental, make_field, split_primes, splitting_type
 
 
 def old_squarefree(n: int) -> bool:
@@ -76,19 +78,36 @@ class TestMakeField:
         with pytest.raises(ValueError):
             make_field(-45)
 
+    @staticmethod
+    def check_against_old(n):
+        assert is_fundamental(n) == old_is_fundamental(n), n
+        if old_is_fundamental(n):
+            D = n
+        elif old_squarefree(n):
+            D = n if n % 4 == 1 else 4 * n
+        else:
+            with pytest.raises(ValueError):
+                make_field(n)
+            return
+        ctx = make_field(n)
+        assert (ctx.D, ctx.ram_primes) == (D, frozenset(old_prime_divisors(-D))), n
+
     def test_matches_old_trial_division(self):
         for n in range(-1, -10**4 - 1, -1):
-            assert is_fundamental(n) == old_is_fundamental(n), n
-            if old_is_fundamental(n):
-                D = n
-            elif old_squarefree(n):
-                D = n if n % 4 == 1 else 4 * n
-            else:
-                with pytest.raises(ValueError):
-                    make_field(n)
-                continue
-            ctx = make_field(n)
-            assert (ctx.D, ctx.ram_primes) == (D, frozenset(old_prime_divisors(-D))), n
+            self.check_against_old(n)
+
+    def test_incomplete_factorization_rejected(self):
+        # 2^89 - 1 is prime, but factor() leaves it as a BPSW-probable
+        # cofactor: its ramified prime would go unlisted
+        with pytest.raises(ValueError, match="factored completely"):
+            make_field(-(2**89 - 1))
+
+    def test_matches_old_trial_division_above_1000(self):
+        # primes above 1000 lie past the first run of 128 trial primes
+        for n in (-3 * 1009**2, -1009 * 1013, -4 * 1009 * 1013, -8 * 1009,
+                  -4 * 1013**2, -1009 * 999983, -4 * 1009 * 999983,
+                  -7 * 999983, -2 * 7 * 1009**2):
+            self.check_against_old(n)
 
 
 class TestSplitting:
@@ -116,6 +135,25 @@ class TestSplitting:
                 J = type(I)(a=p, b=(2 * p - I.b) % (2 * p), D=ctx.D)
                 prod = ideal_mul(I, J)
                 assert (prod.a, prod.content) == (1, p)
+
+
+class TestSplitPrimes:
+    def test_one_walk_sieves_each_number_once(self, contexts, monkeypatch):
+        calls = []
+        real = arith._segment
+
+        def recording(lo, hi, base):
+            calls.append((lo, hi))
+            return real(lo, hi, base)
+
+        monkeypatch.setattr(arith, "_segment", recording)
+        for ctx in contexts.values():
+            calls.clear()
+            got = list(takewhile(lambda l: l <= 2**14, split_primes(ctx)))
+            assert got == [l for l in range(2, 2**14 + 1) if old_prime_divisors(l) == [l]
+                           and splitting_type(ctx, l) == "split"], ctx.D
+            # disjoint and contiguous: (4, 8], (8, 16], ..., (2^14, 2^15]
+            assert calls == [(2**k, 2 ** (k + 1)) for k in range(2, 15)], ctx.D
 
 
 class TestIdealArithmetic:

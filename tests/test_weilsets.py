@@ -104,6 +104,14 @@ class TestBeta:
         assert beta.norm == 49
         assert beta.trace == 4  # 2 +- 3*sqrt(-5): x^2 + 5 y^2 = 49
 
+    def test_wrong_norm_raises(self, ctx20, monkeypatch):
+        # (4 + 3*sqrt(-20))/2 has norm 49, not 3^h = 9; the check is an
+        # explicit raise, so python -O keeps it
+        q3 = enumerate_S0(ctx20, 1)[0]
+        monkeypatch.setattr(weilsets, "principal_generator", lambda D, f: (4, 3))
+        with pytest.raises(AssertionError, match="wrong norm"):
+            beta_for(ctx20, q3)
+
     def test_iterated_squaring_oracle(self, ctx20):
         # Tr(beta^e) via exact powering in O_k with a norm check per step
         s0 = enumerate_S0(ctx20, 1)
