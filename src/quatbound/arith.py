@@ -4,7 +4,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count, islice
+from itertools import compress, count
 from math import gcd, isqrt, prod
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -135,23 +135,28 @@ def prime_status(n: int) -> str:
     return "probable" if _lucas_strong_probable_prime(n) else "composite"
 
 
-def _segment(lo: int, hi: int, base: list[int]) -> list[int]:
-    """The primes in (lo, hi], 2 <= lo <= hi: the odd numbers there sieved
-    by the odd primes p*p <= hi of base, which lists the primes from 2 on
-    as far as sqrt(hi) at least (segmented sieve, Bays-Hudson 1977)."""
-    # index i stands for first + 2i
-    first = (lo + 1) | 1
-    n = (hi - first) // 2 + 1
+def _segment(lo: int, hi: int, base: list[int], d: int = 2, r: int = 1) -> list[int]:
+    """The primes in (lo, hi] that are r mod d, 2 <= lo <= hi, gcd(r, d) = 1:
+    the numbers r mod d there sieved by the primes p*p <= hi of base that do
+    not divide d, where base lists the primes from 2 on as far as sqrt(hi)
+    at least (segmented sieve, Bays-Hudson 1977).  d = 2, r = 1 sieves the
+    odd numbers."""
+    # index i stands for first + d*i
+    first = lo + 1 + (r - lo - 1) % d
+    n = max(0, (hi - first) // d + 1)
     segment = bytearray([1]) * n
-    for p in islice(base, 1, None):
+    for p in base:
         if p * p > hi:
             break
-        start = max(p * p, -(-first // p) * p)
-        if start % 2 == 0:
-            start += p
-        i = (start - first) // 2
+        if d % p == 0:
+            continue
+        # the least i with first + d*i >= p*p and divisible by p, by 1/d
+        # mod p, which for d = 2 is (p+1)/2 at a sixth of pow's cost
+        inverse = (p + 1) // 2 if d == 2 else pow(d, -1, p)
+        i = max(0, -(-(p * p - first) // d))
+        i += -(first + d * i) * inverse % p
         segment[i::p] = bytes(len(range(i, n, p)))
-    return list(compress(range(first, hi + 1, 2), segment))
+    return list(compress(range(first, hi + 1, d), segment))
 
 
 def prime_stream():
@@ -228,41 +233,65 @@ _D = 2310
 
 
 class _TrialPrimes:
-    """The primes up to bound, sieved as far as limit so far; the products
-    of their runs built so far; and the rows of p-1's stage-2 grid built so
-    far: row k is js[ends[k]:ends[k+1]], the distinct j with k*_D - j or
-    k*_D + j a stage-2 prime.  Each is built the first time a factorization
-    reaches it, so a process builds only what it uses."""
+    """The trial primes up to bound for a modulus d: the primes that divide
+    d or are +-1 mod d, for d = 2 or phi(d) > 2.  For d = 2 they are all
+    the primes; for phi(d) > 2 about 2/phi(d) of them (Dirichlet), and the
+    primes of d lie below every prime +-1 mod d, which is at least d - 1
+    and is not d.  Kept are the primes sieved as far as limit so far; the
+    products of their runs built so far; and, for d = 2, the rows of p-1's
+    stage-2 grid built so far: row k is js[ends[k]:ends[k+1]], the
+    distinct j with k*_D - j or k*_D + j a stage-2 prime.  Each is built
+    the first time a factorization reaches it, so a process builds only
+    what it uses.  The lists for d > 2 are arrays, 8 bytes a prime."""
 
-    def __init__(self, bound: int):
-        self.bound = bound
+    def __init__(self, bound: int, d: int = 2):
+        self.bound, self.d = bound, d
+        # the primes of d past the first limit join in their segment
+        self.d_primes = factor(d).primes if d > 2 else []
         self.limit = min(bound, 4)
-        self.primes = [p for p in (2, 3) if p <= bound]
+        self.primes = [] if d == 2 else array("Q")
+        self.primes.extend(p for p in (2, 3)
+                           if p <= bound and (d % p == 0 or p % d in (1, d - 1)))
         self.products: list[int] = []
         self.js = array("H")
         self.ends = array("I", [0])
 
     def extend(self) -> bool:
-        """Append the primes in (limit, min(4*limit, bound)]; False when
-        limit is bound already.  The segment has under bound/2 bytes, and
-        its sieving primes are listed, as sqrt(4*limit) <= limit."""
+        """Append the trial primes in (limit, min(4*limit, bound)]; False
+        when limit is bound already.  Each class +-1 mod d is sieved by the
+        primes up to sqrt(4*limit), in a segment of under bound/d bytes:
+        for d = 2 the list's own, as sqrt(4*limit) <= limit; else the
+        shared list's."""
         lo, hi = self.limit, min(4 * self.limit, self.bound)
         if lo == hi:
             return False
-        self.primes += _segment(lo, hi, self.primes)
+        d = self.d
+        base = self.primes if d == 2 else _trial_primes(self.bound).through(isqrt(hi))
+        runs = [_segment(lo, hi, base, d, r) for r in {1, d - 1}]
+        self.primes.extend([p for p in self.d_primes if lo < p <= hi])
+        self.primes.extend(runs[0] if len(runs) == 1 else sorted(runs[0] + runs[1]))
         self.limit = hi
         return True
 
-    def complete(self) -> list[int]:
-        """All the primes up to bound."""
-        while self.extend():
+    def through(self, x: int) -> list[int]:
+        """The list, sieved as far as x at least (or to bound)."""
+        while self.limit < x and self.extend():
             pass
         return self.primes
+
+    def complete(self) -> list[int]:
+        """All the trial primes up to bound."""
+        return self.through(self.bound)
 
 
 @lru_cache(maxsize=8)
 def _trial_primes(bound: int) -> _TrialPrimes:
     return _TrialPrimes(bound)
+
+
+@lru_cache(maxsize=64)
+def _class_primes(bound: int, d: int) -> _TrialPrimes:
+    return _TrialPrimes(bound, d)
 
 
 def _trial_divide(m: int, trial: _TrialPrimes) -> tuple[dict[int, int], int]:
@@ -406,8 +435,9 @@ def _pollard_pm1(n: int, trial: _TrialPrimes) -> int | None:
 
 
 def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
-    """Factor n under an effort budget: trial division, then for each
-    composite part Pollard p-1 over the trial primes and Brent rho.
+    """Factor n under an effort budget: trial division by every prime up
+    to the trial bound, then for each composite part Pollard p-1 over the
+    same primes and Brent rho.
 
     Trial division goes by runs of 128 consecutive trial primes, one gcd
     per run: a run coprime to the part is skipped, any other is divided
@@ -425,10 +455,46 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
     rho runs out of iterations, and any part that is only a BPSW probable
     prime, is reported in the cofactor.
     """
+    return _factor(n, budget, _trial_primes(budget.trial_bound))
+
+
+def factor_admissible(n: int, d: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
+    """factor(n, budget) for an n each of whose primes divides d >= 1 or is
+    +-1 mod d, as every prime of a primitive part of a Lucas sequence is.
+    Trial division goes by these admissible primes up to the trial bound
+    alone, in runs of 128 as in factor(); p-1 and rho are factor()'s.
+
+    The result is factor(n, budget), cofactor included, for every budget.
+    Dividing by every prime in ascending order stops at the first prime p
+    with p*p above the part left, which is then 1 or prime.  A prime that
+    divides nothing leaves the part as it is, and no prime outside the
+    admissible ones divides n.  So dividing by the admissible primes in
+    ascending order stops with the same prime powers and the same part
+    left: up to the full walk's stop the parts agree, and after it no
+    admissible p has p*p below the part.  p-1, rho and the rule that every
+    part below trial_bound^2 left after trial division is prime then see
+    the same part.
+
+    So the list is a matter of cost alone.  phi(d) <= 2 holds for
+    d = 1, 2, 3, 4, 6 alone; there the classes +-1 are every class prime
+    to d and the admissible primes are all the primes.  Below 727^2, 727
+    the first prime past the shared list's first run, that run finishes
+    the division, and a list of its own would save nothing.  Both go by
+    the shared list.  Else the admissible list of (trial_bound, d) is
+    built as far as divisions reach and kept for the last 64 such pairs.
+    """
+    if d in (1, 2, 3, 4, 6) or abs(n) < 727 * 727:
+        return factor(n, budget)
+    return _factor(n, budget, _class_primes(budget.trial_bound, d))
+
+
+def _factor(n: int, budget: FactorBudget, trial: _TrialPrimes) -> FactoredInteger:
+    """factor(n, budget) with trial division by the list trial, which holds
+    every prime of n up to budget.trial_bound."""
     if n == 0:
         raise ValueError("factor: n must be nonzero")
-    trial = _trial_primes(budget.trial_bound)
     powers, m = _trial_divide(abs(n), trial)
+    shared = _trial_primes(budget.trial_bound)
     # every part pushed is above 1: isqrt(m) >= 2, and p-1 and rho give 1 < f < m
     stack = [m] if m > 1 else []
     cofactor = 1
@@ -449,8 +515,8 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
             continue
         f = None
         # pi(T), the count of p-1's steps, needs the whole list
-        if len(trial.complete()) <= budget.rho_iterations:
-            f = _pollard_pm1(m, trial)
+        if len(shared.complete()) <= budget.rho_iterations:
+            f = _pollard_pm1(m, shared)
         if f is None:
             f = _brent_rho(m, budget.rho_iterations)
         if f is None:

@@ -65,6 +65,35 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # JSON emission: every integer as a decimal string, every set ascending
 
+def _decimal(n: int) -> str:
+    """str(n), also for an n with more digits than str() allows (CPython
+    raises ValueError above its limit, 4300 digits by default and never
+    under 640).  Such an n is written by halves: with P_i = 10^(512*2^i),
+    a part m < P_i is q = m // P_(i-1), then r = m % P_(i-1) padded to
+    512*2^(i-1) digits, down to parts below 10^512, which str() writes."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _decimal(-n)
+    powers = [10**512]
+    while powers[-1] <= n:
+        powers.append(powers[-1] ** 2)
+
+    def write(m: int, i: int, width: int) -> str:
+        # m < powers[i], padded with zeros to width digits
+        if i == 0:
+            return str(m).zfill(width)
+        q, r = divmod(m, powers[i - 1])
+        half = 512 << (i - 1)
+        if q == 0:
+            return write(r, i - 1, width)
+        return write(q, i - 1, max(width - half, 0)) + write(r, i - 1, half)
+
+    return write(n, len(powers) - 1, 0)
+
+
 def _slist(xs) -> list[str]:
     return [str(x) for x in sorted(xs)]
 
@@ -81,7 +110,7 @@ def _field_doc(ctx: FieldContext) -> dict:
 def _fac_doc(f: FactoredInteger) -> dict:
     doc = {"factors": [[str(p), str(e)] for p, e in f.prime_powers]}
     if f.cofactor is not None:
-        doc["cofactor"] = str(f.cofactor)
+        doc["cofactor"] = _decimal(f.cofactor)
     return doc
 
 
@@ -89,7 +118,7 @@ def _family_doc(aset) -> dict:
     elements = []
     facs = aset.factorizations or (None,) * len(aset.elements)
     for v, f in zip(aset.elements, facs):
-        entry = {"value": str(v)}
+        entry = {"value": _decimal(v)}
         if v != 0 and f is not None:
             entry.update(_fac_doc(f))
         elements.append(entry)

@@ -5,16 +5,20 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
-from .arith import factor, kronecker, prime_stream
+from .arith import FactoredInteger, factor, kronecker, prime_stream
 
 
-def _squarefree(n: int) -> bool:
+def _factored(n: int) -> FactoredInteger:
     # trial division alone completes factor(n) for |n| < 10^12: every part
     # it leaves below the trial bound squared is prime
     f = factor(n)
     if not f.complete:
         raise ValueError(f"{n} could not be factored completely")
-    return all(e == 1 for _, e in f.prime_powers)
+    return f
+
+
+def _squarefree(n: int) -> bool:
+    return all(e == 1 for _, e in _factored(n).prime_powers)
 
 
 def is_fundamental(D: int) -> bool:
@@ -59,19 +63,22 @@ class FieldContext:
 
 def make_field(d_or_D: int) -> FieldContext:
     """Build the context for Q(sqrt(d)) from a squarefree d < 0 or a
-    fundamental discriminant D < 0."""
+    fundamental discriminant D < 0.  D is n = 1 mod 4, n = 4m with
+    m = 2, 3 mod 4, or 4n for n = 2, 3 mod 4: its squarefree test and its
+    ramified primes are read off one factorization, of m or of n."""
     n = d_or_D
     if n >= 0:
         raise ValueError("not imaginary: input must be negative")
-    if is_fundamental(n):
-        D = n
-    elif _squarefree(n):
-        D = n if n % 4 == 1 else 4 * n
-    else:
+    core = n // 4 if n % 4 == 0 and n // 4 % 4 in (2, 3) else n
+    f = _factored(core)
+    # a 4 | n other than the above is a square factor of core = n
+    if any(e > 1 for _, e in f.prime_powers):
         raise ValueError(
             f"{n} is neither squarefree nor a fundamental discriminant"
         )
-    return FieldContext(D=D, ram_primes=frozenset(factor(D).primes))
+    D = n if n % 4 in (0, 1) else 4 * n
+    # 2 ramifies in every even D, also where it does not divide core
+    return FieldContext(D=D, ram_primes=frozenset(f.primes + [2] if D % 2 == 0 else f.primes))
 
 
 def splitting_type(ctx: FieldContext, p: int) -> str:

@@ -21,7 +21,10 @@ from quatbound.arith import (
     prime_status,
     primes_up_to,
 )
+from quatbound.classgroup import choose_S
 from quatbound.cli import main
+from quatbound.quadfield import make_field
+from quatbound.weilsets import _lucas_parts, family_A3
 
 
 def legendre_euler(a, p):
@@ -372,15 +375,16 @@ class TestTrialDivision:
         assert arith._TRIAL_RUN == 128
 
     def test_benchmark_pass_inputs(self, monkeypatch):
-        # every factor() input of one pass over the benchmark's small_panel
-        # (verify) and large_h (bound --rho-iters 10^6) fields
+        # every trial division of one pass over the benchmark's small_panel
+        # (verify) and large_h (bound --rho-iters 10^6) fields, the A3
+        # parts' restricted ones too, against division by all the primes
         seen = []
         real = arith._trial_divide
 
         def checked(m, trial):
             got = real(m, trial)
-            assert got == reference_trial_divide(m, all_primes(trial.bound)), m
-            seen.append(m)
+            assert got == reference_trial_divide(m, all_primes(trial.bound)), (m, trial.d)
+            seen.append((m, trial.d, got[0]))
             return got
 
         monkeypatch.setattr(arith, "_trial_divide", checked)
@@ -389,7 +393,15 @@ class TestTrialDivision:
         for D in (-1151, -2999):
             assert main(["bound", "--d", str(D), "--rho-iters", "1000000",
                          "--json", os.devnull]) == 0
-        assert len(seen) > 250 and max(seen).bit_length() > 140
+        assert len(seen) > 250 and max(m for m, _, _ in seen).bit_length() > 140
+        # the restricted path ran on the Psi_876 part of -2999's one nonzero
+        # A3 element, and removed a prime of d from some part
+        ctx = make_field(-2999)
+        a3 = family_A3(ctx, choose_S(ctx))
+        (lucas,) = (o for v, o in zip(a3.elements, a3.lucas) if v)
+        assert (abs(_lucas_parts(*lucas)[1][876]), 876) in {(n, d) for n, d, _ in seen}
+        # d = 2 is the shared list of all the primes
+        assert any(d > 2 and d % p == 0 for _, d, powers in seen for p in powers)
 
     @pytest.mark.parametrize("trial_bound", TRIAL_BOUNDS)
     def test_edges_match_reference(self, trial_bound):
@@ -717,4 +729,94 @@ class TestEarlyStop:
         for check in (self.check_fires, self.check_does_not_fire):
             with pytest.raises(AssertionError):
                 check()
+        arith._trial_primes.cache_clear()
+
+
+def admissible(primes, d):
+    """The primes of the list that divide d or are +-1 mod d."""
+    return [p for p in primes if d % p == 0 or p % d in (1, d - 1)]
+
+
+class TestAdmissiblePrimes:
+    """A part whose primes all divide d or are +-1 mod d is trial-divided
+    by those primes alone, with factor()'s result for every budget."""
+
+    MODULI = (5, 7, 8, 10, 12, 24, 73, 123, 492, 876)
+
+    @pytest.fixture(autouse=True)
+    def fresh_lists(self):
+        arith._class_primes.cache_clear()
+        yield
+        arith._class_primes.cache_clear()
+
+    @pytest.mark.parametrize("d, r", [(2, 1), (5, 1), (5, 4), (7, 3), (8, 7), (12, 11),
+                                      (876, 1), (876, 875)])
+    def test_segment_of_one_class(self, d, r):
+        primes = all_primes(5000)
+        for lo, hi in ((1, 4), (1, 100), (4, 16), (100, 101), (874, 878), (1000, 4000),
+                       (4000, 5000)):
+            want = [p for p in primes if lo < p <= hi and p % d == r]
+            assert arith._segment(lo, hi, primes, d, r) == want, (lo, hi)
+
+    @pytest.mark.parametrize("bound", (2, 50, 719, 4097, 10**6))
+    def test_lists_grow_exactly(self, bound):
+        full = all_primes(bound)
+        for d in self.MODULI:
+            want = admissible(full, d)
+            trial = arith._class_primes(bound, d)
+            limits = [trial.limit]
+            assert list(trial.primes) == want[: bisect_right(want, trial.limit)], d
+            while trial.extend():
+                limits.append(trial.limit)
+                # every intermediate list is the admissible primes up to its limit
+                assert list(trial.primes) == want[: bisect_right(want, trial.limit)], d
+            assert list(trial.complete()) == want
+            assert limits[0] == min(bound, 4) and limits[-1] == bound
+            assert all(hi == min(4 * lo, bound) for lo, hi in zip(limits, limits[1:]))
+
+    @pytest.mark.parametrize("budget", [FactorBudget(50, 2), FactorBudget(719, 10),
+                                        FactorBudget(10**4, 1000), FactorBudget(10**6, 10**6)])
+    def test_equals_factor(self, budget):
+        # cofactors included, also where the budget runs out
+        rng = random.Random(budget.trial_bound)
+        pool = all_primes(2 * 10**6)
+        incomplete = 0
+        for d in self.MODULI:
+            primes = admissible(pool, d)
+            for _ in range(15):
+                n = rng.choice((1, -1))
+                for _ in range(rng.randrange(6)):
+                    n *= rng.choice(primes) ** rng.randrange(1, 4)
+                f = arith.factor_admissible(n, d, budget)
+                assert f == factor(n, budget), (n, d)
+                incomplete += not f.complete
+        if budget.rho_iterations < 1000:
+            assert incomplete > 0
+
+    def test_phi_at_most_2_takes_the_shared_list(self, monkeypatch):
+        # the classes +-1 are every class prime to d: no list of its own
+        monkeypatch.setattr(arith, "_class_primes", None)
+        n = -(5**3) * 7 * 1000003 * 1000033
+        for d in (1, 2, 3, 4, 6):
+            assert arith.factor_admissible(n, d) == factor(n)
+
+    def test_small_parts_take_the_shared_list(self, monkeypatch):
+        # below 727^2 the shared list's first run finishes the division
+        assert all_primes(727)[127:] == [719, 727]
+        monkeypatch.setattr(arith, "_class_primes", None)
+        # 877 = 876 + 1 is prime, and 2 * 3 * 73 = 438
+        for n in (1, 438, 73**2, 877 * 438, -877 * 438):
+            assert abs(n) < 727**2
+            assert arith.factor_admissible(n, 876) == factor(n)
+        monkeypatch.undo()
+        assert arith.factor_admissible(727**2, 363) == factor(727**2)
+        assert arith._class_primes.cache_info().currsize == 1
+
+    def test_warm_up_builds_nothing_new(self):
+        # the benchmark's warm-up request sieves the shared list as far as
+        # full trial division did, and builds no list of its own
+        arith._trial_primes.cache_clear()
+        assert main(["verify", "--d", "-20", "--json", os.devnull]) == 0
+        assert arith._trial_primes(10**6).limit == 1024
+        assert arith._class_primes.cache_info().currsize == 0
         arith._trial_primes.cache_clear()

@@ -1,7 +1,10 @@
 import inspect
 import json
+import random
+import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -284,6 +287,62 @@ class TestJsonWriter:
         exec(source.replace(ordered, "x.items()"), namespace)
         with pytest.raises(AssertionError):
             assert_writes_like_dumps(namespace["_json"])
+
+
+@contextmanager
+def digit_limit(digits):
+    """sys.set_int_max_str_digits(digits) inside the block only (0 lifts
+    the limit); a no-op on an interpreter without the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestDecimal:
+    """Integers too long for str() under the interpreter's digit limit are
+    written by halves, with the same digits as str()."""
+
+    @staticmethod
+    def values(most):
+        """0, +-1, and random n and 10^k +- 1 of either sign with up to
+        most digits."""
+        rng = random.Random(most)
+        out = [0, 1, -1, 10**512 - 1, 10**512]
+        for digits in (1, 511, 512, 513, 640, 641, 1025, 4300, 4301, 5000, 10**4,
+                       33333, 10**5):
+            if digits <= most:
+                n = rng.randrange(10 ** (digits - 1), 10**digits)
+                out += [n, -n]
+        for k in (511, 512, 1024, 4299, 4300, 4301, 8192, 20000):
+            if k < most:
+                out += [10**k - 1, 10**k + 1, -(10**k - 1), -(10**k + 1)]
+        return out
+
+    @pytest.mark.parametrize("limit, most", [(4300, 10**5), (640, 5000)])
+    def test_matches_str(self, limit, most):
+        for n in self.values(most):
+            with digit_limit(0):
+                want = str(n)
+            with digit_limit(limit):
+                assert cli._decimal(n) == want, len(want)
+                if hasattr(sys, "set_int_max_str_digits") and len(want.lstrip("-")) > limit:
+                    # the halves ran: str() itself refuses n here
+                    with pytest.raises(ValueError):
+                        str(n)
+
+    def test_sets_above_the_limit(self, tmp_path):
+        # -57911 (h = 362) has family elements of over 4,300 digits
+        with digit_limit(4300):
+            code, doc = run(tmp_path, "sets", "--d", "-57911", "--rho-iters", "0")
+        assert code == 0
+        values = [e["value"] for f in doc["families"] for e in f["elements"]]
+        assert max(len(v.lstrip("-")) for v in values) > 4300
 
 
 class TestParserReuse:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ideal_reference import QuadInt, ideal_mul, prime_ideal_above, principal_ideal, shortest_generator
-from quatbound import arith
+from quatbound import arith, quadfield
 from quatbound.arith import primes_up_to
 from quatbound.classgroup import (
     QuadForm,
@@ -101,6 +101,30 @@ class TestMakeField:
         # cofactor: its ramified prime would go unlisted
         with pytest.raises(ValueError, match="factored completely"):
             make_field(-(2**89 - 1))
+
+    @pytest.mark.parametrize("n", [-5, -7, -20, -84, -3299, -12, -45, -4 * 5,
+                                   -2**89 + 1, -4 * (2**89 - 1)])
+    def test_one_factorization(self, n, monkeypatch):
+        # the squarefree test and the ramified primes share one factor() call
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return arith.factor(m)
+
+        monkeypatch.setattr(quadfield, "factor", counting)
+        try:
+            make_field(n)
+        except ValueError:
+            pass
+        assert len(calls) == 1, calls
+
+    def test_incomplete_factorization_names_the_number(self):
+        # the number factored: n, or m for n = 4m with m = 2, 3 mod 4
+        m = 2**89 - 1  # 3 mod 4
+        for n, named in ((-m, -m), (-4 * m, -4 * m), (-8 * m, -2 * m), (-2 * m, -2 * m)):
+            with pytest.raises(ValueError, match=f"^{named} could not"):
+                make_field(n)
 
     def test_matches_old_trial_division_above_1000(self):
         # primes above 1000 lie past the first run of 128 trial primes

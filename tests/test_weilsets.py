@@ -412,8 +412,11 @@ class TestA3Split:
             assert split.factorizations == whole_element_factorizations(a3, self.BUDGET)
 
     def test_primitive_part_primes(self, a3_panel):
-        # every prime of Psi_d divides d or is +-1 mod d
-        for a3 in a3_panel:
+        # every prime of Psi_d divides d or is +-1 mod d, over the panel and
+        # -2999 (h = 73, d up to 876), by full trial division
+        ctx = _field(-2999)
+        divides_d = set()
+        for a3 in [*a3_panel, family_A3(ctx, choose_S(ctx))]:
             for v, (l, m, h) in zip(a3.elements, a3.lucas):
                 if v == 0:
                     continue
@@ -422,22 +425,41 @@ class TestA3Split:
                     assert f.complete
                     for p in f.primes:
                         assert d % p == 0 or p % d in (1, d - 1), (l, m, d, p)
+                        if d % p == 0:
+                            divides_d.add((d, p))
+        assert max(h for _, _, h in a3.lucas) == 73
+        # the primes of d are admissible for a reason: some Psi_d has one,
+        # also where phi(d) > 2 and the classes +-1 are not all primes
+        assert any(d not in (2, 3, 4, 6) for d, _ in divides_d), divides_d
 
     def test_one_factor_call_per_part(self, a3_panel, monkeypatch):
-        # one factor() call for Delta and one for each Psi_d
+        # one factor() call for Delta and one factor_admissible() call for
+        # each Psi_d, whose result is factor()'s
         calls = []
-        real = weilsets.factor
 
         def recording(n, budget):
-            calls.append(n)
-            return real(n, budget)
+            calls.append((n, None))
+            return factor(n, budget)
+
+        def recording_admissible(n, d, budget):
+            calls.append((n, d))
+            got = arith.factor_admissible(n, d, budget)
+            assert got == factor(n, budget)
+            return got
 
         monkeypatch.setattr(weilsets, "factor", recording)
+        monkeypatch.setattr(weilsets, "factor_admissible", recording_admissible)
         a3 = a3_panel[-1]
         v, lucas = next((v, s) for v, s in zip(a3.elements, a3.lucas) if v)
         prime_support(replace(a3, elements=(v,), lucas=(lucas,)), self.BUDGET)
         delta, psi = _lucas_parts(*lucas)
-        assert calls == [delta, *psi.values()]
+        assert calls == [(delta, None), *((p, d) for d, p in psi.items())]
+
+    def test_degenerate_pair_rejected(self):
+        # l | m only for degenerate pairs, whose element is 0
+        assert trace_power(2, 2, 24) - 2 * 2**12 == 0
+        with pytest.raises(AssertionError, match="degenerate"):
+            weilsets._factor_a3(1, 2, 2, 1, self.BUDGET)
 
     def test_incomplete_cofactor_is_squared(self):
         # on a tiny budget each unfinished Psi_d enters the cofactor squared
