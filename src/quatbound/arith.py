@@ -2,7 +2,7 @@
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt, prod
@@ -176,37 +176,35 @@ def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound."""
     if bound < 2:
         raise ValueError("primes_up_to: bound must be >= 2")
-    return _TrialPrimes(bound).complete()
+    return list(_TrialPrimes(bound).complete())
 
 
-@dataclass(frozen=True)
-class FactorBudget:
+class FactorBudget(namedtuple("FactorBudget", "trial_bound rho_iterations")):
     """Effort limits for factor(); exhaustion yields a cofactor, not an error.
     Every part below trial_bound**2 left after trial division is prime, so
     trial_bound must be at least 2.  rho_iterations = 0 runs no rho."""
 
-    trial_bound: int = 10**6
-    rho_iterations: int = 10**7
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.trial_bound < 2:
-            raise ValueError(f"trial bound must be >= 2, got {self.trial_bound}")
-        if self.rho_iterations < 0:
-            raise ValueError(f"rho iterations must be >= 0, got {self.rho_iterations}")
+    def __new__(cls, trial_bound: int = 10**6, rho_iterations: int = 10**7):
+        if trial_bound < 2:
+            raise ValueError(f"trial bound must be >= 2, got {trial_bound}")
+        if rho_iterations < 0:
+            raise ValueError(f"rho iterations must be >= 0, got {rho_iterations}")
+        return super().__new__(cls, trial_bound, rho_iterations)
+
+    @classmethod
+    def _make(cls, iterable) -> "FactorBudget":
+        # namedtuple's _make, which _replace calls, would skip __new__'s checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
-    value: int
-    prime_powers: tuple[tuple[int, int], ...]
-    cofactor: int | None = None
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.value < 0 else 1
+class FactoredInteger(namedtuple("FactoredInteger", "value prime_powers cofactor",
+                                 defaults=(None,))):
+    __slots__ = ()
 
     def reconstruct(self) -> int:
-        out = self.sign
+        out = -1 if self.value < 0 else 1
         for p, e in self.prime_powers:
             out *= p**e
         if self.cofactor is not None:
@@ -242,14 +240,14 @@ class _TrialPrimes:
     stage-2 grid built so far: row k is js[ends[k]:ends[k+1]], the
     distinct j with k*_D - j or k*_D + j a stage-2 prime.  Each is built
     the first time a factorization reaches it, so a process builds only
-    what it uses.  The lists for d > 2 are arrays, 8 bytes a prime."""
+    what it uses.  The prime lists are arrays, 8 bytes a prime."""
 
     def __init__(self, bound: int, d: int = 2):
         self.bound, self.d = bound, d
         # the primes of d past the first limit join in their segment
         self.d_primes = factor(d).primes if d > 2 else []
         self.limit = min(bound, 4)
-        self.primes = [] if d == 2 else array("Q")
+        self.primes = array("Q")
         self.primes.extend(p for p in (2, 3)
                            if p <= bound and (d % p == 0 or p % d in (1, d - 1)))
         self.products: list[int] = []
@@ -273,13 +271,13 @@ class _TrialPrimes:
         self.limit = hi
         return True
 
-    def through(self, x: int) -> list[int]:
+    def through(self, x: int) -> array:
         """The list, sieved as far as x at least (or to bound)."""
         while self.limit < x and self.extend():
             pass
         return self.primes
 
-    def complete(self) -> list[int]:
+    def complete(self) -> array:
         """All the trial primes up to bound."""
         return self.through(self.bound)
 

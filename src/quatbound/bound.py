@@ -2,45 +2,30 @@
 algebras whose Shimura curve can have a point over k, with per-prime
 evidence checking and candidate-discriminant enumeration."""
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations
 from math import prod
 
 from .arith import FactorBudget, is_prime, primes_up_to
 from .quadfield import FieldContext, splitting_type
 from .classgroup import SplitPrime, choose_S, enumerate_S0, generates, principal_form
-from .weilsets import ASet, families_A1_A2, family_A3, intersection_set, prime_support
-from .mazur import MazurResult, is_in_mazur, mazur_prime_set
+from .weilsets import families_A1_A2, family_A3, intersection_set, prime_support
+from .mazur import is_in_mazur, mazur_prime_set
 
 SMALL_PRIME_CAP = 23
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    s0_count: int = 4
-    mazur_bound: int = 10**6
-    factor_budget: FactorBudget = FactorBudget()
-    S_override: tuple[int, ...] | None = None
+BoundParams = namedtuple("BoundParams", "s0_count mazur_bound factor_budget S_override",
+                         defaults=(4, 10**6, FactorBudget(), None))
 
+# a1_families and a2_families hold one raw family per S0 member; a1_set and
+# a2_set are their intersections, whose elements are the factored gcds
+FamilySets = namedtuple("FamilySets", "S s0_truncation a1_families a2_families "
+                                      "a1_set a2_set a3_set")
 
-@dataclass
-class FamilySets:
-    S: list[SplitPrime]
-    s0_truncation: list[SplitPrime]
-    a1_families: list[ASet]  # one raw family per S0 member
-    a2_families: list[ASet]
-    a1_set: ASet  # the A1/A2 intersections, elements the factored gcds
-    a2_set: ASet
-    a3_set: ASet
-
-
-@dataclass
-class BoundReport(FamilySets):
-    components: dict[str, frozenset[int]]
-    union: frozenset[int]
-    certified: bool
-    mazur: MazurResult
-    caveats: list[str] = field(default_factory=list)
+# components maps each component's name to its primes; mazur is a MazurResult
+BoundReport = namedtuple("BoundReport", FamilySets._fields
+                         + ("components", "union", "certified", "mazur", "caveats"))
 
 
 def assemble_sets(ctx: FieldContext, params: BoundParams = BoundParams()) -> FamilySets:
@@ -90,7 +75,7 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
     }
     union = frozenset().union(*components.values())
     return BoundReport(
-        **vars(sets),
+        *sets,
         components=components,
         union=union,
         certified=certified,
@@ -118,17 +103,12 @@ def _validated_override(ctx: FieldContext, ls: tuple[int, ...]) -> list[SplitPri
     return out
 
 
-@dataclass(frozen=True)
-class Evidence:
-    p: int
-    claims: tuple[str, ...]  # component names claiming p, re-derived
-
-
-def verify_prime_membership(ctx: FieldContext, p: int, report: BoundReport) -> Evidence:
-    """Re-derive every component's claim about p and check it against the
-    report.  Raises on any disagreement.  The A1/A2/A3 claims come from
-    direct divisibility of the report's raw family elements, not from the
-    gcds and factorizations that produced the components."""
+def verify_prime_membership(ctx: FieldContext, p: int, report: BoundReport) -> tuple[str, ...]:
+    """Re-derive every component's claim about p, check it against the
+    report and return the names of the components that claim p.  Raises on
+    any disagreement.  The A1/A2/A3 claims come from direct divisibility of
+    the report's raw family elements, not from the gcds and factorizations
+    that produced the components."""
     claims = []
     if ctx.D % p == 0:
         claims.append("ram")
@@ -155,7 +135,7 @@ def verify_prime_membership(ctx: FieldContext, p: int, report: BoundReport) -> E
                 f"evidence mismatch for p={p} in {name}: "
                 f"re-derived {claimed}, report {p in comp}"
             )
-    return Evidence(p=p, claims=tuple(claims))
+    return tuple(claims)
 
 
 def candidate_discriminants(

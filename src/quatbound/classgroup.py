@@ -3,7 +3,7 @@ forms: Dirichlet composition, form powers, principal generators, class
 number, class orders, and the split-prime sets feeding the trace families.
 A form (a, b, c) stands for the ideal Z*a + Z*(-b + sqrt(D))/2."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from math import gcd, isqrt
 
@@ -11,22 +11,17 @@ from .arith import kronecker
 from .quadfield import FieldContext, split_primes
 
 
-@dataclass(frozen=True, order=True)
-class QuadForm:
+class QuadForm(namedtuple("QuadForm", "a b c")):
     """Primitive positive-definite binary quadratic form a*x^2 + b*xy + c*y^2."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SplitPrime:
+class SplitPrime(namedtuple("SplitPrime", "l form")):
     """A split degree-1 prime of k: its norm l and the reduced form of its
     class.  The S0 members are the non-principal ones."""
 
-    l: int
-    form: QuadForm
+    __slots__ = ()
 
     @classmethod
     def above(cls, D: int, l: int) -> "SplitPrime":

@@ -2,16 +2,13 @@
 |N|/4 splitting in k splits in Q(sqrt(N)); finite by Mazur-type results,
 searched here up to a configurable bound."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import is_prime, kronecker
 from .quadfield import FieldContext, is_fundamental, split_primes
 
 
-@dataclass(frozen=True)
-class MazurResult:
-    bound: int
-    members: tuple[int, ...]
+MazurResult = namedtuple("MazurResult", "bound members")
 
 
 def is_in_mazur(ctx: FieldContext, N: int) -> bool:

@@ -1,7 +1,7 @@
 """Imaginary quadratic fields: discriminants, ramified primes, prime
 splitting, and the field context that carries the class data."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import lcm
 
@@ -30,14 +30,12 @@ def is_fundamental(D: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class FieldContext:
+class FieldContext(namedtuple("FieldContext", "D ram_primes")):
     """The field k = Q(sqrt(D)): fundamental discriminant and ramified
     primes.  The class number, the greedy generating set of the class
-    group and the class-group exponent h are computed once, on first use."""
-
-    D: int
-    ram_primes: frozenset[int]
+    group and the class-group exponent h are computed once, on first use,
+    and kept in the instance dict, which is why the class has no
+    __slots__."""
 
     @cached_property
     def class_number(self) -> int:

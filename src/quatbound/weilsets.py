@@ -1,7 +1,7 @@
 """Trace recurrences for Weil numbers and generator powers; the three
 subtracted-trace families and their certified prime supports."""
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from math import gcd, isqrt, prod
 
 from .arith import FactorBudget, FactoredInteger, factor, factor_admissible
@@ -50,19 +50,16 @@ def beta_for(ctx: FieldContext, q: SplitPrime) -> tuple[int, int]:
     return beta
 
 
-@dataclass(frozen=True)
-class ASet:
+class ASet(namedtuple("ASet", "family q_list elements factorizations lucas",
+                      defaults=((), ()))):
     """One subtracted-trace family: raw elements, the factorizations of the
     nonzero ones once prime_support has run, and the prime support and its
     certification, read off the factorizations.  An A3 family also keeps,
     for each element, an (l, m, h) it comes from: the element is
-    V_24h(-m, l) - 2*l^12h, which prime_support factors through its parts."""
+    V_24h(-m, l) - 2*l^12h, which prime_support factors through its parts.
+    family is "A1", "A2" or "A3"."""
 
-    family: str  # "A1" | "A2" | "A3"
-    q_list: tuple[int, ...]
-    elements: tuple[int, ...]
-    factorizations: tuple[FactoredInteger | None, ...] = ()
-    lucas: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = ()
 
     @property
     def support(self) -> frozenset[int]:
@@ -175,7 +172,7 @@ def prime_support(aset: ASet, budget: FactorBudget = FactorBudget()) -> ASet:
     """The family with each nonzero element factored within budget; an A3
     element with its (l, m, h) is factored through its Lucas parts."""
     lucas = aset.lucas or (None,) * len(aset.elements)
-    return replace(aset, factorizations=tuple(
+    return aset._replace(factorizations=tuple(
         None if v == 0 else _factor_a3(v, *o, budget) if o else factor(v, budget)
         for v, o in zip(aset.elements, lucas)))
 

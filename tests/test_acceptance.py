@@ -171,11 +171,11 @@ def test_criterion_8_verification_agreement():
         ctx = _ctx(D)
         rep = assemble_bound(ctx, BoundParams(mazur_bound=10**4))
         for p in sorted(rep.union):
-            assert verify_prime_membership(ctx, p, rep).claims
+            assert verify_prime_membership(ctx, p, rep)
             total += 1
         absent = [p for p in pool if p not in rep.union]
         for p in rng.sample(absent, 50):
-            assert not verify_prime_membership(ctx, p, rep).claims
+            assert not verify_prime_membership(ctx, p, rep)
             total += 1
     _report(f"criterion 8: membership evidence re-derived for {total} primes")
 

@@ -181,7 +181,7 @@ class TestFactor:
         assert f.prime_powers == ((2, 1), (3, 24))
         assert f.cofactor is None
         f = factor(-(3**16))
-        assert f.sign == -1
+        assert f.reconstruct() == -(3**16)
         assert f.prime_powers == ((3, 16),)
 
     def test_budget_exhaustion_yields_cofactor(self):
@@ -214,12 +214,17 @@ class TestFactor:
         # trial_bound -5, 9 was listed as a prime factor of 18
         with pytest.raises(ValueError):
             FactorBudget(trial_bound=trial_bound)
+        # namedtuple's _replace builds a record without __new__ unless told
+        with pytest.raises(ValueError):
+            FactorBudget()._replace(trial_bound=trial_bound)
 
     @pytest.mark.parametrize("rho_iterations", [-1, -10**7])
     def test_negative_rho_iterations_rejected(self, rho_iterations):
         # -1 ran as no rho at all and left an uncertified report at exit 0
         with pytest.raises(ValueError, match="rho iterations must be >= 0"):
             FactorBudget(rho_iterations=rho_iterations)
+        with pytest.raises(ValueError, match="rho iterations must be >= 0"):
+            FactorBudget()._replace(rho_iterations=rho_iterations)
 
     def test_zero_rho_iterations_run_no_rho(self):
         # 0 stays legal: no p-1, no rho, so a product of two primes above
@@ -463,7 +468,7 @@ class TestTrialDivision:
         assert products == [prod(trial.primes[:128])]
         factor(1000003**2)
         primes = all_primes(10**6)
-        assert trial.primes == primes and len(products) == 614
+        assert list(trial.primes) == primes and len(products) == 614
         assert products == [prod(primes[i : i + 128]) for i in range(0, len(primes), 128)]
 
 
@@ -558,7 +563,7 @@ class TestPairedStage2:
         trial = arith._trial_primes(trial_bound)
         assert arith._pollard_pm1(self.R * self.R2, trial) is None
         primes, js, ends = trial.primes, trial.js, trial.ends
-        assert primes == all_primes(trial_bound)
+        assert list(primes) == all_primes(trial_bound)
         D = arith._D
         rows = self.stage2_rows(primes)
         assert len(ends) - 1 == (primes[-1] + D // 2) // D + 1
@@ -634,19 +639,19 @@ class TestGrownList:
     def test_pm1_request_completes_the_list(self):
         assert main(["bound", "--d", "-1151", "--rho-iters", "1000000",
                      "--json", os.devnull]) == 0
-        assert arith._trial_primes(10**6).primes == all_primes(10**6)
+        assert list(arith._trial_primes(10**6).primes) == all_primes(10**6)
 
     @pytest.mark.parametrize("bound", EDGE_BOUNDS)
     def test_segment_edges(self, bound):
         full = all_primes(bound)
         trial = arith._trial_primes(bound)
         limits = [trial.limit]
-        assert trial.primes == full[: bisect_right(full, trial.limit)]
+        assert list(trial.primes) == full[: bisect_right(full, trial.limit)]
         while trial.extend():
             limits.append(trial.limit)
             # every intermediate list is the primes up to its limit
-            assert trial.primes == full[: bisect_right(full, trial.limit)]
-        assert trial.primes == full and trial.complete() == full
+            assert list(trial.primes) == full[: bisect_right(full, trial.limit)]
+        assert list(trial.primes) == full and list(trial.complete()) == full
         assert limits[0] == min(bound, 4) and limits[-1] == bound
         for lo, hi in zip(limits, limits[1:]):
             assert hi == min(4 * lo, bound)
@@ -663,11 +668,11 @@ class TestGrownList:
                   65521 * 65537 * 5, 999983 * 1000003, 10**12 + 39, 1000003**2 * 6)
         for n in values:
             assert arith._trial_divide(n, trial) == reference_trial_divide(n, full), n
-            assert trial.primes == full[: bisect_right(full, trial.limit)]
+            assert list(trial.primes) == full[: bisect_right(full, trial.limit)]
             assert trial.products == [prod(full[i : i + 128])
                                       for i in range(0, 128 * len(trial.products), 128)]
         # 10^12 + 39 is proven prime, so only 1000003^2 * 6 walks to the end
-        assert trial.primes == full
+        assert list(trial.primes) == full
 
 
 class TestEarlyStop:
@@ -715,7 +720,7 @@ class TestEarlyStop:
             got, trial = cls.divide(m)
             assert got == reference_trial_divide(m, full) and got[1] == cls.M89
             # a probable prime is divided by the whole list
-            assert trial.primes == full and len(trial.products) == 614
+            assert list(trial.primes) == full and len(trial.products) == 614
 
     def test_fires_on_proven_primes(self):
         self.check_fires()

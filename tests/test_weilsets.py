@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from math import isqrt, prod
 
 import pytest
@@ -219,7 +218,7 @@ class TestReadOff:
     def test_replaced_factorizations(self, ctx20):
         a = prime_support(family_A3(ctx20, choose_S(ctx20)))
         assert a.support and a.certified
-        bare = replace(a, factorizations=())
+        bare = a._replace(factorizations=())
         assert bare.support == frozenset() and not bare.certified
         # one element left unfactored: its primes leave the support
         i = next(i for i, v in enumerate(a.elements) if v != 0)
@@ -227,7 +226,7 @@ class TestReadOff:
         facs = list(a.factorizations)
         facs[i] = FactoredInteger(value=v, prime_powers=(), cofactor=abs(v))
         rest = [f.primes for f in facs if f is not None]
-        part = replace(a, factorizations=tuple(facs))
+        part = a._replace(factorizations=tuple(facs))
         assert part.support == frozenset().union(*rest) and not part.certified
 
     def test_raw_families_uncertified(self, contexts):
@@ -451,7 +450,7 @@ class TestA3Split:
         monkeypatch.setattr(weilsets, "factor_admissible", recording_admissible)
         a3 = a3_panel[-1]
         v, lucas = next((v, s) for v, s in zip(a3.elements, a3.lucas) if v)
-        prime_support(replace(a3, elements=(v,), lucas=(lucas,)), self.BUDGET)
+        prime_support(a3._replace(elements=(v,), lucas=(lucas,)), self.BUDGET)
         delta, psi = _lucas_parts(*lucas)
         assert calls == [(delta, None), *((p, d) for d, p in psi.items())]
 
