@@ -5,7 +5,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from itertools import compress, count
-from math import gcd, isqrt, prod
+from math import gcd, inf, isqrt, lcm, prod
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The first k bases decide primality for every n below the k-th entry: the
@@ -160,23 +160,23 @@ def _segment(lo: int, hi: int, base: list[int], d: int = 2, r: int = 1) -> list[
 
 
 def prime_stream():
-    """The primes, ascending and without end: 2 and 3, then the primes of
-    (lo, 2*lo] for lo = 4, 8, 16, ..., so each number is sieved once.  The
-    primes up to lo include every sieving prime, as sqrt(2*lo) <= lo."""
-    found, lo = [2, 3], 4
-    yield from found
-    while True:
-        new = _segment(lo, 2 * lo, found)
-        yield from new
-        found += new
-        lo *= 2
+    """The primes, ascending and without end: the process's one unbounded
+    list read by index, which a walk past its end extends for every later
+    walk, so a process sieves each number once."""
+    shared = _PRIMES
+    primes = shared.primes
+    for i in count():
+        if i == len(primes):
+            shared.extend()  # (limit, 4*limit] holds a prime (Bertrand)
+        yield primes[i]
 
 
 def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound."""
+    """All primes <= bound, a fresh list cut from the process's one list."""
     if bound < 2:
         raise ValueError("primes_up_to: bound must be >= 2")
-    return list(_TrialPrimes(bound).complete())
+    primes = _PRIMES.through(bound)
+    return primes[: bisect_right(primes, bound)].tolist()
 
 
 class FactorBudget(namedtuple("FactorBudget", "trial_bound rho_iterations")):
@@ -235,14 +235,14 @@ class _TrialPrimes:
     d or are +-1 mod d, for d = 2 or phi(d) > 2.  For d = 2 they are all
     the primes; for phi(d) > 2 about 2/phi(d) of them (Dirichlet), and the
     primes of d lie below every prime +-1 mod d, which is at least d - 1
-    and is not d.  Kept are the primes sieved as far as limit so far; the
-    products of their runs built so far; and, for d = 2, the rows of p-1's
-    stage-2 grid built so far: row k is js[ends[k]:ends[k+1]], the
-    distinct j with k*_D - j or k*_D + j a stage-2 prime.  Each is built
-    the first time a factorization reaches it, so a process builds only
-    what it uses.  The prime lists are arrays, 8 bytes a prime."""
+    and is not d.  Kept are the primes sieved as far as limit so far and
+    the products of their runs built so far, each built the first time a
+    factorization reaches it, so a process builds only what it uses.  The
+    prime lists are arrays, 8 bytes a prime.  With bound = inf this is
+    _PRIMES, the process's one list of all the primes, which only
+    extend() and through() grow: complete() on it never returns."""
 
-    def __init__(self, bound: int, d: int = 2):
+    def __init__(self, bound: int | float, d: int = 2):
         self.bound, self.d = bound, d
         # the primes of d past the first limit join in their segment
         self.d_primes = factor(d).primes if d > 2 else []
@@ -251,13 +251,11 @@ class _TrialPrimes:
         self.primes.extend(p for p in (2, 3)
                            if p <= bound and (d % p == 0 or p % d in (1, d - 1)))
         self.products: list[int] = []
-        self.js = array("H")
-        self.ends = array("I", [0])
 
     def extend(self) -> bool:
         """Append the trial primes in (limit, min(4*limit, bound)]; False
         when limit is bound already.  Each class +-1 mod d is sieved by the
-        primes up to sqrt(4*limit), in a segment of under bound/d bytes:
+        primes up to sqrt(4*limit), in a segment of 3*limit/d bytes at most:
         for d = 2 the list's own, as sqrt(4*limit) <= limit; else the
         shared list's."""
         lo, hi = self.limit, min(4 * self.limit, self.bound)
@@ -280,6 +278,9 @@ class _TrialPrimes:
     def complete(self) -> array:
         """All the trial primes up to bound."""
         return self.through(self.bound)
+
+
+_PRIMES = _TrialPrimes(inf)
 
 
 @lru_cache(maxsize=8)
@@ -367,32 +368,42 @@ def _brent_rho(n: int, max_iters: int) -> int | None:
     return None
 
 
-def _pollard_pm1(n: int, trial: _TrialPrimes) -> int | None:
-    """Pollard p-1 with base 3 over the trial primes (Pollard 1974).
+@lru_cache(maxsize=8)
+def _pm1_plan(bound: int) -> tuple[int, tuple[array, ...]]:
+    """p-1's plan for the trial primes up to bound, the largest of them T:
+    the stage-1 exponent E, the product of the largest power of each prime
+    that is at most sqrt(T), which is lcm(1, ..., sqrt(T)), and the rows of
+    the stage-2 grid, row k the distinct j with k*_D - j or k*_D + j a
+    prime in (sqrt(T), T].  Built from the completed list the first time
+    p-1 runs for bound."""
+    primes = _trial_primes(bound).complete()
+    root = isqrt(primes[-1])
+    rows = []
+    for k in range((primes[-1] + _D // 2) // _D + 1):
+        lo = bisect_right(primes, max(root, k * _D - _D // 2))
+        hi = bisect_right(primes, k * _D + _D // 2, lo)
+        rows.append(array("H", {abs(q - k * _D) for q in primes[lo:hi]}))
+    return lcm(*range(1, root + 1)), tuple(rows)
 
-    With T = primes[-1], stage 1 raises the base to every prime power up to
-    sqrt(T), giving a = 3^E; stage 2 takes the further primes q <= T, paired
-    around multiples of _D (Montgomery 1987, section 4).  Each q is k*_D +- j
-    with j <= _D/2, and with X = a^(k*_D), Y = a^j,
+
+def _pollard_pm1(n: int, bound: int) -> int | None:
+    """Pollard p-1 with base 3 over the trial primes up to bound (Pollard
+    1974), by the plan _pm1_plan(bound).
+
+    With T the largest trial prime, stage 1 raises the base to every prime
+    power up to sqrt(T), giving a = 3^E; stage 2 takes the further primes
+    q <= T, paired around multiples of _D (Montgomery 1987, section 4).
+    Each q is k*_D +- j with j <= _D/2, and with X = a^(k*_D), Y = a^j,
         (X + 1/X) - (Y + 1/Y) = (X - Y)(XY - 1)/(XY),
     so one product term per pair (k, j) catches both k*_D - j and k*_D + j.
     A prime p | n is caught when ord_p(3) divides E, or E times a stage-2
     prime, or E times the partner k*_D -+ j of one (a number below T + _D).
-    It reads every trial prime, so it completes the list first.  The grid's
-    rows are js[ends[k]:ends[k+1]], built the first time a call reaches
-    them.  Returns a proper factor of n, or None, also when every prime of
-    n is caught within one row (the gcd is n) and rho must split it.
+    One gcd per row.  Returns a proper factor of n, or None, also when
+    every prime of n is caught within one row (the gcd is n) and rho must
+    split it.
     """
-    primes, js, ends = trial.complete(), trial.js, trial.ends
-    root = isqrt(primes[-1])
-    a = 3
-    for q in primes:
-        if q > root:
-            break
-        qk = q
-        while qk * q <= root:
-            qk *= q
-        a = pow(a, qk, n)
+    exponent, rows = _pm1_plan(bound)
+    a = pow(3, exponent, n)
     g = gcd(a, n)  # 3 | n: a has no inverse
     if g > 1:
         return g if g < n else None
@@ -400,35 +411,15 @@ def _pollard_pm1(n: int, trial: _TrialPrimes) -> int | None:
     for _ in range(_D // 2 - 1):
         y.append((y[1] * y[-1] - y[-2]) % n)
     v_d = (y[-1] * y[-1] - 2) % n
-
-    def walk(k0, k1, acc, x, x_prev):
-        # rows k0 <= k < k1; x = V_{k*_D} = X + 1/X and x_prev = V_{(k-1)*_D}
-        for k in range(k0, k1):
-            if k == len(ends) - 1:
-                lo = bisect_right(primes, max(root, k * _D - _D // 2))
-                hi = bisect_right(primes, k * _D + _D // 2, lo)
-                js.extend({abs(q - k * _D) for q in primes[lo:hi]})
-                ends.append(len(js))
-            for j in js[ends[k] : ends[k + 1]]:
-                acc = acc * (x - y[j]) % n
-            x, x_prev = (x * v_d - x_prev) % n, x
-        return acc, x, x_prev
-
-    rows = (primes[-1] + _D // 2) // _D + 1
-    state = (a - 1, 2, v_d)  # V_0 = 2 and V_{-D} = V_D
-    for k0 in range(0, rows, 4):
-        k1 = min(k0 + 4, rows)
-        nxt = walk(k0, k1, *state)
-        g = gcd(nxt[0], n)
-        if g == n:  # redo the window one row at a time
-            for k in range(k0, k1):
-                state = walk(k, k + 1, *state)
-                g = gcd(state[0], n)
-                if g > 1:
-                    return g if g < n else None
+    # x = V_{k*_D} = X + 1/X and x_prev = V_{(k-1)*_D}: V_0 = 2, V_{-D} = V_D
+    acc, x, x_prev = a - 1, 2, v_d
+    for row in rows:
+        for j in row:
+            acc = acc * (x - y[j]) % n
+        g = gcd(acc, n)
         if g > 1:
-            return g
-        state = nxt
+            return g if g < n else None
+        x, x_prev = (x * v_d - x_prev) % n, x
     return None
 
 
@@ -492,7 +483,6 @@ def _factor(n: int, budget: FactorBudget, trial: _TrialPrimes) -> FactoredIntege
     if n == 0:
         raise ValueError("factor: n must be nonzero")
     powers, m = _trial_divide(abs(n), trial)
-    shared = _trial_primes(budget.trial_bound)
     # every part pushed is above 1: isqrt(m) >= 2, and p-1 and rho give 1 < f < m
     stack = [m] if m > 1 else []
     cofactor = 1
@@ -513,8 +503,8 @@ def _factor(n: int, budget: FactorBudget, trial: _TrialPrimes) -> FactoredIntege
             continue
         f = None
         # pi(T), the count of p-1's steps, needs the whole list
-        if len(shared.complete()) <= budget.rho_iterations:
-            f = _pollard_pm1(m, shared)
+        if len(_trial_primes(budget.trial_bound).complete()) <= budget.rho_iterations:
+            f = _pollard_pm1(m, budget.trial_bound)
         if f is None:
             f = _brent_rho(m, budget.rho_iterations)
         if f is None:

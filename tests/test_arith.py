@@ -3,7 +3,7 @@ import random
 from bisect import bisect_right
 from functools import cache
 from itertools import islice
-from math import gcd, isqrt, prod
+from math import gcd, inf, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -138,29 +138,59 @@ class TestPrimesUpTo:
 
 
 class TestPrimeStream:
-    # the last prime up to 2^k and the first above it, for the segment
-    # edges 2^13, 2^16, 2^17 and 2^18
-    EDGES = ((8191, 8209), (65521, 65537), (131071, 131101), (262139, 262147))
+    """Every walk reads the process's one list of all the primes, which
+    grows by segments (4, 16], (16, 64], ... as walks reach past it."""
 
-    def test_prefix_through_2_18(self):
+    # the last prime up to 2^k and the first above it, for 2^13 and 2^17
+    # and the segment edges 4^7 = 2^14, 4^8 = 2^16 and 4^9 = 2^18
+    EDGES = ((8191, 8209), (16381, 16411), (65521, 65537), (131071, 131101),
+             (262139, 262147))
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        """A fresh process-wide list, so that walks sieve from 4 again."""
+        monkeypatch.setattr(arith, "_PRIMES", arith._TrialPrimes(inf))
+
+    def test_prefix_through_2_18(self, fresh):
         reference = all_primes(2**18 + 16)
-        assert list(islice(arith.prime_stream(), len(reference))) == reference
+        # the first walk sieves every segment, the second reads them
+        for _ in range(2):
+            assert list(islice(arith.prime_stream(), len(reference))) == reference
         for below, above in self.EDGES:
             i = bisect_right(reference, below)
             assert reference[i - 1 : i + 1] == [below, above]
             assert below < 2 ** (above.bit_length() - 1) < above
 
-    def test_sieves_each_number_once(self, monkeypatch):
+    def test_sieves_each_number_once(self, fresh, monkeypatch):
         calls = []
         real = arith._segment
 
-        def recording(lo, hi, base):
+        def recording(lo, hi, *args):
             calls.append((lo, hi))
-            return real(lo, hi, base)
+            return real(lo, hi, *args)
 
         monkeypatch.setattr(arith, "_segment", recording)
         assert list(islice(arith.prime_stream(), 1000))[-1] == 7919
-        assert calls == [(2**k, 2 ** (k + 1)) for k in range(2, 13)]
+        # disjoint and contiguous: (4, 16], (16, 64], ..., (4096, 16384]
+        assert calls == [(4**k, 4 ** (k + 1)) for k in range(1, 7)]
+        # a second walk, and a primes_up_to within reach, sieve nothing
+        walk = arith.prime_stream()
+        assert list(islice(walk, 1000))[-1] == 7919
+        assert primes_up_to(16384)[-1] == 16381
+        assert len(calls) == 6
+        # past it, the next segment alone, once for every later walk
+        assert primes_up_to(16385)[-1] == 16381
+        assert next(walk) == 7927
+        assert list(islice(arith.prime_stream(), 1900, 1901)) == [16411]
+        assert calls[6:] == [(4**7, 4**8)]
+
+    def test_returned_list_is_a_copy(self, fresh):
+        got = primes_up_to(100)
+        got[0] = 4
+        del got[1]
+        got.append(101)
+        assert primes_up_to(100) == all_primes(100)
+        assert list(islice(arith.prime_stream(), 26)) == all_primes(101)
 
 
 class TestIsqrt:
@@ -273,7 +303,7 @@ class TestPollardPm1:
     @pytest.mark.parametrize("trial_bound, rho_iterations", [(50, 2), (100, 10)])
     def test_tiny_budget_skips_pm1(self, monkeypatch, trial_bound, rho_iterations):
         calls = []
-        monkeypatch.setattr(arith, "_pollard_pm1", lambda n, *grid: calls.append(n))
+        monkeypatch.setattr(arith, "_pollard_pm1", lambda n, bound: calls.append(n))
         p = 100000000000000000000000012349
         q = 100000000000000000000000098811
         factor(p * q, FactorBudget(trial_bound, rho_iterations))
@@ -281,10 +311,21 @@ class TestPollardPm1:
         factor(p * q, FactorBudget(rho_iterations=10**5))  # 78,498 trial primes fit
         assert calls == [p * q]
 
+    def test_gate_at_pi_of_trial_bound(self, monkeypatch):
+        # p-1 makes pi(10^6) = 78,498 steps: it runs when they fit in the
+        # rho budget, and not at one iteration fewer
+        calls = []
+        monkeypatch.setattr(arith, "_pollard_pm1", lambda n, bound: calls.append(n))
+        n = 1000003 * 1000033
+        assert factor(n, FactorBudget(rho_iterations=78497)).complete
+        assert calls == []
+        assert factor(n, FactorBudget(rho_iterations=78498)).complete
+        assert calls == [n]
+
     def _oracle_check(self, monkeypatch, n, budget):
         with_pm1 = factor(n, budget)
         with monkeypatch.context() as m:
-            m.setattr(arith, "_pollard_pm1", lambda n, *grid: None)
+            m.setattr(arith, "_pollard_pm1", lambda n, bound: None)
             rho_only = factor(n, budget)
         if with_pm1.complete and rho_only.complete:
             assert with_pm1 == rho_only, n
@@ -312,7 +353,7 @@ class TestPollardPm1:
         # p - 1 = 2^3 * 487 * 773 * 997 and q - 1 = 2^3 * 61 * 487 * 881:
         # stage 1 alone catches both primes, so the gcd is n itself
         p, q = 3002573177, 209374937
-        assert arith._pollard_pm1(p * q, arith._trial_primes(10**6)) is None
+        assert arith._pollard_pm1(p * q, 10**6) is None
         f = factor(p * q)
         assert f.complete and f.prime_powers == ((q, 1), (p, 1))
 
@@ -330,10 +371,9 @@ def reference_trial_divide(m, primes):
     return powers, m
 
 
-def reference_pm1(n, primes):
-    """The p-1 that the paired stage 2 replaced: stage 1 as in arith, then
-    a^q - 1 for each stage-2 prime q in turn, stepping between consecutive
-    primes by a table of a^gap, with a gcd every 1024 primes."""
+def reference_stage1(n, primes):
+    """p-1's stage 1 as each call once ran it: the base 3 raised to each
+    prime power up to sqrt(T) in turn, T = primes[-1]."""
     root = isqrt(primes[-1])
     a = 3
     for q in primes:
@@ -343,6 +383,16 @@ def reference_pm1(n, primes):
         while qk * q <= root:
             qk *= q
         a = pow(a, qk, n)
+    return a
+
+
+def reference_pm1(n, primes):
+    """The p-1 that the paired stage 2 replaced: stage 1 as in
+    reference_stage1, then a^q - 1 for each stage-2 prime q in turn,
+    stepping between consecutive primes by a table of a^gap, with a gcd
+    every 1024 primes."""
+    root = isqrt(primes[-1])
+    a = reference_stage1(n, primes)
     steps = {}
     acc, b, prev = a - 1, 1, 0
     for i, q in enumerate(islice(primes, bisect_right(primes, root), None), 1):
@@ -478,10 +528,6 @@ class TestPairedStage2:
     R, R2 = 2199023255867, 2199023258567
 
     @staticmethod
-    def grid(trial_bound):
-        return (arith._trial_primes(trial_bound),)
-
-    @staticmethod
     def stage2_rows(primes):
         """{k: stage-2 primes q with q = k*D +- j, j <= D/2}"""
         D = arith._D
@@ -524,7 +570,7 @@ class TestPairedStage2:
         for p in corpus:
             expected = reference_pm1(p * self.R, primes)
             assert expected in (p, None)
-            assert arith._pollard_pm1(p * self.R, *self.grid(trial_bound)) == expected, p
+            assert arith._pollard_pm1(p * self.R, trial_bound) == expected, p
             caught += expected == p
         return caught
 
@@ -537,8 +583,9 @@ class TestPairedStage2:
     def test_sampled_rows_match_reference(self):
         rng = random.Random(15)
         rows = sorted(self.stage2_rows(all_primes(10**6)))
-        assert len(rows) == 434
-        taken = [*rows[:5], *rng.sample(rows[5:-4], 12), *rows[-4:]]
+        assert len(rows) == 434 and 300 in rows
+        # row 300 and the last row always, the others sampled
+        taken = sorted({*rows[:5], *rng.sample(rows[5:-4], 12), 300, *rows[-4:]})
         corpus = list(self._corpus(rng, 10**6, taken))
         assert self._check(10**6, corpus) == len(corpus) - 4
 
@@ -555,43 +602,57 @@ class TestPairedStage2:
     def test_large_h_parts_match_reference(self):
         primes = all_primes(10**6)
         for n in TestPollardPm1.LARGE_H_PARTS:
-            got = arith._pollard_pm1(n, *self.grid(10**6))
+            got = arith._pollard_pm1(n, 10**6)
             assert got is not None and got == reference_pm1(n, primes), n
 
     @pytest.mark.parametrize("trial_bound", [2, 3, 50, 2311, 10**5, 10**6])
     def test_rows_pair_every_stage2_prime(self, trial_bound):
-        trial = arith._trial_primes(trial_bound)
-        assert arith._pollard_pm1(self.R * self.R2, trial) is None
-        primes, js, ends = trial.primes, trial.js, trial.ends
-        assert list(primes) == all_primes(trial_bound)
+        assert arith._pollard_pm1(self.R * self.R2, trial_bound) is None
+        primes = all_primes(trial_bound)
+        assert list(arith._trial_primes(trial_bound).primes) == primes
+        _, plan_rows = arith._pm1_plan(trial_bound)
         D = arith._D
         rows = self.stage2_rows(primes)
-        assert len(ends) - 1 == (primes[-1] + D // 2) // D + 1
-        for k in range(len(ends) - 1):
-            row = js[ends[k] : ends[k + 1]]
+        assert len(plan_rows) == (primes[-1] + D // 2) // D + 1
+        for k, row in enumerate(plan_rows):
             assert len(set(row)) == len(row)
             assert set(row) == {abs(q - k * D) for q in rows.get(k, ())}, k
 
-    def test_rows_built_lazily(self):
-        # building all 434 rows takes about 10 ms, a cost only a process
-        # that runs p-1 should pay
-        arith._trial_primes.cache_clear()
-        assert factor(2**20 * 999983 * 1000003).complete  # no part reaches p-1
-        trial = arith._trial_primes(10**6)
-        js, ends = trial.js, trial.ends
-        assert list(ends) == [0] and len(js) == 0
-        factor(self.R * self.R2, FactorBudget(rho_iterations=10**5))
-        assert len(ends) == 435 and len(js) == ends[-1]
+    @pytest.mark.parametrize("trial_bound", [2, 3, 50, 10**6])
+    def test_plan_exponent_is_stage_1(self, trial_bound):
+        # E is the product of the largest prime powers up to sqrt(T), that
+        # is lcm(1, ..., sqrt(T)), and 3^E is what stage 1 computed per call
+        primes = all_primes(trial_bound)
+        exponent, _ = arith._pm1_plan(trial_bound)
+        assert exponent == lcm(*range(1, isqrt(primes[-1]) + 1))
+        for n in (self.R * self.R2, 1000003 * 1000033):
+            assert pow(3, exponent, n) == reference_stage1(n, primes)
 
-    def test_window_gcd_n_redone_row_by_row(self):
-        # p and p2 are caught by rows 5 and 6, one 4-row window: the window's
-        # gcd is n, and its rows one at a time give p
+    def test_rows_built_lazily(self):
+        # building the plan's 434 rows at 10^6 takes about 10 ms, a cost
+        # only a process that runs p-1 should pay, and then once
+        arith._pm1_plan.cache_clear()
+        assert factor(2**20 * 999983 * 1000003).complete  # no part reaches p-1
+        # the benchmark's warm-up requests
+        assert main(["verify", "--d", "-20", "--json", os.devnull]) == 0
+        assert main(["bound", "--d", "-20", "--rho-iters", "1000000",
+                     "--json", os.devnull]) == 0
+        assert arith._pm1_plan.cache_info().currsize == 0
+        for _ in range(2):
+            factor(self.R * self.R2, FactorBudget(rho_iterations=10**5))
+        info = arith._pm1_plan.cache_info()
+        assert info.currsize == 1 and info.misses == 1 and info.hits == 1
+
+    def test_one_gcd_per_row(self):
+        # p and p2 are caught by rows 5 and 6: the gcd after row 5 is p,
+        # also beside R, where a gcd over both rows would give p * p2
         rng = random.Random(17)
         primes = all_primes(10**6)
         rows = self.stage2_rows(primes)
         p = self.caught_by(rng, primes, rows[5][0])
         p2 = self.caught_by(rng, primes, rows[6][-1])
-        assert arith._pollard_pm1(p * p2, *self.grid(10**6)) == p
+        assert arith._pollard_pm1(p * p2, 10**6) == p
+        assert arith._pollard_pm1(p * p2 * self.R, 10**6) == p
         assert reference_pm1(p * p2, primes) is None
 
     @pytest.mark.parametrize("trial_bound", [2, 3, 5, 7, 50])
@@ -607,15 +668,15 @@ class TestPairedStage2:
         for n in values:
             f = factor(n, budget)
             with monkeypatch.context() as m:
-                m.setattr(arith, "_pollard_pm1", lambda n, *grid: None)
+                m.setattr(arith, "_pollard_pm1", lambda n, bound: None)
                 rho_only = factor(n, budget)
             assert f.complete and f == rho_only, n
 
     def test_no_inverse_and_divisors_of_d(self):
-        assert arith._pollard_pm1(3 * self.R, *self.grid(2)) == 3
-        assert arith._pollard_pm1(27 * self.R, *self.grid(3)) == 3
+        assert arith._pollard_pm1(3 * self.R, 2) == 3
+        assert arith._pollard_pm1(27 * self.R, 3) == 3
         for p in (11, 13, 61, 547):
-            assert arith._pollard_pm1(p * self.R, *self.grid(7)) == p
+            assert arith._pollard_pm1(p * self.R, 7) == p
 
 
 class TestGrownList:

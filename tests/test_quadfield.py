@@ -1,5 +1,6 @@
 import random
 from itertools import takewhile
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -163,21 +164,23 @@ class TestSplitting:
 
 class TestSplitPrimes:
     def test_one_walk_sieves_each_number_once(self, contexts, monkeypatch):
+        # a process sieves each number at most once: walks read one list
         calls = []
         real = arith._segment
 
-        def recording(lo, hi, base):
+        def recording(lo, hi, *args):
             calls.append((lo, hi))
-            return real(lo, hi, base)
+            return real(lo, hi, *args)
 
+        monkeypatch.setattr(arith, "_PRIMES", arith._TrialPrimes(inf))
         monkeypatch.setattr(arith, "_segment", recording)
         for ctx in contexts.values():
-            calls.clear()
             got = list(takewhile(lambda l: l <= 2**14, split_primes(ctx)))
             assert got == [l for l in range(2, 2**14 + 1) if old_prime_divisors(l) == [l]
                            and splitting_type(ctx, l) == "split"], ctx.D
-            # disjoint and contiguous: (4, 8], (8, 16], ..., (2^14, 2^15]
-            assert calls == [(2**k, 2 ** (k + 1)) for k in range(2, 15)], ctx.D
+            # disjoint and contiguous, (4, 16], ..., (4^7, 4^8], all sieved
+            # by the first walk: every later walk sieves nothing
+            assert calls == [(4**k, 4 ** (k + 1)) for k in range(1, 8)], ctx.D
 
 
 class TestIdealArithmetic:

@@ -506,9 +506,9 @@ class TestCacheRule:
         calls = []
         real = arith._pollard_pm1
 
-        def recording(n, *grid):
+        def recording(n, bound):
             calls.append(n)
-            return real(n, *grid)
+            return real(n, bound)
 
         monkeypatch.setattr(arith, "_pollard_pm1", recording)
         ctx = _field(-1151)
