@@ -4,7 +4,7 @@ from array import array
 from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
-from itertools import compress, count
+from itertools import compress, count, islice
 from math import gcd, inf, isqrt, lcm, prod
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -135,28 +135,25 @@ def prime_status(n: int) -> str:
     return "probable" if _lucas_strong_probable_prime(n) else "composite"
 
 
-def _segment(lo: int, hi: int, base: list[int], d: int = 2, r: int = 1) -> list[int]:
-    """The primes in (lo, hi] that are r mod d, 2 <= lo <= hi, gcd(r, d) = 1:
-    the numbers r mod d there sieved by the primes p*p <= hi of base that do
-    not divide d, where base lists the primes from 2 on as far as sqrt(hi)
-    at least (segmented sieve, Bays-Hudson 1977).  d = 2, r = 1 sieves the
-    odd numbers."""
-    # index i stands for first + d*i
-    first = lo + 1 + (r - lo - 1) % d
-    n = max(0, (hi - first) // d + 1)
+def _segment(lo: int, hi: int, base: array):
+    """The primes in (lo, hi], 2 <= lo < hi: the odd numbers there sieved by
+    the odd primes p*p <= hi of base, where base lists the primes from 2 on
+    as far as sqrt(hi) at least (segmented sieve, Bays-Hudson 1977).  The
+    sieving is done before the lazy result is returned, so base may be the
+    array that the result extends."""
+    # index i stands for first + 2*i
+    first = lo + 1 + lo % 2
+    n = max(0, (hi - first) // 2 + 1)
     segment = bytearray([1]) * n
-    for p in base:
+    for p in islice(base, 1, None):
         if p * p > hi:
             break
-        if d % p == 0:
-            continue
-        # the least i with first + d*i >= p*p and divisible by p, by 1/d
-        # mod p, which for d = 2 is (p+1)/2 at a sixth of pow's cost
-        inverse = (p + 1) // 2 if d == 2 else pow(d, -1, p)
-        i = max(0, -(-(p * p - first) // d))
-        i += -(first + d * i) * inverse % p
+        # the least i with first + 2*i >= p*p and divisible by p, by
+        # 1/2 = (p+1)/2 mod p
+        i = max(0, -(-(p * p - first) // 2))
+        i += -(first + 2 * i) * ((p + 1) // 2) % p
         segment[i::p] = bytes(len(range(i, n, p)))
-    return list(compress(range(first, hi + 1, d), segment))
+    return compress(range(first, hi + 1, 2), segment)
 
 
 def prime_stream():
@@ -231,91 +228,80 @@ _D = 2310
 
 
 class _TrialPrimes:
-    """The trial primes up to bound for a modulus d: the primes that divide
-    d or are +-1 mod d, for d = 2 or phi(d) > 2.  For d = 2 they are all
-    the primes; for phi(d) > 2 about 2/phi(d) of them (Dirichlet), and the
-    primes of d lie below every prime +-1 mod d, which is at least d - 1
-    and is not d.  Kept are the primes sieved as far as limit so far and
-    the products of their runs built so far, each built the first time a
+    """The trial primes for a modulus d: the primes that divide d or are
+    +-1 mod d, for d = 2 or phi(d) > 2.  For d = 2 they are all the primes:
+    _PRIMES, the process's one list, and the only one that is sieved.  For
+    phi(d) > 2 they are about 2/phi(d) of them (Dirichlet), filtered from
+    _PRIMES.  Kept are the primes as far as limit so far and the products
+    of the full runs built so far, each built the first time a walk or a
     factorization reaches it, so a process builds only what it uses.  The
-    prime lists are arrays, 8 bytes a prime.  With bound = inf this is
-    _PRIMES, the process's one list of all the primes, which only
-    extend() and through() grow: complete() on it never returns."""
+    prime lists are arrays, 8 bytes a prime."""
 
-    def __init__(self, bound: int | float, d: int = 2):
-        self.bound, self.d = bound, d
-        # the primes of d past the first limit join in their segment
-        self.d_primes = factor(d).primes if d > 2 else []
-        self.limit = min(bound, 4)
-        self.primes = array("Q")
-        self.primes.extend(p for p in (2, 3)
-                           if p <= bound and (d % p == 0 or p % d in (1, d - 1)))
+    def __init__(self, d: int = 2):
+        self.d = d
+        self.limit = 4
+        self.primes = array("Q", [p for p in (2, 3) if d % p == 0 or p % d in (1, d - 1)])
         self.products: list[int] = []
 
-    def extend(self) -> bool:
-        """Append the trial primes in (limit, min(4*limit, bound)]; False
-        when limit is bound already.  Each class +-1 mod d is sieved by the
-        primes up to sqrt(4*limit), in a segment of 3*limit/d bytes at most:
-        for d = 2 the list's own, as sqrt(4*limit) <= limit; else the
-        shared list's."""
-        lo, hi = self.limit, min(4 * self.limit, self.bound)
-        if lo == hi:
-            return False
-        d = self.d
-        base = self.primes if d == 2 else _trial_primes(self.bound).through(isqrt(hi))
-        runs = [_segment(lo, hi, base, d, r) for r in {1, d - 1}]
-        self.primes.extend([p for p in self.d_primes if lo < p <= hi])
-        self.primes.extend(runs[0] if len(runs) == 1 else sorted(runs[0] + runs[1]))
+    def extend(self, x: int | float = inf) -> None:
+        """Append the trial primes in (limit, min(4*limit, x)], limit < x.
+        _PRIMES sieves the odd numbers there by its own primes up to
+        sqrt(4*limit) <= limit; a class list filters them from _PRIMES."""
+        lo, hi, d = self.limit, min(4 * self.limit, x), self.d
+        if d == 2:
+            self.primes.extend(_segment(lo, hi, self.primes))
+        else:
+            shared = _PRIMES.through(hi)
+            self.primes.extend(p for p in shared[bisect_right(shared, lo) : bisect_right(shared, hi)]
+                               if p % d in (1, d - 1) or d % p == 0)
         self.limit = hi
-        return True
 
     def through(self, x: int) -> array:
-        """The list, sieved as far as x at least (or to bound)."""
-        while self.limit < x and self.extend():
-            pass
+        """The list as far as x at least, by segments that end at x at most."""
+        while self.limit < x:
+            self.extend(x)
         return self.primes
 
-    def complete(self) -> array:
-        """All the trial primes up to bound."""
-        return self.through(self.bound)
 
-
-_PRIMES = _TrialPrimes(inf)
-
-
-@lru_cache(maxsize=8)
-def _trial_primes(bound: int) -> _TrialPrimes:
-    return _TrialPrimes(bound)
+_PRIMES = _TrialPrimes()
 
 
 @lru_cache(maxsize=64)
-def _class_primes(bound: int, d: int) -> _TrialPrimes:
-    return _TrialPrimes(bound, d)
+def _class_primes(d: int) -> _TrialPrimes:
+    return _TrialPrimes(d)
 
 
-def _trial_divide(m: int, trial: _TrialPrimes) -> tuple[dict[int, int], int]:
-    """Divide m > 0 by every trial prime p with p*p <= m: the prime powers
-    found and what is left.  A run whose product is coprime to m is passed
-    over with one gcd instead of one division per prime.  Division ends
-    once m is proven prime, on entry or after a run that divided it.  The
-    list is sieved on only while a run it cuts short may be needed."""
+def _trial_divide(m: int, trial: _TrialPrimes, bound: int) -> tuple[dict[int, int], int]:
+    """Divide m > 0 by every prime p <= bound of trial with p*p <= m: the
+    prime powers found and what is left.  A run whose product is coprime to
+    m is passed over with one gcd instead of one division per prime.
+    Division ends once m is proven prime, on entry or after a run that
+    divided it.  The list is grown on only while a run it cuts short may be
+    needed.  Only a full run of primes <= bound keeps its product: a run
+    that bound or the list's end cuts short is multiplied on the spot, or a
+    later, larger bound would skip the primes it lacks."""
     powers: dict[int, int] = {}
     if _proven_prime(m):
         return powers, m
     primes, products = trial.primes, trial.products
     for i in count():
         start = i * _TRIAL_RUN
-        while (len(primes) < start + _TRIAL_RUN
-               and (start >= len(primes) or primes[start] * primes[start] <= m)
-               and trial.extend()):
-            pass
-        if start >= len(primes) or primes[start] * primes[start] > m:
+        while (len(primes) < start + _TRIAL_RUN and trial.limit < bound
+               and (start >= len(primes) or primes[start] * primes[start] <= m)):
+            trial.extend(bound)
+        if start >= len(primes) or primes[start] > bound or primes[start] * primes[start] > m:
             break
-        if i == len(products):
-            products.append(prod(primes[start : start + _TRIAL_RUN]))
-        if gcd(m, products[i]) == 1:
+        end = start + _TRIAL_RUN
+        if end <= len(primes) and primes[end - 1] <= bound:
+            if i == len(products):
+                products.append(prod(primes[start:end]))
+            run_product = products[i]
+        else:
+            end = bisect_right(primes, bound, start, min(end, len(primes)))
+            run_product = prod(primes[start:end])
+        if gcd(m, run_product) == 1:
             continue
-        for p in primes[start : start + _TRIAL_RUN]:
+        for p in primes[start:end]:
             if p * p > m:
                 break
             while m % p == 0:
@@ -374,14 +360,15 @@ def _pm1_plan(bound: int) -> tuple[int, tuple[array, ...]]:
     the stage-1 exponent E, the product of the largest power of each prime
     that is at most sqrt(T), which is lcm(1, ..., sqrt(T)), and the rows of
     the stage-2 grid, row k the distinct j with k*_D - j or k*_D + j a
-    prime in (sqrt(T), T].  Built from the completed list the first time
+    prime in (sqrt(T), T].  Built from _PRIMES cut at bound the first time
     p-1 runs for bound."""
-    primes = _trial_primes(bound).complete()
-    root = isqrt(primes[-1])
+    primes = _PRIMES.through(bound)
+    n = bisect_right(primes, bound)
+    root = isqrt(primes[n - 1])
     rows = []
-    for k in range((primes[-1] + _D // 2) // _D + 1):
-        lo = bisect_right(primes, max(root, k * _D - _D // 2))
-        hi = bisect_right(primes, k * _D + _D // 2, lo)
+    for k in range((primes[n - 1] + _D // 2) // _D + 1):
+        lo = bisect_right(primes, max(root, k * _D - _D // 2), 0, n)
+        hi = bisect_right(primes, k * _D + _D // 2, lo, n)
         rows.append(array("H", {abs(q - k * _D) for q in primes[lo:hi]}))
     return lcm(*range(1, root + 1)), tuple(rows)
 
@@ -435,8 +422,9 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
     prime proves nothing and is divided on.  A prime part has no trial
     divisor p with p*p <= it, so neither runs nor the early end change the
     result: the same prime powers and part as dividing by each prime p
-    with p*p <= the part in turn.  The trial primes are sieved as far as
-    the division reaches; p-1 completes them to the trial bound.
+    with p*p <= the part in turn.  The trial primes are the process's one
+    list cut at the trial bound, sieved as far as the division reaches;
+    p-1 sieves it to the trial bound.
 
     The result depends on (n, budget) alone.  p-1 runs only when the trial
     primes, one step each, fit in the rho iteration budget; if it finds
@@ -444,7 +432,7 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
     rho runs out of iterations, and any part that is only a BPSW probable
     prime, is reported in the cofactor.
     """
-    return _factor(n, budget, _trial_primes(budget.trial_bound))
+    return _factor(n, budget, _PRIMES)
 
 
 def factor_admissible(n: int, d: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
@@ -469,20 +457,21 @@ def factor_admissible(n: int, d: int, budget: FactorBudget = FactorBudget()) -> 
     to d and the admissible primes are all the primes.  Below 727^2, 727
     the first prime past the shared list's first run, that run finishes
     the division, and a list of its own would save nothing.  Both go by
-    the shared list.  Else the admissible list of (trial_bound, d) is
-    built as far as divisions reach and kept for the last 64 such pairs.
+    the shared list.  Else the admissible list of d, filtered from the
+    shared list as far as divisions reach, is cut at the trial bound; the
+    lists of the last 64 moduli are kept.
     """
     if d in (1, 2, 3, 4, 6) or abs(n) < 727 * 727:
         return factor(n, budget)
-    return _factor(n, budget, _class_primes(budget.trial_bound, d))
+    return _factor(n, budget, _class_primes(d))
 
 
 def _factor(n: int, budget: FactorBudget, trial: _TrialPrimes) -> FactoredInteger:
-    """factor(n, budget) with trial division by the list trial, which holds
-    every prime of n up to budget.trial_bound."""
+    """factor(n, budget) with trial division by the list trial cut at
+    budget.trial_bound, which holds every prime of n up to that bound."""
     if n == 0:
         raise ValueError("factor: n must be nonzero")
-    powers, m = _trial_divide(abs(n), trial)
+    powers, m = _trial_divide(abs(n), trial, budget.trial_bound)
     # every part pushed is above 1: isqrt(m) >= 2, and p-1 and rho give 1 < f < m
     stack = [m] if m > 1 else []
     cofactor = 1
@@ -502,8 +491,9 @@ def _factor(n: int, budget: FactorBudget, trial: _TrialPrimes) -> FactoredIntege
             stack.extend((r, r))
             continue
         f = None
-        # pi(T), the count of p-1's steps, needs the whole list
-        if len(_trial_primes(budget.trial_bound).complete()) <= budget.rho_iterations:
+        # pi(T), the count of p-1's steps, needs the list as far as T
+        primes = _PRIMES.through(budget.trial_bound)
+        if bisect_right(primes, budget.trial_bound) <= budget.rho_iterations:
             f = _pollard_pm1(m, budget.trial_bound)
         if f is None:
             f = _brent_rho(m, budget.rho_iterations)

@@ -3,7 +3,7 @@ import random
 from bisect import bisect_right
 from functools import cache
 from itertools import islice
-from math import gcd, inf, isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -146,11 +146,6 @@ class TestPrimeStream:
     EDGES = ((8191, 8209), (16381, 16411), (65521, 65537), (131071, 131101),
              (262139, 262147))
 
-    @pytest.fixture
-    def fresh(self, monkeypatch):
-        """A fresh process-wide list, so that walks sieve from 4 again."""
-        monkeypatch.setattr(arith, "_PRIMES", arith._TrialPrimes(inf))
-
     def test_prefix_through_2_18(self, fresh):
         reference = all_primes(2**18 + 16)
         # the first walk sieves every segment, the second reads them
@@ -161,15 +156,8 @@ class TestPrimeStream:
             assert reference[i - 1 : i + 1] == [below, above]
             assert below < 2 ** (above.bit_length() - 1) < above
 
-    def test_sieves_each_number_once(self, fresh, monkeypatch):
-        calls = []
-        real = arith._segment
-
-        def recording(lo, hi, *args):
-            calls.append((lo, hi))
-            return real(lo, hi, *args)
-
-        monkeypatch.setattr(arith, "_segment", recording)
+    def test_sieves_each_number_once(self, fresh, segment_calls):
+        calls = segment_calls
         assert list(islice(arith.prime_stream(), 1000))[-1] == 7919
         # disjoint and contiguous: (4, 16], (16, 64], ..., (4096, 16384]
         assert calls == [(4**k, 4 ** (k + 1)) for k in range(1, 7)]
@@ -178,11 +166,14 @@ class TestPrimeStream:
         assert list(islice(walk, 1000))[-1] == 7919
         assert primes_up_to(16384)[-1] == 16381
         assert len(calls) == 6
-        # past it, the next segment alone, once for every later walk
+        # past it, primes_up_to sieves as far as its bound alone, and a walk
+        # past that the next segment, 4 times as wide: each once for every
+        # later walk
         assert primes_up_to(16385)[-1] == 16381
         assert next(walk) == 7927
-        assert list(islice(arith.prime_stream(), 1900, 1901)) == [16411]
-        assert calls[6:] == [(4**7, 4**8)]
+        for _ in range(2):
+            assert list(islice(arith.prime_stream(), 1900, 1901)) == [16411]
+        assert calls[6:] == [(4**7, 4**7 + 1), (4**7 + 1, 4 * (4**7 + 1))]
 
     def test_returned_list_is_a_copy(self, fresh):
         got = primes_up_to(100)
@@ -411,7 +402,7 @@ def reference_factor(monkeypatch, n, budget):
     """factor() with its trial division done by the reference loop."""
     with monkeypatch.context() as mp:
         mp.setattr(arith, "_trial_divide",
-                   lambda m, trial: reference_trial_divide(m, all_primes(trial.bound)))
+                   lambda m, trial, bound: reference_trial_divide(m, all_primes(bound)))
         return factor(n, budget)
 
 
@@ -436,9 +427,9 @@ class TestTrialDivision:
         seen = []
         real = arith._trial_divide
 
-        def checked(m, trial):
-            got = real(m, trial)
-            assert got == reference_trial_divide(m, all_primes(trial.bound)), (m, trial.d)
+        def checked(m, trial, bound):
+            got = real(m, trial, bound)
+            assert got == reference_trial_divide(m, all_primes(bound)), (m, trial.d)
             seen.append((m, trial.d, got[0]))
             return got
 
@@ -462,18 +453,17 @@ class TestTrialDivision:
     def test_edges_match_reference(self, trial_bound):
         primes = all_primes(trial_bound)
         for n in self.EDGE_VALUES:
-            got = arith._trial_divide(n, arith._trial_primes(trial_bound))
+            got = arith._trial_divide(n, arith._PRIMES, trial_bound)
             assert got == reference_trial_divide(n, primes), (n, trial_bound)
 
     def test_a_prime_from_every_run(self):
         # each value has a prime in every run of 128, at a different place
         # in each run: a run passed over without its gcd loses its prime
         primes = all_primes(10**6)
-        trial = arith._trial_primes(10**6)
         for chosen, extra in ((primes[::127], 1), (primes[127::128], 1000003**2),
                               (primes[5::131], 1000003 * 1000033)):
             n = prod(chosen) * extra
-            got = arith._trial_divide(n, trial)
+            got = arith._trial_divide(n, arith._PRIMES, 10**6)
             assert got == reference_trial_divide(n, primes)
             # the largest chosen prime may be left over once p*p passes m
             assert got[0].keys() >= set(chosen[:-1])
@@ -482,14 +472,14 @@ class TestTrialDivision:
     def test_random_match_reference(self, trial_bound):
         rng = random.Random(trial_bound)
         primes = all_primes(trial_bound)
-        trial = arith._trial_primes(trial_bound)
         pool = all_primes(2 * 10**6)[::37]
         for _ in range(100):
             n = 1
             for _ in range(rng.randrange(1, 6)):
                 n *= rng.choice(pool) ** rng.randrange(1, 4)
             n *= rng.randrange(1, 10**rng.randrange(1, 40))
-            assert arith._trial_divide(n, trial) == reference_trial_divide(n, primes), n
+            got = arith._trial_divide(n, arith._PRIMES, trial_bound)
+            assert got == reference_trial_divide(n, primes), n
 
     @pytest.mark.parametrize("rho_iterations", [2, 10, 1000])
     @pytest.mark.parametrize("trial_bound", TRIAL_BOUNDS)
@@ -507,19 +497,21 @@ class TestTrialDivision:
         if rho_iterations < 1000:
             assert incomplete > 0
 
-    def test_products_built_lazily(self, monkeypatch):
+    def test_products_built_lazily(self, fresh):
         # the products are built when a factorization first reaches their
-        # run: building all 614 up front costs every process about 7 ms
-        arith._trial_primes.cache_clear()
+        # run: building all 613 up front costs every process about 7 ms
         assert factor(2**20 * 3**10).prime_powers == ((2, 20), (3, 10))
         assert factor(719 * 727).prime_powers == ((719, 1), (727, 1))
-        trial = arith._trial_primes(10**6)
+        trial = arith._PRIMES
         products = trial.products
         assert products == [prod(trial.primes[:128])]
         factor(1000003**2)
         primes = all_primes(10**6)
-        assert list(trial.primes) == primes and len(products) == 614
-        assert products == [prod(primes[i : i + 128]) for i in range(0, len(primes), 128)]
+        assert list(trial.primes) == primes and len(products) == 613
+        # the last run, 34 primes up to 10^6, is cut short by the list's
+        # end: its product is built on the spot and not kept
+        assert len(primes) == 613 * 128 + 34
+        assert products == [prod(primes[i : i + 128]) for i in range(0, 613 * 128, 128)]
 
 
 class TestPairedStage2:
@@ -609,7 +601,7 @@ class TestPairedStage2:
     def test_rows_pair_every_stage2_prime(self, trial_bound):
         assert arith._pollard_pm1(self.R * self.R2, trial_bound) is None
         primes = all_primes(trial_bound)
-        assert list(arith._trial_primes(trial_bound).primes) == primes
+        assert arith._PRIMES.limit >= trial_bound and primes_up_to(trial_bound) == primes
         _, plan_rows = arith._pm1_plan(trial_bound)
         D = arith._D
         rows = self.stage2_rows(primes)
@@ -679,61 +671,127 @@ class TestPairedStage2:
             assert arith._pollard_pm1(p * self.R, 7) == p
 
 
+# limits on either side of the segment edges 4^k and of the runs' edge 727
+CROSS_EDGES = (5, 15, 16, 17, 63, 64, 65, 719, 727, 1023, 1025, 4095, 4096, 4097,
+               16385, 65535, 65537, 262145, 10**6)
+
+
+@pytest.mark.usefixtures("fresh")
 class TestGrownList:
-    """The trial primes start from 2 and 3, are sieved as far as trial
-    division reaches, in segments of up to 4 times the last limit, and are
-    completed for p-1."""
+    """The process's one list starts from 2 and 3 and is sieved as far as
+    walks and trial division reach, in segments of up to 4 times the last
+    limit that end at the bound asked for; p-1 sieves it to the trial
+    bound."""
 
     EDGE_BOUNDS = (2, 3, 4, 5, 17, 719, 727, 4095, 4096, 4097, 16385, 10**6)
 
-    @pytest.fixture(autouse=True)
-    def fresh_list(self):
-        arith._trial_primes.cache_clear()
-        yield
-        arith._trial_primes.cache_clear()
-
     @pytest.mark.parametrize("D", [-20, -3299])
     def test_verify_stays_short(self, D):
+        # no part reaches p-1, so nothing sieves the list to the trial bound
+        # 10^6: full trial division takes it to 1024, and on -3299 the first
+        # run of the admissible primes of 108 filters it as far as 4^8
         assert main(["verify", "--d", str(D), "--json", os.devnull]) == 0
-        assert len(arith._trial_primes(10**6).primes) < 2000
+        assert arith._PRIMES.limit == {-20: 1024, -3299: 4**8}[D]
 
     def test_pm1_request_completes_the_list(self):
         assert main(["bound", "--d", "-1151", "--rho-iters", "1000000",
                      "--json", os.devnull]) == 0
-        assert list(arith._trial_primes(10**6).primes) == all_primes(10**6)
+        # as far as the trial bound, and no further
+        assert arith._PRIMES.limit == 10**6
+        assert list(arith._PRIMES.primes) == all_primes(10**6)
 
     @pytest.mark.parametrize("bound", EDGE_BOUNDS)
-    def test_segment_edges(self, bound):
-        full = all_primes(bound)
-        trial = arith._trial_primes(bound)
-        limits = [trial.limit]
-        assert list(trial.primes) == full[: bisect_right(full, trial.limit)]
-        while trial.extend():
-            limits.append(trial.limit)
-            # every intermediate list is the primes up to its limit
-            assert list(trial.primes) == full[: bisect_right(full, trial.limit)]
-        assert list(trial.primes) == full and list(trial.complete()) == full
-        assert limits[0] == min(bound, 4) and limits[-1] == bound
-        for lo, hi in zip(limits, limits[1:]):
+    def test_segment_edges(self, bound, segment_calls):
+        calls = segment_calls
+        assert list(arith._PRIMES.through(bound)) == all_primes(max(bound, 4))
+        # contiguous from 4, each up to 4 times as wide as the list was
+        # long, the last one capped at bound
+        limits = [4] + [hi for _, hi in calls]
+        assert calls == list(zip(limits, limits[1:]))
+        assert arith._PRIMES.limit == limits[-1] == max(bound, 4)
+        for lo, hi in calls:
             assert hi == min(4 * lo, bound)
             # a segment's buffer holds the odd numbers in (lo, hi], under bound/2
             assert (hi - lo + 1) // 2 <= (bound + 1) // 2
+
+    def test_through_ends_at_x(self):
+        # a request past the list sieves as far as it asks and no further
+        for x in CROSS_EDGES:
+            assert list(arith._PRIMES.through(x)) == all_primes(x), x
+            assert arith._PRIMES.limit == x
 
     @pytest.mark.parametrize("bound", EDGE_BOUNDS)
     def test_division_grows_the_list(self, bound):
         # 4093 and 4099 sit either side of the limit 4096, 16381 and 16411
         # of 16384, and 719 and 727 of the first run
-        full = all_primes(bound)
-        trial = arith._trial_primes(bound)
+        full = all_primes(max(bound, 4))
+        trial = arith._PRIMES
         values = (719 * 727, 4093 * 4099, 4099**2, 16381 * 16411 * 4099,
                   65521 * 65537 * 5, 999983 * 1000003, 10**12 + 39, 1000003**2 * 6)
         for n in values:
-            assert arith._trial_divide(n, trial) == reference_trial_divide(n, full), n
+            got = arith._trial_divide(n, trial, bound)
+            assert got == reference_trial_divide(n, all_primes(bound)), n
+            assert trial.limit <= max(bound, 4)
             assert list(trial.primes) == full[: bisect_right(full, trial.limit)]
+            # the kept products are those of full runs of primes <= bound
+            assert 128 * len(trial.products) <= len(all_primes(bound))
             assert trial.products == [prod(full[i : i + 128])
                                       for i in range(0, 128 * len(trial.products), 128)]
         # 10^12 + 39 is proven prime, so only 1000003^2 * 6 walks to the end
         assert list(trial.primes) == full
+
+
+@pytest.mark.usefixtures("fresh")
+class TestCutAtBound:
+    """Trial division by the one list cut at the trial bound: a factor()
+    gives what it gives in a fresh process, whatever bounds the list was
+    grown for before."""
+
+    # two primes just above B: trial division by a prime above B would
+    # complete what the cut leaves as a cofactor
+    VALUES = {2: (3 * 5 * 7, 2**10 * 3 * 5), 3: (5 * 7 * 11, 2 * 3**4 * 5 * 7),
+              50: (53 * 59, 2 * 47 * 53 * 59), 727: (733 * 739, 719 * 727 * 733 * 739)}
+
+    @staticmethod
+    def in_fresh_process(monkeypatch, n, budget):
+        with monkeypatch.context() as mp:
+            mp.setattr(arith, "_PRIMES", arith._TrialPrimes())
+            f = factor(n, budget)
+        assert f == reference_factor(monkeypatch, n, budget)
+        return f
+
+    @pytest.mark.parametrize("B", sorted(VALUES))
+    def test_list_past_10_4(self, monkeypatch, B):
+        budget = FactorBudget(B, 0)
+        want = {n: self.in_fresh_process(monkeypatch, n, budget) for n in self.VALUES[B]}
+        assert all(not f.complete for f in want.values())
+        assert primes_up_to(10**4 + 7)[-1] == 10007
+        for n, f in want.items():
+            assert factor(n, budget) == f, n
+
+    def test_bounds_50_then_10_6_then_50(self, monkeypatch):
+        # at 10^6, n's primes 53 and 59 are in the first run, whose product
+        # must not be the one of the primes up to 50 that the cut left; back
+        # at 50, that run's kept product must not be used
+        steps = ((50, 2 * 53 * 59), (10**6, 53 * 59 * 1000003 * 1000033), (50, 2 * 53 * 59))
+        for bound, n in steps:
+            budget = FactorBudget(bound, 0)
+            want = self.in_fresh_process(monkeypatch, n, budget)
+            assert factor(n, budget) == want, bound
+        assert want.cofactor == 53 * 59 and len(arith._PRIMES.products) == 613
+
+    @pytest.mark.parametrize("B", [2, 3, 50, 2311, 10**5])
+    def test_pm1_plan_past_the_bound(self, B):
+        arith._PRIMES.through(4 * B + 10**4)
+        arith._pm1_plan.cache_clear()
+        exponent, plan_rows = arith._pm1_plan(B)
+        primes = all_primes(B)
+        D = arith._D
+        rows = TestPairedStage2.stage2_rows(primes)
+        assert exponent == lcm(*range(1, isqrt(primes[-1]) + 1))
+        assert [sorted(row) for row in plan_rows] == [
+            sorted({abs(q - k * D) for q in rows.get(k, ())})
+            for k in range((primes[-1] + D // 2) // D + 1)]
 
 
 class TestEarlyStop:
@@ -749,9 +807,8 @@ class TestEarlyStop:
     @classmethod
     def divide(cls, m):
         """_trial_divide on a fresh list: (its result, the list)."""
-        arith._trial_primes.cache_clear()
-        trial = arith._trial_primes(cls.T)
-        return arith._trial_divide(m, trial), trial
+        trial = arith._TrialPrimes()
+        return arith._trial_divide(m, trial, cls.T), trial
 
     @classmethod
     def check_fires(cls):
@@ -780,8 +837,9 @@ class TestEarlyStop:
             assert prime_status(cls.M89) == "probable"
             got, trial = cls.divide(m)
             assert got == reference_trial_divide(m, full) and got[1] == cls.M89
-            # a probable prime is divided by the whole list
-            assert list(trial.primes) == full and len(trial.products) == 614
+            # a probable prime is divided by the whole list, whose last run
+            # of 34 primes is cut short by its end at T
+            assert list(trial.primes) == full and len(trial.products) == 613
 
     def test_fires_on_proven_primes(self):
         self.check_fires()
@@ -795,7 +853,6 @@ class TestEarlyStop:
         for check in (self.check_fires, self.check_does_not_fire):
             with pytest.raises(AssertionError):
                 check()
-        arith._trial_primes.cache_clear()
 
 
 def admissible(primes, d):
@@ -818,27 +875,45 @@ class TestAdmissiblePrimes:
     @pytest.mark.parametrize("d, r", [(2, 1), (5, 1), (5, 4), (7, 3), (8, 7), (12, 11),
                                       (876, 1), (876, 875)])
     def test_segment_of_one_class(self, d, r):
+        # the one sieve of the odd numbers, read along the class r mod d,
+        # gives the primes r mod d in each window
         primes = all_primes(5000)
-        for lo, hi in ((1, 4), (1, 100), (4, 16), (100, 101), (874, 878), (1000, 4000),
+        for lo, hi in ((2, 4), (2, 100), (4, 16), (100, 101), (874, 878), (1000, 4000),
                        (4000, 5000)):
+            segment = list(arith._segment(lo, hi, primes))
+            assert segment == [p for p in primes if lo < p <= hi and p > 2], (lo, hi)
             want = [p for p in primes if lo < p <= hi and p % d == r]
-            assert arith._segment(lo, hi, primes, d, r) == want, (lo, hi)
+            assert [p for p in segment if p % d == r] == want, (lo, hi)
 
     @pytest.mark.parametrize("bound", (2, 50, 719, 4097, 10**6))
     def test_lists_grow_exactly(self, bound):
-        full = all_primes(bound)
+        full = all_primes(max(bound, 4))
         for d in self.MODULI:
             want = admissible(full, d)
-            trial = arith._class_primes(bound, d)
+            trial = arith._class_primes(d)
             limits = [trial.limit]
             assert list(trial.primes) == want[: bisect_right(want, trial.limit)], d
-            while trial.extend():
+            while trial.limit < bound:
+                trial.extend(bound)
                 limits.append(trial.limit)
                 # every intermediate list is the admissible primes up to its limit
                 assert list(trial.primes) == want[: bisect_right(want, trial.limit)], d
-            assert list(trial.complete()) == want
-            assert limits[0] == min(bound, 4) and limits[-1] == bound
+            assert list(trial.through(bound)) == want
+            assert limits[0] == 4 and limits[-1] == max(bound, 4)
             assert all(hi == min(4 * lo, bound) for lo, hi in zip(limits, limits[1:]))
+
+    @pytest.mark.parametrize("d", [5, 12, 77, 292, 876])
+    def test_filter_across_segment_edges(self, fresh, segment_calls, d):
+        # the primes of d above 4 (5; 7 and 11; 73) are kept too, and every
+        # segment sieved is one of the shared list's: a class list sieves
+        # nothing
+        calls = segment_calls
+        trial = arith._class_primes(d)
+        for x in CROSS_EDGES:
+            want = [v for v in all_primes(x) if v % d in (1, d - 1) or d % v == 0]
+            assert list(trial.through(x)) == want and trial.limit == x, x
+        limits = [4] + [hi for _, hi in calls]
+        assert calls == list(zip(limits, limits[1:])) and limits[-1] == arith._PRIMES.limit
 
     @pytest.mark.parametrize("budget", [FactorBudget(50, 2), FactorBudget(719, 10),
                                         FactorBudget(10**4, 1000), FactorBudget(10**6, 10**6)])
@@ -878,11 +953,9 @@ class TestAdmissiblePrimes:
         assert arith.factor_admissible(727**2, 363) == factor(727**2)
         assert arith._class_primes.cache_info().currsize == 1
 
-    def test_warm_up_builds_nothing_new(self):
+    def test_warm_up_builds_nothing_new(self, fresh):
         # the benchmark's warm-up request sieves the shared list as far as
         # full trial division did, and builds no list of its own
-        arith._trial_primes.cache_clear()
         assert main(["verify", "--d", "-20", "--json", os.devnull]) == 0
-        assert arith._trial_primes(10**6).limit == 1024
+        assert arith._PRIMES.limit == 1024
         assert arith._class_primes.cache_info().currsize == 0
-        arith._trial_primes.cache_clear()

@@ -209,6 +209,16 @@ class TestGoldenVerify:
                      "--mazur-bound", "1000", "--json", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "bound_-1151_tiny.json").read_bytes()
 
+    def test_cross_bound_bytes_in_one_process(self, tmp_path):
+        # one process, one list of primes: the trial bound 50 after the list
+        # and its run products have reached 10^6, then 10^6 again
+        tiny = ["--trial-bound", "50", "--rho-iters", "2", "--mazur-bound", "1000"]
+        out = tmp_path / "bound.json"
+        for flags, golden in (([], "bound_-1151.json"), (tiny, "bound_-1151_tiny.json"),
+                              ([], "bound_-1151.json")):
+            assert main(["bound", "--d", "-1151", *flags, "--json", str(out)]) == 0
+            assert out.read_bytes() == (GOLDEN / golden).read_bytes(), flags
+
     def test_clock_changes_nothing(self, tmp_path, monkeypatch):
         # factoring is bounded by iterations alone: a clock that jumps by
         # 10^6 s on every read changes no factorization and no byte

@@ -1,6 +1,5 @@
 import random
 from itertools import takewhile
-from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -163,17 +162,9 @@ class TestSplitting:
 
 
 class TestSplitPrimes:
-    def test_one_walk_sieves_each_number_once(self, contexts, monkeypatch):
+    def test_one_walk_sieves_each_number_once(self, contexts, fresh, segment_calls):
         # a process sieves each number at most once: walks read one list
-        calls = []
-        real = arith._segment
-
-        def recording(lo, hi, *args):
-            calls.append((lo, hi))
-            return real(lo, hi, *args)
-
-        monkeypatch.setattr(arith, "_PRIMES", arith._TrialPrimes(inf))
-        monkeypatch.setattr(arith, "_segment", recording)
+        calls = segment_calls
         for ctx in contexts.values():
             got = list(takewhile(lambda l: l <= 2**14, split_primes(ctx)))
             assert got == [l for l in range(2, 2**14 + 1) if old_prime_divisors(l) == [l]
