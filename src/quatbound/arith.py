@@ -375,31 +375,55 @@ def _pm1_plan(bound: int) -> tuple[int, tuple[array, ...]]:
 
 def _pollard_pm1(n: int, bound: int) -> int | None:
     """Pollard p-1 with base 3 over the trial primes up to bound (Pollard
-    1974), by the plan _pm1_plan(bound).
-
-    With T the largest trial prime, stage 1 raises the base to every prime
-    power up to sqrt(T), giving a = 3^E; stage 2 takes the further primes
-    q <= T, paired around multiples of _D (Montgomery 1987, section 4).
-    Each q is k*_D +- j with j <= _D/2, and with X = a^(k*_D), Y = a^j,
-        (X + 1/X) - (Y + 1/Y) = (X - Y)(XY - 1)/(XY),
-    so one product term per pair (k, j) catches both k*_D - j and k*_D + j.
-    A prime p | n is caught when ord_p(3) divides E, or E times a stage-2
-    prime, or E times the partner k*_D -+ j of one (a number below T + _D).
-    One gcd per row.  Returns a proper factor of n, or None, also when
-    every prime of n is caught within one row (the gcd is n) and rho must
-    split it.
-    """
+    1974), by the plan _pm1_plan(bound): stage 1 gives a = 3^E, E the
+    product of the prime powers up to sqrt(T), T the largest trial prime,
+    and stage 2 (_pm1_stage2) takes the primes q <= T.  Returns a proper
+    factor of n, or None, also when every prime of n is caught within one
+    row (the gcd is n) and rho must split it."""
     exponent, rows = _pm1_plan(bound)
     a = pow(3, exponent, n)
     g = gcd(a, n)  # 3 | n: a has no inverse
     if g > 1:
         return g if g < n else None
-    y = [2, (a + pow(a, -1, n)) % n]  # y[j] = a^j + a^-j, one Lucas step each
+    return _pm1_stage2(n, rows, (a + pow(a, -1, n)) % n, a - 1)
+
+
+def _torus_pm1(n: int, bound: int, D: int, l: int) -> int | None:
+    """p-1 and p+1 in one run (Williams 1982) on a part n of a Lucas
+    sequence with Q = l and discriminant D, by the plan _pm1_plan(bound).
+    The base gamma = (a + sqrt(D))/(a - sqrt(D)) has norm 1 and trace
+    t = 2(a^2 + D)/(a^2 - D), and t^2 - 4 = 16a^2*D/(a^2 - D)^2, so its
+    order mod p | n divides p - (D/p).  The least a >= 1 with
+    gcd(a^2 - D, 2lD) = 1 puts gamma's ideal on split primes not above l:
+    gamma is no root of unity times a power of alpha/beta, whose order mod
+    each prime of Psi_d divides d.  Stage 1 is V_E(t, 1) by a Lucas
+    ladder; returns as _pollard_pm1."""
+    exponent, rows = _pm1_plan(bound)
+    a2 = next(a * a for a in count(1) if gcd(a * a - D, 2 * l * D) == 1)
+    g = gcd((a2 - D) * D, n)  # t undefined, or gamma = 1 mod p
+    if g > 1:
+        return g if g < n else None
+    t = 2 * (a2 + D) * pow(a2 - D, -1, n) % n
+    v, w = 2, t  # V_k and V_k+1 of the ladder over the bits of E
+    for bit in bin(exponent)[2:]:
+        vw = (v * w - t) % n
+        v, w = (vw, (w * w - 2) % n) if bit == "1" else ((v * v - 2) % n, vw)
+    return _pm1_stage2(n, rows, v, v - 2)
+
+
+def _pm1_stage2(n: int, rows: tuple[array, ...], v: int, acc: int) -> int | None:
+    """Stage 2 of both p-1 runs over a plan's rows, from v = b + 1/b, b the
+    base's stage-1 power, and the stage-1 accumulator acc.  Each stage-2
+    prime q is k*_D +- j, j <= _D/2 (Montgomery 1987, section 4), and with
+    X = b^(k*_D), Y = b^j, (X + 1/X) - (Y + 1/Y) = (X - Y)(XY - 1)/(XY):
+    one term per pair (k, j) catches k*_D - j and k*_D + j.  One gcd per
+    row: a proper factor of n, or None, also when the gcd is n."""
+    y = [2, v]  # y[j] = b^j + b^-j, one Lucas step each
     for _ in range(_D // 2 - 1):
         y.append((y[1] * y[-1] - y[-2]) % n)
     v_d = (y[-1] * y[-1] - 2) % n
     # x = V_{k*_D} = X + 1/X and x_prev = V_{(k-1)*_D}: V_0 = 2, V_{-D} = V_D
-    acc, x, x_prev = a - 1, 2, v_d
+    x, x_prev = 2, v_d
     for row in rows:
         for j in row:
             acc = acc * (x - y[j]) % n
@@ -423,52 +447,60 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
     divisor p with p*p <= it, so neither runs nor the early end change the
     result: the same prime powers and part as dividing by each prime p
     with p*p <= the part in turn.  The trial primes are the process's one
-    list cut at the trial bound, sieved as far as the division reaches;
-    p-1 sieves it to the trial bound.
+    list cut at the trial bound, sieved as far as the division reaches.
 
     The result depends on (n, budget) alone.  p-1 runs only when the trial
     primes, one step each, fit in the rho iteration budget; if it finds
     nothing, rho runs with the whole budget.  Any composite part left when
     rho runs out of iterations, and any part that is only a BPSW probable
-    prime, is reported in the cofactor.
+    prime, is reported in the cofactor.  The torus run needs a Lucas
+    part's discriminant: factor_admissible alone makes it.
     """
     return _factor(n, budget, _PRIMES)
 
 
-def factor_admissible(n: int, d: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
-    """factor(n, budget) for an n each of whose primes divides d >= 1 or is
-    +-1 mod d, as every prime of a primitive part of a Lucas sequence is.
-    Trial division goes by these admissible primes up to the trial bound
-    alone, in runs of 128 as in factor(); p-1 and rho are factor()'s.
+def factor_admissible(n: int, d: int, m: int, l: int,
+                      budget: FactorBudget = FactorBudget()) -> FactoredInteger:
+    """Factor n = Psi_d of U(-m, l), each of whose primes divides d >= 1 or
+    is +-1 mod d, under budget: trial division by these admissible primes
+    up to the trial bound alone, in runs of 128 as in factor(), then for
+    each composite part the torus run over D = m^2 - 4l (_torus_pm1) and
+    factor()'s p-1 and rho, under factor()'s gate.  The result multiplies
+    back to n, and is factor(n, budget) whenever that is complete; where
+    the torus run splits a part rho leaves whole, it is more complete.
 
-    The result is factor(n, budget), cofactor included, for every budget.
+    A prime p of Psi_d that divides neither d nor D has rank of apparition
+    d, so d | p - (D/p) (Carmichael 1913), and the torus base's order
+    divides p - (D/p): the run is p-1 where (D/p) = 1 and p+1 where it is
+    -1, with the factor d known.  Base-3 p-1 stays the fallback, as where
+    stage 1 catches every prime of a part.
+
+    Trial division gives factor()'s prime powers and part exactly.
     Dividing by every prime in ascending order stops at the first prime p
     with p*p above the part left, which is then 1 or prime.  A prime that
     divides nothing leaves the part as it is, and no prime outside the
     admissible ones divides n.  So dividing by the admissible primes in
     ascending order stops with the same prime powers and the same part
     left: up to the full walk's stop the parts agree, and after it no
-    admissible p has p*p below the part.  p-1, rho and the rule that every
-    part below trial_bound^2 left after trial division is prime then see
-    the same part.
+    admissible p has p*p below the part.
 
-    So the list is a matter of cost alone.  phi(d) <= 2 holds for
-    d = 1, 2, 3, 4, 6 alone; there the classes +-1 are every class prime
-    to d and the admissible primes are all the primes.  Below 727^2, 727
-    the first prime past the shared list's first run, that run finishes
-    the division, and a list of its own would save nothing.  Both go by
-    the shared list.  Else the admissible list of d, filtered from the
-    shared list as far as divisions reach, is cut at the trial bound; the
-    lists of the last 64 moduli are kept.
+    phi(d) <= 2 holds for d = 1, 2, 3, 4, 6 alone; there the classes +-1
+    are every class prime to d and the admissible primes are all the
+    primes.  Below 727^2, 727 the first prime past the shared list's first
+    run, that run finishes the division, and a list of its own would save
+    nothing.  Both go by the shared list.  Else the admissible list of d,
+    filtered from the shared list as far as divisions reach, is cut at the
+    trial bound; the lists of the last 64 moduli are kept.
     """
-    if d in (1, 2, 3, 4, 6) or abs(n) < 727 * 727:
-        return factor(n, budget)
-    return _factor(n, budget, _class_primes(d))
+    shared = d in (1, 2, 3, 4, 6) or abs(n) < 727 * 727
+    return _factor(n, budget, _PRIMES if shared else _class_primes(d), (m * m - 4 * l, l))
 
 
-def _factor(n: int, budget: FactorBudget, trial: _TrialPrimes) -> FactoredInteger:
+def _factor(n: int, budget: FactorBudget, trial: _TrialPrimes,
+            torus: tuple[int, int] | None = None) -> FactoredInteger:
     """factor(n, budget) with trial division by the list trial cut at
-    budget.trial_bound, which holds every prime of n up to that bound."""
+    budget.trial_bound, which holds every prime of n up to that bound, and
+    the torus run over torus = (D, l), if given, before p-1."""
     if n == 0:
         raise ValueError("factor: n must be nonzero")
     powers, m = _trial_divide(abs(n), trial, budget.trial_bound)
@@ -491,10 +523,14 @@ def _factor(n: int, budget: FactorBudget, trial: _TrialPrimes) -> FactoredIntege
             stack.extend((r, r))
             continue
         f = None
-        # pi(T), the count of p-1's steps, needs the list as far as T
+        # both p-1 runs make pi(T) steps; trial division left a composite
+        # part above T^2 only by a walk to T, so this sieves nothing more
         primes = _PRIMES.through(budget.trial_bound)
         if bisect_right(primes, budget.trial_bound) <= budget.rho_iterations:
-            f = _pollard_pm1(m, budget.trial_bound)
+            if torus is not None:
+                f = _torus_pm1(m, budget.trial_bound, *torus)
+            if f is None:
+                f = _pollard_pm1(m, budget.trial_bound)
         if f is None:
             f = _brent_rho(m, budget.rho_iterations)
         if f is None:

@@ -136,14 +136,15 @@ def _lucas_parts(l: int, m: int, h: int) -> tuple[int, dict[int, int]]:
 
 
 def _factor_a3(v: int, l: int, m: int, h: int, budget: FactorBudget) -> FactoredInteger:
-    """factor(v) for the A3 element v = V_24h(-m, l) - 2*l^12h, by factoring
-    Delta once and each Psi_d, whose exponents count twice.  The cofactor
-    is Delta's times the squares of the Psi_d's.
+    """The A3 element v = V_24h(-m, l) - 2*l^12h factored by factoring Delta
+    once and each Psi_d, whose exponents count twice: factor(v) whenever
+    that is complete.  The cofactor is Delta's times the squares of the
+    Psi_d's.
 
     Delta is divided by every trial prime, each Psi_d by the primes that
-    divide d or are +-1 mod d alone (factor_admissible), which gives
-    factor(Psi_d) exactly, as no other prime divides Psi_d.  The theorem's
-    hypotheses hold for every v != 0, with P = -m and Q = l.  v is
+    divide d or are +-1 mod d alone, as no other prime divides Psi_d, and
+    split over the sequence's D by the torus run (factor_admissible).  The
+    theorem's hypotheses hold for every v != 0, with P = -m and Q = l.  v is
     (alpha^12h - beta^12h)^2, and a root of unity alpha/beta of the
     imaginary quadratic field has order 1, 2, 3, 4 or 6, which divides
     12h: so v != 0 makes the sequence non-degenerate.  l is prime and
@@ -155,7 +156,7 @@ def _factor_a3(v: int, l: int, m: int, h: int, budget: FactorBudget) -> Factored
     powers: dict[int, int] = {}
     cofactor = 1
     parts = [(factor(delta, budget), 1),
-             *((factor_admissible(p, d, budget), 2) for d, p in psi.items())]
+             *((factor_admissible(p, d, m, l, budget), 2) for d, p in psi.items())]
     for f, twice in parts:
         for p, e in f.prime_powers:
             powers[p] = powers.get(p, 0) + twice * e

@@ -282,8 +282,10 @@ class TestPollardPm1:
     # spends 10^6 iterations on it in vain, while its 43-bit prime has
     # p - 1 = 2^6 * 3^3 * 17 * 67 * 73 * 43943
     PSI_876_PART = 16326167728726390155402199602193
-    # the composite parts that reach rho on bound -1151 and -2999
+    # the composite parts that reach rho on bound -1151 and -2999, with the
+    # (d, m, l) of the Psi_d they are left of
     LARGE_H_PARTS = (4626154257697182281987, 5022138166514252974259, PSI_876_PART)
+    LARGE_H_LUCAS = ((492, -1, 2), (292, -1, 2), (876, -1, 2))
 
     def test_splits_psi_876_part_without_rho(self, monkeypatch):
         monkeypatch.setattr(arith, "_brent_rho", lambda n, max_iters: None)
@@ -291,33 +293,71 @@ class TestPollardPm1:
         assert f.complete
         assert f.prime_powers == ((6313643057089, 1), (2585855358166829137, 1))
 
+    @staticmethod
+    def record_both_runs(monkeypatch):
+        """Each p-1 run's calls, as ("pm1", n) and ("torus", n, D, l), with
+        both finding nothing."""
+        calls = []
+        monkeypatch.setattr(arith, "_pollard_pm1", lambda n, bound: calls.append(("pm1", n)))
+        monkeypatch.setattr(arith, "_torus_pm1",
+                            lambda n, bound, D, l: calls.append(("torus", n, D, l)))
+        return calls
+
     @pytest.mark.parametrize("trial_bound, rho_iterations", [(50, 2), (100, 10)])
     def test_tiny_budget_skips_pm1(self, monkeypatch, trial_bound, rho_iterations):
-        calls = []
-        monkeypatch.setattr(arith, "_pollard_pm1", lambda n, bound: calls.append(n))
+        calls = self.record_both_runs(monkeypatch)
         p = 100000000000000000000000012349
         q = 100000000000000000000000098811
         factor(p * q, FactorBudget(trial_bound, rho_iterations))
+        arith.factor_admissible(p * q, 2, 1, 2, FactorBudget(trial_bound, rho_iterations))
         assert calls == []
         factor(p * q, FactorBudget(rho_iterations=10**5))  # 78,498 trial primes fit
-        assert calls == [p * q]
+        assert calls == [("pm1", p * q)]
+        arith.factor_admissible(p * q, 2, 1, 2, FactorBudget(rho_iterations=10**5))
+        assert calls[1:] == [("torus", p * q, -7, 2), ("pm1", p * q)]
 
     def test_gate_at_pi_of_trial_bound(self, monkeypatch):
-        # p-1 makes pi(10^6) = 78,498 steps: it runs when they fit in the
-        # rho budget, and not at one iteration fewer
-        calls = []
-        monkeypatch.setattr(arith, "_pollard_pm1", lambda n, bound: calls.append(n))
+        # p-1 makes pi(10^6) = 78,498 steps: both runs run when they fit in
+        # the rho budget, and not at one iteration fewer
+        calls = self.record_both_runs(monkeypatch)
         n = 1000003 * 1000033
         assert factor(n, FactorBudget(rho_iterations=78497)).complete
+        assert arith.factor_admissible(n, 2, 1, 2, FactorBudget(rho_iterations=78497)).complete
         assert calls == []
         assert factor(n, FactorBudget(rho_iterations=78498)).complete
-        assert calls == [n]
+        assert calls == [("pm1", n)]
+        assert arith.factor_admissible(n, 2, 1, 2, FactorBudget(rho_iterations=78498)).complete
+        assert calls[1:] == [("torus", n, -7, 2), ("pm1", n)]
 
-    def _oracle_check(self, monkeypatch, n, budget):
-        with_pm1 = factor(n, budget)
+    def test_gate_sieves_nothing_past_trial_division(self, monkeypatch, fresh,
+                                                     segment_calls):
+        # a composite part above T^2 is left only by a walk over every
+        # trial prime, so the gate's count of pi(T) finds the list at T: on
+        # this input, where pi(10^7) = 664,579 is far above 1000 iterations
+        # and neither run runs, trial division alone sieves to 10^7
+        n = 1000003 * 1000033 * 998244353 * 1000000007
+        budget = FactorBudget(10**7, 1000)
+        arith._trial_divide(n, arith._PRIMES, budget.trial_bound)
+        walked = list(segment_calls)
+        assert walked[-1] == (4**11, 10**7)
+        monkeypatch.setattr(arith, "_PRIMES", arith._TrialPrimes())
+        segment_calls.clear()
+        calls = self.record_both_runs(monkeypatch)
+        f = factor(n, budget)
+        assert segment_calls == walked and calls == []
+        assert f.cofactor == 998244353 * 1000000007 and f.reconstruct() == n
+
+    def _oracle_check(self, monkeypatch, n, budget, lucas=None):
+        """factor(n), or with lucas = (d, m, l) factor_admissible(n, d, m, l),
+        against rho alone: equal wherever both are complete."""
+        def run():
+            return factor(n, budget) if lucas is None else arith.factor_admissible(n, *lucas, budget)
+
+        with_pm1 = run()
         with monkeypatch.context() as m:
             m.setattr(arith, "_pollard_pm1", lambda n, bound: None)
-            rho_only = factor(n, budget)
+            m.setattr(arith, "_torus_pm1", lambda n, bound, D, l: None)
+            rho_only = run()
         if with_pm1.complete and rho_only.complete:
             assert with_pm1 == rho_only, n
         return with_pm1, rho_only
@@ -336,9 +376,10 @@ class TestPollardPm1:
             with_pm1, rho_only = self._oracle_check(monkeypatch, n, FactorBudget())
             assert with_pm1.complete and rho_only.complete
         budget = FactorBudget(rho_iterations=10**6)
-        for n in self.LARGE_H_PARTS:
-            with_pm1, _ = self._oracle_check(monkeypatch, n, budget)
-            assert with_pm1.complete
+        for n, lucas in zip(self.LARGE_H_PARTS, self.LARGE_H_LUCAS):
+            for run_lucas in (None, lucas):
+                with_pm1, _ = self._oracle_check(monkeypatch, n, budget, run_lucas)
+                assert with_pm1.complete
 
     def test_gcd_n_falls_through_to_rho(self):
         # p - 1 = 2^3 * 487 * 773 * 997 and q - 1 = 2^3 * 61 * 487 * 881:
@@ -347,6 +388,109 @@ class TestPollardPm1:
         assert arith._pollard_pm1(p * q, 10**6) is None
         f = factor(p * q)
         assert f.complete and f.prime_powers == ((q, 1), (p, 1))
+
+
+def torus_stage1_trace(n, a, D, exponent):
+    """gamma^E + gamma^-E mod n for gamma = (a + sqrt(D))/(a - sqrt(D)), by
+    square-and-multiply on x + y*sqrt(D) in (Z/n)[sqrt(D)]: the reference
+    for the torus run's Lucas ladder.  gamma has norm 1, so the trace is
+    2x."""
+    inv = pow(a * a - D, -1, n)
+    gx, gy = (a * a + D) * inv % n, 2 * a * inv % n
+    x, y = 1, 0
+    for bit in bin(exponent)[2:]:
+        x, y = (x * x + D * y * y) % n, 2 * x * y % n
+        if bit == "1":
+            x, y = (x * gx + D * y * gy) % n, (x * gy + y * gx) % n
+    return 2 * x % n
+
+
+class TestTorusPm1:
+    """p-1 and p+1 in one run over the norm-1 torus of Q(sqrt(D)), for the
+    parts of Psi_d of U(-m, l), D = m^2 - 4l, before base-3 p-1.  Every
+    part below comes from (l, m) = (2, -1), D = -7."""
+
+    # Psi_492 of -1151 after trial division: 570611465293 * 8107362959
+    PSI_492_PART = 4626154257697182281987
+    # Psi_292 of -2999: both p - 1 and q + 1 are smooth over the plan
+    PSI_292_PART = 5022138166514252974259
+    # Psi_327 of -5711, which 10^7 rho iterations and base-3 p-1 leave whole
+    PSI_327_PART = 37936697251471858321678740431
+    R = 2199023255867  # a safe prime, with (-7/R) = 1: caught by no run
+
+    @staticmethod
+    def stage1(monkeypatch, n):
+        """The (v, acc) the torus run hands to stage 2 on n over D = -7."""
+        seen = []
+        monkeypatch.setattr(arith, "_pm1_stage2", lambda n, rows, v, acc: seen.append((v, acc)))
+        assert arith._torus_pm1(n, 10**6, -7, 2) is None
+        return seen
+
+    def test_splits_psi_492_part(self):
+        # q + 1 = 2^4 * 3 * 5 * 29 * 41 * 28411, where (-7/q) = -1: the run
+        # finds q in row 12, base-3 p-1 the other prime, whose p - 1 is
+        # smooth, only in row 252
+        q = 8107362959
+        assert kronecker(-7, q) == -1 and q + 1 == 2**4 * 3 * 5 * 29 * 41 * 28411
+        assert arith._torus_pm1(self.PSI_492_PART, 10**6, -7, 2) == q
+        assert arith._pollard_pm1(self.PSI_492_PART, 10**6) == 570611465293
+
+    def test_base_rule(self, monkeypatch):
+        # for D = -7 and l = 2, a^2 + 7 is 8, 11, 16 for a = 1, 2, 3: the
+        # run takes a = 2, whose trace V_E the reference gives; a = 1 gives
+        # gamma = alpha/beta and a = 3 a unit times its square, so every
+        # prime of every part collides in stage 1
+        exponent = arith._pm1_plan(10**6)[0]
+        assert [gcd(a * a + 7, 2 * 2 * 7) for a in (1, 2, 3)] == [4, 1, 4]
+        for n in (self.PSI_492_PART, self.PSI_327_PART, TestPollardPm1.PSI_876_PART):
+            v = torus_stage1_trace(n, 2, -7, exponent)
+            assert self.stage1(monkeypatch, n) == [(v, v - 2)]
+            assert gcd(v - 2, n) == 1
+            for a in (1, 3):
+                assert gcd(torus_stage1_trace(n, a, -7, exponent) - 2, n) == n, (n, a)
+
+    def test_psi_292_part_falls_back_to_base_3(self, monkeypatch):
+        # both primes are caught in stage 1 (the gcd is n), and base-3 p-1
+        # splits the part, which rho needs about 2^18 iterations for
+        exponent = arith._pm1_plan(10**6)[0]
+        n = self.PSI_292_PART
+        assert gcd(torus_stage1_trace(n, 2, -7, exponent) - 2, n) == n
+        assert arith._torus_pm1(n, 10**6, -7, 2) is None
+        monkeypatch.setattr(arith, "_brent_rho", lambda n, max_iters: None)
+        f = arith.factor_admissible(n, 292, -1, 2, FactorBudget())
+        assert f.complete and f.prime_powers == ((46832260859, 1), (107236722601, 1))
+
+    def test_splits_psi_327_part(self, monkeypatch):
+        # q = 27912699976481 has (-7/q) = -1 and q + 1 =
+        # 2 * 3^2 * 41 * 79 * 109 * 131 * 33529, with 327 = 3 * 109, while
+        # q - 1 and the other prime's p - 1 have a factor above 10^6
+        n = self.PSI_327_PART
+        assert kronecker(-7, 27912699976481) == -1
+        assert arith._pollard_pm1(n, 10**6) is None
+        assert arith._torus_pm1(n, 10**6, -7, 2) == 27912699976481
+        monkeypatch.setattr(arith, "_brent_rho", lambda n, max_iters: None)
+        f = arith.factor_admissible(n, 327, -1, 2, FactorBudget())
+        assert f.complete and f.prime_powers == ((27912699976481, 1), (n // 27912699976481, 1))
+        # factor() has no torus run: more complete than its result
+        assert factor(n, FactorBudget()).cofactor == n
+
+    def test_guard(self):
+        # a = 2: a^2 - D = 11 has no inverse modulo 11 * R, and
+        # gamma = 1 modulo 7
+        assert arith._torus_pm1(11 * self.R, 10**6, -7, 2) == 11
+        assert arith._torus_pm1(7 * self.R, 10**6, -7, 2) == 7
+        assert arith._torus_pm1(77, 10**6, -7, 2) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 10**15), st.integers(2, 10**15),
+           st.sampled_from([(m, l) for l in (2, 3, 5, 7, 11, 13)
+                            for m in range(-isqrt(4 * l), isqrt(4 * l) + 1)]),
+           st.sampled_from((50, 10**4)))
+    def test_any_result_is_a_proper_divisor(self, x, y, ml, bound):
+        m, l = ml
+        n = x * y
+        f = arith._torus_pm1(n, bound, m * m - 4 * l, l)
+        assert f is None or (1 < f < n and n % f == 0), (n, f)
 
 
 def reference_trial_divide(m, primes):
@@ -663,6 +807,9 @@ class TestPairedStage2:
                 m.setattr(arith, "_pollard_pm1", lambda n, bound: None)
                 rho_only = factor(n, budget)
             assert f.complete and f == rho_only, n
+            # the torus run over D = -7 with a = 2, whose guard gcd(11 * 7, n)
+            # returns 11 where it is no trial prime
+            assert arith.factor_admissible(n, 2, 1, 2, budget) == rho_only, n
 
     def test_no_inverse_and_divisors_of_d(self):
         assert arith._pollard_pm1(3 * self.R, 2) == 3
@@ -915,31 +1062,51 @@ class TestAdmissiblePrimes:
         limits = [4] + [hi for _, hi in calls]
         assert calls == list(zip(limits, limits[1:])) and limits[-1] == arith._PRIMES.limit
 
-    @pytest.mark.parametrize("budget", [FactorBudget(50, 2), FactorBudget(719, 10),
-                                        FactorBudget(10**4, 1000), FactorBudget(10**6, 10**6)])
-    def test_equals_factor(self, budget):
-        # cofactors included, also where the budget runs out
+    BUDGETS = (FactorBudget(50, 2), FactorBudget(719, 10), FactorBudget(10**4, 1000),
+               FactorBudget(10**6, 10**6))
+
+    def corpus(self, budget):
+        """(n, d, m, l): products of admissible primes of each modulus, with
+        an (m, l) whose D = m^2 - 4l (-7, -19 or -11) the torus run is over."""
         rng = random.Random(budget.trial_bound)
         pool = all_primes(2 * 10**6)
-        incomplete = 0
         for d in self.MODULI:
             primes = admissible(pool, d)
             for _ in range(15):
                 n = rng.choice((1, -1))
                 for _ in range(rng.randrange(6)):
                     n *= rng.choice(primes) ** rng.randrange(1, 4)
-                f = arith.factor_admissible(n, d, budget)
-                assert f == factor(n, budget), (n, d)
-                incomplete += not f.complete
+                yield n, d, *rng.choice(((-1, 2), (1, 2), (-1, 5), (3, 5)))
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_equals_factor(self, monkeypatch, budget):
+        # without the torus run, trial division by the admissible primes
+        # gives factor()'s result, cofactors included, also where the budget
+        # runs out
+        monkeypatch.setattr(arith, "_torus_pm1", lambda n, bound, D, l: None)
+        incomplete = 0
+        for n, d, m, l in self.corpus(budget):
+            f = arith.factor_admissible(n, d, m, l, budget)
+            assert f == factor(n, budget), (n, d)
+            incomplete += not f.complete
         if budget.rho_iterations < 1000:
             assert incomplete > 0
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_multiplies_back_and_equals_complete_factor(self, budget):
+        for n, d, m, l in self.corpus(budget):
+            f = arith.factor_admissible(n, d, m, l, budget)
+            assert f.reconstruct() == n and all(is_prime(p) for p in f.primes), (n, d)
+            want = factor(n, budget)
+            if want.complete:
+                assert f == want, (n, d)
 
     def test_phi_at_most_2_takes_the_shared_list(self, monkeypatch):
         # the classes +-1 are every class prime to d: no list of its own
         monkeypatch.setattr(arith, "_class_primes", None)
         n = -(5**3) * 7 * 1000003 * 1000033
         for d in (1, 2, 3, 4, 6):
-            assert arith.factor_admissible(n, d) == factor(n)
+            assert arith.factor_admissible(n, d, 1, 2) == factor(n)
 
     def test_small_parts_take_the_shared_list(self, monkeypatch):
         # below 727^2 the shared list's first run finishes the division
@@ -948,9 +1115,9 @@ class TestAdmissiblePrimes:
         # 877 = 876 + 1 is prime, and 2 * 3 * 73 = 438
         for n in (1, 438, 73**2, 877 * 438, -877 * 438):
             assert abs(n) < 727**2
-            assert arith.factor_admissible(n, 876) == factor(n)
+            assert arith.factor_admissible(n, 876, -1, 2) == factor(n)
         monkeypatch.undo()
-        assert arith.factor_admissible(727**2, 363) == factor(727**2)
+        assert arith.factor_admissible(727**2, 363, -1, 2) == factor(727**2)
         assert arith._class_primes.cache_info().currsize == 1
 
     def test_warm_up_builds_nothing_new(self, fresh):

@@ -433,16 +433,16 @@ class TestA3Split:
 
     def test_one_factor_call_per_part(self, a3_panel, monkeypatch):
         # one factor() call for Delta and one factor_admissible() call for
-        # each Psi_d, whose result is factor()'s
+        # each Psi_d with the element's (m, l), whose result is factor()'s
         calls = []
 
         def recording(n, budget):
             calls.append((n, None))
             return factor(n, budget)
 
-        def recording_admissible(n, d, budget):
-            calls.append((n, d))
-            got = arith.factor_admissible(n, d, budget)
+        def recording_admissible(n, d, m, l, budget):
+            calls.append((n, d, m, l))
+            got = arith.factor_admissible(n, d, m, l, budget)
             assert got == factor(n, budget)
             return got
 
@@ -452,7 +452,8 @@ class TestA3Split:
         v, lucas = next((v, s) for v, s in zip(a3.elements, a3.lucas) if v)
         prime_support(a3._replace(elements=(v,), lucas=(lucas,)), self.BUDGET)
         delta, psi = _lucas_parts(*lucas)
-        assert calls == [(delta, None), *((p, d) for d, p in psi.items())]
+        l, m, _ = lucas
+        assert calls == [(delta, None), *((p, d, m, l) for d, p in psi.items())]
 
     def test_degenerate_pair_rejected(self):
         # l | m only for degenerate pairs, whose element is 0
@@ -502,19 +503,25 @@ class TestCacheRule:
 
     def test_minus_1151_element_needing_pm1_stored(self, monkeypatch):
         # the Psi_492 part of its one nonzero A3 element leaves a 72-bit
-        # composite after trial division, which p-1 splits
+        # composite after trial division, which the torus run over D = -7
+        # splits before base-3 p-1
         calls = []
-        real = arith._pollard_pm1
+        real_torus, real_pm1 = arith._torus_pm1, arith._pollard_pm1
 
-        def recording(n, bound):
-            calls.append(n)
-            return real(n, bound)
+        def recording_torus(n, bound, D, l):
+            calls.append(("torus", n, D, l))
+            return real_torus(n, bound, D, l)
 
-        monkeypatch.setattr(arith, "_pollard_pm1", recording)
+        def recording_pm1(n, bound):
+            calls.append(("pm1", n))
+            return real_pm1(n, bound)
+
+        monkeypatch.setattr(arith, "_torus_pm1", recording_torus)
+        monkeypatch.setattr(arith, "_pollard_pm1", recording_pm1)
         ctx = _field(-1151)
         a3 = family_A3(ctx, choose_S(ctx))
         out = prime_support(a3, FactorBudget())
-        assert 4626154257697182281987 in calls
+        assert calls == [("torus", 4626154257697182281987, -7, 2)]
         nonzero = [f for v, f in zip(a3.elements, out.factorizations) if v]
         assert len(nonzero) == 1 and nonzero[0].complete
         assert sum(e for p, e in nonzero[0].prime_powers if p > FactorBudget().trial_bound) >= 2
