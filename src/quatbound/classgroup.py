@@ -221,11 +221,15 @@ def _split_primes(ctx: FieldContext):
 
 def _extend(D: int, H: set[QuadForm], f: QuadForm) -> set[QuadForm]:
     """The subgroup <H, f>, for a subgroup H given by its reduced forms: the
-    union of the cosets H*f^i up to the first power f^i that lies in H."""
+    union of the cosets H*f^i up to the first power f^i that lies in H.
+    H holds the principal form e, and e*p is the reduced form p itself,
+    so each coset adds p and composes only the other members of H."""
+    others = H - {principal_form(D)}
     out = set(H)
     p = reduce_form(f.a, f.b, f.c)
     while p not in H:
-        out.update(compose(D, x, p) for x in H)
+        out.add(p)
+        out.update(compose(D, x, p) for x in others)
         p = compose(D, p, f)
     return out
 

@@ -25,39 +25,94 @@ def is_in_mazur(ctx: FieldContext, N: int) -> bool:
             return False
 
 
+def _keep_pattern(l: int) -> int:
+    """The l-bit int whose bit i is clear exactly when 4i + 1 is a nonzero
+    square mod the odd prime l.  Of x and l - x one is odd, so each
+    nonzero square is x^2 for exactly one odd x = 2y + 1 < l, and
+    4i + 1 = x^2 at i = y(y + 1).  Digit i of a bytearray of base-2
+    digits is cleared for each such i, and the digits are parsed once,
+    most significant first."""
+    digits = bytearray(b"1") * l
+    for y in range((l - 1) // 2):
+        digits[y * (y + 1) % l] = 48  # ord("0")
+    return int(digits[::-1], 2)
+
+
+def _tile(pattern: int, period: int, width: int) -> int:
+    """A pattern of `period` bits repeated to at least `width` bits by
+    shift-or doubling.  The last shift is the least multiple of `period`
+    that reaches `width`, so the result is under width + period bits
+    instead of up to twice the width; where the copies overlap they agree,
+    as the shift is a multiple of the period."""
+    length = period
+    while 2 * length < width:
+        pattern |= pattern << length
+        length *= 2
+    if length < width:
+        pattern |= pattern << -(-(width - length) // period) * period
+    return pattern
+
+
 def mazur_prime_set(ctx: FieldContext, bound: int) -> MazurResult:
     """Primes p <= bound with p = 1 mod 4 passing the membership test.
 
     Only these can enter the final union through the discriminant set: a
     prime equal to a fundamental discriminant is 1 mod 4.
 
-    Bit i of the int `alive` stands for n = 4i + 1 <= bound.  For each odd
-    split prime l in ascending order, the bits with i >= l (n > 4l) whose
-    n mod l is a nonzero square are cleared: an l-bit pattern of the
-    classes to keep is tiled by shift-or doubling and ANDed in.  The loop
-    stops at the first l with no live bit i >= l.  Invariant: every live
-    n is 0 or a nonresidue mod each odd split prime l < n/4.  A prime p
-    is never 0 mod such an l, so the members are exactly the live n that
-    are prime.
+    Bit i of the int `alive` stands for n = 4i + 1 <= bound.  The rule of
+    an odd split prime l clears the bits with i >= l (n > 4l) whose n mod
+    l is a nonzero square.  Invariant: after the rules of the odd split
+    primes below l, every live n is 0 or a nonresidue mod each of them
+    that is < n/4.  A prime p is never 0 mod such an l, so once every
+    rule that can clear a live bit has run, the members are exactly the
+    live n that are prime.
+
+    The rules run in groups of consecutive odd split primes (group
+    invariant: ascending, none skipped).  A group's keep pattern has
+    period P, the product of its members: each member's l-bit pattern is
+    tiled to P bits and the members are ANDed together.  That pattern is
+    tiled to the live width, and its first period is replaced by one that
+    also keeps each member's bits i < l (each l <= P, so they all lie in
+    it).  The result is the AND of the members' rules, and one full-width
+    AND applies them all.
+
+    A group takes the next prime l while P * l * 4 <= the live width
+    (`alive.bit_length()` at the group's start).  Its P-bit work, a few
+    passes per member, then stays under the full-width passes that
+    grouping saves.  With P * l <= width instead, P can reach the width
+    and each member's tile costs a full-width pass again: on -2999 and
+    -3299 at bound 10^8 that ran 1.6-2.6 times slower than P * l * 4,
+    while P * l * 8 and P * l * 16 ran as fast as P * l * 4.
+
+    Stop rule: the search stops at the first group whose smallest prime
+    l is >= the live width.  Every live n then has i < l, and every rule
+    still to come clears only bits at or above its own l, so none can
+    clear a live bit.  The same argument covers a member that reaches
+    past the width left by the members before it: its rule is a no-op,
+    so grouping and stopping give the same bits as applying every rule
+    one prime at a time.
     """
     if bound < 5:
         raise ValueError("mazur_prime_set: bound must be >= 5")
     alive = (1 << ((bound - 1) // 4 + 1)) - 1
-    for l in split_primes(ctx):
-        if l == 2:
-            continue
+    primes = (l for l in split_primes(ctx) if l != 2)
+    l = next(primes)
+    while True:
         size = alive.bit_length()
         if size <= l:
             break  # every live n = 4i + 1 has i < l, so n < 4l
-        inv4 = pow(4, -1, l)
-        keep = (1 << l) - 1
-        for x in range(1, (l + 1) // 2):  # each nonzero square once
-            keep &= ~(1 << ((x * x - 1) * inv4 % l))  # the i with 4i + 1 = x^2 mod l
-        width = l
-        while width < size:
-            keep |= keep << width
-            width *= 2
-        alive &= keep | ((1 << l) - 1)
+        group, P = [l], l
+        for l in primes:  # split_primes has no end, so this always breaks
+            if P * l * 4 > size:
+                break
+            group.append(l)
+            P *= l
+        period = first = (1 << P) - 1
+        for m in group:
+            keep = _tile(_keep_pattern(m), m, P)
+            period &= keep
+            first &= keep | ((1 << m) - 1)
+        alive &= _tile(period, P, size) | first
     members = tuple(4 * i + 1 for i in range(alive.bit_length())
                     if alive >> i & 1 and is_prime(4 * i + 1))
     return MazurResult(bound=bound, members=members)

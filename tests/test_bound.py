@@ -105,7 +105,7 @@ class TestAssemble:
 
 class TestBuildOnce:
     @pytest.mark.parametrize("D, composes, orders", [
-        (-2999, 216, 1), (-1151, 120, 1), (-3299, 52, 2)])
+        (-2999, 144, 1), (-1151, 80, 1), (-3299, 42, 2)])
     def test_class_group_walked_once(self, monkeypatch, D, composes, orders):
         # the generating-set walk gives S and, by the class orders of its
         # members, h; S0 needs no class order and one beta per member

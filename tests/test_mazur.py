@@ -9,6 +9,9 @@ from quatbound.quadfield import is_fundamental, make_field, splitting_type
 
 # The fields of the benchmark's small_panel workload.
 SMALL_PANEL_FIELDS = (-20, -23, -84, -71, -419, -3299)
+# Every field the benchmark runs at the default bound of 10^6: the
+# small_panel fields and the two large_h fields.
+BENCHMARK_1E6_FIELDS = SMALL_PANEL_FIELDS + (-1151, -2999)
 ORACLE_BOUNDS = (5, 6, 7, 13, 14, 17, 18, 30, 100, 10**3, 10**4, 10**5)
 
 
@@ -67,6 +70,23 @@ def assert_matches_reference(ctx, bound: int, search=mazur_prime_set) -> None:
     res = search(ctx, bound)
     assert res.bound == bound
     assert (res.members, largest_gap_tail(res)) == reference_mazur_prime_set(ctx, bound)
+
+
+def mutant_caught(contexts, kept: str, mutated: str) -> bool:
+    """Whether the oracle comparison catches mazur_prime_set with the one
+    line `kept` of its source replaced by `mutated`."""
+    source = inspect.getsource(mazur.mazur_prime_set)
+    assert source.count(kept) == 1
+    namespace = dict(vars(mazur))
+    exec(source.replace(kept, mutated), namespace)
+    mutant = namespace["mazur_prime_set"]
+    for ctx in contexts.values():
+        for bound in ORACLE_BOUNDS:
+            try:
+                assert_matches_reference(ctx, bound, search=mutant)
+            except AssertionError:
+                return True
+    return False
 
 
 class TestIsInMazur:
@@ -164,8 +184,9 @@ class TestPresieveOracle:
         for ctx in contexts.values():
             assert_matches_reference(ctx, bound)
 
-    def test_1e6(self, ctx20):
-        assert_matches_reference(ctx20, 10**6)
+    def test_1e6(self):
+        for D in BENCHMARK_1E6_FIELDS:
+            assert_matches_reference(make_field(D), 10**6)
 
     def test_presieve_runs_out_of_split_primes(self, contexts):
         # the sieve stops at the first odd split l_k with no live n > 4 * l_k;
@@ -184,22 +205,13 @@ class TestPresieveOracle:
             assert small == tuple(p for p in large if p <= 10**6), D
 
     def test_mutant_clearing_i_below_l_fails(self, contexts):
-        # a sieve that also clears the classes with i < l (n < 4l), where
-        # (n/l) does not matter, must be caught by the oracle comparison
-        source = inspect.getsource(mazur.mazur_prime_set)
-        kept = "alive &= keep | ((1 << l) - 1)"
-        assert kept in source
-        namespace = dict(vars(mazur))
-        exec(source.replace(kept, "alive &= keep"), namespace)
-        mutant = namespace["mazur_prime_set"]
-        caught = 0
-        for ctx in contexts.values():
-            for bound in ORACLE_BOUNDS:
-                try:
-                    assert_matches_reference(ctx, bound, search=mutant)
-                except AssertionError:
-                    caught += 1
-        assert caught > 0
+        # a sieve that also clears the classes with i < l (n < 4l) in a
+        # group's first period, where (n/l) does not matter
+        assert mutant_caught(contexts, "first &= keep | ((1 << m) - 1)", "first &= keep")
+
+    def test_mutant_first_member_only_fails(self, contexts):
+        # a sieve that applies only the first member's rule of each group
+        assert mutant_caught(contexts, "for m in group:", "for m in group[:1]:")
 
 
 class TestMazurDiscriminants:
