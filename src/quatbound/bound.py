@@ -9,8 +9,8 @@ from math import prod
 from .arith import FactorBudget, is_prime, primes_up_to
 from .quadfield import FieldContext, splitting_type
 from .classgroup import SplitPrime, choose_S, enumerate_S0, generates, principal_form
-from .weilsets import families_A1_A2, family_A3, intersection_set, prime_support
-from .mazur import is_in_mazur, mazur_prime_set
+from .weilsets import families_A1_A2, family_A3, intersection_set, prime_support, trace_set
+from .mazur import SplitPrimeWalk, is_in_mazur, mazur_prime_set
 
 SMALL_PRIME_CAP = 23
 
@@ -37,7 +37,8 @@ def assemble_sets(ctx: FieldContext, params: BoundParams = BoundParams()) -> Fam
         S = _validated_override(ctx, params.S_override)
     else:
         S = choose_S(ctx)
-    pairs = [families_A1_A2(ctx, q) for q in s0]
+    traces = {l: trace_set(l, ctx.h) for l in {q.l for q in (*s0, *S)}}
+    pairs = [families_A1_A2(ctx, q, traces) for q in s0]
     a1_families = [a1 for a1, _ in pairs]
     a2_families = [a2 for _, a2 in pairs]
     return FamilySets(
@@ -47,7 +48,7 @@ def assemble_sets(ctx: FieldContext, params: BoundParams = BoundParams()) -> Fam
         a2_families=a2_families,
         a1_set=intersection_set(a1_families, params.factor_budget),
         a2_set=intersection_set(a2_families, params.factor_budget),
-        a3_set=prime_support(family_A3(ctx, S), params.factor_budget),
+        a3_set=prime_support(family_A3(ctx, S, traces), params.factor_budget),
     )
 
 
@@ -103,12 +104,14 @@ def _validated_override(ctx: FieldContext, ls: tuple[int, ...]) -> list[SplitPri
     return out
 
 
-def verify_prime_membership(ctx: FieldContext, p: int, report: BoundReport) -> tuple[str, ...]:
+def verify_prime_membership(ctx: FieldContext, p: int, report: BoundReport,
+                            walk: SplitPrimeWalk | None = None) -> tuple[str, ...]:
     """Re-derive every component's claim about p, check it against the
     report and return the names of the components that claim p.  Raises on
     any disagreement.  The A1/A2/A3 claims come from direct divisibility of
     the report's raw family elements, not from the gcds and factorizations
-    that produced the components."""
+    that produced the components.  The Mazur claims of one request's calls
+    share their walk, a SplitPrimeWalk of ctx (is_in_mazur)."""
     claims = []
     if ctx.D % p == 0:
         claims.append("ram")
@@ -120,7 +123,7 @@ def verify_prime_membership(ctx: FieldContext, p: int, report: BoundReport) -> t
             claims.append(name)
     if any(v % p == 0 for v in report.a3_set.elements if v != 0):
         claims.append("a3_support")
-    if p % 4 == 1 and p <= report.mazur.bound and is_in_mazur(ctx, p):
+    if p % 4 == 1 and p <= report.mazur.bound and is_in_mazur(ctx, p, walk):
         claims.append("mazur_primes")
     if p in report.components["l_of_S"]:
         claims.append("l_of_S")

@@ -10,10 +10,11 @@ import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
-from .arith import FactorBudget, FactoredInteger
+from .arith import FactorBudget
 from .quadfield import FieldContext, make_field
 from .classgroup import ClassNumberOne, enumerate_S0, form_order, reduced_forms
-from .mazur import mazur_prime_set
+from .mazur import SplitPrimeWalk, mazur_prime_set
+from .weilsets import ASet
 from .bound import (BoundParams, BoundReport, FamilySets, assemble_bound, assemble_sets,
                     candidate_discriminants, verify_prime_membership)
 
@@ -63,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# JSON emission: every integer as a decimal string, every set ascending
+# JSON emission: every integer as a decimal string, every set ascending.
+# A report is a doc of dicts, lists and strings that holds each family as its
+# ASet; _json writes the doc, and each family straight from its ASet.
 
 def _decimal(n: int) -> str:
     """str(n), also for an n with more digits than str() allows (CPython
@@ -107,28 +110,6 @@ def _field_doc(ctx: FieldContext) -> dict:
     }
 
 
-def _fac_doc(f: FactoredInteger) -> dict:
-    doc = {"factors": [[str(p), str(e)] for p, e in f.prime_powers]}
-    if f.cofactor is not None:
-        doc["cofactor"] = _decimal(f.cofactor)
-    return doc
-
-
-def _family_doc(aset) -> dict:
-    elements = []
-    facs = aset.factorizations or (None,) * len(aset.elements)
-    for v, f in zip(aset.elements, facs):
-        entry = {"value": _decimal(v)}
-        if v != 0 and f is not None:
-            entry.update(_fac_doc(f))
-        elements.append(entry)
-    return {
-        "family": aset.family,
-        "l": _slist(aset.q_list),
-        "elements": elements,
-    }
-
-
 def _mazur_doc(mz) -> dict:
     return {"bound": str(mz.bound), "primes": _slist(mz.members)}
 
@@ -145,7 +126,7 @@ def _report_doc(ctx, report: BoundReport, cands) -> dict:
             "union": _slist(report.union),
             "certified": report.certified,
             "caveats": list(report.caveats),
-            "intersections": [_family_doc(report.a1_set), _family_doc(report.a2_set)],
+            "intersections": [report.a1_set, report.a2_set],
         },
     }
     if cands is not None:
@@ -155,9 +136,10 @@ def _report_doc(ctx, report: BoundReport, cands) -> dict:
 
 def _json(x, indent: str = "\n") -> str:
     """The bytes of json.dumps(x, indent=2, sort_keys=True) for str, bool,
-    list, tuple and str-keyed dict, written by joins: json.dumps runs its C
-    encoder only without indent.  Any other type, as a value or a key,
-    raises TypeError (encode_basestring_ascii does for keys)."""
+    list, tuple, str-keyed dict and ASet (written by _family_json), by
+    joins: json.dumps runs its C encoder only without indent.  Any other
+    type, as a value or a key, raises TypeError (encode_basestring_ascii
+    does for keys)."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     if isinstance(x, bool):
@@ -171,13 +153,39 @@ def _json(x, indent: str = "\n") -> str:
                 + (encode_basestring_ascii(v) if isinstance(v, str) else _json(v, inner))
                 for k, v in sorted(x.items())]
         return "{" + inner + ("," + inner).join(body) + indent + "}"
+    if isinstance(x, ASet):  # a namedtuple, so tested before tuple
+        return _family_json(x, indent)
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
-        body = [encode_basestring_ascii(v) if isinstance(v, str) else _json(v, inner)
-                for v in x]
+        if all(type(v) is str for v in x):
+            body = map(encode_basestring_ascii, x)
+        else:
+            body = [encode_basestring_ascii(v) if isinstance(v, str) else _json(v, inner)
+                    for v in x]
         return "[" + inner + ("," + inner).join(body) + indent + "]"
     raise TypeError(f"_json: cannot write {type(x).__name__}")
+
+
+def _family_json(aset: ASet, indent: str) -> str:
+    """_json of {"family", "l": q_list ascending, "elements"} at this indent.
+    An element is {"value"}, with "factors" ([p, e] pairs) and any
+    "cofactor" if nonzero and factored, written as one formatted string."""
+    i1, i2, i3, i4, i5 = (indent + "  " * k for k in range(1, 6))
+    pair = f'[{i5}"%d",{i5}"%d"{i4}]'
+    elements = []
+    for v, f in zip(aset.elements, aset.factorizations or [None] * len(aset.elements)):
+        head = ""
+        if v != 0 and f is not None:
+            pairs = ("," + i4).join(pair % pe for pe in f.prime_powers)
+            head = f'"factors": [{i4}{pairs}{i3}],{i3}' if pairs else f'"factors": [],{i3}'
+            if f.cofactor is not None:
+                head = f'"cofactor": "{_decimal(f.cofactor)}",{i3}' + head
+        elements.append(f'{{{i3}{head}"value": "{_decimal(v)}"{i2}}}')
+    rows = "[" + i2 + ("," + i2).join(elements) + i1 + "]" if elements else "[]"
+    return ("{" + i1 + '"elements": ' + rows + "," + i1 + '"family": '
+            + encode_basestring_ascii(aset.family) + "," + i1 + '"l": '
+            + _json(_slist(aset.q_list), i1) + indent + "}")
 
 
 def _emit(doc: dict, path: str | None) -> None:
@@ -245,20 +253,18 @@ def _run(args, ctx, budget) -> tuple[dict, int]:
     if sub == "candidates":
         cands = candidate_discriminants(ctx, report, args.max_factors)
     if sub == "verify":
+        walk = SplitPrimeWalk(ctx)
         for p in sorted(report.union):
-            verify_prime_membership(ctx, p, report)
+            verify_prime_membership(ctx, p, report, walk)
     code = 3 if args.require_certified and not report.certified else 0
     return _report_doc(ctx, report, cands), code
 
 
-def _all_families(report: FamilySets) -> list[dict]:
+def _all_families(report: FamilySets) -> list[ASet]:
     # A1/A2 families are emitted raw; their factored gcds are listed under
     # bound.intersections
-    families = []
-    for a1, a2 in zip(report.a1_families, report.a2_families):
-        families += [_family_doc(a1), _family_doc(a2)]
-    families.append(_family_doc(report.a3_set))
-    return families
+    pairs = zip(report.a1_families, report.a2_families)
+    return [f for pair in pairs for f in pair] + [report.a3_set]
 
 
 def _parse_S(spec: str | None):

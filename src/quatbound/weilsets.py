@@ -93,24 +93,25 @@ def _trace_differences(
     )
 
 
-def families_A1_A2(ctx: FieldContext, q: SplitPrime) -> tuple[ASet, ASet]:
-    """The A1 and A2 families of the S0 member q, from one beta and one
-    trace set: the traces shifted by those of beta^24 and l^8h*beta^8."""
+def families_A1_A2(ctx: FieldContext, q: SplitPrime,
+                   traces: dict[int, dict[int, int]]) -> tuple[ASet, ASet]:
+    """The A1 and A2 families of the S0 member q, from one beta and traces[q.l]:
+    the traces shifted by those of beta^24 and l^8h*beta^8."""
     t, _ = beta_for(ctx, q)
-    traces = trace_set(q.l, ctx.h)
     n = q.l**ctx.h
     a1_shift = trace_power(t, n, 24)
     a2_shift = q.l ** (8 * ctx.h) * trace_power(t, n, 8)
-    return (_trace_differences("A1", ctx.h, [(q.l, traces, a1_shift)]),
-            _trace_differences("A2", ctx.h, [(q.l, traces, a2_shift)]))
+    return (_trace_differences("A1", ctx.h, [(q.l, traces[q.l], a1_shift)]),
+            _trace_differences("A2", ctx.h, [(q.l, traces[q.l], a2_shift)]))
 
 
-def family_A3(ctx: FieldContext, S: list[SplitPrime]) -> ASet:
+def family_A3(ctx: FieldContext, S: list[SplitPrime],
+              traces: dict[int, dict[int, int]]) -> ASet:
+    """The A3 family over S, each traces[q.l] = trace_set(q.l, ctx.h)."""
     if not S:
         raise ValueError("family_A3: S must be nonempty")
     return _trace_differences(
-        "A3", ctx.h,
-        [(q.l, trace_set(q.l, ctx.h), 2 * q.l ** (12 * ctx.h)) for q in S])
+        "A3", ctx.h, [(q.l, traces[q.l], 2 * q.l ** (12 * ctx.h)) for q in S])
 
 
 def _lucas_parts(l: int, m: int, h: int) -> tuple[int, dict[int, int]]:

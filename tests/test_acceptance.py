@@ -55,8 +55,9 @@ def test_criterion_1_end_to_end_sqrt_minus_5(tmp_path):
     assert trace_power(beta.trace, 9, 8) == 11842
     assert trace_power(beta.trace, 9, 24) == 131360949442
 
-    a1, a2 = families_A1_A2(ctx, q3)
-    a3 = family_A3(ctx, [q3])
+    traces = {3: trace_set(3, ctx.h)}
+    a1, a2 = families_A1_A2(ctx, q3, traces)
+    a3 = family_A3(ctx, [q3], traces)
     assert 0 in a3.elements
     assert 0 not in a1.elements
     assert 0 not in a2.elements
@@ -129,8 +130,9 @@ def test_criterion_5_nonvanishing():
     for D in TEST_FIELDS:
         ctx = _ctx(D)
         for q in enumerate_S0(ctx, 5):
-            assert 0 not in families_A1_A2(ctx, q)[0].elements, (D, q.l)
-            assert 0 not in families_A1_A2(ctx, q)[1].elements, (D, q.l)
+            a1, a2 = families_A1_A2(ctx, q, {q.l: trace_set(q.l, ctx.h)})
+            assert 0 not in a1.elements, (D, q.l)
+            assert 0 not in a2.elements, (D, q.l)
     _report("criterion 5: 0 absent from A1 and A2 for first 5 of S0, all fields")
 
 

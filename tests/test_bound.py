@@ -12,8 +12,9 @@ from quatbound.bound import (
     verify_prime_membership,
 )
 from quatbound.classgroup import ClassNumberOne
+from quatbound.mazur import SplitPrimeWalk
 from quatbound.quadfield import make_field, splitting_type
-from quatbound.weilsets import families_A1_A2
+from quatbound.weilsets import families_A1_A2, trace_set
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +99,9 @@ class TestAssemble:
 
     def test_families_carried(self, ctx20, report20):
         s0 = report20.s0_truncation
-        assert report20.a1_families == [families_A1_A2(ctx20, q)[0] for q in s0]
-        assert report20.a2_families == [families_A1_A2(ctx20, q)[1] for q in s0]
+        pairs = [families_A1_A2(ctx20, q, {q.l: trace_set(q.l, ctx20.h)}) for q in s0]
+        assert report20.a1_families == [a1 for a1, _ in pairs]
+        assert report20.a2_families == [a2 for _, a2 in pairs]
         assert report20.a3_set.q_list == tuple(q.l for q in report20.S)
 
 
@@ -140,6 +142,18 @@ class TestVerify:
             absent = [p for p in pool if p not in rep.union]
             for p in rng.sample(absent, 50):
                 assert not verify_prime_membership(ctx, p, rep)
+
+    @pytest.mark.parametrize("D", [-20, -23, -84, -71, -419, -3299])
+    def test_shared_walk_same_claims(self, D):
+        # the benchmark's verify fields at the default bound of 10^6: one
+        # walk shared by every union prime makes the claims of a walk each
+        ctx = make_field(D)
+        rep = assemble_bound(ctx)
+        walk = SplitPrimeWalk(ctx)
+        union = sorted(rep.union)
+        assert ([verify_prime_membership(ctx, p, rep, walk) for p in union]
+                == [verify_prime_membership(ctx, p, rep) for p in union])
+        assert any("mazur_primes" in verify_prime_membership(ctx, p, rep) for p in union)
 
 
 class TestVerifyMismatch:

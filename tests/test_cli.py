@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatbound import bound, classgroup, cli, weilsets
-from quatbound.arith import FactorBudget, factor
+from quatbound import bound, classgroup, cli, mazur, weilsets
+from quatbound.arith import FactorBudget, FactoredInteger, factor
 from quatbound.cli import main
 
 
@@ -134,6 +134,21 @@ class TestOneMazurSearch:
         assert len(calls) == 1
         assert doc["mazur"]["bound"] == "10000"
 
+    def test_verify_walks_split_primes_once(self, tmp_path, monkeypatch):
+        # one walk for the sieve and one shared by every Mazur claim
+        walks = []
+        real = mazur.split_primes
+
+        def counting(ctx):
+            walks.append(ctx.D)
+            return real(ctx)
+
+        monkeypatch.setattr(mazur, "split_primes", counting)
+        code, doc = run(tmp_path, "verify", "--d", "-3299", *BASE)
+        assert code == 0
+        claims = [p for p in map(int, doc["bound"]["union"]) if p % 4 == 1 and p <= 10**4]
+        assert len(claims) > 1 and walks == [-3299, -3299]
+
     def test_sets_runs_none(self, tmp_path, monkeypatch):
         # sets prints no Mazur primes, so it must not search for them
         def refuse(*args):
@@ -154,7 +169,8 @@ class TestOneFamilyBuild:
         # for the generating set that gives h
         calls = Counter()
         for module, name in ((bound, "families_A1_A2"), (bound, "family_A3"),
-                             (weilsets, "beta_for"), (classgroup, "form_order")):
+                             (bound, "trace_set"), (weilsets, "beta_for"),
+                             (classgroup, "form_order")):
             def counting(*args, _name=name, _real=getattr(module, name)):
                 calls[_name] += 1
                 return _real(*args)
@@ -164,7 +180,9 @@ class TestOneFamilyBuild:
         assert code == 0
         s0_count = len(doc["s0_truncation"])
         assert s0_count == 4
-        assert calls == {"families_A1_A2": s0_count, "family_A3": 1,
+        # one trace set per l of S0 and S together
+        ls = set(doc["s0_truncation"]) | set(doc["S"])
+        assert calls == {"families_A1_A2": s0_count, "family_A3": 1, "trace_set": len(ls),
                          "beta_for": s0_count, "form_order": len(doc["S"])}
 
 
@@ -297,6 +315,102 @@ class TestJsonWriter:
         exec(source.replace(ordered, "x.items()"), namespace)
         with pytest.raises(AssertionError):
             assert_writes_like_dumps(namespace["_json"])
+
+
+def fac_doc(f):
+    """The dict a factorization was written from before families were
+    written as text: the reference for _family_json."""
+    doc = {"factors": [[str(p), str(e)] for p, e in f.prime_powers]}
+    if f.cofactor is not None:
+        doc["cofactor"] = str(f.cofactor)
+    return doc
+
+
+def family_doc(aset):
+    """The reference dict of a family, with every integer written by str()."""
+    elements = []
+    facs = aset.factorizations or (None,) * len(aset.elements)
+    for v, f in zip(aset.elements, facs):
+        entry = {"value": str(v)}
+        if v != 0 and f is not None:
+            entry.update(fac_doc(f))
+        elements.append(entry)
+    return {"family": aset.family, "l": [str(l) for l in sorted(aset.q_list)],
+            "elements": elements}
+
+
+# above str()'s default limit of 4,300 digits
+HUGE = 7 * 10**4400 + 3
+VALUES = st.integers(-(10**40), 10**40) | st.sampled_from([0, HUGE, -HUGE])
+FACTORIZATIONS = st.none() | st.builds(
+    FactoredInteger,
+    value=st.just(1),
+    prime_powers=st.lists(st.tuples(st.integers(2, 10**30), st.integers(1, 99)),
+                          max_size=4).map(tuple),
+    cofactor=st.none() | st.integers(2, 10**40) | st.just(HUGE),
+)
+
+
+@st.composite
+def asets(draw):
+    elements = tuple(draw(st.lists(VALUES, max_size=5)))
+    factored = draw(st.booleans())
+    facs = tuple(draw(FACTORIZATIONS) for _ in elements) if factored else ()
+    return weilsets.ASet(family=draw(st.sampled_from(["A1", "A2", "A3"])),
+                         q_list=tuple(draw(st.lists(st.integers(2, 10**4), max_size=4))),
+                         elements=elements, factorizations=facs)
+
+
+def assert_families_write_like_dumps(writer):
+    """writer(doc) is the bytes of json.dumps(indent=2, sort_keys=True) of
+    the reference docs, for a family under "families" and under
+    "bound.intersections", the two places a report holds one."""
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              report_multiple_bugs=False)
+    @given(asets())
+    def check(aset):
+        with digit_limit(4300):
+            got = writer({"families": [aset], "bound": {"intersections": [aset, aset]}})
+        ref = family_doc(aset)
+        want = {"families": [ref], "bound": {"intersections": [ref, ref]}}
+        assert got == json.dumps(want, indent=2, sort_keys=True)
+
+    # no digit limit but the writer's, so that examples print
+    with digit_limit(0):
+        check()
+
+
+class TestFamilyWriter:
+    def test_matches_reference_dicts(self):
+        assert_families_write_like_dumps(cli._json)
+
+    def test_edge_cases(self):
+        # a zero element with a factorization slot, no factorizations at all,
+        # an empty q_list, an empty family, and a cofactor with no factors
+        f = FactoredInteger(value=-12, prime_powers=((2, 2), (3, 1)))
+        cases = [
+            weilsets.ASet("A1", (7, 3), (0, -12), (None, f)),
+            weilsets.ASet("A2", (), (-HUGE, 5)),
+            weilsets.ASet("A3", (5,), ()),
+            weilsets.ASet("A3", (5,), (HUGE,), (FactoredInteger(HUGE, (), HUGE),)),
+            weilsets.ASet("A1", (3,), (0,), (None,)),
+        ]
+        for aset in cases:
+            with digit_limit(0):
+                want = json.dumps([family_doc(aset)], indent=2, sort_keys=True)
+            with digit_limit(4300):
+                assert cli._json([aset]) == want
+
+    def test_mutant_factors_before_cofactor_fails(self):
+        source = inspect.getsource(cli._family_json)
+        cofactor_first = """f'"cofactor": "{_decimal(f.cofactor)}",{i3}' + head"""
+        assert cofactor_first in source
+        mutant = source.replace(cofactor_first,
+                                """head + f'"cofactor": "{_decimal(f.cofactor)}",{i3}'""")
+        namespace = dict(vars(cli))
+        exec(inspect.getsource(cli._json) + "\n\n" + mutant, namespace)
+        with pytest.raises(AssertionError):
+            assert_families_write_like_dumps(namespace["_json"])
 
 
 @contextmanager

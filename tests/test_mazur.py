@@ -4,7 +4,7 @@ import pytest
 
 from quatbound import mazur
 from quatbound.arith import kronecker, primes_up_to
-from quatbound.mazur import is_in_mazur, mazur_prime_set
+from quatbound.mazur import SplitPrimeWalk, is_in_mazur, mazur_prime_set
 from quatbound.quadfield import is_fundamental, make_field, splitting_type
 
 # The fields of the benchmark's small_panel workload.
@@ -109,6 +109,13 @@ class TestIsInMazur:
             expected = [independent_recheck(N, split) for N in range(-4000, 4001)
                         if N not in (0, 1) and is_fundamental(N)]
             assert got == expected and 0 < sum(got) < len(got)
+            # one walk shared by every call, in an order that is not ascending
+            walk = SplitPrimeWalk(ctx)
+            shared = [is_in_mazur(ctx, N, walk) for N in range(4000, -4001, -1)
+                      if N not in (0, 1) and is_fundamental(N)]
+            assert shared == expected[::-1]
+            odd = [l for l in walk.found if l > 2]
+            assert odd == split[:len(odd)]
 
     def test_stops_at_first_witness(self, ctx20, monkeypatch):
         # l = 3 splits in k and in Q(sqrt(N)) for N = 4*10^7 + 9 (= 1 mod 3):
@@ -126,6 +133,37 @@ class TestIsInMazur:
         monkeypatch.setattr(mazur, "split_primes", recording)
         assert not is_in_mazur(ctx20, N)
         assert walked == [3]
+
+    def test_shared_walk_finds_each_prime_once(self, ctx20, monkeypatch):
+        # one split_primes walk for every call given the walk; a call walks
+        # on only past the primes that earlier calls found
+        walks, walked = [], []
+
+        def recording(ctx):
+            walks.append(ctx)
+            for l in real(ctx):
+                walked.append(l)
+                yield l
+
+        real = mazur.split_primes
+        monkeypatch.setattr(mazur, "split_primes", recording)
+        walk = SplitPrimeWalk(ctx20)
+        N = 4 * 10**7 + 9  # l = 3 is a witness
+        members = [p for p in primes_up_to(2000) if p % 4 == 1 and is_in_mazur(ctx20, p, walk)]
+        assert not is_in_mazur(ctx20, N, walk)
+        assert members and len(walks) == 1
+        assert walked == walk.found == [l for l in primes_up_to(walked[-1])
+                                        if splitting_type(ctx20, l) == "split"]
+        assert 4 * walked[-1] >= max(members)
+
+    def test_passes_may_interleave(self, ctx20):
+        # every pass reads the one list by index, wherever the others are
+        walk = SplitPrimeWalk(ctx20)
+        a, b = iter(walk), iter(walk)
+        first = [next(a) for _ in range(3)]
+        second = [next(b) for _ in range(5)]
+        first += [next(a) for _ in range(2)]
+        assert first == second == walk.found == [3, 7, 23, 29, 41]
 
 
 class TestMazurPrimeSet:

@@ -24,6 +24,16 @@ from quatbound.weilsets import (
 )
 
 
+def build_A1_A2(ctx, q):
+    """families_A1_A2 of q, given its trace set."""
+    return families_A1_A2(ctx, q, {q.l: trace_set(q.l, ctx.h)})
+
+
+def build_A3(ctx, S):
+    """family_A3 over S, given the trace set of each member."""
+    return family_A3(ctx, S, {q.l: trace_set(q.l, ctx.h) for q in S})
+
+
 def quadint_pow(u: QuadInt, e: int) -> QuadInt:
     """u^e in O_k by binary powering: the oracle for traces of beta powers."""
     out = QuadInt(2, 0, u.D)
@@ -157,7 +167,7 @@ class TestTraceSet:
 class TestFamilies:
     def test_a1_a2_shifts_and_elements(self, ctx20):
         q3 = enumerate_S0(ctx20, 1)[0]
-        a1, a2 = families_A1_A2(ctx20, q3)
+        a1, a2 = build_A1_A2(ctx20, q3)
         assert set(a1.elements) == {a - 131360949442 for a in trace_set(3, ctx20.h).values()}
         assert 564859072962 - 131360949442 in a1.elements
         assert set(a2.elements) == {a - 3**16 * 11842 for a in trace_set(3, ctx20.h).values()}
@@ -175,17 +185,17 @@ class TestFamilies:
     def test_nonvanishing_first_five(self, contexts):
         for ctx in contexts.values():
             for q in enumerate_S0(ctx, 5):
-                assert 0 not in families_A1_A2(ctx, q)[0].elements, (ctx.D, q.l)
-                assert 0 not in families_A1_A2(ctx, q)[1].elements, (ctx.D, q.l)
+                assert 0 not in build_A1_A2(ctx, q)[0].elements, (ctx.D, q.l)
+                assert 0 not in build_A1_A2(ctx, q)[1].elements, (ctx.D, q.l)
 
     def test_a3(self, ctx20):
         S = choose_S(ctx20)
-        a3 = family_A3(ctx20, S)
+        a3 = build_A3(ctx20, S)
         assert 0 in a3.elements
         assert all(v <= 0 for v in a3.elements)
         assert len(a3.elements) <= 7
         with pytest.raises(ValueError):
-            family_A3(ctx20, [])
+            build_A3(ctx20, [])
 
 
 class TestPrimeSupport:
@@ -204,7 +214,7 @@ class TestPrimeSupport:
 
     def test_a1_certified(self, ctx20):
         q3 = enumerate_S0(ctx20, 1)[0]
-        out = prime_support(families_A1_A2(ctx20, q3)[0])
+        out = prime_support(build_A1_A2(ctx20, q3)[0])
         assert out.certified
         # cross-check the support by direct divisibility
         for p in out.support:
@@ -216,7 +226,7 @@ class TestReadOff:
     follow every replace() of them."""
 
     def test_replaced_factorizations(self, ctx20):
-        a = prime_support(family_A3(ctx20, choose_S(ctx20)))
+        a = prime_support(build_A3(ctx20, choose_S(ctx20)))
         assert a.support and a.certified
         bare = a._replace(factorizations=())
         assert bare.support == frozenset() and not bare.certified
@@ -232,7 +242,7 @@ class TestReadOff:
     def test_raw_families_uncertified(self, contexts):
         for ctx in contexts.values():
             for q in enumerate_S0(ctx, 2):
-                for raw in families_A1_A2(ctx, q):
+                for raw in build_A1_A2(ctx, q):
                     assert raw.support == frozenset() and not raw.certified
 
     def test_empty_family_certified(self):
@@ -253,7 +263,7 @@ FAMILIES = {"A1": 0, "A2": 1}
 
 
 def members(ctx, family, s0):
-    return [families_A1_A2(ctx, q)[FAMILIES[family]] for q in s0]
+    return [build_A1_A2(ctx, q)[FAMILIES[family]] for q in s0]
 
 
 def intersect(ms, budget=FactorBudget()):
@@ -265,7 +275,7 @@ class TestIntersectSupports:
     def test_length_one_equals_support(self, ctx20):
         s0 = enumerate_S0(ctx20, 1)
         primes, cert = intersect(members(ctx20, "A1", s0))
-        assert primes == prime_support(families_A1_A2(ctx20, s0[0])[0]).support
+        assert primes == prime_support(build_A1_A2(ctx20, s0[0])[0]).support
         assert cert
 
     def test_monotone_shrinking(self, ctx20):
@@ -282,7 +292,7 @@ class TestIntersectSupports:
         one, _ = intersect(members(ctx20, "A1", s0[:1]))
         two, _ = intersect(members(ctx20, "A1", s0))
         dropped = one - two
-        elems7 = [v for v in families_A1_A2(ctx20, s0[1])[0].elements if v != 0]
+        elems7 = [v for v in build_A1_A2(ctx20, s0[1])[0].elements if v != 0]
         for p in dropped:
             assert all(v % p for v in elems7)
         for p in two:
@@ -340,7 +350,7 @@ class TestGcdIntersection:
     def test_one_member_factors_each_element(self, family):
         ctx = _field(-3299)
         s0 = enumerate_S0(ctx, 1)
-        first = prime_support(families_A1_A2(ctx, s0[0])[FAMILIES[family]])
+        first = prime_support(build_A1_A2(ctx, s0[0])[FAMILIES[family]])
         assert first.certified
         assert intersect(members(ctx, family, s0)) == (first.support, True)
 
@@ -382,7 +392,7 @@ def a3_panel():
             continue
         ctx = _field(D)
         if ctx.class_number > 1:
-            out.append(family_A3(ctx, choose_S(ctx)))
+            out.append(build_A3(ctx, choose_S(ctx)))
     return out
 
 
@@ -415,7 +425,7 @@ class TestA3Split:
         # -2999 (h = 73, d up to 876), by full trial division
         ctx = _field(-2999)
         divides_d = set()
-        for a3 in [*a3_panel, family_A3(ctx, choose_S(ctx))]:
+        for a3 in [*a3_panel, build_A3(ctx, choose_S(ctx))]:
             for v, (l, m, h) in zip(a3.elements, a3.lucas):
                 if v == 0:
                     continue
@@ -464,7 +474,7 @@ class TestA3Split:
     def test_incomplete_cofactor_is_squared(self):
         # on a tiny budget each unfinished Psi_d enters the cofactor squared
         ctx = _field(-1151)
-        a3 = family_A3(ctx, choose_S(ctx))
+        a3 = build_A3(ctx, choose_S(ctx))
         tiny = FactorBudget(trial_bound=50, rho_iterations=2)
         out = prime_support(a3, tiny)
         assert not out.certified
@@ -519,7 +529,7 @@ class TestCacheRule:
         monkeypatch.setattr(arith, "_torus_pm1", recording_torus)
         monkeypatch.setattr(arith, "_pollard_pm1", recording_pm1)
         ctx = _field(-1151)
-        a3 = family_A3(ctx, choose_S(ctx))
+        a3 = build_A3(ctx, choose_S(ctx))
         out = prime_support(a3, FactorBudget())
         assert calls == [("torus", 4626154257697182281987, -7, 2)]
         nonzero = [f for v, f in zip(a3.elements, out.factorizations) if v]
@@ -528,7 +538,7 @@ class TestCacheRule:
 
     def test_incomplete_not_stored(self):
         ctx = _field(-1151)
-        a3 = family_A3(ctx, choose_S(ctx))
+        a3 = build_A3(ctx, choose_S(ctx))
         out = prime_support(a3, FactorBudget(trial_bound=50, rho_iterations=2))
         assert not out.certified
         assert any(f is not None and not f.complete for f in out.factorizations)
