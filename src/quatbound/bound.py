@@ -1,6 +1,8 @@
 """Assembly of the finite prime superset for discriminants of quaternion
-algebras whose Shimura curve can have a point over k, with per-prime
-evidence checking and candidate-discriminant enumeration."""
+algebras whose Shimura curve can have a point over k, per-prime evidence
+checks and candidate discriminants.  For every generating set S of the
+class group, every such prime lies in the union of the seven COMPONENTS;
+only mazur_primes is complete solely up to mazur_bound, the report's caveat."""
 
 from collections import namedtuple
 from itertools import combinations
@@ -9,7 +11,7 @@ from math import prod
 from .arith import FactorBudget, is_prime, primes_up_to
 from .quadfield import FieldContext, splitting_type
 from .classgroup import SplitPrime, choose_S, enumerate_S0, generates, principal_form
-from .weilsets import families_A1_A2, family_A3, intersection_set, prime_support, trace_set
+from .weilsets import ASet, families_A1_A2, family_A3, intersection_set, prime_support, trace_set
 from .mazur import SplitPrimeWalk, is_in_mazur, mazur_prime_set
 
 SMALL_PRIME_CAP = 23
@@ -26,6 +28,32 @@ FamilySets = namedtuple("FamilySets", "S s0_truncation a1_families a2_families "
 # components maps each component's name to its primes; mazur is a MazurResult
 BoundReport = namedtuple("BoundReport", FamilySets._fields
                          + ("components", "union", "certified", "mazur", "caveats"))
+
+
+def _divides_one(p: int, family: ASet) -> bool:
+    return any(v % p == 0 for v in family.elements if v != 0)
+
+
+# One (name, primes, claims, factored) row per component, in claim order:
+# primes from (ctx, FamilySets, MazurResult); claims re-derives p's membership
+# from the raw evidence alone; a factored row must agree only when certified.
+COMPONENTS = (
+    ("ram", lambda ctx, sets, mz: frozenset(ctx.ram_primes),
+     lambda ctx, p, rep, walk: ctx.D % p == 0, False),
+    ("small", lambda ctx, sets, mz: frozenset(primes_up_to(SMALL_PRIME_CAP)),
+     lambda ctx, p, rep, walk: p <= SMALL_PRIME_CAP, False),
+    ("a1_intersection", lambda ctx, sets, mz: sets.a1_set.support,
+     lambda ctx, p, rep, walk: all(_divides_one(p, f) for f in rep.a1_families), True),
+    ("a2_intersection", lambda ctx, sets, mz: sets.a2_set.support,
+     lambda ctx, p, rep, walk: all(_divides_one(p, f) for f in rep.a2_families), True),
+    ("a3_support", lambda ctx, sets, mz: sets.a3_set.support,
+     lambda ctx, p, rep, walk: _divides_one(p, rep.a3_set), True),
+    ("mazur_primes", lambda ctx, sets, mz: frozenset(mz.members),
+     lambda ctx, p, rep, walk: (p % 4 == 1 and p <= rep.mazur.bound
+                                and is_in_mazur(ctx, p, walk)), False),
+    ("l_of_S", lambda ctx, sets, mz: frozenset(q.l for q in sets.S),
+     lambda ctx, p, rep, walk: p in [q.l for q in rep.S], False),
+)
 
 
 def assemble_sets(ctx: FieldContext, params: BoundParams = BoundParams()) -> FamilySets:
@@ -56,24 +84,15 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
     """Compute every component of the containment and union them.  Raises
     ClassNumberOne, from enumerate_S0, when k has class number 1."""
     sets = assemble_sets(ctx, params)
-    a1, a2, a3 = sets.a1_set, sets.a2_set, sets.a3_set
 
     mz = mazur_prime_set(ctx, params.mazur_bound)
     caveats = [f"mazur set truncated at bound {params.mazur_bound}"]
 
-    certified = a1.certified and a2.certified and a3.certified
+    certified = sets.a1_set.certified and sets.a2_set.certified and sets.a3_set.certified
     if not certified:
         caveats.append("factor budget exhausted; unfactored cofactors listed")
 
-    components = {
-        "ram": frozenset(ctx.ram_primes),
-        "small": frozenset(primes_up_to(SMALL_PRIME_CAP)),
-        "a1_intersection": a1.support,
-        "a2_intersection": a2.support,
-        "a3_support": a3.support,
-        "mazur_primes": frozenset(mz.members),
-        "l_of_S": frozenset(q.l for q in sets.S),
-    }
+    components = {name: primes(ctx, sets, mz) for name, primes, _, _ in COMPONENTS}
     union = frozenset().union(*components.values())
     return BoundReport(
         *sets,
@@ -106,39 +125,20 @@ def _validated_override(ctx: FieldContext, ls: tuple[int, ...]) -> list[SplitPri
 
 def verify_prime_membership(ctx: FieldContext, p: int, report: BoundReport,
                             walk: SplitPrimeWalk | None = None) -> tuple[str, ...]:
-    """Re-derive every component's claim about p, check it against the
-    report and return the names of the components that claim p.  Raises on
-    any disagreement.  The A1/A2/A3 claims come from direct divisibility of
-    the report's raw family elements, not from the gcds and factorizations
-    that produced the components.  The Mazur claims of one request's calls
-    share their walk, a SplitPrimeWalk of ctx (is_in_mazur)."""
-    claims = []
-    if ctx.D % p == 0:
-        claims.append("ram")
-    if p <= SMALL_PRIME_CAP:
-        claims.append("small")
-    for name, families in (("a1_intersection", report.a1_families),
-                           ("a2_intersection", report.a2_families)):
-        if all(any(v % p == 0 for v in f.elements if v != 0) for f in families):
-            claims.append(name)
-    if any(v % p == 0 for v in report.a3_set.elements if v != 0):
-        claims.append("a3_support")
-    if p % 4 == 1 and p <= report.mazur.bound and is_in_mazur(ctx, p, walk):
-        claims.append("mazur_primes")
-    if p in report.components["l_of_S"]:
-        claims.append("l_of_S")
-
-    for name, comp in report.components.items():
-        claimed = name in claims
-        # an uncertified factorization may miss primes of the factored
-        # components, so only a certified report must agree on them
-        factored = name in ("a1_intersection", "a2_intersection", "a3_support")
-        if claimed != (p in comp) and (report.certified or not factored):
+    """The names of the components whose rows of COMPONENTS claim p; raises
+    where a claim and the report disagree.  The Mazur claims of one request's
+    calls share their walk, a SplitPrimeWalk of ctx (is_in_mazur)."""
+    names, components = [], report.components
+    for name, _, claims, factored in COMPONENTS:
+        claimed, listed = claims(ctx, p, report, walk), p in components[name]
+        if claimed != listed and (report.certified or not factored):
             raise RuntimeError(
                 f"evidence mismatch for p={p} in {name}: "
-                f"re-derived {claimed}, report {p in comp}"
+                f"re-derived {claimed}, report {listed}"
             )
-    return tuple(claims)
+        if claimed:
+            names.append(name)
+    return tuple(names)
 
 
 def candidate_discriminants(

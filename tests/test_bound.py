@@ -1,9 +1,11 @@
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from quatbound import classgroup, weilsets
+from quatbound import bound, classgroup, weilsets
 from quatbound.arith import FactorBudget, primes_up_to
 from quatbound.bound import (
     BoundParams,
@@ -12,6 +14,7 @@ from quatbound.bound import (
     verify_prime_membership,
 )
 from quatbound.classgroup import ClassNumberOne
+from quatbound.cli import main
 from quatbound.mazur import SplitPrimeWalk
 from quatbound.quadfield import make_field, splitting_type
 from quatbound.weilsets import families_A1_A2, trace_set
@@ -179,6 +182,95 @@ class TestVerifyMismatch:
         bad = self._with(report20, "mazur_primes", mz | {p})
         with pytest.raises(RuntimeError, match="evidence mismatch"):
             verify_prime_membership(ctx20, p, bad)
+
+    def test_added_l_of_S_prime(self, ctx20, report20):
+        # 7 splits in k and is claimed by small, a1 and a3, but S = {3}
+        assert report20.components["l_of_S"] == {3}
+        bad = self._with(report20, "l_of_S", {3, 7})
+        with pytest.raises(RuntimeError, match="for p=7 in l_of_S: re-derived False"):
+            verify_prime_membership(ctx20, 7, bad)
+
+    def test_dropped_l_of_S_prime(self, ctx20, report20):
+        bad = self._with(report20, "l_of_S", set())
+        with pytest.raises(RuntimeError, match="for p=3 in l_of_S: re-derived True"):
+            verify_prime_membership(ctx20, 3, bad)
+
+
+class TestVerifyUncertified:
+    # too small a budget to factor every -84 family element, so some prime
+    # of a factored component hides in an unfactored cofactor
+    ARGV = ("verify", "--d", "-84", "--trial-bound", "50", "--rho-iters", "2",
+            "--mazur-bound", "10000", "--s0-count", "1")
+
+    def test_passes_uncertified(self, tmp_path):
+        out = tmp_path / "out.json"
+        assert main([*self.ARGV, "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["bound"]["certified"] is False
+
+    def test_factored_rows_exempt(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(bound, "COMPONENTS", tuple(
+            (name, primes, claims, False) for name, primes, claims, _ in bound.COMPONENTS))
+        with pytest.raises(RuntimeError,
+                           match="evidence mismatch for p=59 in a1_intersection"):
+            main([*self.ARGV, "--json", str(tmp_path / "out.json")])
+
+    def test_added_mazur_prime(self, contexts):
+        ctx = contexts[-84]
+        rep = assemble_bound(ctx, BoundParams(s0_count=1, mazur_bound=10**4,
+                                              factor_budget=FactorBudget(50, 2)))
+        assert not rep.certified
+        mz = rep.components["mazur_primes"]
+        p = next(p for p in primes_up_to(rep.mazur.bound) if p % 4 == 1 and p not in mz)
+        verify_prime_membership(ctx, p, rep)
+        components = dict(rep.components, mazur_primes=mz | {p})
+        with pytest.raises(RuntimeError, match=f"for p={p} in mazur_primes"):
+            verify_prime_membership(ctx, p, rep._replace(components=components))
+
+
+@pytest.fixture(scope="module")
+def field_reports(contexts):
+    return [(ctx, assemble_bound(ctx, BoundParams(mazur_bound=10**4)))
+            for ctx in contexts.values()]
+
+
+class TestComponentTable:
+    def test_components_in_table_order(self, field_reports):
+        names = tuple(name for name, *_ in bound.COMPONENTS)
+        assert names == ("ram", "small", "a1_intersection", "a2_intersection",
+                         "a3_support", "mazur_primes", "l_of_S")
+        for _, rep in field_reports:
+            assert tuple(rep.components) == names
+
+    @pytest.mark.parametrize("verdict", [True, False], ids=["always_yes", "always_no"])
+    @pytest.mark.parametrize("row", range(len(bound.COMPONENTS)),
+                             ids=[name for name, *_ in bound.COMPONENTS])
+    def test_row_mutant_caught(self, monkeypatch, field_reports, row, verdict):
+        table = list(bound.COMPONENTS)
+        name, primes, _, factored = table[row]
+        table[row] = (name, primes, lambda ctx, p, rep, walk: verdict, factored)
+        monkeypatch.setattr(bound, "COMPONENTS", tuple(table))
+
+        def caught(ctx, rep, p):
+            try:
+                verify_prime_membership(ctx, p, rep)
+            except RuntimeError:
+                return True
+            return False
+
+        assert any(caught(ctx, rep, p) for ctx, rep in field_reports
+                   for p in [*sorted(rep.union),
+                             *[q for q in primes_up_to(500) if q not in rep.union]])
+
+    def test_benchmark_names_match(self, monkeypatch):
+        # the benchmark's output check names the components again; importing
+        # its workloads module has no side effects
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        import workloads
+
+        names = sorted(name for name, *_ in bound.COMPONENTS)
+        assert sorted(workloads.ALWAYS_EQUAL + workloads.EQUAL_IF_CERTIFIED) == names
+        assert (sorted(workloads.EQUAL_IF_CERTIFIED)
+                == sorted(name for name, _, _, factored in bound.COMPONENTS if factored))
 
 
 class TestCandidates:
