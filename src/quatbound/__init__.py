@@ -18,7 +18,7 @@ from .classgroup import (
     principal_generator,
     reduced_forms,
 )
-from .weilsets import ASet, beta_for, families_A1_A2, family_A3, intersection_set, prime_support, trace_power, trace_set
+from .weilsets import ASet, beta_for, intersection_set, prime_support, trace_families, trace_power, trace_set
 from .mazur import MazurResult, is_in_mazur, mazur_prime_set
 from .bound import BoundParams, BoundReport, assemble_bound, candidate_discriminants, verify_prime_membership
 

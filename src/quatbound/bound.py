@@ -11,8 +11,8 @@ from math import prod
 from .arith import FactorBudget, is_prime, primes_up_to
 from .quadfield import FieldContext, splitting_type
 from .classgroup import SplitPrime, choose_S, enumerate_S0, generates, principal_form
-from .weilsets import ASet, families_A1_A2, family_A3, intersection_set, prime_support, trace_set
-from .mazur import SplitPrimeWalk, is_in_mazur, mazur_prime_set
+from .weilsets import intersection_set, prime_support, trace_families
+from .mazur import is_in_mazur, mazur_prime_set
 
 SMALL_PRIME_CAP = 23
 
@@ -20,39 +20,41 @@ SMALL_PRIME_CAP = 23
 BoundParams = namedtuple("BoundParams", "s0_count mazur_bound factor_budget S_override",
                          defaults=(4, 10**6, FactorBudget(), None))
 
-# a1_families and a2_families hold one raw family per S0 member; a1_set and
-# a2_set are their intersections, whose elements are the factored gcds
-FamilySets = namedtuple("FamilySets", "S s0_truncation a1_families a2_families "
-                                      "a1_set a2_set a3_set")
+# families maps "A1", "A2" and "A3" to their raw families (trace_families), and
+# sets each name to one factored family: the A1/A2 gcds, the A3 family itself
+FamilySets = namedtuple("FamilySets", "S s0_truncation families sets")
 
 # components maps each component's name to its primes; mazur is a MazurResult
 BoundReport = namedtuple("BoundReport", FamilySets._fields
                          + ("components", "union", "certified", "mazur", "caveats"))
 
 
-def _divides_one(p: int, family: ASet) -> bool:
-    return any(v % p == 0 for v in family.elements if v != 0)
+def _support(key: str):
+    return lambda ctx, fs, mz: fs.sets[key].support
+
+
+def _in_every(key: str):
+    """p divides a nonzero element of every raw family under key."""
+    return lambda ctx, p, rep: all(any(v % p == 0 for v in f.elements if v != 0)
+                                   for f in rep.families[key])
 
 
 # One (name, primes, claims, factored) row per component, in claim order:
 # primes from (ctx, FamilySets, MazurResult); claims re-derives p's membership
 # from the raw evidence alone; a factored row must agree only when certified.
 COMPONENTS = (
-    ("ram", lambda ctx, sets, mz: frozenset(ctx.ram_primes),
-     lambda ctx, p, rep, walk: ctx.D % p == 0, False),
-    ("small", lambda ctx, sets, mz: frozenset(primes_up_to(SMALL_PRIME_CAP)),
-     lambda ctx, p, rep, walk: p <= SMALL_PRIME_CAP, False),
-    ("a1_intersection", lambda ctx, sets, mz: sets.a1_set.support,
-     lambda ctx, p, rep, walk: all(_divides_one(p, f) for f in rep.a1_families), True),
-    ("a2_intersection", lambda ctx, sets, mz: sets.a2_set.support,
-     lambda ctx, p, rep, walk: all(_divides_one(p, f) for f in rep.a2_families), True),
-    ("a3_support", lambda ctx, sets, mz: sets.a3_set.support,
-     lambda ctx, p, rep, walk: _divides_one(p, rep.a3_set), True),
-    ("mazur_primes", lambda ctx, sets, mz: frozenset(mz.members),
-     lambda ctx, p, rep, walk: (p % 4 == 1 and p <= rep.mazur.bound
-                                and is_in_mazur(ctx, p, walk)), False),
-    ("l_of_S", lambda ctx, sets, mz: frozenset(q.l for q in sets.S),
-     lambda ctx, p, rep, walk: p in [q.l for q in rep.S], False),
+    ("ram", lambda ctx, fs, mz: frozenset(ctx.ram_primes),
+     lambda ctx, p, rep: ctx.D % p == 0, False),
+    ("small", lambda ctx, fs, mz: frozenset(primes_up_to(SMALL_PRIME_CAP)),
+     lambda ctx, p, rep: p <= SMALL_PRIME_CAP, False),
+    ("a1_intersection", _support("A1"), _in_every("A1"), True),
+    ("a2_intersection", _support("A2"), _in_every("A2"), True),
+    ("a3_support", _support("A3"), _in_every("A3"), True),
+    ("mazur_primes", lambda ctx, fs, mz: frozenset(mz.members),
+     lambda ctx, p, rep: (p % 4 == 1 and p <= rep.mazur.bound
+                          and is_in_mazur(ctx, p)), False),
+    ("l_of_S", lambda ctx, fs, mz: frozenset(q.l for q in fs.S),
+     lambda ctx, p, rep: p in [q.l for q in rep.S], False),
 )
 
 
@@ -65,37 +67,30 @@ def assemble_sets(ctx: FieldContext, params: BoundParams = BoundParams()) -> Fam
         S = _validated_override(ctx, params.S_override)
     else:
         S = choose_S(ctx)
-    traces = {l: trace_set(l, ctx.h) for l in {q.l for q in (*s0, *S)}}
-    pairs = [families_A1_A2(ctx, q, traces) for q in s0]
-    a1_families = [a1 for a1, _ in pairs]
-    a2_families = [a2 for _, a2 in pairs]
-    return FamilySets(
-        S=S,
-        s0_truncation=s0,
-        a1_families=a1_families,
-        a2_families=a2_families,
-        a1_set=intersection_set(a1_families, params.factor_budget),
-        a2_set=intersection_set(a2_families, params.factor_budget),
-        a3_set=prime_support(family_A3(ctx, S, traces), params.factor_budget),
-    )
+    families = trace_families(ctx, s0, S)
+    budget = params.factor_budget
+    sets = {"A1": intersection_set(families["A1"], budget),
+            "A2": intersection_set(families["A2"], budget),
+            "A3": prime_support(families["A3"][0], budget)}
+    return FamilySets(S=S, s0_truncation=s0, families=families, sets=sets)
 
 
 def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> BoundReport:
     """Compute every component of the containment and union them.  Raises
     ClassNumberOne, from enumerate_S0, when k has class number 1."""
-    sets = assemble_sets(ctx, params)
+    fs = assemble_sets(ctx, params)
 
     mz = mazur_prime_set(ctx, params.mazur_bound)
     caveats = [f"mazur set truncated at bound {params.mazur_bound}"]
 
-    certified = sets.a1_set.certified and sets.a2_set.certified and sets.a3_set.certified
+    certified = all(s.certified for s in fs.sets.values())
     if not certified:
         caveats.append("factor budget exhausted; unfactored cofactors listed")
 
-    components = {name: primes(ctx, sets, mz) for name, primes, _, _ in COMPONENTS}
+    components = {name: primes(ctx, fs, mz) for name, primes, _, _ in COMPONENTS}
     union = frozenset().union(*components.values())
     return BoundReport(
-        *sets,
+        *fs,
         components=components,
         union=union,
         certified=certified,
@@ -123,14 +118,12 @@ def _validated_override(ctx: FieldContext, ls: tuple[int, ...]) -> list[SplitPri
     return out
 
 
-def verify_prime_membership(ctx: FieldContext, p: int, report: BoundReport,
-                            walk: SplitPrimeWalk | None = None) -> tuple[str, ...]:
+def verify_prime_membership(ctx: FieldContext, p: int, report: BoundReport) -> tuple[str, ...]:
     """The names of the components whose rows of COMPONENTS claim p; raises
-    where a claim and the report disagree.  The Mazur claims of one request's
-    calls share their walk, a SplitPrimeWalk of ctx (is_in_mazur)."""
+    where a claim and the report disagree."""
     names, components = [], report.components
     for name, _, claims, factored in COMPONENTS:
-        claimed, listed = claims(ctx, p, report, walk), p in components[name]
+        claimed, listed = claims(ctx, p, report), p in components[name]
         if claimed != listed and (report.certified or not factored):
             raise RuntimeError(
                 f"evidence mismatch for p={p} in {name}: "

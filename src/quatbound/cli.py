@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 from .arith import FactorBudget
 from .quadfield import FieldContext, make_field
 from .classgroup import ClassNumberOne, enumerate_S0, form_order, reduced_forms
-from .mazur import SplitPrimeWalk, mazur_prime_set
+from .mazur import mazur_prime_set
 from .weilsets import ASet
 from .bound import (BoundParams, BoundReport, FamilySets, assemble_bound, assemble_sets,
                     candidate_discriminants, verify_prime_membership)
@@ -126,7 +126,7 @@ def _report_doc(ctx, report: BoundReport, cands) -> dict:
             "union": _slist(report.union),
             "certified": report.certified,
             "caveats": list(report.caveats),
-            "intersections": [report.a1_set, report.a2_set],
+            "intersections": [report.sets["A1"], report.sets["A2"]],
         },
     }
     if cands is not None:
@@ -253,18 +253,17 @@ def _run(args, ctx, budget) -> tuple[dict, int]:
     if sub == "candidates":
         cands = candidate_discriminants(ctx, report, args.max_factors)
     if sub == "verify":
-        walk = SplitPrimeWalk(ctx)
         for p in sorted(report.union):
-            verify_prime_membership(ctx, p, report, walk)
+            verify_prime_membership(ctx, p, report)
     code = 3 if args.require_certified and not report.certified else 0
     return _report_doc(ctx, report, cands), code
 
 
 def _all_families(report: FamilySets) -> list[ASet]:
     # A1/A2 families are emitted raw; their factored gcds are listed under
-    # bound.intersections
-    pairs = zip(report.a1_families, report.a2_families)
-    return [f for pair in pairs for f in pair] + [report.a3_set]
+    # bound.intersections.  A3 is emitted factored.
+    pairs = zip(report.families["A1"], report.families["A2"])
+    return [f for pair in pairs for f in pair] + [report.sets["A3"]]
 
 
 def _parse_S(spec: str | None):

@@ -3,7 +3,6 @@
 searched here up to a configurable bound."""
 
 from collections import namedtuple
-from itertools import count
 
 from .arith import is_prime, kronecker
 from .quadfield import FieldContext, is_fundamental, split_primes
@@ -12,30 +11,15 @@ from .quadfield import FieldContext, is_fundamental, split_primes
 MazurResult = namedtuple("MazurResult", "bound members")
 
 
-class SplitPrimeWalk:
-    """split_primes(ctx) walked once for many passes: a pass reads the
-    primes found so far by index, and a pass past their end walks on and
-    keeps the prime it finds for every later pass."""
-
-    def __init__(self, ctx: FieldContext):
-        self.found, self.rest = [], split_primes(ctx)
-
-    def __iter__(self):
-        for i in count():
-            if i == len(self.found):
-                self.found.append(next(self.rest))
-            yield self.found[i]
-
-
-def is_in_mazur(ctx: FieldContext, N: int, walk: SplitPrimeWalk | None = None) -> bool:
+def is_in_mazur(ctx: FieldContext, N: int) -> bool:
     """Membership test: every split-in-k prime l with 2 < l < |N|/4 must
     have kronecker(N, l) != 1.  Vacuously true when the range is empty.
     The split primes are walked by Kronecker symbol alone, independent of
-    mazur_prime_set's bitset sieve, up to the first witness; calls given
-    one walk of ctx share it, so each prime is found once."""
+    mazur_prime_set's bitset sieve, up to the first witness; every call
+    reads the field's one list of split primes, so each is found once."""
     if not is_fundamental(N):
         raise ValueError(f"{N} is not a fundamental discriminant")
-    for l in walk or SplitPrimeWalk(ctx):
+    for l in split_primes(ctx):
         if 4 * l >= abs(N):  # l < |N|/4  <=>  4l < |N|
             return True
         if l > 2 and kronecker(N, l) == 1:

@@ -3,6 +3,7 @@ splitting, and the field context that carries the class data."""
 
 from collections import namedtuple
 from functools import cached_property
+from itertools import count
 from math import lcm
 
 from .arith import FactoredInteger, factor, kronecker, prime_stream
@@ -33,9 +34,14 @@ def is_fundamental(D: int) -> bool:
 class FieldContext(namedtuple("FieldContext", "D ram_primes")):
     """The field k = Q(sqrt(D)): fundamental discriminant and ramified
     primes.  The class number, the greedy generating set of the class
-    group and the class-group exponent h are computed once, on first use,
-    and kept in the instance dict, which is why the class has no
-    __slots__."""
+    group, the class-group exponent h and the list of split primes are
+    computed once, on first use, and kept in the instance dict, which is
+    why the class has no __slots__."""
+
+    @cached_property
+    def _split(self) -> tuple:
+        """The split primes found so far and the walk that finds the rest."""
+        return [], (l for l in prime_stream() if kronecker(self.D, l) == 1)
 
     @cached_property
     def class_number(self) -> int:
@@ -87,7 +93,11 @@ def splitting_type(ctx: FieldContext, p: int) -> str:
 
 
 def split_primes(ctx: FieldContext):
-    """The primes split in k, ascending and without end."""
-    for l in prime_stream():
-        if splitting_type(ctx, l) == "split":
-            yield l
+    """The primes split in k, ascending and without end: the field's one
+    list read by index, which a walk past its end extends for every later
+    walk, so each prime is classified once per field."""
+    found, rest = ctx._split
+    for i in count():
+        if i == len(found):
+            found.append(next(rest))
+        yield found[i]

@@ -93,25 +93,24 @@ def _trace_differences(
     )
 
 
-def families_A1_A2(ctx: FieldContext, q: SplitPrime,
-                   traces: dict[int, dict[int, int]]) -> tuple[ASet, ASet]:
-    """The A1 and A2 families of the S0 member q, from one beta and traces[q.l]:
-    the traces shifted by those of beta^24 and l^8h*beta^8."""
-    t, _ = beta_for(ctx, q)
-    n = q.l**ctx.h
-    a1_shift = trace_power(t, n, 24)
-    a2_shift = q.l ** (8 * ctx.h) * trace_power(t, n, 8)
-    return (_trace_differences("A1", ctx.h, [(q.l, traces[q.l], a1_shift)]),
-            _trace_differences("A2", ctx.h, [(q.l, traces[q.l], a2_shift)]))
-
-
-def family_A3(ctx: FieldContext, S: list[SplitPrime],
-              traces: dict[int, dict[int, int]]) -> ASet:
-    """The A3 family over S, each traces[q.l] = trace_set(q.l, ctx.h)."""
+def trace_families(ctx: FieldContext, s0: list[SplitPrime],
+                   S: list[SplitPrime]) -> dict[str, tuple[ASet, ...]]:
+    """The raw families by name, from one trace set per l of S0 and S: an
+    A1 and an A2 family per S0 member q, its traces shifted by those of
+    beta^24 and l^8h*beta^8 for one beta of q^h, and the A3 family over S,
+    shifted by 2*l^12h.  An empty S would leave A3 empty: it is refused."""
     if not S:
-        raise ValueError("family_A3: S must be nonempty")
-    return _trace_differences(
-        "A3", ctx.h, [(q.l, traces[q.l], 2 * q.l ** (12 * ctx.h)) for q in S])
+        raise ValueError("trace_families: S must be nonempty")
+    h = ctx.h
+    traces = {l: trace_set(l, h) for l in {q.l for q in (*s0, *S)}}
+    betas = [(q.l, beta_for(ctx, q)[0]) for q in s0]
+    return {
+        "A1": tuple(_trace_differences("A1", h, [(l, traces[l], trace_power(t, l**h, 24))])
+                    for l, t in betas),
+        "A2": tuple(_trace_differences("A2", h, [
+            (l, traces[l], l ** (8 * h) * trace_power(t, l**h, 8))]) for l, t in betas),
+        "A3": (_trace_differences("A3", h, [(q.l, traces[q.l], 2 * q.l ** (12 * h)) for q in S]),),
+    }
 
 
 def _lucas_parts(l: int, m: int, h: int) -> tuple[int, dict[int, int]]:

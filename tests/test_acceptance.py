@@ -14,7 +14,7 @@ from quatbound.classgroup import class_number, enumerate_S0
 from quatbound.cli import main
 from quatbound.mazur import mazur_prime_set
 from quatbound.quadfield import is_fundamental, make_field
-from quatbound.weilsets import beta_for, families_A1_A2, family_A3, trace_power, trace_set
+from quatbound.weilsets import beta_for, trace_families, trace_power, trace_set
 
 TEST_FIELDS = (-20, -23, -24, -47, -84)
 
@@ -55,9 +55,8 @@ def test_criterion_1_end_to_end_sqrt_minus_5(tmp_path):
     assert trace_power(beta.trace, 9, 8) == 11842
     assert trace_power(beta.trace, 9, 24) == 131360949442
 
-    traces = {3: trace_set(3, ctx.h)}
-    a1, a2 = families_A1_A2(ctx, q3, traces)
-    a3 = family_A3(ctx, [q3], traces)
+    families = trace_families(ctx, [q3], [q3])
+    (a1,), (a2,), (a3,) = families["A1"], families["A2"], families["A3"]
     assert 0 in a3.elements
     assert 0 not in a1.elements
     assert 0 not in a2.elements
@@ -130,7 +129,8 @@ def test_criterion_5_nonvanishing():
     for D in TEST_FIELDS:
         ctx = _ctx(D)
         for q in enumerate_S0(ctx, 5):
-            a1, a2 = families_A1_A2(ctx, q, {q.l: trace_set(q.l, ctx.h)})
+            families = trace_families(ctx, [q], [q])
+            (a1,), (a2,) = families["A1"], families["A2"]
             assert 0 not in a1.elements, (D, q.l)
             assert 0 not in a2.elements, (D, q.l)
     _report("criterion 5: 0 absent from A1 and A2 for first 5 of S0, all fields")

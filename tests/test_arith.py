@@ -24,7 +24,7 @@ from quatbound.arith import (
 from quatbound.classgroup import choose_S
 from quatbound.cli import main
 from quatbound.quadfield import make_field
-from quatbound.weilsets import _lucas_parts, family_A3, trace_set
+from quatbound.weilsets import _lucas_parts, trace_families
 
 
 def legendre_euler(a, p):
@@ -588,7 +588,7 @@ class TestTrialDivision:
         # A3 element, and removed a prime of d from some part
         ctx = make_field(-2999)
         S = choose_S(ctx)
-        a3 = family_A3(ctx, S, {q.l: trace_set(q.l, ctx.h) for q in S})
+        (a3,) = trace_families(ctx, [], S)["A3"]
         (lucas,) = (o for v, o in zip(a3.elements, a3.lucas) if v)
         assert (abs(_lucas_parts(*lucas)[1][876]), 876) in {(n, d) for n, d, _ in seen}
         # d = 2 is the shared list of all the primes

@@ -15,9 +15,8 @@ from quatbound.bound import (
 )
 from quatbound.classgroup import ClassNumberOne
 from quatbound.cli import main
-from quatbound.mazur import SplitPrimeWalk
 from quatbound.quadfield import make_field, splitting_type
-from quatbound.weilsets import families_A1_A2, trace_set
+from quatbound.weilsets import trace_families
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +91,8 @@ class TestAssemble:
         assert "mazur set truncated at bound 10000" in report20.caveats
 
     def test_intersection_sets_carried(self, report20):
-        for name, inter in (("a1_intersection", report20.a1_set),
-                            ("a2_intersection", report20.a2_set)):
+        for name, inter in (("a1_intersection", report20.sets["A1"]),
+                            ("a2_intersection", report20.sets["A2"])):
             assert inter.certified and inter.support == report20.components[name]
             assert inter.q_list == tuple(q.l for q in report20.s0_truncation)
             assert all(f.reconstruct() == v
@@ -102,10 +101,11 @@ class TestAssemble:
 
     def test_families_carried(self, ctx20, report20):
         s0 = report20.s0_truncation
-        pairs = [families_A1_A2(ctx20, q, {q.l: trace_set(q.l, ctx20.h)}) for q in s0]
-        assert report20.a1_families == [a1 for a1, _ in pairs]
-        assert report20.a2_families == [a2 for _, a2 in pairs]
-        assert report20.a3_set.q_list == tuple(q.l for q in report20.S)
+        pairs = [trace_families(ctx20, [q], report20.S) for q in s0]
+        assert report20.families["A1"] == tuple(f["A1"][0] for f in pairs)
+        assert report20.families["A2"] == tuple(f["A2"][0] for f in pairs)
+        assert report20.sets["A3"].q_list == tuple(q.l for q in report20.S)
+        assert report20.families["A3"] == (report20.sets["A3"]._replace(factorizations=()),)
 
 
 class TestBuildOnce:
@@ -148,14 +148,14 @@ class TestVerify:
 
     @pytest.mark.parametrize("D", [-20, -23, -84, -71, -419, -3299])
     def test_shared_walk_same_claims(self, D):
-        # the benchmark's verify fields at the default bound of 10^6: one
-        # walk shared by every union prime makes the claims of a walk each
+        # the benchmark's verify fields at the default bound of 10^6: a
+        # context whose split primes the report's assembly found makes the
+        # claims of a fresh context
         ctx = make_field(D)
         rep = assemble_bound(ctx)
-        walk = SplitPrimeWalk(ctx)
         union = sorted(rep.union)
-        assert ([verify_prime_membership(ctx, p, rep, walk) for p in union]
-                == [verify_prime_membership(ctx, p, rep) for p in union])
+        assert ([verify_prime_membership(ctx, p, rep) for p in union]
+                == [verify_prime_membership(make_field(D), p, rep) for p in union])
         assert any("mazur_primes" in verify_prime_membership(ctx, p, rep) for p in union)
 
 
@@ -247,7 +247,7 @@ class TestComponentTable:
     def test_row_mutant_caught(self, monkeypatch, field_reports, row, verdict):
         table = list(bound.COMPONENTS)
         name, primes, _, factored = table[row]
-        table[row] = (name, primes, lambda ctx, p, rep, walk: verdict, factored)
+        table[row] = (name, primes, lambda ctx, p, rep: verdict, factored)
         monkeypatch.setattr(bound, "COMPONENTS", tuple(table))
 
         def caught(ctx, rep, p):

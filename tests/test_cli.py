@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatbound import bound, classgroup, cli, mazur, weilsets
+from quatbound import bound, classgroup, cli, quadfield, weilsets
 from quatbound.arith import FactorBudget, FactoredInteger, factor
 from quatbound.cli import main
 
@@ -134,20 +134,23 @@ class TestOneMazurSearch:
         assert len(calls) == 1
         assert doc["mazur"]["bound"] == "10000"
 
-    def test_verify_walks_split_primes_once(self, tmp_path, monkeypatch):
-        # one walk for the sieve and one shared by every Mazur claim
-        walks = []
-        real = mazur.split_primes
+    def test_verify_classifies_each_split_prime_once(self, tmp_path, monkeypatch):
+        # the generating set, S0, the Mazur sieve and every Mazur claim read
+        # the field's one list of split primes
+        pairs = Counter()
+        real = quadfield.kronecker
 
-        def counting(ctx):
-            walks.append(ctx.D)
-            return real(ctx)
+        def counting(D, l):
+            pairs[D, l] += 1
+            return real(D, l)
 
-        monkeypatch.setattr(mazur, "split_primes", counting)
+        monkeypatch.setattr(quadfield, "kronecker", counting)
         code, doc = run(tmp_path, "verify", "--d", "-3299", *BASE)
         assert code == 0
         claims = [p for p in map(int, doc["bound"]["union"]) if p % 4 == 1 and p <= 10**4]
-        assert len(claims) > 1 and walks == [-3299, -3299]
+        assert len(claims) > 1 and len(pairs) >= 20
+        assert {D for D, _ in pairs} == {-3299}
+        assert [pair for pair, n in pairs.items() if n > 1] == []
 
     def test_sets_runs_none(self, tmp_path, monkeypatch):
         # sets prints no Mazur primes, so it must not search for them
@@ -168,9 +171,8 @@ class TestOneFamilyBuild:
         # one beta per S0 member for both A1 and A2, and class orders only
         # for the generating set that gives h
         calls = Counter()
-        for module, name in ((bound, "families_A1_A2"), (bound, "family_A3"),
-                             (bound, "trace_set"), (weilsets, "beta_for"),
-                             (classgroup, "form_order")):
+        for module, name in ((bound, "trace_families"), (weilsets, "trace_set"),
+                             (weilsets, "beta_for"), (classgroup, "form_order")):
             def counting(*args, _name=name, _real=getattr(module, name)):
                 calls[_name] += 1
                 return _real(*args)
@@ -182,8 +184,10 @@ class TestOneFamilyBuild:
         assert s0_count == 4
         # one trace set per l of S0 and S together
         ls = set(doc["s0_truncation"]) | set(doc["S"])
-        assert calls == {"families_A1_A2": s0_count, "family_A3": 1, "trace_set": len(ls),
+        assert calls == {"trace_families": 1, "trace_set": len(ls),
                          "beta_for": s0_count, "form_order": len(doc["S"])}
+        # one A1 and one A2 family per S0 member, and one A3 family
+        assert [f["family"] for f in doc["families"]] == ["A1", "A2"] * s0_count + ["A3"]
 
 
 GOLDEN = Path(__file__).parent / "data"

@@ -2,10 +2,10 @@ import inspect
 
 import pytest
 
-from quatbound import mazur
+from quatbound import mazur, quadfield
 from quatbound.arith import kronecker, primes_up_to
-from quatbound.mazur import SplitPrimeWalk, is_in_mazur, mazur_prime_set
-from quatbound.quadfield import is_fundamental, make_field, splitting_type
+from quatbound.mazur import is_in_mazur, mazur_prime_set
+from quatbound.quadfield import is_fundamental, make_field, split_primes, splitting_type
 
 # The fields of the benchmark's small_panel workload.
 SMALL_PANEL_FIELDS = (-20, -23, -84, -71, -419, -3299)
@@ -109,19 +109,21 @@ class TestIsInMazur:
             expected = [independent_recheck(N, split) for N in range(-4000, 4001)
                         if N not in (0, 1) and is_fundamental(N)]
             assert got == expected and 0 < sum(got) < len(got)
-            # one walk shared by every call, in an order that is not ascending
-            walk = SplitPrimeWalk(ctx)
-            shared = [is_in_mazur(ctx, N, walk) for N in range(4000, -4001, -1)
+            # a fresh context, whose one list of split primes every call
+            # extends, in an order that is not ascending
+            fresh = make_field(ctx.D)
+            shared = [is_in_mazur(fresh, N) for N in range(4000, -4001, -1)
                       if N not in (0, 1) and is_fundamental(N)]
             assert shared == expected[::-1]
-            odd = [l for l in walk.found if l > 2]
+            odd = [l for l in fresh._split[0] if l > 2]
             assert odd == split[:len(odd)]
 
-    def test_stops_at_first_witness(self, ctx20, monkeypatch):
+    def test_stops_at_first_witness(self, monkeypatch):
         # l = 3 splits in k and in Q(sqrt(N)) for N = 4*10^7 + 9 (= 1 mod 3):
         # no split prime past it is classified
         N = 4 * 10**7 + 9
         assert is_fundamental(N) and kronecker(N, 3) == 1
+        ctx = make_field(-20)
         walked = []
 
         def recording(ctx):
@@ -131,39 +133,37 @@ class TestIsInMazur:
 
         real = mazur.split_primes
         monkeypatch.setattr(mazur, "split_primes", recording)
-        assert not is_in_mazur(ctx20, N)
-        assert walked == [3]
+        assert not is_in_mazur(ctx, N)
+        assert walked == [3] and ctx._split[0] == [3]
 
-    def test_shared_walk_finds_each_prime_once(self, ctx20, monkeypatch):
-        # one split_primes walk for every call given the walk; a call walks
-        # on only past the primes that earlier calls found
-        walks, walked = [], []
+    def test_shared_walk_finds_each_prime_once(self, monkeypatch):
+        # every call reads the field's one list of split primes; a call
+        # classifies primes only past those that earlier calls found
+        ctx = make_field(-20)
+        classified = []
 
-        def recording(ctx):
-            walks.append(ctx)
-            for l in real(ctx):
-                walked.append(l)
-                yield l
+        def recording(D, l):
+            classified.append(l)
+            return real(D, l)
 
-        real = mazur.split_primes
-        monkeypatch.setattr(mazur, "split_primes", recording)
-        walk = SplitPrimeWalk(ctx20)
+        real = quadfield.kronecker
+        monkeypatch.setattr(quadfield, "kronecker", recording)
         N = 4 * 10**7 + 9  # l = 3 is a witness
-        members = [p for p in primes_up_to(2000) if p % 4 == 1 and is_in_mazur(ctx20, p, walk)]
-        assert not is_in_mazur(ctx20, N, walk)
-        assert members and len(walks) == 1
-        assert walked == walk.found == [l for l in primes_up_to(walked[-1])
-                                        if splitting_type(ctx20, l) == "split"]
-        assert 4 * walked[-1] >= max(members)
+        members = [p for p in primes_up_to(2000) if p % 4 == 1 and is_in_mazur(ctx, p)]
+        assert not is_in_mazur(ctx, N)
+        found = ctx._split[0]
+        assert members and classified == primes_up_to(found[-1])
+        assert found == [l for l in classified if kronecker(ctx.D, l) == 1]
+        assert 4 * found[-1] >= max(members)
 
-    def test_passes_may_interleave(self, ctx20):
+    def test_passes_may_interleave(self):
         # every pass reads the one list by index, wherever the others are
-        walk = SplitPrimeWalk(ctx20)
-        a, b = iter(walk), iter(walk)
+        ctx = make_field(-20)
+        a, b = split_primes(ctx), split_primes(ctx)
         first = [next(a) for _ in range(3)]
         second = [next(b) for _ in range(5)]
         first += [next(a) for _ in range(2)]
-        assert first == second == walk.found == [3, 7, 23, 29, 41]
+        assert first == second == ctx._split[0] == [3, 7, 23, 29, 41]
 
 
 class TestMazurPrimeSet:

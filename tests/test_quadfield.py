@@ -163,9 +163,11 @@ class TestSplitting:
 
 class TestSplitPrimes:
     def test_one_walk_sieves_each_number_once(self, contexts, fresh, segment_calls):
-        # a process sieves each number at most once: walks read one list
+        # a process sieves each number at most once: walks read one list.
+        # The contexts are built after fresh, since a context keeps the
+        # split primes it has found
         calls = segment_calls
-        for ctx in contexts.values():
+        for ctx in map(make_field, contexts):
             got = list(takewhile(lambda l: l <= 2**14, split_primes(ctx)))
             assert got == [l for l in range(2, 2**14 + 1) if old_prime_divisors(l) == [l]
                            and splitting_type(ctx, l) == "split"], ctx.D

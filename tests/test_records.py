@@ -26,7 +26,7 @@ def test_cli_import_loads_no_record_machinery():
 
 def test_fields_cannot_be_assigned(ctx20):
     report = assemble_bound(ctx20, BoundParams(mazur_bound=10**4))
-    records = (ctx20, report.S[0].form, factor(-12), report.a3_set, report)
+    records = (ctx20, report.S[0].form, factor(-12), report.sets["A3"], report)
     for record in records:
         for name in record._fields:
             with pytest.raises(AttributeError):

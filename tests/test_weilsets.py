@@ -15,23 +15,23 @@ from quatbound.weilsets import (
     _lucas,
     _lucas_parts,
     beta_for,
-    families_A1_A2,
-    family_A3,
     intersection_set,
     prime_support,
+    trace_families,
     trace_power,
     trace_set,
 )
 
 
 def build_A1_A2(ctx, q):
-    """families_A1_A2 of q, given its trace set."""
-    return families_A1_A2(ctx, q, {q.l: trace_set(q.l, ctx.h)})
+    """The A1 and A2 families of the S0 member q (trace_families over {q})."""
+    families = trace_families(ctx, [q], [q])
+    return families["A1"][0], families["A2"][0]
 
 
 def build_A3(ctx, S):
-    """family_A3 over S, given the trace set of each member."""
-    return family_A3(ctx, S, {q.l: trace_set(q.l, ctx.h) for q in S})
+    """The A3 family over S (trace_families with no S0 member)."""
+    return trace_families(ctx, [], S)["A3"][0]
 
 
 def quadint_pow(u: QuadInt, e: int) -> QuadInt:
@@ -196,6 +196,19 @@ class TestFamilies:
         assert len(a3.elements) <= 7
         with pytest.raises(ValueError):
             build_A3(ctx20, [])
+        # also with S0 members: an empty S would leave A3 empty
+        with pytest.raises(ValueError, match="S must be nonempty"):
+            trace_families(ctx20, enumerate_S0(ctx20, 4), [])
+
+    def test_families_by_name(self, ctx20):
+        # one A1 and one A2 family per S0 member, in S0 order, and one A3
+        s0, S = enumerate_S0(ctx20, 4), choose_S(ctx20)
+        families = trace_families(ctx20, s0, S)
+        assert list(families) == ["A1", "A2", "A3"]
+        for i, q in enumerate(s0):
+            assert (families["A1"][i], families["A2"][i]) == build_A1_A2(ctx20, q)
+            assert families["A1"][i].q_list == families["A2"][i].q_list == (q.l,)
+        assert families["A3"] == (build_A3(ctx20, S),)
 
 
 class TestPrimeSupport:
@@ -384,7 +397,7 @@ def whole_element_factorizations(aset, budget):
 
 @pytest.fixture(scope="module")
 def a3_panel():
-    """family_A3 of every fundamental D in [-500, -3] with h_k > 1, and of
+    """The A3 family of every fundamental D in [-500, -3] with h_k > 1, and of
     -1151 (h = 41)."""
     out = []
     for D in [*range(-3, -501, -1), -1151]:
