@@ -7,8 +7,6 @@ from .classgroup import (
     ClassNumberOne,
     QuadForm,
     SplitPrime,
-    choose_S,
-    class_number,
     compose,
     enumerate_S0,
     form_order,

@@ -10,7 +10,7 @@ from math import prod
 
 from .arith import FactorBudget, is_prime, primes_up_to
 from .quadfield import FieldContext, splitting_type
-from .classgroup import SplitPrime, choose_S, enumerate_S0, generates, principal_form
+from .classgroup import SplitPrime, enumerate_S0, generates, principal_form
 from .weilsets import intersection_set, prime_support, trace_families
 from .mazur import is_in_mazur, mazur_prime_set
 
@@ -66,7 +66,7 @@ def assemble_sets(ctx: FieldContext, params: BoundParams = BoundParams()) -> Fam
     if params.S_override is not None:
         S = _validated_override(ctx, params.S_override)
     else:
-        S = choose_S(ctx)
+        S = list(ctx.generators)
     families = trace_families(ctx, s0, S)
     budget = params.factor_budget
     sets = {"A1": intersection_set(families["A1"], budget),

@@ -1,13 +1,13 @@
 """Class group of an imaginary quadratic field via reduced binary quadratic
 forms: Dirichlet composition, form powers, principal generators, class
-number, class orders, and the split-prime sets feeding the trace families.
-A form (a, b, c) stands for the ideal Z*a + Z*(-b + sqrt(D))/2."""
+orders, and the one generating-set walk that gives the group and the
+split-prime sets feeding the trace families.  A form (a, b, c) stands for
+the ideal Z*a + Z*(-b + sqrt(D))/2."""
 
 from collections import namedtuple
-from itertools import islice
-from math import gcd, isqrt
+from itertools import islice, takewhile
 
-from .arith import kronecker
+from .arith import kronecker, prime_stream
 from .quadfield import FieldContext, split_primes
 
 
@@ -76,27 +76,19 @@ def principal_form(D: int) -> QuadForm:
     return QuadForm(1, 1, (1 - D) // 4)
 
 
+def _prime_classes(D: int) -> set[QuadForm]:
+    """The classes of the degree-1 primes p with 3p^2 <= |D|, which
+    generate the class group: every class holds a reduced form (a, b, c),
+    3a^2 <= |D| (Cohen, GTM 138, Section 5.3), the form of an ideal of norm
+    a, a product of primes of norm <= a; an inert prime's ideal is
+    principal."""
+    small = takewhile(lambda p: 3 * p * p <= -D, prime_stream())
+    return {reduce_form(*prime_form(D, p)) for p in small if kronecker(D, p) != -1}
+
+
 def reduced_forms(D: int) -> list[QuadForm]:
     """All reduced primitive forms of discriminant D < 0, one per class."""
-    forms = []
-    a_max = isqrt(-D // 3)
-    for a in range(1, a_max + 1):
-        for b in range(-a + 1, a + 1):
-            if (b * b - D) % (4 * a) != 0:
-                continue
-            c = (b * b - D) // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and a == c:
-                continue
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            forms.append(QuadForm(a, b, c))
-    return sorted(forms)
-
-
-def class_number(D: int) -> int:
-    return len(reduced_forms(D))
+    return sorted(subgroup_closure(D, _prime_classes(D)))
 
 
 def _sqrt_mod(n: int, l: int) -> int:
@@ -197,14 +189,10 @@ class ClassNumberOne(ValueError):
     nothing to bound."""
 
 
-def _require_class_number_above_1(ctx: FieldContext) -> None:
-    if ctx.class_number == 1:
-        raise ClassNumberOne("theorem inapplicable: class number is 1")
-
-
 def enumerate_S0(ctx: FieldContext, count: int) -> list[SplitPrime]:
     """The first `count` split non-principal degree-1 primes, by norm."""
-    _require_class_number_above_1(ctx)
+    if ctx.class_number == 1:
+        raise ClassNumberOne("theorem inapplicable: class number is 1")
     if count < 1:
         raise ValueError(f"S0 count must be >= 1, got {count}")
     return list(islice(_split_primes(ctx), count))
@@ -246,23 +234,21 @@ def generates(ctx: FieldContext, classes: set[QuadForm]) -> bool:
     return len(subgroup_closure(ctx.D, classes)) == ctx.class_number
 
 
-def generating_set(ctx: FieldContext) -> tuple[SplitPrime, ...]:
-    """Greedy-minimal generating subset: walk the split non-principal primes
-    by norm, keep a prime iff its class is not yet in the generated
-    subgroup, stop once the whole group is hit (at once for class number
-    1).  FieldContext.generators caches it."""
+def generating_set(ctx: FieldContext) -> tuple[tuple[SplitPrime, ...], frozenset[QuadForm]]:
+    """The greedy-minimal generating subset S and the reduced forms of the
+    group it generates: walk the split non-principal primes by norm, keep a
+    prime iff its class is not yet in the generated subgroup, and stop once
+    that subgroup holds the classes of _prime_classes, which generate the
+    class group (at once for class number 1).  FieldContext caches the
+    pair."""
     H = {principal_form(ctx.D)}
     chosen: list[SplitPrime] = []
     primes = _split_primes(ctx)
-    while len(H) < ctx.class_number:
+    missing = _prime_classes(ctx.D) - H
+    while missing:
         q = next(primes)
         if q.form not in H:
             H = _extend(ctx.D, H, q.form)
             chosen.append(q)
-    return tuple(chosen)
-
-
-def choose_S(ctx: FieldContext) -> list[SplitPrime]:
-    """The field's generating set (FieldContext.generators)."""
-    _require_class_number_above_1(ctx)
-    return list(ctx.generators)
+            missing -= H
+    return tuple(chosen), frozenset(H)

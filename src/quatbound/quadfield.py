@@ -33,10 +33,11 @@ def is_fundamental(D: int) -> bool:
 
 class FieldContext(namedtuple("FieldContext", "D ram_primes")):
     """The field k = Q(sqrt(D)): fundamental discriminant and ramified
-    primes.  The class number, the greedy generating set of the class
-    group, the class-group exponent h and the list of split primes are
-    computed once, on first use, and kept in the instance dict, which is
-    why the class has no __slots__."""
+    primes.  One generating-set walk (classgroup.generating_set) gives the
+    greedy generating set of the class group and the group itself, whose
+    size is the class number; that walk, the class-group exponent h and
+    the list of split primes are computed once, on first use, and kept in
+    the instance dict, which is why the class has no __slots__."""
 
     @cached_property
     def _split(self) -> tuple:
@@ -44,17 +45,19 @@ class FieldContext(namedtuple("FieldContext", "D ram_primes")):
         return [], (l for l in prime_stream() if kronecker(self.D, l) == 1)
 
     @cached_property
-    def class_number(self) -> int:
-        from .classgroup import class_number
-
-        return class_number(self.D)
-
-    @cached_property
-    def generators(self) -> tuple:
-        """The greedy generating set (classgroup.generating_set)."""
+    def _class_group(self) -> tuple:
+        """The greedy generating set and the classes it generates."""
         from .classgroup import generating_set
 
         return generating_set(self)
+
+    @property
+    def generators(self) -> tuple:
+        return self._class_group[0]
+
+    @property
+    def class_number(self) -> int:
+        return len(self._class_group[1])
 
     @cached_property
     def h(self) -> int:

@@ -1,13 +1,14 @@
 """Reference ideal arithmetic for the class-group tests: ring elements
 (x + y*sqrt(D))/2, integral ideals of an imaginary quadratic order
 multiplied by a two-column Hermite normal form of the four basis products,
-and principal-ideal generators by Gauss-Lagrange lattice reduction.  This
-is an independent path to the products and generators that `classgroup`
+principal-ideal generators by Gauss-Lagrange lattice reduction, and the
+reduced forms of a discriminant by a search over every (a, b).  This is an
+independent path to the products, generators and classes that `classgroup`
 computes on forms, and is used only as the oracle those computations are
 compared against."""
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from quatbound.arith import kronecker
 from quatbound.classgroup import QuadForm, reduce_form
@@ -228,3 +229,23 @@ def ideal_class(I: IdealRep) -> QuadForm:
 
 def reference_compose(D: int, f: QuadForm, g: QuadForm) -> QuadForm:
     return ideal_class(ideal_mul(form_ideal(D, f), form_ideal(D, g)))
+
+
+def reference_reduced_forms(D: int) -> list[QuadForm]:
+    """All reduced primitive forms of discriminant D < 0, one per class, by
+    trying every (a, b) with a <= sqrt(|D|/3): O(|D|) steps."""
+    forms = []
+    a_max = isqrt(-D // 3)
+    for a in range(1, a_max + 1):
+        for b in range(-a + 1, a + 1):
+            if (b * b - D) % (4 * a) != 0:
+                continue
+            c = (b * b - D) // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and a == c:
+                continue
+            if gcd(gcd(a, b), c) != 1:
+                continue
+            forms.append(QuadForm(a, b, c))
+    return sorted(forms)

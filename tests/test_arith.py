@@ -21,7 +21,6 @@ from quatbound.arith import (
     prime_status,
     primes_up_to,
 )
-from quatbound.classgroup import choose_S
 from quatbound.cli import main
 from quatbound.quadfield import make_field
 from quatbound.weilsets import _lucas_parts, trace_families
@@ -587,8 +586,7 @@ class TestTrialDivision:
         # the restricted path ran on the Psi_876 part of -2999's one nonzero
         # A3 element, and removed a prime of d from some part
         ctx = make_field(-2999)
-        S = choose_S(ctx)
-        (a3,) = trace_families(ctx, [], S)["A3"]
+        (a3,) = trace_families(ctx, [], ctx.generators)["A3"]
         (lucas,) = (o for v, o in zip(a3.elements, a3.lucas) if v)
         assert (abs(_lucas_parts(*lucas)[1][876]), 876) in {(n, d) for n, d, _ in seen}
         # d = 2 is the shared list of all the primes

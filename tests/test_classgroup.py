@@ -9,14 +9,13 @@ from ideal_reference import (
     ideal_pow,
     prime_ideal_above,
     reference_compose,
+    reference_reduced_forms,
     shortest_generator,
 )
 from quatbound.arith import is_prime, kronecker, primes_up_to
 from quatbound.classgroup import (
     ClassNumberOne,
     QuadForm,
-    choose_S,
-    class_number,
     compose,
     enumerate_S0,
     form_order,
@@ -69,15 +68,44 @@ class TestReducedForms:
                 assert is_reduced(f)
 
     def test_class_number_examples(self):
-        assert class_number(-20) == 2
-        assert class_number(-23) == 3
-        assert class_number(-47) == 5
+        assert make_field(-20).class_number == 2
+        assert make_field(-23).class_number == 3
+        assert make_field(-47).class_number == 5
 
     def test_dirichlet_oracle_full_range(self):
         for D in range(-5, -1000, -1):
             if not is_fundamental(D):
                 continue
-            assert class_number(D) == dirichlet_class_number(D), D
+            assert make_field(D).class_number == dirichlet_class_number(D), D
+            assert len(reduced_forms(D)) == make_field(D).class_number, D
+
+    def test_matches_form_search(self):
+        # the closure of the degree-1 primes up to sqrt(|D|/3) against the
+        # search over every (a, b), on every fundamental D in [-20000, -3]
+        fields = [D for D in range(-3, -20001, -1) if is_fundamental(D)]
+        assert len(fields) == 6079
+        for D in fields:
+            assert reduced_forms(D) == reference_reduced_forms(D), D
+
+    # ramified primes generate a class that no split prime up to the cut
+    # reaches (-20, -84); a cut at 4p^2 <= |D| drops the one generating
+    # prime (-15, -35, -91, -187, -403)
+    @pytest.mark.parametrize("D, h_k", [(-20, 2), (-84, 4), (-15, 2), (-35, 2),
+                                        (-91, 2), (-187, 2), (-403, 2)])
+    def test_generating_primes_edges(self, D, h_k):
+        forms = reference_reduced_forms(D)
+        assert len(forms) == h_k
+        assert reduced_forms(D) == forms
+        ctx = make_field(D)
+        assert ctx.class_number == h_k
+        assert subgroup_closure(D, {q.form for q in ctx.generators}) == set(forms)
+
+    def test_large_discriminant(self):
+        # the form search takes seconds here; the walk stops at the first
+        # split prime, whose class generates the cyclic group
+        ctx = make_field(-99999971)
+        assert (ctx.class_number, ctx.h) == (3019, 3019)
+        assert [q.l for q in ctx.generators] == [3]
 
 
 class TestCompose:
@@ -159,8 +187,8 @@ class TestS0:
         ctx = make_field(-1)
         with pytest.raises(ClassNumberOne, match="class number is 1"):
             enumerate_S0(ctx, 1)
-        with pytest.raises(ClassNumberOne, match="class number is 1"):
-            choose_S(ctx)
+        assert ctx.generators == ()
+        assert ctx.class_number == 1
 
     def test_first_members_power_principal(self, contexts):
         for ctx in contexts.values():
@@ -182,15 +210,15 @@ class TestGeneratesAndChooseS:
         for f in non_identity:
             assert not generates(k84, {f})
 
-    def test_choose_S_fields(self, contexts):
+    def test_generators_fields(self, contexts):
         for ctx in contexts.values():
-            S = choose_S(ctx)
+            S = ctx.generators
             assert S
             assert generates(ctx, {q.form for q in S})
             assert all(q.form != principal_form(ctx.D) for q in S)
-        assert [q.l for q in choose_S(contexts[-20])] == [3]
-        assert len(choose_S(contexts[-23])) == 1
-        assert len(choose_S(contexts[-47])) == 1
+        assert [q.l for q in contexts[-20].generators] == [3]
+        assert len(contexts[-23].generators) == 1
+        assert len(contexts[-47].generators) == 1
 
     def test_closure_sizes(self):
         assert len(subgroup_closure(-84, set())) == 1
@@ -236,9 +264,9 @@ def reference_closure(D: int, classes) -> set[QuadForm]:
     return seen
 
 
-def reference_choose_S(D: int) -> list[int]:
+def reference_generating_set(D: int) -> list[int]:
     """Greedy by norm: keep a prime iff the reference closure grows."""
-    h_k = class_number(D)
+    h_k = len(reference_reduced_forms(D))
     chosen, gens, size = [], [], 1
     for l, f, _ in reference_split_primes(D):
         trial = reference_closure(D, gens + [f])
@@ -279,11 +307,11 @@ class TestAgainstIdealReference:
 
     def test_fundamental_discriminants_to_500(self):
         fields = [D for D in range(-3, -501, -1)
-                  if is_fundamental(D) and class_number(D) > 1]
+                  if is_fundamental(D) and make_field(D).class_number > 1]
         assert len(fields) > 100
         for D in fields:
             check_against_reference(D, 6, all_pairs=True)
-            assert [q.l for q in choose_S(make_field(D))] == reference_choose_S(D), D
+            assert [q.l for q in make_field(D).generators] == reference_generating_set(D), D
 
     def test_h41_with_l2_in_s0(self):
         check_against_reference(-1151, 4, all_pairs=False)
@@ -355,7 +383,7 @@ class TestPrincipalGenerator:
         # every reduced form, and q, q^2, q^h, q^2h for the first four
         # split non-principal primes q, h the exponent
         fields = [D for D in range(-3, -1501, -1)
-                  if is_fundamental(D) and class_number(D) > 1]
+                  if is_fundamental(D) and make_field(D).class_number > 1]
         nones = 0
         for D in [*fields, -2999, -5711]:
             ctx = make_field(D)

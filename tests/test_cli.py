@@ -193,6 +193,20 @@ class TestOneFamilyBuild:
 GOLDEN = Path(__file__).parent / "data"
 
 
+class TestClassData:
+    def test_bound_lists_no_forms(self, tmp_path, monkeypatch):
+        # the class number and S come from the generating-set walk; the
+        # list of every reduced form is for the classgroup report alone
+        def refuse(D):
+            raise RuntimeError("bound listed the reduced forms")
+
+        monkeypatch.setattr(classgroup, "reduced_forms", refuse)
+        out = tmp_path / "bound.json"
+        assert main(["bound", "--d", "-2999", "--rho-iters", "1000000",
+                     "--json", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "bound_-2999.json").read_bytes()
+
+
 class TestGoldenVerify:
     @pytest.mark.parametrize("D", ["-20", "-23", "-71", "-84", "-419", "-3299"])
     def test_verify_bytes(self, tmp_path, D):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ideal_reference import QuadInt
 from quatbound import arith, weilsets
 from quatbound.arith import FactorBudget, FactoredInteger, factor, is_prime
-from quatbound.classgroup import enumerate_S0, choose_S
+from quatbound.classgroup import enumerate_S0
 from quatbound.quadfield import is_fundamental, make_field
 from quatbound.weilsets import (
     ASet,
@@ -189,7 +189,7 @@ class TestFamilies:
                 assert 0 not in build_A1_A2(ctx, q)[1].elements, (ctx.D, q.l)
 
     def test_a3(self, ctx20):
-        S = choose_S(ctx20)
+        S = ctx20.generators
         a3 = build_A3(ctx20, S)
         assert 0 in a3.elements
         assert all(v <= 0 for v in a3.elements)
@@ -202,7 +202,7 @@ class TestFamilies:
 
     def test_families_by_name(self, ctx20):
         # one A1 and one A2 family per S0 member, in S0 order, and one A3
-        s0, S = enumerate_S0(ctx20, 4), choose_S(ctx20)
+        s0, S = enumerate_S0(ctx20, 4), ctx20.generators
         families = trace_families(ctx20, s0, S)
         assert list(families) == ["A1", "A2", "A3"]
         for i, q in enumerate(s0):
@@ -239,7 +239,7 @@ class TestReadOff:
     follow every replace() of them."""
 
     def test_replaced_factorizations(self, ctx20):
-        a = prime_support(build_A3(ctx20, choose_S(ctx20)))
+        a = prime_support(build_A3(ctx20, ctx20.generators))
         assert a.support and a.certified
         bare = a._replace(factorizations=())
         assert bare.support == frozenset() and not bare.certified
@@ -405,7 +405,7 @@ def a3_panel():
             continue
         ctx = _field(D)
         if ctx.class_number > 1:
-            out.append(build_A3(ctx, choose_S(ctx)))
+            out.append(build_A3(ctx, ctx.generators))
     return out
 
 
@@ -438,7 +438,7 @@ class TestA3Split:
         # -2999 (h = 73, d up to 876), by full trial division
         ctx = _field(-2999)
         divides_d = set()
-        for a3 in [*a3_panel, build_A3(ctx, choose_S(ctx))]:
+        for a3 in [*a3_panel, build_A3(ctx, ctx.generators)]:
             for v, (l, m, h) in zip(a3.elements, a3.lucas):
                 if v == 0:
                     continue
@@ -487,7 +487,7 @@ class TestA3Split:
     def test_incomplete_cofactor_is_squared(self):
         # on a tiny budget each unfinished Psi_d enters the cofactor squared
         ctx = _field(-1151)
-        a3 = build_A3(ctx, choose_S(ctx))
+        a3 = build_A3(ctx, ctx.generators)
         tiny = FactorBudget(trial_bound=50, rho_iterations=2)
         out = prime_support(a3, tiny)
         assert not out.certified
@@ -542,7 +542,7 @@ class TestCacheRule:
         monkeypatch.setattr(arith, "_torus_pm1", recording_torus)
         monkeypatch.setattr(arith, "_pollard_pm1", recording_pm1)
         ctx = _field(-1151)
-        a3 = build_A3(ctx, choose_S(ctx))
+        a3 = build_A3(ctx, ctx.generators)
         out = prime_support(a3, FactorBudget())
         assert calls == [("torus", 4626154257697182281987, -7, 2)]
         nonzero = [f for v, f in zip(a3.elements, out.factorizations) if v]
@@ -551,7 +551,7 @@ class TestCacheRule:
 
     def test_incomplete_not_stored(self):
         ctx = _field(-1151)
-        a3 = build_A3(ctx, choose_S(ctx))
+        a3 = build_A3(ctx, ctx.generators)
         out = prime_support(a3, FactorBudget(trial_bound=50, rho_iterations=2))
         assert not out.certified
         assert any(f is not None and not f.complete for f in out.factorizations)
