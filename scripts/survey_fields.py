@@ -7,7 +7,8 @@ number h_k and the class-group exponent h, the chosen generators S, the
 size of the union, whether it is certified, the time taken, and the union.
 h_k and h are read off the field context, which walks the class group
 once, on first use: its greedy generating set is the report's S, and h is
-the lcm of the class orders of its members.  Fields of class number 1 are skipped.
+the exponent of the group that walk builds.  Fields of class number 1 are
+skipped.
 After the table, one line per band of h (1-9, 10-39, 40-99, >= 100) counts
 the certified fields of the band out of all its fields.
 

@@ -14,7 +14,6 @@ from .classgroup import (
     generates,
     prime_form,
     principal_generator,
-    reduced_forms,
 )
 from .weilsets import ASet, beta_for, intersection_set, prime_support, trace_families, trace_power, trace_set
 from .mazur import MazurResult, is_in_mazur, mazur_prime_set

@@ -1,11 +1,12 @@
 """Class group of an imaginary quadratic field via reduced binary quadratic
 forms: Dirichlet composition, form powers, principal generators, class
-orders, and the one generating-set walk that gives the group and the
-split-prime sets feeding the trace families.  A form (a, b, c) stands for
-the ideal Z*a + Z*(-b + sqrt(D))/2."""
+orders, and the one generating-set walk that gives the group, its
+exponent and the split-prime sets feeding the trace families.  A form
+(a, b, c) stands for the ideal Z*a + Z*(-b + sqrt(D))/2."""
 
 from collections import namedtuple
 from itertools import islice, takewhile
+from math import lcm
 
 from .arith import kronecker, prime_stream
 from .quadfield import FieldContext, split_primes
@@ -84,11 +85,6 @@ def _prime_classes(D: int) -> set[QuadForm]:
     principal."""
     small = takewhile(lambda p: 3 * p * p <= -D, prime_stream())
     return {reduce_form(*prime_form(D, p)) for p in small if kronecker(D, p) != -1}
-
-
-def reduced_forms(D: int) -> list[QuadForm]:
-    """All reduced primitive forms of discriminant D < 0, one per class."""
-    return sorted(subgroup_closure(D, _prime_classes(D)))
 
 
 def _sqrt_mod(n: int, l: int) -> int:
@@ -207,11 +203,12 @@ def _split_primes(ctx: FieldContext):
             yield q
 
 
-def _extend(D: int, H: set[QuadForm], f: QuadForm) -> set[QuadForm]:
-    """The subgroup <H, f>, for a subgroup H given by its reduced forms: the
-    union of the cosets H*f^i up to the first power f^i that lies in H.
-    H holds the principal form e, and e*p is the reduced form p itself,
-    so each coset adds p and composes only the other members of H."""
+def _extend(D: int, H: set[QuadForm], f: QuadForm) -> tuple[set[QuadForm], QuadForm]:
+    """The subgroup <H, f>, for a subgroup H given by its reduced forms,
+    and f^i, the first power of f that lies in H: <H, f> is the union of
+    the i cosets H*f^j, j < i.  H holds the principal form e, and e*p is
+    the reduced form p itself, so each coset adds p and composes only the
+    other members of H."""
     others = H - {principal_form(D)}
     out = set(H)
     p = reduce_form(f.a, f.b, f.c)
@@ -219,14 +216,14 @@ def _extend(D: int, H: set[QuadForm], f: QuadForm) -> set[QuadForm]:
         out.add(p)
         out.update(compose(D, x, p) for x in others)
         p = compose(D, p, f)
-    return out
+    return out, p
 
 
 def subgroup_closure(D: int, classes: set[QuadForm]) -> set[QuadForm]:
     """The subgroup generated by the given classes."""
     H = {principal_form(D)}
     for f in classes:
-        H = _extend(D, H, f)
+        H = _extend(D, H, f)[0]
     return H
 
 
@@ -234,21 +231,25 @@ def generates(ctx: FieldContext, classes: set[QuadForm]) -> bool:
     return len(subgroup_closure(ctx.D, classes)) == ctx.class_number
 
 
-def generating_set(ctx: FieldContext) -> tuple[tuple[SplitPrime, ...], frozenset[QuadForm]]:
-    """The greedy-minimal generating subset S and the reduced forms of the
-    group it generates: walk the split non-principal primes by norm, keep a
-    prime iff its class is not yet in the generated subgroup, and stop once
-    that subgroup holds the classes of _prime_classes, which generate the
-    class group (at once for class number 1).  FieldContext caches the
-    pair."""
+def generating_set(ctx: FieldContext) -> tuple[tuple[SplitPrime, ...], frozenset[QuadForm], int]:
+    """The greedy-minimal generating subset S, the reduced forms of the
+    group H it generates, and H's exponent h: walk the split non-principal
+    primes by norm, keep a prime iff its class is not yet in H, and stop
+    once H holds the classes of _prime_classes, which generate the class
+    group (at once for class number 1).  A kept q that multiplies |H| by i
+    has q^i as its first power in H, so ord(q) = i * ord(q^i): only q^i is
+    walked, and for the first q it is the principal form."""
     H = {principal_form(ctx.D)}
     chosen: list[SplitPrime] = []
+    h = 1
     primes = _split_primes(ctx)
     missing = _prime_classes(ctx.D) - H
     while missing:
         q = next(primes)
         if q.form not in H:
-            H = _extend(ctx.D, H, q.form)
+            grown, power = _extend(ctx.D, H, q.form)
+            h = lcm(h, len(grown) // len(H) * form_order(ctx.D, power))
+            H = grown
             chosen.append(q)
             missing -= H
-    return tuple(chosen), frozenset(H)
+    return tuple(chosen), frozenset(H), h

@@ -12,7 +12,7 @@ from json.encoder import encode_basestring_ascii
 
 from .arith import FactorBudget
 from .quadfield import FieldContext, make_field
-from .classgroup import ClassNumberOne, enumerate_S0, form_order, reduced_forms
+from .classgroup import ClassNumberOne, enumerate_S0, form_order
 from .mazur import mazur_prime_set
 from .weilsets import ASet
 from .bound import (BoundParams, BoundReport, FamilySets, assemble_bound, assemble_sets,
@@ -114,9 +114,9 @@ def _mazur_doc(mz) -> dict:
     return {"bound": str(mz.bound), "primes": _slist(mz.members)}
 
 
-def _report_doc(ctx, report: BoundReport, cands) -> dict:
+def _report_doc(field: dict, report: BoundReport, cands) -> dict:
     doc = {
-        "field": _field_doc(ctx),
+        "field": field,
         "S": _slist(q.l for q in report.S),
         "s0_truncation": [str(q.l) for q in report.s0_truncation],
         "families": _all_families(report),
@@ -224,7 +224,7 @@ def _run(args, ctx, budget) -> tuple[dict, int]:
     if sub == "field":
         return doc, 0
     if sub == "classgroup":
-        doc["forms"] = [[str(f.a), str(f.b), str(f.c)] for f in reduced_forms(ctx.D)]
+        doc["forms"] = [[str(f.a), str(f.b), str(f.c)] for f in sorted(ctx.classes)]
         return doc, 0
     if sub == "s0":
         doc["s0"] = [
@@ -256,7 +256,7 @@ def _run(args, ctx, budget) -> tuple[dict, int]:
         for p in sorted(report.union):
             verify_prime_membership(ctx, p, report)
     code = 3 if args.require_certified and not report.certified else 0
-    return _report_doc(ctx, report, cands), code
+    return _report_doc(doc["field"], report, cands), code
 
 
 def _all_families(report: FamilySets) -> list[ASet]:

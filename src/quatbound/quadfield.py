@@ -4,7 +4,6 @@ splitting, and the field context that carries the class data."""
 from collections import namedtuple
 from functools import cached_property
 from itertools import count
-from math import lcm
 
 from .arith import FactoredInteger, factor, kronecker, prime_stream
 
@@ -34,10 +33,10 @@ def is_fundamental(D: int) -> bool:
 class FieldContext(namedtuple("FieldContext", "D ram_primes")):
     """The field k = Q(sqrt(D)): fundamental discriminant and ramified
     primes.  One generating-set walk (classgroup.generating_set) gives the
-    greedy generating set of the class group and the group itself, whose
-    size is the class number; that walk, the class-group exponent h and
-    the list of split primes are computed once, on first use, and kept in
-    the instance dict, which is why the class has no __slots__."""
+    greedy generating set of the class group, its reduced forms `classes`
+    (as many as the class number) and its exponent h; that walk and the
+    list of split primes are computed once, on first use, and kept in the
+    instance dict, which is why the class has no __slots__."""
 
     @cached_property
     def _split(self) -> tuple:
@@ -46,7 +45,7 @@ class FieldContext(namedtuple("FieldContext", "D ram_primes")):
 
     @cached_property
     def _class_group(self) -> tuple:
-        """The greedy generating set and the classes it generates."""
+        """The greedy generating set, its classes and their exponent."""
         from .classgroup import generating_set
 
         return generating_set(self)
@@ -56,16 +55,16 @@ class FieldContext(namedtuple("FieldContext", "D ram_primes")):
         return self._class_group[0]
 
     @property
+    def classes(self) -> frozenset:
+        return self._class_group[1]
+
+    @property
     def class_number(self) -> int:
-        return len(self._class_group[1])
+        return len(self.classes)
 
-    @cached_property
+    @property
     def h(self) -> int:
-        """The exponent of the (abelian) class group: the lcm of the class
-        orders of any generating set."""
-        from .classgroup import form_order
-
-        return lcm(*(form_order(self.D, q.form) for q in self.generators))
+        return self._class_group[2]
 
 
 def make_field(d_or_D: int) -> FieldContext:

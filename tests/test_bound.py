@@ -110,10 +110,12 @@ class TestAssemble:
 
 class TestBuildOnce:
     @pytest.mark.parametrize("D, composes, orders", [
-        (-2999, 144, 1), (-1151, 80, 1), (-3299, 42, 2)])
+        (-2999, 72, 1), (-1151, 40, 1), (-3299, 28, 2)])
     def test_class_group_walked_once(self, monkeypatch, D, composes, orders):
-        # the generating-set walk gives S and, by the class orders of its
-        # members, h; S0 needs no class order and one beta per member
+        # the generating-set walk gives S and h: one class order per member
+        # q of S, of the first power of q in the group before it, which is
+        # the principal form for the first member; S0 needs no class order
+        # and one beta per member
         calls = Counter()
         for module, name in ((classgroup, "compose"), (classgroup, "form_order"),
                              (weilsets, "beta_for")):

@@ -25,7 +25,6 @@ from quatbound.classgroup import (
     principal_form,
     principal_generator,
     reduce_form,
-    reduced_forms,
     subgroup_closure,
 )
 from quatbound.quadfield import is_fundamental, make_field
@@ -43,6 +42,11 @@ def is_reduced(f: QuadForm) -> bool:
     return not (f.b < 0 and (abs(f.b) == f.a or f.a == f.c))
 
 
+def group(D: int) -> list[QuadForm]:
+    """The field's class group, as the generating-set walk gives it."""
+    return sorted(make_field(D).classes)
+
+
 def dirichlet_class_number(D: int) -> int:
     """Independent oracle: h = |sum_{a=1}^{|D|-1} (D|a) * a| / |D| for D < -4."""
     assert D < -4
@@ -53,9 +57,9 @@ def dirichlet_class_number(D: int) -> int:
 
 class TestReducedForms:
     def test_examples(self):
-        assert reduced_forms(-20) == [QuadForm(1, 0, 5), QuadForm(2, 2, 3)]
-        assert reduced_forms(-4) == [QuadForm(1, 0, 1)]
-        assert set(reduced_forms(-23)) == {
+        assert group(-20) == [QuadForm(1, 0, 5), QuadForm(2, 2, 3)]
+        assert group(-4) == [QuadForm(1, 0, 1)]
+        assert set(group(-23)) == {
             QuadForm(1, 1, 6), QuadForm(2, 1, 3), QuadForm(2, -1, 3)
         }
 
@@ -63,7 +67,7 @@ class TestReducedForms:
         for D in (-20, -23, -24, -47, -84, -163, -999):
             if not is_fundamental(D):
                 continue
-            for f in reduced_forms(D):
+            for f in group(D):
                 assert disc(f) == D
                 assert is_reduced(f)
 
@@ -76,16 +80,17 @@ class TestReducedForms:
         for D in range(-5, -1000, -1):
             if not is_fundamental(D):
                 continue
-            assert make_field(D).class_number == dirichlet_class_number(D), D
-            assert len(reduced_forms(D)) == make_field(D).class_number, D
+            ctx = make_field(D)
+            assert ctx.class_number == dirichlet_class_number(D), D
+            assert all(disc(f) == D and is_reduced(f) for f in ctx.classes), D
 
     def test_matches_form_search(self):
-        # the closure of the degree-1 primes up to sqrt(|D|/3) against the
-        # search over every (a, b), on every fundamental D in [-20000, -3]
+        # the generating-set walk's group against the search over every
+        # (a, b), on every fundamental D in [-20000, -3]
         fields = [D for D in range(-3, -20001, -1) if is_fundamental(D)]
         assert len(fields) == 6079
         for D in fields:
-            assert reduced_forms(D) == reference_reduced_forms(D), D
+            assert group(D) == reference_reduced_forms(D), D
 
     # ramified primes generate a class that no split prime up to the cut
     # reaches (-20, -84); a cut at 4p^2 <= |D| drops the one generating
@@ -95,7 +100,7 @@ class TestReducedForms:
     def test_generating_primes_edges(self, D, h_k):
         forms = reference_reduced_forms(D)
         assert len(forms) == h_k
-        assert reduced_forms(D) == forms
+        assert group(D) == forms
         ctx = make_field(D)
         assert ctx.class_number == h_k
         assert subgroup_closure(D, {q.form for q in ctx.generators}) == set(forms)
@@ -124,7 +129,7 @@ class TestCompose:
 
     @pytest.mark.parametrize("D", [-20, -23, -24, -47, -84])
     def test_group_laws_all_triples(self, D):
-        forms = reduced_forms(D)
+        forms = group(D)
         ident = principal_form(D)
         for f in forms:
             assert compose(D, f, ident) == f
@@ -144,11 +149,15 @@ class TestExponent:
         assert make_field(-20).h == 2
         assert make_field(-84).h == 2  # four classes, all two-torsion
         assert make_field(-47).h == 5
+        # S = {3, 5}: 5 adds two cosets and 5^2 is not principal, so the
+        # cyclic group's exponent is 2 * 4, not the coset count 2 alone
+        assert [q.l for q in make_field(-299).generators] == [3, 5]
+        assert make_field(-299).h == 8
 
     def test_divides_and_attained(self):
-        for D in (-20, -23, -24, -47, -84):
+        for D in (-20, -23, -24, -47, -84, -299):
             h = make_field(D).h
-            orders = [form_order(D, f) for f in reduced_forms(D)]
+            orders = [form_order(D, f) for f in group(D)]
             assert all(h % o == 0 for o in orders)
             assert h in orders
 
@@ -206,7 +215,7 @@ class TestGeneratesAndChooseS:
         assert generates(k20, {QuadForm(2, 2, 3)})
         assert not generates(k20, {QuadForm(1, 0, 5)})
         # D=-84: exponent 2 with four classes needs two generators
-        non_identity = [f for f in reduced_forms(-84) if f != principal_form(-84)]
+        non_identity = [f for f in group(-84) if f != principal_form(-84)]
         for f in non_identity:
             assert not generates(k84, {f})
 
@@ -281,7 +290,7 @@ def reference_generating_set(D: int) -> list[int]:
 
 def check_against_reference(D: int, s0_count: int, all_pairs: bool) -> None:
     ctx = make_field(D)
-    forms = reduced_forms(D)
+    forms = group(D)
     if all_pairs:
         for f in forms:
             for g in forms:
@@ -387,7 +396,7 @@ class TestPrincipalGenerator:
         nones = 0
         for D in [*fields, -2999, -5711]:
             ctx = make_field(D)
-            forms = list(reduced_forms(D))
+            forms = group(D)
             for q in enumerate_S0(ctx, 4):
                 f = prime_form(D, q.l)
                 forms += [form_power(D, f, n) for n in (1, 2, ctx.h, 2 * ctx.h)]

@@ -193,18 +193,34 @@ class TestOneFamilyBuild:
 GOLDEN = Path(__file__).parent / "data"
 
 
+def count_prime_classes(monkeypatch) -> Counter:
+    calls = Counter()
+
+    def counting(D, _real=classgroup._prime_classes):
+        calls[D] += 1
+        return _real(D)
+
+    monkeypatch.setattr(classgroup, "_prime_classes", counting)
+    return calls
+
+
 class TestClassData:
     def test_bound_lists_no_forms(self, tmp_path, monkeypatch):
-        # the class number and S come from the generating-set walk; the
-        # list of every reduced form is for the classgroup report alone
-        def refuse(D):
-            raise RuntimeError("bound listed the reduced forms")
-
-        monkeypatch.setattr(classgroup, "reduced_forms", refuse)
+        # the class number, h and S come from the one generating-set walk
+        calls = count_prime_classes(monkeypatch)
         out = tmp_path / "bound.json"
         assert main(["bound", "--d", "-2999", "--rho-iters", "1000000",
                      "--json", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "bound_-2999.json").read_bytes()
+        assert calls == {-2999: 1}
+
+    def test_classgroup_lists_the_walks_group(self, tmp_path, monkeypatch):
+        # the report's forms are the group of the walk that gives h_k
+        calls = count_prime_classes(monkeypatch)
+        out = tmp_path / "classgroup.json"
+        assert main(["classgroup", "--d", "-3299", "--json", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "classgroup_-3299.json").read_bytes()
+        assert calls == {-3299: 1}
 
 
 class TestGoldenVerify:
