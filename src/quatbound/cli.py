@@ -42,10 +42,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("subcommand", choices=SUBCOMMANDS)
     ap.add_argument("--d", type=int, required=True,
                     help="squarefree d < 0 or fundamental discriminant")
-    ap.add_argument("--s0-count", type=int, default=4)
-    ap.add_argument("--mazur-bound", type=int, default=10**6)
-    ap.add_argument("--trial-bound", type=int, default=10**6)
-    ap.add_argument("--rho-iters", type=int, default=10**7)
+    # the library's defaults, so that the two cannot drift apart
+    defaults = BoundParams()
+    ap.add_argument("--s0-count", type=int, default=defaults.s0_count)
+    ap.add_argument("--mazur-bound", type=int, default=defaults.mazur_bound)
+    ap.add_argument("--trial-bound", type=int, default=defaults.factor_budget.trial_bound)
+    ap.add_argument("--rho-iters", type=int, default=defaults.factor_budget.rho_iterations)
     # factoring has no wall-clock cap; the flag is kept, accepting only 0
     # and read by nothing, because the benchmark workloads still pass 0
     ap.add_argument("--time-per-int-ms", type=int, choices=(0,), default=0,
@@ -69,32 +71,15 @@ def build_parser() -> argparse.ArgumentParser:
 # ASet; _json writes the doc, and each family straight from its ASet.
 
 def _decimal(n: int) -> str:
-    """str(n), also for an n with more digits than str() allows (CPython
-    raises ValueError above its limit, 4300 digits by default and never
-    under 640).  Such an n is written by halves: with P_i = 10^(512*2^i),
-    a part m < P_i is q = m // P_(i-1), then r = m % P_(i-1) padded to
-    512*2^(i-1) digits, down to parts below 10^512, which str() writes."""
+    """str(n), also above str()'s digit limit (CPython raises ValueError
+    past 4300 digits by default, never under 640): there Decimal(n), exact
+    and unlimited, prints n's plain digits at exponent 0.  decimal is
+    imported only then, so that a report below the limit never loads it."""
     try:
         return str(n)
     except ValueError:
-        pass
-    if n < 0:
-        return "-" + _decimal(-n)
-    powers = [10**512]
-    while powers[-1] <= n:
-        powers.append(powers[-1] ** 2)
-
-    def write(m: int, i: int, width: int) -> str:
-        # m < powers[i], padded with zeros to width digits
-        if i == 0:
-            return str(m).zfill(width)
-        q, r = divmod(m, powers[i - 1])
-        half = 512 << (i - 1)
-        if q == 0:
-            return write(r, i - 1, width)
-        return write(q, i - 1, max(width - half, 0)) + write(r, i - 1, half)
-
-    return write(n, len(powers) - 1, 0)
+        from decimal import Decimal
+        return str(Decimal(n))
 
 
 def _slist(xs) -> list[str]:
@@ -137,9 +122,9 @@ def _report_doc(field: dict, report: BoundReport, cands) -> dict:
 def _json(x, indent: str = "\n") -> str:
     """The bytes of json.dumps(x, indent=2, sort_keys=True) for str, bool,
     list, tuple, str-keyed dict and ASet (written by _family_json), by
-    joins: json.dumps runs its C encoder only without indent.  Any other
-    type, as a value or a key, raises TypeError (encode_basestring_ascii
-    does for keys)."""
+    joins, one recursive call per dict value or list item: json.dumps runs
+    its C encoder only without indent.  Any other type, as a value or a
+    key, raises TypeError (encode_basestring_ascii does for keys)."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     if isinstance(x, bool):
@@ -149,8 +134,7 @@ def _json(x, indent: str = "\n") -> str:
         if not x:
             return "{}"
         # keys are distinct, so sorting the items compares keys only
-        body = [encode_basestring_ascii(k) + ": "
-                + (encode_basestring_ascii(v) if isinstance(v, str) else _json(v, inner))
+        body = [encode_basestring_ascii(k) + ": " + _json(v, inner)
                 for k, v in sorted(x.items())]
         return "{" + inner + ("," + inner).join(body) + indent + "}"
     if isinstance(x, ASet):  # a namedtuple, so tested before tuple
@@ -158,11 +142,7 @@ def _json(x, indent: str = "\n") -> str:
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
-        if all(type(v) is str for v in x):
-            body = map(encode_basestring_ascii, x)
-        else:
-            body = [encode_basestring_ascii(v) if isinstance(v, str) else _json(v, inner)
-                    for v in x]
+        body = [_json(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(body) + indent + "]"
     raise TypeError(f"_json: cannot write {type(x).__name__}")
 

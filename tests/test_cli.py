@@ -1,6 +1,8 @@
 import inspect
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -303,6 +305,44 @@ class TestGoldenVerify:
         assert with_flag.read_bytes() == without.read_bytes()
 
 
+class TestRequestDefaults:
+    def test_flags_default_to_the_librarys(self, tmp_path):
+        # BoundParams() and FactorBudget() at their defaults
+        implicit, explicit = tmp_path / "implicit.json", tmp_path / "explicit.json"
+        assert main(["bound", "--d", "-20", "--json", str(implicit)]) == 0
+        assert main(["bound", "--d", "-20", "--s0-count", "4", "--mazur-bound", "1000000",
+                     "--trial-bound", "1000000", "--rho-iters", "10000000",
+                     "--json", str(explicit)]) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+
+
+class TestMaxFactors:
+    def test_two_factors(self, tmp_path):
+        # the 105 entries of the default (four-factor) list that are
+        # products of two union primes; the other 4,620 are of four
+        golden = json.loads((GOLDEN / "candidates_-84.json").read_text())
+        union = [int(p) for p in golden["bound"]["union"]]
+
+        def factor_count(c):
+            return sum(int(c) % p == 0 for p in union)
+
+        assert Counter(map(factor_count, golden["candidates"])) == {2: 105, 4: 4620}
+        code, doc = run(tmp_path, "candidates", "--d", "-84", *BASE, "--max-factors", "2")
+        assert code == 0
+        assert doc["candidates"] == [c for c in golden["candidates"] if factor_count(c) == 2]
+        assert doc.keys() == golden.keys()
+        assert all(doc[k] == golden[k] for k in doc if k != "candidates")
+
+    @pytest.mark.parametrize("count", ["3", "0"])
+    def test_odd_or_zero_rejected(self, tmp_path, capsys, count):
+        out = tmp_path / "o.json"
+        assert main(["candidates", "--d", "-84", *BASE, "--max-factors", count,
+                     "--json", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "even integer >= 2" in err
+
+
 # quotes, backslashes, control characters, non-ASCII and lone surrogates:
 # one of each kind that encode_basestring_ascii escapes differently
 TEXT = st.text(st.sampled_from(
@@ -464,7 +504,7 @@ def digit_limit(digits):
 
 class TestDecimal:
     """Integers too long for str() under the interpreter's digit limit are
-    written by halves, with the same digits as str()."""
+    written by the decimal module, with the same digits as str()."""
 
     @staticmethod
     def values(most):
@@ -490,17 +530,76 @@ class TestDecimal:
             with digit_limit(limit):
                 assert cli._decimal(n) == want, len(want)
                 if hasattr(sys, "set_int_max_str_digits") and len(want.lstrip("-")) > limit:
-                    # the halves ran: str() itself refuses n here
+                    # the decimal module ran: str() itself refuses n here
                     with pytest.raises(ValueError):
                         str(n)
 
-    def test_sets_above_the_limit(self, tmp_path):
-        # -57911 (h = 362) has family elements of over 4,300 digits
+    def test_sets_above_the_limit(self, tmp_path, monkeypatch):
+        # -57911 (h = 362) has family elements of over 4,300 digits; each
+        # value and cofactor is written with the digits of the integer in
+        # the family it came from
+        families = []
+        real = cli._all_families
+
+        def recording(report):
+            written = real(report)
+            families.extend(written)
+            return written
+
+        monkeypatch.setattr(cli, "_all_families", recording)
         with digit_limit(4300):
             code, doc = run(tmp_path, "sets", "--d", "-57911", "--rho-iters", "0")
         assert code == 0
         values = [e["value"] for f in doc["families"] for e in f["elements"]]
         assert max(len(v.lstrip("-")) for v in values) > 4300
+        cofactors = 0
+        with digit_limit(0):
+            for aset, fam in zip(families, doc["families"], strict=True):
+                facs = aset.factorizations or (None,) * len(aset.elements)
+                for v, f, e in zip(aset.elements, facs, fam["elements"], strict=True):
+                    assert e["value"] == str(v)
+                    if v != 0 and f is not None and f.cofactor is not None:
+                        assert e["cofactor"] == str(f.cofactor)
+                        cofactors += 1
+                    else:
+                        assert "cofactor" not in e
+        assert cofactors > 0
+
+
+class TestLazyDecimal:
+    """decimal is imported only to write an integer above str()'s digit
+    limit.  Each check runs in a fresh interpreter without site packages,
+    since pytest plugins such as hypothesis import decimal themselves; it
+    prints what it finds, so that no check rests on an assert under -O."""
+
+    @staticmethod
+    def run_python(code):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    def test_not_imported_by_cli_or_a_request(self, tmp_path):
+        out = tmp_path / "out.json"
+        assert self.run_python(
+            "import sys\n"
+            "import quatbound.cli as cli\n"
+            "print('decimal' in sys.modules)\n"
+            f"print(cli.main(['bound', '--d', '-20', '--json', {str(out)!r}]))\n"
+            "print('decimal' in sys.modules)\n") == ["False", "0", "False"]
+        assert json.loads(out.read_text())["field"]["D"] == "-20"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no str() digit limit on this interpreter")
+    def test_imported_above_the_limit(self):
+        assert self.run_python(
+            "import sys\n"
+            "import quatbound.cli as cli\n"
+            "print(sys.get_int_max_str_digits(), 'decimal' in sys.modules)\n"
+            "print(cli._decimal(10**5000) == '1' + '0' * 5000)\n"
+            "print('decimal' in sys.modules)\n") == ["4300", "False", "True", "True"]
 
 
 class TestParserReuse:
