@@ -18,16 +18,16 @@ the certified fields of the band out of all its fields.
 import argparse
 import time
 
-H_BANDS = ((1, 9), (10, 39), (40, 99), (100, None))
-
 from quatbound.bound import BoundParams, assemble_bound
 from quatbound.quadfield import is_fundamental, make_field
+
+H_BANDS = ((1, 9), (10, 39), (40, 99), (100, None))
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--min", type=int, default=-100, help="most negative discriminant")
-    ap.add_argument("--s0-count", type=int, default=4)
+    ap.add_argument("--s0-count", type=int, default=BoundParams().s0_count)
     ap.add_argument("--mazur-bound", type=int, default=10**5)
     args = ap.parse_args()
 

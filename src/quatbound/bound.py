@@ -78,9 +78,9 @@ def assemble_sets(ctx: FieldContext, params: BoundParams = BoundParams()) -> Fam
 def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> BoundReport:
     """Compute every component of the containment and union them.  Raises
     ClassNumberOne, from enumerate_S0, when k has class number 1."""
-    fs = assemble_sets(ctx, params)
-
+    # the Mazur search checks its bound before any family is built
     mz = mazur_prime_set(ctx, params.mazur_bound)
+    fs = assemble_sets(ctx, params)
     caveats = [f"mazur set truncated at bound {params.mazur_bound}"]
 
     certified = all(s.certified for s in fs.sets.values())
@@ -134,14 +134,18 @@ def verify_prime_membership(ctx: FieldContext, p: int, report: BoundReport) -> t
     return tuple(names)
 
 
+def check_max_factors(max_factors: int) -> None:
+    if max_factors < 2 or max_factors % 2 != 0:
+        raise ValueError("max_factors must be an even integer >= 2")
+
+
 def candidate_discriminants(
     ctx: FieldContext, report: BoundReport, max_factors: int = 4
 ) -> list[int]:
     """Squarefree products of an even number of union primes such that every
     split factor is 1 mod 4 (membership in the restricted family) and at
     least one factor splits in k (so k does not split the algebra)."""
-    if max_factors < 2 or max_factors % 2 != 0:
-        raise ValueError("max_factors must be an even integer >= 2")
+    check_max_factors(max_factors)
     usable = []
     for p in sorted(report.union):
         sp = splitting_type(ctx, p) == "split"

@@ -16,7 +16,7 @@ from .classgroup import ClassNumberOne, enumerate_S0, form_order
 from .mazur import mazur_prime_set
 from .weilsets import ASet
 from .bound import (BoundParams, BoundReport, FamilySets, assemble_bound, assemble_sets,
-                    candidate_discriminants, verify_prime_membership)
+                    candidate_discriminants, check_max_factors, verify_prime_membership)
 
 SUBCOMMANDS = ("field", "classgroup", "s0", "sets", "mazur", "bound", "candidates", "verify")
 
@@ -52,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     # and read by nothing, because the benchmark workloads still pass 0
     ap.add_argument("--time-per-int-ms", type=int, choices=(0,), default=0,
                     help=argparse.SUPPRESS)
-    # accepted, hidden and inert for one release because the survey_warm
-    # benchmark workload still passes it; it only creates the file if missing
+    # accepted, hidden and inert until the survey_warm benchmark workload
+    # stops passing it (ROADMAP item 2); it only creates the file if missing
     ap.add_argument("--cache", type=str, default=None, help=argparse.SUPPRESS)
     ap.add_argument("--require-certified", action="store_true")
     ap.add_argument("--S", type=str, default=None,
@@ -180,6 +180,8 @@ def _emit(doc: dict, path: str | None) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # every subcommand checks it, before any class data is computed
+        check_max_factors(args.max_factors)
         budget = FactorBudget(trial_bound=args.trial_bound, rho_iterations=args.rho_iters)
         doc, code = _run(args, make_field(args.d), budget)
         # an unwritable --cache path exits 1 before the report is written,

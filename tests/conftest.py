@@ -1,6 +1,7 @@
 import pytest
 
-from quatbound import arith, make_field
+from quatbound import arith
+from quatbound.quadfield import make_field
 
 TEST_FIELDS = (-20, -23, -24, -47, -84)
 

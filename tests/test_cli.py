@@ -343,6 +343,34 @@ class TestMaxFactors:
         assert err.startswith("error: ") and "even integer >= 2" in err
 
 
+def refuse(*args):
+    raise RuntimeError("called before the flags were checked")
+
+
+class TestEarlyChecks:
+    """A bad --mazur-bound or --max-factors exits 1 before any family of
+    -5879 (h = 101) is built, which takes about a second."""
+
+    @pytest.fixture(autouse=True)
+    def no_families(self, monkeypatch):
+        monkeypatch.setattr(bound, "trace_families", refuse)
+
+    def test_mazur_bound(self, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        assert main(["bound", "--d", "-5879", "--mazur-bound", "4", "--json", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: mazur_prime_set: bound must be >= 5\n"
+
+    @pytest.mark.parametrize("sub", cli.SUBCOMMANDS)
+    def test_max_factors(self, tmp_path, capsys, monkeypatch, sub):
+        # every subcommand checks it before the field's class data
+        monkeypatch.setattr(cli, "make_field", refuse)
+        out = tmp_path / "o.json"
+        assert main([sub, "--d", "-5879", "--max-factors", "3", "--json", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: max_factors must be an even integer >= 2\n"
+
+
 # quotes, backslashes, control characters, non-ASCII and lone surrogates:
 # one of each kind that encode_basestring_ascii escapes differently
 TEXT = st.text(st.sampled_from(
