@@ -6,7 +6,7 @@ only mazur_primes is complete solely up to mazur_bound, the report's caveat."""
 
 from collections import namedtuple
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 
 from .arith import FactorBudget, is_prime, primes_up_to
 from .quadfield import FieldContext, splitting_type
@@ -34,27 +34,30 @@ def _support(key: str):
 
 
 def _in_every(key: str):
-    """p divides a nonzero element of every raw family under key."""
-    return lambda ctx, p, rep: all(any(v % p == 0 for v in f.elements if v != 0)
-                                   for f in rep.families[key])
+    """The ps dividing a nonzero element of every raw family under key; a prime divides
+    one exactly when it divides their product, so the ps dividing gcd(prod(ps), products)."""
+    def claims(ctx, ps, rep):
+        g = gcd(prod(ps), *(prod(v for v in f.elements if v) for f in rep.families[key]))
+        return {p for p in ps if g % p == 0}
+    return claims
 
 
 # One (name, primes, claims, factored) row per component, in claim order:
-# primes from (ctx, FamilySets, MazurResult); claims re-derives p's membership
-# from the raw evidence alone; a factored row must agree only when certified.
+# primes from (ctx, FamilySets, MazurResult); claims picks the members of a set
+# of primes from raw evidence alone; a factored row must agree only if certified.
 COMPONENTS = (
     ("ram", lambda ctx, fs, mz: frozenset(ctx.ram_primes),
-     lambda ctx, p, rep: ctx.D % p == 0, False),
+     lambda ctx, ps, rep: {p for p in ps if ctx.D % p == 0}, False),
     ("small", lambda ctx, fs, mz: frozenset(primes_up_to(SMALL_PRIME_CAP)),
-     lambda ctx, p, rep: p <= SMALL_PRIME_CAP, False),
+     lambda ctx, ps, rep: {p for p in ps if p <= SMALL_PRIME_CAP}, False),
     ("a1_intersection", _support("A1"), _in_every("A1"), True),
     ("a2_intersection", _support("A2"), _in_every("A2"), True),
     ("a3_support", _support("A3"), _in_every("A3"), True),
     ("mazur_primes", lambda ctx, fs, mz: frozenset(mz.members),
-     lambda ctx, p, rep: (p % 4 == 1 and p <= rep.mazur.bound
-                          and is_in_mazur(ctx, p)), False),
+     lambda ctx, ps, rep: {p for p in ps if p % 4 == 1 and p <= rep.mazur.bound
+                           and is_in_mazur(ctx, p)}, False),
     ("l_of_S", lambda ctx, fs, mz: frozenset(q.l for q in fs.S),
-     lambda ctx, p, rep: p in [q.l for q in rep.S], False),
+     lambda ctx, ps, rep: {q.l for q in rep.S}.intersection(ps), False),
 )
 
 
@@ -118,20 +121,23 @@ def _validated_override(ctx: FieldContext, ls: tuple[int, ...]) -> list[SplitPri
     return out
 
 
+def verify_claims(ctx: FieldContext, primes: frozenset, report: BoundReport) -> dict[str, set]:
+    """Each row's name mapped to the primes it claims among `primes`; raises at
+    the least prime, then first row, where a claim and the report disagree."""
+    claimed = {name: claims(ctx, primes, report) for name, _, claims, _ in COMPONENTS}
+    wrong = min(((p, i, name) for i, (name, _, _, factored) in enumerate(COMPONENTS)
+                 if report.certified or not factored
+                 for p in claimed[name] ^ (report.components[name] & primes)), default=None)
+    if wrong:
+        p, _, name = wrong
+        raise RuntimeError(f"evidence mismatch for p={p} in {name}: re-derived "
+                           f"{p in claimed[name]}, report {p in report.components[name]}")
+    return claimed
+
+
 def verify_prime_membership(ctx: FieldContext, p: int, report: BoundReport) -> tuple[str, ...]:
-    """The names of the components whose rows of COMPONENTS claim p; raises
-    where a claim and the report disagree."""
-    names, components = [], report.components
-    for name, _, claims, factored in COMPONENTS:
-        claimed, listed = claims(ctx, p, report), p in components[name]
-        if claimed != listed and (report.certified or not factored):
-            raise RuntimeError(
-                f"evidence mismatch for p={p} in {name}: "
-                f"re-derived {claimed}, report {listed}"
-            )
-        if claimed:
-            names.append(name)
-    return tuple(names)
+    """The names of the rows that claim p: verify_claims for p alone."""
+    return tuple(name for name, ps in verify_claims(ctx, frozenset({p}), report).items() if ps)
 
 
 def check_max_factors(max_factors: int) -> None:

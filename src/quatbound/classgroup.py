@@ -185,12 +185,16 @@ class ClassNumberOne(ValueError):
     nothing to bound."""
 
 
+def check_s0_count(count: int) -> None:
+    if count < 1:
+        raise ValueError(f"S0 count must be >= 1, got {count}")
+
+
 def enumerate_S0(ctx: FieldContext, count: int) -> list[SplitPrime]:
     """The first `count` split non-principal degree-1 primes, by norm."""
     if ctx.class_number == 1:
         raise ClassNumberOne("theorem inapplicable: class number is 1")
-    if count < 1:
-        raise ValueError(f"S0 count must be >= 1, got {count}")
+    check_s0_count(count)
     return list(islice(_split_primes(ctx), count))
 
 

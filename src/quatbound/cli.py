@@ -12,11 +12,11 @@ from json.encoder import encode_basestring_ascii
 
 from .arith import FactorBudget
 from .quadfield import FieldContext, make_field
-from .classgroup import ClassNumberOne, enumerate_S0, form_order
-from .mazur import mazur_prime_set
+from .classgroup import ClassNumberOne, check_s0_count, enumerate_S0, form_order
+from .mazur import check_mazur_bound, mazur_prime_set
 from .weilsets import ASet
 from .bound import (BoundParams, BoundReport, FamilySets, assemble_bound, assemble_sets,
-                    candidate_discriminants, check_max_factors, verify_prime_membership)
+                    candidate_discriminants, check_max_factors, verify_claims)
 
 SUBCOMMANDS = ("field", "classgroup", "s0", "sets", "mazur", "bound", "candidates", "verify")
 
@@ -180,8 +180,10 @@ def _emit(doc: dict, path: str | None) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # every subcommand checks it, before any class data is computed
+        # every subcommand checks them, before any class data is computed
         check_max_factors(args.max_factors)
+        check_mazur_bound(args.mazur_bound)
+        check_s0_count(args.s0_count)
         budget = FactorBudget(trial_bound=args.trial_bound, rho_iterations=args.rho_iters)
         doc, code = _run(args, make_field(args.d), budget)
         # an unwritable --cache path exits 1 before the report is written,
@@ -231,12 +233,9 @@ def _run(args, ctx, budget) -> tuple[dict, int]:
 
     report = assemble_bound(ctx, params)
 
-    cands = None
-    if sub == "candidates":
-        cands = candidate_discriminants(ctx, report, args.max_factors)
+    cands = candidate_discriminants(ctx, report, args.max_factors) if sub == "candidates" else None
     if sub == "verify":
-        for p in sorted(report.union):
-            verify_prime_membership(ctx, p, report)
+        verify_claims(ctx, report.union, report)
     code = 3 if args.require_certified and not report.certified else 0
     return _report_doc(doc["field"], report, cands), code
 

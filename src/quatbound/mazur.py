@@ -3,6 +3,7 @@
 searched here up to a configurable bound."""
 
 from collections import namedtuple
+from functools import cache
 
 from .arith import is_prime, kronecker
 from .quadfield import FieldContext, is_fundamental, split_primes
@@ -26,13 +27,19 @@ def is_in_mazur(ctx: FieldContext, N: int) -> bool:
             return False
 
 
+def check_mazur_bound(bound: int) -> None:
+    if bound < 5:
+        raise ValueError("mazur_prime_set: bound must be >= 5")
+
+
+@cache
 def _keep_pattern(l: int) -> int:
     """The l-bit int whose bit i is clear exactly when 4i + 1 is a nonzero
     square mod the odd prime l.  Of x and l - x one is odd, so each
     nonzero square is x^2 for exactly one odd x = 2y + 1 < l, and
     4i + 1 = x^2 at i = y(y + 1).  Digit i of a bytearray of base-2
     digits is cleared for each such i, and the digits are parsed once,
-    most significant first."""
+    most significant first.  Cached: l alone fixes the pattern."""
     digits = bytearray(b"1") * l
     for y in range((l - 1) // 2):
         digits[y * (y + 1) % l] = 48  # ord("0")
@@ -93,8 +100,7 @@ def mazur_prime_set(ctx: FieldContext, bound: int) -> MazurResult:
     so grouping and stopping give the same bits as applying every rule
     one prime at a time.
     """
-    if bound < 5:
-        raise ValueError("mazur_prime_set: bound must be >= 5")
+    check_mazur_bound(bound)
     alive = (1 << ((bound - 1) // 4 + 1)) - 1
     primes = (l for l in split_primes(ctx) if l != 2)
     l = next(primes)

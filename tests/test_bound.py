@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 from collections import Counter
@@ -11,10 +12,12 @@ from quatbound.bound import (
     BoundParams,
     assemble_bound,
     candidate_discriminants,
+    verify_claims,
     verify_prime_membership,
 )
 from quatbound.classgroup import ClassNumberOne
 from quatbound.cli import main
+from quatbound.mazur import is_in_mazur
 from quatbound.quadfield import make_field, splitting_type
 from quatbound.weilsets import trace_families
 
@@ -247,21 +250,21 @@ class TestComponentTable:
     @pytest.mark.parametrize("row", range(len(bound.COMPONENTS)),
                              ids=[name for name, *_ in bound.COMPONENTS])
     def test_row_mutant_caught(self, monkeypatch, field_reports, row, verdict):
+        # a row that claims every prime it is given, or none
         table = list(bound.COMPONENTS)
         name, primes, _, factored = table[row]
-        table[row] = (name, primes, lambda ctx, p, rep: verdict, factored)
+        table[row] = (name, primes, lambda ctx, ps, rep: set(ps) if verdict else set(),
+                      factored)
         monkeypatch.setattr(bound, "COMPONENTS", tuple(table))
 
-        def caught(ctx, rep, p):
+        def caught(ctx, rep):
             try:
-                verify_prime_membership(ctx, p, rep)
+                verify_claims(ctx, rep.union | set(primes_up_to(500)), rep)
             except RuntimeError:
                 return True
             return False
 
-        assert any(caught(ctx, rep, p) for ctx, rep in field_reports
-                   for p in [*sorted(rep.union),
-                             *[q for q in primes_up_to(500) if q not in rep.union]])
+        assert any(caught(ctx, rep) for ctx, rep in field_reports)
 
     def test_benchmark_names_match(self, monkeypatch):
         # the benchmark's output check names the components again; importing
@@ -273,6 +276,111 @@ class TestComponentTable:
         assert sorted(workloads.ALWAYS_EQUAL + workloads.EQUAL_IF_CERTIFIED) == names
         assert (sorted(workloads.EQUAL_IF_CERTIFIED)
                 == sorted(name for name, _, _, factored in bound.COMPONENTS if factored))
+
+
+ORACLE_PRIMES = frozenset(primes_up_to(10**4))
+
+
+def in_every(key):
+    return lambda ctx, rep, p: all(any(v % p == 0 for v in f.elements if v)
+                                   for f in rep.families[key])
+
+
+# each row's rule for one prime, read straight off the report's raw evidence
+DIRECT = {
+    "ram": lambda ctx, rep, p: ctx.D % p == 0,
+    "small": lambda ctx, rep, p: p <= 23,
+    "a1_intersection": in_every("A1"),
+    "a2_intersection": in_every("A2"),
+    "a3_support": in_every("A3"),
+    "mazur_primes": lambda ctx, rep, p: (p % 4 == 1 and p <= rep.mazur.bound
+                                         and is_in_mazur(ctx, p)),
+    "l_of_S": lambda ctx, rep, p: p in [q.l for q in rep.S],
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_reports(contexts):
+    # Mazur bound 10, so that the members 17, 41, 73 and 89 lie above it;
+    # the uncertified -84 report is the one TestVerifyUncertified runs
+    reports = [(ctx, assemble_bound(ctx, BoundParams(mazur_bound=10)))
+               for ctx in (make_field(-20), make_field(-84), make_field(-419),
+                           make_field(-3299))]
+    uncertified = assemble_bound(contexts[-84], BoundParams(
+        s0_count=1, mazur_bound=10**4, factor_budget=FactorBudget(50, 2)))
+    assert not uncertified.certified
+    return [*reports, (contexts[-84], uncertified)]
+
+
+def disagreements(table, reports):
+    """(D, name) of every row of table whose claims, among the primes below
+    10^4, differ from its direct rule on some report."""
+    return [(ctx.D, name) for ctx, rep in reports for name, _, claims, _ in table
+            if claims(ctx, ORACLE_PRIMES, rep)
+            != {p for p in ORACLE_PRIMES if DIRECT[name](ctx, rep, p)}]
+
+
+def mutant_table(kept: str, mutated: str):
+    """bound.COMPONENTS of a copy of the bound module with the one source
+    line `kept` replaced by `mutated`."""
+    source = inspect.getsource(bound)
+    assert source.count(kept) == 1
+    namespace = {"__name__": "quatbound._mutant", "__package__": "quatbound"}
+    exec(compile(source.replace(kept, mutated), bound.__file__, "exec"), namespace)
+    return namespace["COMPONENTS"]
+
+
+class TestClaimOracle:
+    def test_rows_match_direct_rules(self, oracle_reports):
+        assert sorted(DIRECT) == sorted(name for name, *_ in bound.COMPONENTS)
+        assert disagreements(bound.COMPONENTS, oracle_reports) == []
+
+    def test_verify_claims_every_prime(self, oracle_reports):
+        # on the uncertified report a factored row claims a prime its
+        # component misses, and passes, as factored rows are exempt there
+        for ctx, rep in oracle_reports:
+            claimed = verify_claims(ctx, ORACLE_PRIMES, rep)
+            assert claimed == {name: {p for p in ORACLE_PRIMES if rule(ctx, rep, p)}
+                               for name, rule in DIRECT.items()}
+            listed = {name: primes & ORACLE_PRIMES for name, primes in rep.components.items()}
+            assert (claimed == listed) == rep.certified
+
+    @pytest.mark.parametrize("kept, mutated", [
+        ("prod(v for v in f.elements if v)", "prod(f.elements)"),
+        ("for f in rep.families[key]", "for f in rep.families[key][:1]"),
+        ("p % 4 == 1 and p <= rep.mazur.bound", "p % 4 == 1"),
+    ], ids=["zero_kept", "first_family_only", "no_mazur_bound"])
+    def test_mutant_caught(self, oracle_reports, kept, mutated):
+        assert disagreements(mutant_table(kept, mutated), oracle_reports)
+
+
+def per_prime_loop(ctx, rep):
+    """What verify ran before the set-valued pass: each union prime in
+    ascending order, one prime at a time."""
+    for p in sorted(rep.union):
+        verify_prime_membership(ctx, p, rep)
+
+
+class TestFirstMismatch:
+    @pytest.mark.parametrize("dropped, added, expected", [
+        # the a1 prime is the smaller: it is reported, from the earlier row
+        (3, ("l_of_S", 71), "for p=3 in a1_intersection: re-derived True, report False"),
+        # the added prime is the smaller: it is reported, from the later row
+        (71, ("l_of_S", 7), "for p=7 in l_of_S: re-derived False, report True"),
+        # one prime, two rows: the first row in table order
+        (71, ("ram", 71), "for p=71 in ram: re-derived False, report True"),
+    ])
+    def test_two_injected(self, ctx20, report20, dropped, added, expected):
+        name, p = added
+        components = dict(report20.components)
+        components["a1_intersection"] = components["a1_intersection"] - {dropped}
+        components[name] = components[name] | {p}
+        bad = report20._replace(components=components, union=report20.union | {p})
+        with pytest.raises(RuntimeError) as loop:
+            per_prime_loop(ctx20, bad)
+        with pytest.raises(RuntimeError) as one_pass:
+            verify_claims(ctx20, bad.union, bad)
+        assert str(one_pass.value) == str(loop.value) == f"evidence mismatch {expected}"
 
 
 class TestCandidates:

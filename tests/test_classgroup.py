@@ -16,6 +16,7 @@ from quatbound.arith import is_prime, kronecker, primes_up_to
 from quatbound.classgroup import (
     ClassNumberOne,
     QuadForm,
+    check_s0_count,
     compose,
     enumerate_S0,
     form_order,
@@ -198,6 +199,14 @@ class TestS0:
             enumerate_S0(ctx, 1)
         assert ctx.generators == ()
         assert ctx.class_number == 1
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_1_rejected(self, ctx20, count):
+        # the rule the CLI checks before any class data, shared
+        with pytest.raises(ValueError, match=f"^S0 count must be >= 1, got {count}$"):
+            enumerate_S0(ctx20, count)
+        with pytest.raises(ValueError, match=f"^S0 count must be >= 1, got {count}$"):
+            check_s0_count(count)
 
     def test_first_members_power_principal(self, contexts):
         for ctx in contexts.values():

@@ -348,8 +348,8 @@ def refuse(*args):
 
 
 class TestEarlyChecks:
-    """A bad --mazur-bound or --max-factors exits 1 before any family of
-    -5879 (h = 101) is built, which takes about a second."""
+    """A bad --mazur-bound, --s0-count or --max-factors exits 1 before any
+    family of -5879 (h = 101) is built, which takes about a second."""
 
     @pytest.fixture(autouse=True)
     def no_families(self, monkeypatch):
@@ -369,6 +369,24 @@ class TestEarlyChecks:
         assert main([sub, "--d", "-5879", "--max-factors", "3", "--json", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err == "error: max_factors must be an even integer >= 2\n"
+
+    @pytest.mark.parametrize("sub", cli.SUBCOMMANDS)
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--mazur-bound", "4", "mazur_prime_set: bound must be >= 5"),
+        ("--mazur-bound", "-7", "mazur_prime_set: bound must be >= 5"),
+        ("--s0-count", "0", "S0 count must be >= 1, got 0"),
+        ("--s0-count", "-1", "S0 count must be >= 1, got -1"),
+    ])
+    @pytest.mark.parametrize("D", ["-419", "-1"])
+    def test_bound_and_count(self, tmp_path, capsys, monkeypatch, sub, flag, value,
+                             message, D):
+        # every subcommand checks both before the field's class data, so
+        # class number 1 (-1) exits 1 too
+        monkeypatch.setattr(cli, "make_field", refuse)
+        out = tmp_path / "o.json"
+        assert main([sub, "--d", D, flag, value, "--json", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # quotes, backslashes, control characters, non-ASCII and lone surrogates:

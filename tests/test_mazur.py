@@ -4,7 +4,7 @@ import pytest
 
 from quatbound import mazur, quadfield
 from quatbound.arith import kronecker, primes_up_to
-from quatbound.mazur import is_in_mazur, mazur_prime_set
+from quatbound.mazur import check_mazur_bound, is_in_mazur, mazur_prime_set
 from quatbound.quadfield import is_fundamental, make_field, split_primes, splitting_type
 
 # The fields of the benchmark's small_panel workload.
@@ -250,6 +250,39 @@ class TestPresieveOracle:
     def test_mutant_first_member_only_fails(self, contexts):
         # a sieve that applies only the first member's rule of each group
         assert mutant_caught(contexts, "for m in group:", "for m in group[:1]:")
+
+
+class TestBoundCheck:
+    @pytest.mark.parametrize("bound", [4, -7])
+    def test_below_5_rejected(self, ctx20, bound):
+        # the rule the CLI checks before any class data, shared
+        with pytest.raises(ValueError, match="^mazur_prime_set: bound must be >= 5$"):
+            mazur_prime_set(ctx20, bound)
+        with pytest.raises(ValueError, match="^mazur_prime_set: bound must be >= 5$"):
+            check_mazur_bound(bound)
+
+
+class TestKeepPatternCache:
+    def test_matches_definition(self):
+        # bit i is clear exactly when 4i + 1 is a nonzero square mod l
+        for l in primes_up_to(2000)[1:]:
+            squares = {x * x % l for x in range(1, l)}
+            expected = sum(1 << i for i in range(l) if (4 * i + 1) % l not in squares)
+            assert mazur._keep_pattern(l) == expected, l
+
+    def test_order_and_clear_change_nothing(self):
+        def members(fields):
+            return {D: mazur_prime_set(make_field(D), 10**6).members for D in fields}
+
+        mazur._keep_pattern.cache_clear()
+        in_order = members(SMALL_PANEL_FIELDS)
+        # one pattern per odd split prime that the six searches reach
+        assert mazur._keep_pattern.cache_info().currsize == 42
+        reverse = members(SMALL_PANEL_FIELDS[::-1])
+        mazur._keep_pattern.cache_clear()
+        reverse_cold = members(SMALL_PANEL_FIELDS[::-1])
+        mazur._keep_pattern.cache_clear()
+        assert in_order == reverse == reverse_cold == members(SMALL_PANEL_FIELDS)
 
 
 class TestMazurDiscriminants:
