@@ -1,8 +1,8 @@
 """Assembly of the finite prime superset for discriminants of quaternion
-algebras whose Shimura curve can have a point over k, per-prime evidence
-checks and candidate discriminants.  For every generating set S of the
-class group, every such prime lies in the union of the seven COMPONENTS;
-only mazur_primes is complete solely up to mazur_bound, the report's caveat."""
+algebras whose Shimura curve can have a point over k, evidence checks
+and candidate discriminants.  For every generating set S of the class
+group, every such prime lies in the union of the seven COMPONENTS; only
+mazur_primes is complete solely up to mazur_bound, the report's caveat."""
 
 from collections import namedtuple
 from itertools import combinations
@@ -15,6 +15,7 @@ from .weilsets import intersection_set, prime_support, trace_families
 from .mazur import is_in_mazur, mazur_prime_set
 
 SMALL_PRIME_CAP = 23
+MAX_FACTORS = 4
 
 
 BoundParams = namedtuple("BoundParams", "s0_count mazur_bound factor_budget S_override",
@@ -135,18 +136,13 @@ def verify_claims(ctx: FieldContext, primes: frozenset, report: BoundReport) -> 
     return claimed
 
 
-def verify_prime_membership(ctx: FieldContext, p: int, report: BoundReport) -> tuple[str, ...]:
-    """The names of the rows that claim p: verify_claims for p alone."""
-    return tuple(name for name, ps in verify_claims(ctx, frozenset({p}), report).items() if ps)
-
-
 def check_max_factors(max_factors: int) -> None:
     if max_factors < 2 or max_factors % 2 != 0:
         raise ValueError("max_factors must be an even integer >= 2")
 
 
 def candidate_discriminants(
-    ctx: FieldContext, report: BoundReport, max_factors: int = 4
+    ctx: FieldContext, report: BoundReport, max_factors: int = MAX_FACTORS
 ) -> list[int]:
     """Squarefree products of an even number of union primes such that every
     split factor is 1 mod 4 (membership in the restricted family) and at

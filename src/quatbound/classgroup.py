@@ -5,10 +5,10 @@ exponent and the split-prime sets feeding the trace families.  A form
 (a, b, c) stands for the ideal Z*a + Z*(-b + sqrt(D))/2."""
 
 from collections import namedtuple
-from itertools import islice, takewhile
+from itertools import chain, islice, takewhile
 from math import lcm
 
-from .arith import kronecker, prime_stream
+from .arith import kronecker
 from .quadfield import FieldContext, split_primes
 
 
@@ -77,14 +77,15 @@ def principal_form(D: int) -> QuadForm:
     return QuadForm(1, 1, (1 - D) // 4)
 
 
-def _prime_classes(D: int) -> set[QuadForm]:
-    """The classes of the degree-1 primes p with 3p^2 <= |D|, which
-    generate the class group: every class holds a reduced form (a, b, c),
-    3a^2 <= |D| (Cohen, GTM 138, Section 5.3), the form of an ideal of norm
-    a, a product of primes of norm <= a; an inert prime's ideal is
-    principal."""
-    small = takewhile(lambda p: 3 * p * p <= -D, prime_stream())
-    return {reduce_form(*prime_form(D, p)) for p in small if kronecker(D, p) != -1}
+def _prime_classes(ctx: FieldContext) -> set[QuadForm]:
+    """The classes of the degree-1 primes p with 3p^2 <= |D|, which generate
+    the class group: every class holds a reduced form (a, b, c), 3a^2 <= |D|
+    (Cohen, GTM 138, Section 5.3), the form of an ideal of norm a, a product
+    of primes of norm <= a; an inert prime's ideal is principal.  The split
+    primes are read from the field's list."""
+    split = takewhile(lambda p: 3 * p * p <= -ctx.D, split_primes(ctx))
+    ramified = (p for p in ctx.ram_primes if 3 * p * p <= -ctx.D)
+    return {reduce_form(*prime_form(ctx.D, p)) for p in chain(split, ramified)}
 
 
 def _sqrt_mod(n: int, l: int) -> int:
@@ -247,7 +248,7 @@ def generating_set(ctx: FieldContext) -> tuple[tuple[SplitPrime, ...], frozenset
     chosen: list[SplitPrime] = []
     h = 1
     primes = _split_primes(ctx)
-    missing = _prime_classes(ctx.D) - H
+    missing = _prime_classes(ctx) - H
     while missing:
         q = next(primes)
         if q.form not in H:

@@ -15,8 +15,8 @@ from .quadfield import FieldContext, make_field
 from .classgroup import ClassNumberOne, check_s0_count, enumerate_S0, form_order
 from .mazur import check_mazur_bound, mazur_prime_set
 from .weilsets import ASet
-from .bound import (BoundParams, BoundReport, FamilySets, assemble_bound, assemble_sets,
-                    candidate_discriminants, check_max_factors, verify_claims)
+from .bound import (MAX_FACTORS, BoundParams, BoundReport, FamilySets, assemble_bound,
+                    assemble_sets, candidate_discriminants, check_max_factors, verify_claims)
 
 SUBCOMMANDS = ("field", "classgroup", "s0", "sets", "mazur", "bound", "candidates", "verify")
 
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated override for the generating primes")
     ap.add_argument("--json", dest="json_path", type=str, default=None,
                     help="write the JSON report here instead of stdout")
-    ap.add_argument("--max-factors", type=int, default=4,
+    ap.add_argument("--max-factors", type=int, default=MAX_FACTORS,
                     help="candidates: largest (even) number of prime factors")
     return ap
 

@@ -13,7 +13,6 @@ from quatbound.bound import (
     assemble_bound,
     candidate_discriminants,
     verify_claims,
-    verify_prime_membership,
 )
 from quatbound.classgroup import ClassNumberOne
 from quatbound.cli import main
@@ -135,21 +134,21 @@ class TestBuildOnce:
 
 class TestVerify:
     def test_examples(self, ctx20, report20):
-        assert "ram" in verify_prime_membership(ctx20, 2, report20)
-        assert "small" in verify_prime_membership(ctx20, 19, report20)
-        claims = verify_prime_membership(ctx20, 5, report20)
-        assert {"ram", "small", "mazur_primes"} <= set(claims)
+        claimed = verify_claims(ctx20, frozenset({2, 5, 19}), report20)
+        assert 2 in claimed["ram"]
+        assert 19 in claimed["small"]
+        assert {"ram", "small", "mazur_primes"} <= {name for name, ps in claimed.items()
+                                                    if 5 in ps}
 
     def test_union_and_absent_primes(self, contexts):
         rng = random.Random(31)
         pool = primes_up_to(10**5)
         for ctx in contexts.values():
             rep = assemble_bound(ctx, BoundParams(mazur_bound=10**4))
-            for p in sorted(rep.union):
-                assert verify_prime_membership(ctx, p, rep)
             absent = [p for p in pool if p not in rep.union]
-            for p in rng.sample(absent, 50):
-                assert not verify_prime_membership(ctx, p, rep)
+            # some row claims each union prime, and none a sampled absent one
+            claimed = verify_claims(ctx, rep.union | set(rng.sample(absent, 50)), rep)
+            assert frozenset().union(*claimed.values()) == rep.union
 
     @pytest.mark.parametrize("D", [-20, -23, -84, -71, -419, -3299])
     def test_shared_walk_same_claims(self, D):
@@ -158,10 +157,9 @@ class TestVerify:
         # claims of a fresh context
         ctx = make_field(D)
         rep = assemble_bound(ctx)
-        union = sorted(rep.union)
-        assert ([verify_prime_membership(ctx, p, rep) for p in union]
-                == [verify_prime_membership(make_field(D), p, rep) for p in union])
-        assert any("mazur_primes" in verify_prime_membership(ctx, p, rep) for p in union)
+        claimed = verify_claims(ctx, rep.union, rep)
+        assert claimed == verify_claims(make_field(D), rep.union, rep)
+        assert claimed["mazur_primes"]
 
 
 class TestVerifyMismatch:
@@ -174,31 +172,31 @@ class TestVerifyMismatch:
     def test_dropped_intersection_prime(self, ctx20, report20):
         a1 = report20.components["a1_intersection"]
         p = max(a1)
-        verify_prime_membership(ctx20, p, report20)
+        verify_claims(ctx20, frozenset({p}), report20)
         bad = self._with(report20, "a1_intersection", a1 - {p})
         with pytest.raises(RuntimeError, match="evidence mismatch"):
-            verify_prime_membership(ctx20, p, bad)
+            verify_claims(ctx20, frozenset({p}), bad)
 
     def test_added_mazur_prime(self, ctx20, report20):
         mz = report20.components["mazur_primes"]
         p = next(p for p in primes_up_to(report20.mazur.bound)
                  if p % 4 == 1 and p not in mz)
-        verify_prime_membership(ctx20, p, report20)
+        verify_claims(ctx20, frozenset({p}), report20)
         bad = self._with(report20, "mazur_primes", mz | {p})
         with pytest.raises(RuntimeError, match="evidence mismatch"):
-            verify_prime_membership(ctx20, p, bad)
+            verify_claims(ctx20, frozenset({p}), bad)
 
     def test_added_l_of_S_prime(self, ctx20, report20):
         # 7 splits in k and is claimed by small, a1 and a3, but S = {3}
         assert report20.components["l_of_S"] == {3}
         bad = self._with(report20, "l_of_S", {3, 7})
         with pytest.raises(RuntimeError, match="for p=7 in l_of_S: re-derived False"):
-            verify_prime_membership(ctx20, 7, bad)
+            verify_claims(ctx20, frozenset({7}), bad)
 
     def test_dropped_l_of_S_prime(self, ctx20, report20):
         bad = self._with(report20, "l_of_S", set())
         with pytest.raises(RuntimeError, match="for p=3 in l_of_S: re-derived True"):
-            verify_prime_membership(ctx20, 3, bad)
+            verify_claims(ctx20, frozenset({3}), bad)
 
 
 class TestVerifyUncertified:
@@ -226,10 +224,10 @@ class TestVerifyUncertified:
         assert not rep.certified
         mz = rep.components["mazur_primes"]
         p = next(p for p in primes_up_to(rep.mazur.bound) if p % 4 == 1 and p not in mz)
-        verify_prime_membership(ctx, p, rep)
+        verify_claims(ctx, frozenset({p}), rep)
         components = dict(rep.components, mazur_primes=mz | {p})
         with pytest.raises(RuntimeError, match=f"for p={p} in mazur_primes"):
-            verify_prime_membership(ctx, p, rep._replace(components=components))
+            verify_claims(ctx, frozenset({p}), rep._replace(components=components))
 
 
 @pytest.fixture(scope="module")
@@ -358,7 +356,7 @@ def per_prime_loop(ctx, rep):
     """What verify ran before the set-valued pass: each union prime in
     ascending order, one prime at a time."""
     for p in sorted(rep.union):
-        verify_prime_membership(ctx, p, rep)
+        verify_claims(ctx, frozenset({p}), rep)
 
 
 class TestFirstMismatch:

@@ -1,5 +1,5 @@
 from itertools import combinations, islice
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 
@@ -16,6 +16,7 @@ from quatbound.arith import is_prime, kronecker, primes_up_to
 from quatbound.classgroup import (
     ClassNumberOne,
     QuadForm,
+    _prime_classes,
     check_s0_count,
     compose,
     enumerate_S0,
@@ -378,6 +379,35 @@ class TestPrimeForm:
                 assert (f.b * f.b - D) % (4 * l) == 0
         with pytest.raises(AssertionError):
             prime_form(-7, 15)  # (-7|15) = 1, yet -7 is a square mod neither 3 nor 5
+
+
+class TestPrimeClasses:
+    """_prime_classes, which reads the split primes from the field's list
+    and the ramified ones from ctx.ram_primes, against every prime p with
+    3p^2 <= |D| that is not inert, classified afresh."""
+
+    @staticmethod
+    def expected(D: int) -> set:
+        # no prime p has 3p^2 <= |D| when |D| < 12
+        ps = primes_up_to(isqrt(-D // 3)) if D <= -12 else []
+        return {reduce_form(*prime_form(D, p)) for p in ps if kronecker(D, p) != -1}
+
+    def test_every_field_to_3000(self):
+        fields = [D for D in range(-3, -3001, -1) if is_fundamental(D)]
+        for D in fields:
+            want = self.expected(D)
+            ctx = make_field(D)
+            assert _prime_classes(ctx) == want, D
+            # the walk extends the field's list; the classes stay the same
+            assert subgroup_closure(D, want) == ctx.classes, D
+            assert _prime_classes(ctx) == want, D
+        assert len(fields) == 911
+
+    def test_class_number_one(self):
+        # 2, 3, 5 and 7 are inert in Q(sqrt(-163)): no class to reach
+        ctx = make_field(-163)
+        assert _prime_classes(ctx) == self.expected(-163) == set()
+        assert ctx.class_number == 1 and ctx.generators == ()
 
 
 def lattice_generator(D: int, f: QuadForm):

@@ -198,9 +198,9 @@ GOLDEN = Path(__file__).parent / "data"
 def count_prime_classes(monkeypatch) -> Counter:
     calls = Counter()
 
-    def counting(D, _real=classgroup._prime_classes):
-        calls[D] += 1
-        return _real(D)
+    def counting(ctx, _real=classgroup._prime_classes):
+        calls[ctx.D] += 1
+        return _real(ctx)
 
     monkeypatch.setattr(classgroup, "_prime_classes", counting)
     return calls
@@ -313,6 +313,14 @@ class TestRequestDefaults:
         assert main(["bound", "--d", "-20", "--s0-count", "4", "--mazur-bound", "1000000",
                      "--trial-bound", "1000000", "--rho-iters", "10000000",
                      "--json", str(explicit)]) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+
+    def test_max_factors_defaults_to_the_librarys(self, tmp_path):
+        # bound.MAX_FACTORS, the default of candidate_discriminants too
+        implicit, explicit = tmp_path / "implicit.json", tmp_path / "explicit.json"
+        args = ["candidates", "--d", "-84", "--mazur-bound", "10000"]
+        assert main([*args, "--json", str(implicit)]) == 0
+        assert main([*args, "--max-factors", "4", "--json", str(explicit)]) == 0
         assert implicit.read_bytes() == explicit.read_bytes()
 
 
