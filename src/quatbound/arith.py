@@ -3,7 +3,7 @@
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import compress, count, islice
 from math import gcd, inf, isqrt, lcm, prod
 
@@ -21,6 +21,7 @@ _MR_BASE_LIMITS = (
 _MR_DETERMINISTIC_LIMIT = _MR_BASE_LIMITS[-1]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_LIMIT = 41 * 41  # below it, a number that none of them divides is prime
 
 
 def kronecker(a: int, n: int) -> int:
@@ -122,6 +123,8 @@ def prime_status(n: int) -> str:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return "prime" if n == p else "composite"
+    if n < _SMALL_LIMIT:
+        return "prime"
     if n < _MR_DETERMINISTIC_LIMIT:
         for a in _MR_BASES[: bisect_right(_MR_BASE_LIMITS, n) + 1]:
             if _miller_rabin_composite(n, a):
@@ -312,6 +315,19 @@ def _trial_divide(m: int, trial: _TrialPrimes, bound: int) -> tuple[dict[int, in
     return powers, m
 
 
+@cache
+def _small_powers(m: int) -> tuple[tuple[int, int], ...]:
+    """The prime powers of 1 <= m < 41^2, by the primes p <= 37 while p*p <= m."""
+    powers = {}
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            break
+        while m % p == 0:
+            powers[p] = powers.get(p, 0) + 1
+            m //= p
+    return (*powers.items(), (m, 1)) if m > 1 else tuple(powers.items())
+
+
 def _proven_prime(m: int) -> bool:
     # prime_status says "prime" only below the deterministic limit: a larger
     # m is not tested, as its test could only cost time
@@ -449,6 +465,10 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
     with p*p <= the part in turn.  The trial primes are the process's one
     list cut at the trial bound, sieved as far as the division reaches.
 
+    An n with |n| below both 41^2 and the trial bound squared, which trial
+    division alone finishes, is divided by the primes up to 37 instead, to
+    the same prime powers, kept per |n| (at most 1,680 of them).
+
     The result depends on (n, budget) alone.  p-1 runs only when the trial
     primes, one step each, fit in the rho iteration budget; if it finds
     nothing, rho runs with the whole budget.  Any composite part left when
@@ -503,6 +523,8 @@ def _factor(n: int, budget: FactorBudget, trial: _TrialPrimes,
     the torus run over torus = (D, l), if given, before p-1."""
     if n == 0:
         raise ValueError("factor: n must be nonzero")
+    if abs(n) < min(_SMALL_LIMIT, budget.trial_bound * budget.trial_bound):
+        return FactoredInteger(value=n, prime_powers=_small_powers(abs(n)))
     powers, m = _trial_divide(abs(n), trial, budget.trial_bound)
     # every part pushed is above 1: isqrt(m) >= 2, and p-1 and rho give 1 < f < m
     stack = [m] if m > 1 else []

@@ -113,7 +113,7 @@ def _validated_override(ctx: FieldContext, ls: tuple[int, ...]) -> list[SplitPri
             raise ValueError(f"S override: {l} is not a prime")
         if splitting_type(ctx, l) != "split":
             raise ValueError(f"S override: {l} does not split in k")
-        q = SplitPrime.above(ctx.D, l)
+        q = SplitPrime.above(ctx, l)
         if q.form == principal_form(ctx.D):
             raise ValueError(f"S override: prime above {l} is principal")
         out.append(q)

@@ -6,7 +6,7 @@ exponent and the split-prime sets feeding the trace families.  A form
 
 from collections import namedtuple
 from itertools import chain, islice, takewhile
-from math import lcm
+from math import gcd, lcm
 
 from .arith import kronecker
 from .quadfield import FieldContext, split_primes
@@ -18,16 +18,19 @@ class QuadForm(namedtuple("QuadForm", "a b c")):
     __slots__ = ()
 
 
-class SplitPrime(namedtuple("SplitPrime", "l form")):
-    """A split degree-1 prime of k: its norm l and the reduced form of its
-    class.  The S0 members are the non-principal ones."""
+class SplitPrime(namedtuple("SplitPrime", "l form ideal")):
+    """A degree-1 prime of k: its norm l, the reduced form of its class and
+    the prime's own form, prime_form(D, l).  The S0 members are the split
+    non-principal ones.  `above` builds each once per field, on the context."""
 
     __slots__ = ()
 
     @classmethod
-    def above(cls, D: int, l: int) -> "SplitPrime":
-        f = prime_form(D, l)
-        return cls(l=l, form=reduce_form(f.a, f.b, f.c))
+    def above(cls, ctx: FieldContext, l: int) -> "SplitPrime":
+        if l not in ctx._forms:
+            f = prime_form(ctx.D, l)
+            ctx._forms[l] = cls(l, reduce_form(*f), f)
+        return ctx._forms[l]
 
 
 def _reduce(a: int, b: int, c: int) -> tuple[QuadForm, tuple[int, int]]:
@@ -85,7 +88,7 @@ def _prime_classes(ctx: FieldContext) -> set[QuadForm]:
     primes are read from the field's list."""
     split = takewhile(lambda p: 3 * p * p <= -ctx.D, split_primes(ctx))
     ramified = (p for p in ctx.ram_primes if 3 * p * p <= -ctx.D)
-    return {reduce_form(*prime_form(ctx.D, p)) for p in chain(split, ramified)}
+    return {SplitPrime.above(ctx, p).form for p in chain(split, ramified)}
 
 
 def _sqrt_mod(n: int, l: int) -> int:
@@ -121,26 +124,18 @@ def prime_form(D: int, l: int) -> QuadForm:
     raise AssertionError(f"no square root of {D} mod 4*{l}")
 
 
-def _xgcd(x: int, y: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*x + v*y = g = gcd(x, y) >= 0."""
-    u0, u1, v0, v1 = 1, 0, 0, 1
-    while y:
-        q, r = divmod(x, y)
-        x, y = y, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    return (x, u0, v0) if x >= 0 else (-x, -u0, -v0)
-
-
 def _dirichlet(D: int, f: QuadForm, g: QuadForm) -> QuadForm:
     """Dirichlet composition, unreduced, with b in [0, 2a) (Cohen, GTM 138,
     Lemma 5.4.5): e = gcd(f.a, g.a, s) = u*f.a + v*g.a + w*s for
     s = (f.b + g.b)/2, and the result is the form of the ideal product
-    divided by its content e."""
+    divided by its content e, the same for every such (u, v, w).  With
+    d = gcd(f.a, g.a), w*s = e mod d, and v*g.a = e - w*s mod f.a."""
     s = (f.b + g.b) // 2
-    d, _, y = _xgcd(f.a, g.a)
-    e, z, w = _xgcd(d, s)
-    v = z * y
+    d = gcd(f.a, g.a)
+    e = gcd(d, s)
+    # inverses mod 1 are 0, as where d | s or f.a | g.a
+    w = pow(s // e, -1, d // e)
+    v = pow(g.a // d, -1, f.a // d) * ((e - w * s) // d)
     a = f.a * g.a // (e * e)
     b = (g.b + 2 * (g.a // e) * (v * (s - g.b) - w * g.c)) % (2 * a)
     return QuadForm(a, b, (b * b - D) // (4 * a))
@@ -148,8 +143,7 @@ def _dirichlet(D: int, f: QuadForm, g: QuadForm) -> QuadForm:
 
 def compose(D: int, f: QuadForm, g: QuadForm) -> QuadForm:
     """Gauss composition: the reduced form of the class of f*g."""
-    h = _dirichlet(D, f, g)
-    return reduce_form(h.a, h.b, h.c)
+    return reduce_form(*_dirichlet(D, f, g))
 
 
 def form_power(D: int, f: QuadForm, n: int) -> QuadForm:
@@ -203,7 +197,7 @@ def _split_primes(ctx: FieldContext):
     """The split non-principal degree-1 primes of k, by norm, without end."""
     ident = principal_form(ctx.D)
     for l in split_primes(ctx):
-        q = SplitPrime.above(ctx.D, l)
+        q = SplitPrime.above(ctx, l)
         if q.form != ident:
             yield q
 

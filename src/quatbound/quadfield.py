@@ -36,12 +36,16 @@ class FieldContext(namedtuple("FieldContext", "D ram_primes")):
     greedy generating set of the class group, its reduced forms `classes`
     (as many as the class number) and its exponent h; that walk and the
     list of split primes are computed once, on first use, and kept in the
-    instance dict, which is why the class has no __slots__."""
+    instance dict with the primes' forms, which is why it has no __slots__."""
 
     @cached_property
     def _split(self) -> tuple:
         """The split primes found so far and the walk that finds the rest."""
         return [], (l for l in prime_stream() if kronecker(self.D, l) == 1)
+
+    @cached_property
+    def _forms(self) -> dict:  # classgroup.SplitPrime.above's, by l
+        return {}
 
     @cached_property
     def _class_group(self) -> tuple:

@@ -6,7 +6,7 @@ from math import gcd, isqrt, prod
 
 from .arith import FactorBudget, FactoredInteger, factor, factor_admissible
 from .quadfield import FieldContext
-from .classgroup import SplitPrime, form_power, prime_form, principal_generator
+from .classgroup import SplitPrime, form_power, principal_generator
 
 
 def _lucas(P: int, Q: int, n: int) -> tuple[int, int]:
@@ -40,7 +40,7 @@ def trace_set(l: int, h: int) -> dict[int, int]:
 def beta_for(ctx: FieldContext, q: SplitPrime) -> tuple[int, int]:
     """Canonical generator (t + y*sqrt(D))/2 of q^h, h the class-group
     exponent, as the pair (t, y)."""
-    qh = form_power(ctx.D, prime_form(ctx.D, q.l), ctx.h)
+    qh = form_power(ctx.D, q.ideal, ctx.h)
     beta = principal_generator(ctx.D, qh)
     if beta is None:
         raise AssertionError("q^h must be principal when h is the group exponent")

@@ -3,6 +3,7 @@ from math import isqrt, lcm
 
 import pytest
 
+from composition_reference import reference_dirichlet
 from ideal_reference import (
     ideal_class,
     ideal_mul,
@@ -12,6 +13,7 @@ from ideal_reference import (
     reference_reduced_forms,
     shortest_generator,
 )
+from quatbound import classgroup
 from quatbound.arith import is_prime, kronecker, primes_up_to
 from quatbound.classgroup import (
     ClassNumberOne,
@@ -144,6 +146,37 @@ class TestCompose:
                     assert compose(D, compose(D, f, g), h) == compose(
                         D, f, compose(D, g, h)
                     )
+
+
+class TestDirichletAgainstReference:
+    """_dirichlet's gcds and inverses from math.gcd and pow against the
+    extended Euclid it replaced: the same unreduced (a, b, c)."""
+
+    @pytest.mark.parametrize("D", [-20, -84, -419, -2999, -3299])
+    def test_every_ordered_pair_of_classes(self, D):
+        # -20 and -84 have ramified classes, whose squares have content e > 1
+        forms = sorted(make_field(D).classes)
+        for f in forms:
+            for g in forms:
+                assert classgroup._dirichlet(D, f, g) == reference_dirichlet(D, f, g), (f, g)
+
+    @pytest.mark.parametrize("D", [-1151, -2999, -57911])
+    def test_every_form_power_step(self, monkeypatch, D):
+        # each composition of q^n, 1 <= n <= h, for the S0 primes q
+        real, steps = classgroup._dirichlet, []
+
+        def checked(D, f, g):
+            got = real(D, f, g)
+            assert got == reference_dirichlet(D, f, g), (f, g)
+            steps.append(got)
+            return got
+
+        monkeypatch.setattr(classgroup, "_dirichlet", checked)
+        ctx = make_field(D)
+        for q in enumerate_S0(ctx, 4):
+            for n in range(1, ctx.h + 1):
+                assert form_power(D, q.ideal, n).a == q.l**n
+        assert len(steps) > 4 * ctx.h
 
 
 class TestExponent:

@@ -192,6 +192,34 @@ class TestOneFamilyBuild:
         assert [f["family"] for f in doc["families"]] == ["A1", "A2"] * s0_count + ["A3"]
 
 
+class TestPrimeFormsOncePerField:
+    @pytest.mark.parametrize("argv, primes", [
+        (["bound", "--d", "-2999"], [2, 3, 5, 7, 11, 13, 31]),
+        (["verify", "--d", "-3299"], [3, 5, 11, 13, 17, 19, 23, 29, 31]),
+    ], ids=["bound_-2999", "verify_-3299"])
+    def test_each_prime_built_once_per_request(self, tmp_path, monkeypatch, argv, primes):
+        # the class-group targets, the walk, S0 and each beta read the
+        # field's forms; a second request builds a fresh field, so it makes
+        # the same calls again: nothing is kept across fields
+        calls = []
+        real = classgroup.prime_form
+
+        def counting(D, l):
+            calls.append(l)
+            return real(D, l)
+
+        for module in (bound, classgroup, cli, quadfield, weilsets):
+            if getattr(module, "prime_form", None) is real:
+                monkeypatch.setattr(module, "prime_form", counting)
+        seen = []
+        for _ in range(2):
+            del calls[:]
+            assert run(tmp_path, *argv)[0] == 0
+            assert sorted(calls) == primes
+            seen.append(list(calls))
+        assert seen[0] == seen[1]
+
+
 GOLDEN = Path(__file__).parent / "data"
 
 
@@ -262,6 +290,14 @@ class TestGoldenVerify:
         assert main(["bound", "--d", "-1151", "--trial-bound", "50", "--rho-iters", "2",
                      "--mazur-bound", "1000", "--json", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "bound_-1151_tiny.json").read_bytes()
+
+    def test_bound_tiny_trial_bound_bytes(self, tmp_path):
+        # trial bound 3 and no rho: composite parts below 41^2 but above 9,
+        # such as 1085 = 5*7*31, stay listed cofactors
+        out = tmp_path / "bound.json"
+        assert main(["bound", "--d", "-84", "--trial-bound", "3", "--rho-iters", "0",
+                     "--mazur-bound", "1000", "--json", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "bound_-84_tb3.json").read_bytes()
 
     def test_cross_bound_bytes_in_one_process(self, tmp_path):
         # one process, one list of primes: the trial bound 50 after the list
