@@ -21,7 +21,8 @@ class QuadForm(namedtuple("QuadForm", "a b c")):
 class SplitPrime(namedtuple("SplitPrime", "l form ideal")):
     """A degree-1 prime of k: its norm l, the reduced form of its class and
     the prime's own form, prime_form(D, l).  The S0 members are the split
-    non-principal ones.  `above` builds each once per field, on the context."""
+    non-principal ones.  `above` builds each once per field, on the context;
+    _prime_classes also builds the ramified primes through it."""
 
     __slots__ = ()
 
@@ -59,9 +60,9 @@ def reduce_form(a: int, b: int, c: int) -> QuadForm:
     return _reduce(a, b, c)[0]
 
 
-def principal_generator(D: int, f: QuadForm) -> tuple[int, int] | None:
+def principal_generator(f: QuadForm) -> tuple[int, int] | None:
     """A generator (t + y*sqrt(D))/2 of the ideal Z*a + Z*(-b + sqrt(D))/2
-    of the form f = (a, b, c), as the pair (t, y), or None when the ideal is
+    of the form f = (a, b, c), D = b^2 - 4ac, as (t, y), or None when it is
     not principal.  The element x*a + y*(-b + sqrt(D))/2 has norm
     a*(a*x^2 - b*x*y + c*y^2), so the ideal is principal exactly when
     (a, -b, c) reduces to the principal form, and the vector (x, y) of that
@@ -164,15 +165,8 @@ def form_power(D: int, f: QuadForm, n: int) -> QuadForm:
 
 
 def form_order(D: int, f: QuadForm) -> int:
-    ident = principal_form(D)
-    cur = reduce_form(f.a, f.b, f.c)
-    n = 1
-    while cur != ident:
-        cur = compose(D, cur, f)
-        n += 1
-        if n > 10**6:
-            raise AssertionError("form order runaway")
-    return n
+    """The order of f's class: the size of the cyclic group <f>."""
+    return len(_extend(D, {principal_form(D)}, f)[0])
 
 
 class ClassNumberOne(ValueError):
@@ -190,16 +184,8 @@ def enumerate_S0(ctx: FieldContext, count: int) -> list[SplitPrime]:
     if ctx.class_number == 1:
         raise ClassNumberOne("theorem inapplicable: class number is 1")
     check_s0_count(count)
-    return list(islice(_split_primes(ctx), count))
-
-
-def _split_primes(ctx: FieldContext):
-    """The split non-principal degree-1 primes of k, by norm, without end."""
-    ident = principal_form(ctx.D)
-    for l in split_primes(ctx):
-        q = SplitPrime.above(ctx, l)
-        if q.form != ident:
-            yield q
+    qs = (SplitPrime.above(ctx, l) for l in split_primes(ctx))
+    return list(islice((q for q in qs if q.form != principal_form(ctx.D)), count))
 
 
 def _extend(D: int, H: set[QuadForm], f: QuadForm) -> tuple[set[QuadForm], QuadForm]:
@@ -207,7 +193,8 @@ def _extend(D: int, H: set[QuadForm], f: QuadForm) -> tuple[set[QuadForm], QuadF
     and f^i, the first power of f that lies in H: <H, f> is the union of
     the i cosets H*f^j, j < i.  H holds the principal form e, and e*p is
     the reduced form p itself, so each coset adds p and composes only the
-    other members of H."""
+    other members of H.  For H = {e} it is the cyclic group <f> that
+    form_order measures, at ord(f) - 1 compositions."""
     others = H - {principal_form(D)}
     out = set(H)
     p = reduce_form(f.a, f.b, f.c)
@@ -232,16 +219,16 @@ def generates(ctx: FieldContext, classes: set[QuadForm]) -> bool:
 
 def generating_set(ctx: FieldContext) -> tuple[tuple[SplitPrime, ...], frozenset[QuadForm], int]:
     """The greedy-minimal generating subset S, the reduced forms of the
-    group H it generates, and H's exponent h: walk the split non-principal
-    primes by norm, keep a prime iff its class is not yet in H, and stop
-    once H holds the classes of _prime_classes, which generate the class
-    group (at once for class number 1).  A kept q that multiplies |H| by i
-    has q^i as its first power in H, so ord(q) = i * ord(q^i): only q^i is
+    group H it generates, and H's exponent h: walk the split primes by
+    norm, keep a prime iff its class is not yet in H, and stop once H
+    holds the classes of _prime_classes, which generate the class group
+    (at once for class number 1).  A kept q that multiplies |H| by i has
+    q^i as its first power in H, so ord(q) = i * ord(q^i): only q^i is
     walked, and for the first q it is the principal form."""
     H = {principal_form(ctx.D)}
     chosen: list[SplitPrime] = []
     h = 1
-    primes = _split_primes(ctx)
+    primes = (SplitPrime.above(ctx, l) for l in split_primes(ctx))
     missing = _prime_classes(ctx) - H
     while missing:
         q = next(primes)

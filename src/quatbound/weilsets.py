@@ -41,7 +41,7 @@ def beta_for(ctx: FieldContext, q: SplitPrime) -> tuple[int, int]:
     """Canonical generator (t + y*sqrt(D))/2 of q^h, h the class-group
     exponent, as the pair (t, y)."""
     qh = form_power(ctx.D, q.ideal, ctx.h)
-    beta = principal_generator(ctx.D, qh)
+    beta = principal_generator(qh)
     if beta is None:
         raise AssertionError("q^h must be principal when h is the group exponent")
     t, y = beta
@@ -79,7 +79,10 @@ def _trace_differences(
 ) -> ASet:
     """The family {a - shift : a in traces} over the (l, traces, shift)
     triples, traces = trace_set(l, h), with the first (l, m, h) that gives
-    each element."""
+    each element.  trace_set's order starts at m = -m_max, so an A3 value
+    shared by several m (roots a unit of Q(i) or Q(sqrt(-3)) apart, which
+    the 24h-th power kills) keeps its largest |m|: _factor_a3 factors it
+    through that m's parts, which decide the primes listed on a small budget."""
     origin: dict[int, tuple[int, int, int]] = {}
     for l, traces, shift in triples:
         for m, a in traces.items():

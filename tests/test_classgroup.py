@@ -59,6 +59,16 @@ def dirichlet_class_number(D: int) -> int:
     return abs(total) // abs(D)
 
 
+def reference_order(D: int, f: QuadForm) -> int:
+    """The order of the reduced form f's class, by repeated reference_compose."""
+    ident = principal_form(D)
+    order, cur = 1, f
+    while cur != ident:
+        cur = reference_compose(D, cur, f)
+        order += 1
+    return order
+
+
 class TestReducedForms:
     def test_examples(self):
         assert group(-20) == [QuadForm(1, 0, 5), QuadForm(2, 2, 3)]
@@ -192,9 +202,20 @@ class TestExponent:
     def test_divides_and_attained(self):
         for D in (-20, -23, -24, -47, -84, -299):
             h = make_field(D).h
-            orders = [form_order(D, f) for f in group(D)]
+            orders = [reference_order(D, f) for f in group(D)]
+            assert [form_order(D, f) for f in group(D)] == orders
             assert all(h % o == 0 for o in orders)
             assert h in orders
+
+    def test_orders_in_the_thousands(self):
+        # the cyclic walk at orders in the thousands: the S0 members of a
+        # group of 3,680 classes against repeated reference composition
+        ctx = make_field(-1000000003)
+        s0 = enumerate_S0(ctx, 10)
+        orders = [form_order(ctx.D, q.form) for q in s0]
+        assert orders == [reference_order(ctx.D, q.form) for q in s0]
+        assert orders == [1840, 368, 1840, 460, 20, 1840, 1840, 1840, 1840, 368]
+        assert (ctx.class_number, ctx.h) == (3680, 1840)
 
 
 class TestIdealClasses:
@@ -249,7 +270,7 @@ class TestS0:
                 qh = form_power(ctx.D, prime_form(ctx.D, q.l), ctx.h)
                 assert qh.a == q.l**ctx.h
                 assert reduce_form(qh.a, qh.b, qh.c) == principal_form(ctx.D)
-                assert principal_generator(ctx.D, qh) is not None
+                assert principal_generator(qh) is not None
 
 
 class TestGeneratesAndChooseS:
@@ -290,15 +311,8 @@ def reference_split_primes(D: int):
 
 def reference_s0(D: int, count: int) -> list[tuple]:
     """(l, reduced form, class order, ideal) of the first `count` S0 members."""
-    ident = principal_form(D)
-    out = []
-    for l, f, I in islice(reference_split_primes(D), count):
-        order, cur = 1, f
-        while cur != ident:
-            cur = reference_compose(D, cur, f)
-            order += 1
-        out.append((l, f, order, I))
-    return out
+    return [(l, f, reference_order(D, f), I)
+            for l, f, I in islice(reference_split_primes(D), count)]
 
 
 def reference_closure(D: int, classes) -> set[QuadForm]:
@@ -338,7 +352,7 @@ def check_against_reference(D: int, s0_count: int, all_pairs: bool) -> None:
         for f in forms:
             for g in forms:
                 assert compose(D, f, g) == reference_compose(D, f, g), (D, f, g)
-    assert make_field(D).h == lcm(*(form_order(D, f) for f in forms)), D
+    assert make_field(D).h == lcm(*(reference_order(D, f) for f in forms)), D
     ref = reference_s0(D, s0_count)
     s0 = enumerate_S0(ctx, s0_count)
     assert [(q.l, q.form, form_order(D, q.form)) for q in s0] == [r[:3] for r in ref], D
@@ -455,10 +469,10 @@ class TestPrincipalGenerator:
 
     def test_examples(self):
         q3 = prime_form(-20, 3)
-        assert principal_generator(-20, principal_form(-20)) == (2, 0)  # 1
-        assert principal_generator(-20, q3) is None
+        assert principal_generator(principal_form(-20)) == (2, 0)  # 1
+        assert principal_generator(q3) is None
         # 2 + sqrt(-5), trace 4, norm 9; no norm-3 element exists
-        assert principal_generator(-20, form_power(-20, q3, 2)) == (4, 1)
+        assert principal_generator(form_power(-20, q3, 2)) == (4, 1)
 
     def test_matches_lattice_reduction_oracle(self):
         # every reduced form, and q, q^2, q^h, q^2h for the first four
@@ -473,7 +487,7 @@ class TestPrincipalGenerator:
                 f = prime_form(D, q.l)
                 forms += [form_power(D, f, n) for n in (1, 2, ctx.h, 2 * ctx.h)]
             for f in forms:
-                g = principal_generator(D, f)
+                g = principal_generator(f)
                 assert g == lattice_generator(D, f), (D, f)
                 nones += g is None
         assert (len(fields), nones) == (448, 8504)

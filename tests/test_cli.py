@@ -299,6 +299,14 @@ class TestGoldenVerify:
                      "--mazur-bound", "1000", "--json", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "bound_-84_tb3.json").read_bytes()
 
+    def test_bound_shared_a3_origin_bytes(self, tmp_path):
+        # S = {7}, h = 2: m = +-1, +-4, +-5 give one A3 element, factored
+        # through the Lucas parts of m = -5, which list 23 at this budget
+        out = tmp_path / "bound.json"
+        assert main(["bound", "--d", "-40", "--trial-bound", "3", "--rho-iters", "0",
+                     "--mazur-bound", "1000", "--json", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "bound_-40_tb3.json").read_bytes()
+
     def test_cross_bound_bytes_in_one_process(self, tmp_path):
         # one process, one list of primes: the trial bound 50 after the list
         # and its run products have reached 10^6, then 10^6 again

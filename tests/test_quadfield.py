@@ -192,7 +192,7 @@ class TestIdealArithmetic:
         for n in range(1, 9):
             assert form_power(-20, q3, n).a == 3**n
         q4 = form_power(-20, q3, 4)
-        assert principal_generator(-20, q4) is not None  # class has order 2
+        assert principal_generator(q4) is not None  # class has order 2
 
 
 class TestShortestGenerator:

@@ -117,7 +117,7 @@ class TestBeta:
         # (4 + 3*sqrt(-20))/2 has norm 49, not 3^h = 9; the check is an
         # explicit raise, so python -O keeps it
         q3 = enumerate_S0(ctx20, 1)[0]
-        monkeypatch.setattr(weilsets, "principal_generator", lambda D, f: (4, 3))
+        monkeypatch.setattr(weilsets, "principal_generator", lambda f: (4, 3))
         with pytest.raises(AssertionError, match="wrong norm"):
             beta_for(ctx20, q3)
 
@@ -483,6 +483,25 @@ class TestA3Split:
         assert trace_power(2, 2, 24) - 2 * 2**12 == 0
         with pytest.raises(AssertionError, match="degenerate"):
             weilsets._factor_a3(1, 2, 2, 1, self.BUDGET)
+
+    def test_shared_element_keeps_largest_m(self):
+        # the roots of X^2 + m*X + 7 for m = +-1, +-4, +-5 are a unit of Q(i)
+        # or Q(sqrt(-3)) apart, so at h = 2 they give one A3 element; it
+        # keeps m = -5, the first in trace_set's order, and a small budget
+        # lists the primes of that m's Lucas parts: 23 from |m| = 5, where
+        # |m| = 1 gives 71 and |m| = 4 gives 47
+        ctx = _field(-40)
+        assert ([q.l for q in ctx.generators], ctx.h) == ([7], 2)
+        a3 = build_A3(ctx, ctx.generators)
+        traces = trace_set(7, 2)
+        v = traces[5] - 2 * 7**24
+        assert [m for m, a in traces.items() if a - 2 * 7**24 == v] == [-5, -4, -1, 1, 4, 5]
+        i = a3.elements.index(v)
+        assert a3.lucas[i] == (7, -5, 2)
+        tiny = FactorBudget(trial_bound=3, rho_iterations=0)
+        assert prime_support(a3, tiny).factorizations[i].primes == [2, 3, 5, 11, 13, 23]
+        assert weilsets._factor_a3(v, 7, 1, 2, tiny).primes == [2, 3, 5, 11, 13, 71]
+        assert weilsets._factor_a3(v, 7, 4, 2, tiny).primes == [2, 3, 5, 47]
 
     def test_incomplete_cofactor_is_squared(self):
         # on a tiny budget each unfinished Psi_d enters the cofactor squared
