@@ -40,15 +40,16 @@ def _reduce(a: int, b: int, c: int) -> tuple[QuadForm, tuple[int, int]]:
     of the first basis vector: the reduced form's a is the minimum a*x^2 +
     b*x*y + c*y^2 of the input form.  The columns (x, y), (u, v) follow each
     step: a translation b -> b + 2at adds t*(x, y) to (u, v), and a swap
-    (a, b, c) -> (c, -b, a) maps them to (u, v), (-x, -y)."""
-    D = b * b - 4 * a * c
+    (a, b, c) -> (c, -b, a) maps them to (u, v), (-x, -y).  A translation
+    keeps b^2 - 4ac, so it sets c to c + t*(b + a*t) with the old b: no
+    full-size square and division by 4a per step, which would make the
+    reduction of a large power such as q^h cubic."""
     x, y, u, v = 1, 0, 0, 1
     while True:
         if not -a < b <= a:
             # normalize b into (-a, a]
             t = (a - b) // (2 * a)
-            b += 2 * a * t
-            c = (b * b - D) // (4 * a)
+            b, c = b + 2 * a * t, c + t * (b + a * t)
             u, v = u + t * x, v + t * y
         if a < c or (a == c and b >= 0):
             return QuadForm(a, b, c), (x, y)
@@ -99,8 +100,12 @@ def _sqrt_mod(n: int, l: int) -> int:
     q, s = l - 1, 0
     while q % 2 == 0:
         q, s = q // 2, s + 1
+    t, r = pow(n, q, l), pow(n, (q + 1) // 2, l)
+    if s == 1:
+        # l = 3 mod 4: r^2 = t*n, t = 1 for a square n; no non-residue is needed
+        return r
     z = next((z for z in range(2, l) if kronecker(z, l) == -1), 1)
-    c, t, r = pow(z, q, l), pow(n, q, l), pow(n, (q + 1) // 2, l)
+    c = pow(z, q, l)
     # r^2 = t*n and t^(2^(s-1)) = 1 mod l; each step lowers s
     while t != 1:
         i = next((i for i in range(1, s) if pow(t, 1 << i, l) == 1), 0)

@@ -2,6 +2,7 @@
 subtracted-trace families and their certified prime supports."""
 
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
@@ -10,31 +11,50 @@ from .quadfield import FieldContext
 from .classgroup import SplitPrime, form_power, principal_generator
 
 
-def _lucas(P: int, Q: int, n: int) -> tuple[int, int]:
-    """(U_n, V_n) of the Lucas sequences of X^2 - P*X + Q, by a doubling
-    ladder over the bits of n: U_2k = U_k*V_k, V_2k = V_k^2 - 2*Q^k, and
-    U_k+1 = (P*U_k + V_k)/2, V_k+1 = (D*U_k + P*V_k)/2 with D = P^2 - 4Q."""
-    D = P * P - 4 * Q
-    u, v, qk = 0, 2, 1
-    for bit in bin(n)[2:]:
-        u, v, qk = u * v, v * v - 2 * qk, qk * qk
-        if bit == "1":
-            u, v, qk = (P * u + v) // 2, (D * u + P * v) // 2, qk * Q
-    return u, v
+def _lucas_v(Ps: Sequence[int], Q: int, n: int) -> list[int]:
+    """V_n(P, Q) for each P of Ps, the Lucas sequence of X^2 - P*X + Q, by
+    one Lucas chain (Montgomery 1992).  Over the bits of n's odd part it
+    walks the pair (V_k, V_k+1): V_2k = V_k^2 - 2*Q^k and V_2k+1 =
+    V_k*V_k+1 - P*Q^k; then each trailing zero bit of n doubles V_k alone.
+    The powers Q^k are computed once, for every P, and Q^n is not."""
+    if n == 0:
+        return [2] * len(Ps)
+    zeros = (n & -n).bit_length() - 1
+    ladder = bin(n >> zeros)[3:]
+    # Q^k before each step, ladder then tail
+    qk, powers = Q, []
+    for bit in (ladder + "0" * zeros)[:-1]:
+        powers.append(qk)
+        qk = qk * qk * Q if bit == "1" else qk * qk
+    powers.append(qk)
+    steps = [(bit, q, 2 * q * Q if bit == "1" else 2 * q) for bit, q in zip(ladder, powers)]
+    tail = [2 * q for q in powers[len(ladder):]] if zeros else []
+    out = []
+    for P in Ps:
+        v, w = P, P * P - 2 * Q  # V_1, V_2
+        for bit, q, twice in steps:
+            if bit == "1":
+                v, w = v * w - P * q, w * w - twice
+            else:
+                v, w = v * v - twice, v * w - P * q
+        for twice in tail:
+            v = v * v - twice
+        out.append(v)
+    return out
 
 
 def trace_power(t: int, n: int, e: int) -> int:
     """s_e = gamma^e + conj(gamma)^e for gamma + conj = t, gamma*conj = n:
     the Lucas sequence V_e(t, n)."""
-    return _lucas(t, n, e)[1]
+    return _lucas_v([t], n, e)[0]
 
 
 def trace_set(l: int, h: int) -> dict[int, int]:
     """Candidate Frobenius traces at the 24h-th power level: for each m with
     m^2 <= 4l, the trace of the 24h-th power of a root of X^2 + m*X + l."""
     m_max = isqrt(4 * l)
-    # V_n(-P, Q) = (-1)^n V_n(P, Q) and n = 24h is even: one ladder per |m|
-    traces = [trace_power(m, l, 24 * h) for m in range(m_max + 1)]
+    # V_n(-P, Q) = (-1)^n V_n(P, Q) and n = 24h is even: one chain for every |m|
+    traces = _lucas_v(range(m_max + 1), l, 24 * h)
     return {m: traces[abs(m)] for m in range(-m_max, m_max + 1)}
 
 
@@ -104,12 +124,15 @@ def trace_families(ctx: FieldContext, s0: list[SplitPrime]) -> dict[str, tuple[A
     S and h, and a3_family builds it."""
     h = ctx.h
     traces = {l: trace_set(l, h) for l in {q.l for q in s0}}
-    betas = [(q.l, beta_for(ctx, q)[0]) for q in s0]
+    # V_8 = V_8(t, l^h) and l^8h per member: A2's shift is l^8h*V_8, and
+    # A1's is V_24 = V_3(V_8, l^8h) = V_8*(V_8^2 - 3*l^8h)
+    shifts = []
+    for q in s0:
+        v8, q8 = trace_power(beta_for(ctx, q)[0], q.l**h, 8), q.l ** (8 * h)
+        shifts.append((q.l, v8 * (v8 * v8 - 3 * q8), q8 * v8))
     return {
-        "A1": tuple(_trace_differences("A1", h, [(l, traces[l], trace_power(t, l**h, 24))])
-                    for l, t in betas),
-        "A2": tuple(_trace_differences("A2", h, [
-            (l, traces[l], l ** (8 * h) * trace_power(t, l**h, 8))]) for l, t in betas),
+        "A1": tuple(_trace_differences("A1", h, [(l, traces[l], a1)]) for l, a1, _ in shifts),
+        "A2": tuple(_trace_differences("A2", h, [(l, traces[l], a2)]) for l, _, a2 in shifts),
     }
 
 
@@ -167,7 +190,11 @@ def _lucas_parts(l: int, m: int, h: int) -> tuple[int, dict[int, int]]:
     psi: dict[int, int] = {}
     for d in range(2, n + 1):
         if n % d == 0:
-            q, r = divmod(_lucas(-m, l, d)[0], prod(psi[e] for e in psi if d % e == 0))
+            # U_d = (2*V_d+1 - P*V_d)/(P^2 - 4Q), P = -m: exact, and
+            # m^2 != 4l as l is prime
+            v_d, v_d1 = _lucas_v([-m], l, d)[0], _lucas_v([-m], l, d + 1)[0]
+            u_d = (2 * v_d1 + m * v_d) // (m * m - 4 * l)
+            q, r = divmod(u_d, prod(psi[e] for e in psi if d % e == 0))
             if r:
                 raise AssertionError(f"Psi_{d} is not an integer")
             psi[d] = q

@@ -1,9 +1,11 @@
+import random
+import time
 from itertools import combinations, islice
 from math import isqrt, lcm
 
 import pytest
 
-from composition_reference import reference_dirichlet
+from composition_reference import reference_dirichlet, reference_reduce
 from ideal_reference import (
     ideal_class,
     ideal_mul,
@@ -385,6 +387,68 @@ class TestAgainstIdealReference:
         assert enumerate_S0(make_field(-1151), 1)[0].l == 2
 
 
+def unimodular_image(f: QuadForm, rng: random.Random, steps: int, bits: int) -> QuadForm:
+    """f under a random product of `steps` translations by t of up to
+    `bits` bits, each followed by the swap (a, b, c) -> (c, -b, a): an
+    unreduced form of f's class whose reduction takes about `steps` steps."""
+    a, b, c = f
+    for _ in range(steps):
+        t = rng.randrange(-(1 << bits), 1 << bits)
+        b, c = b + 2 * a * t, a * t * t + b * t + c
+        a, b, c = c, -b, a
+    return QuadForm(a, b, c)
+
+
+class TestReduceAgainstReference:
+    """classgroup._reduce, which updates c after each translation, against
+    reference_reduce, which recomputes it from the discriminant: the same
+    form and vector (x, y)."""
+
+    def test_unimodular_images(self):
+        rng = random.Random(5)
+        for D in (-20, -23, -3299, -1000000003, -(10**40 + 3)):
+            for f in [principal_form(D), *(prime_form(D, l) for l in (3, 7, 11, 13)
+                                           if kronecker(D, l) == 1)]:
+                # a of up to about 10^5 bits, after up to about 100 steps
+                for steps, bits in ((1, 8), (5, 64), (40, 40), (50, 200), (10, 5000)):
+                    g = unimodular_image(f, rng, steps, bits)
+                    got = classgroup._reduce(*g)
+                    assert got == reference_reduce(*g), (D, f, steps, bits)
+                    assert got[0] == reduce_form(*f)
+
+    def test_random_forms_to_100000_bits(self):
+        # a, b, c of up to 10^5 bits with b^2 < 4ac: few steps on huge entries
+        rng = random.Random(17)
+        for bits in (10, 100, 1000, 10_000, 100_000):
+            for _ in range(5):
+                a = rng.getrandbits(bits) + 1
+                c = rng.getrandbits(rng.randrange(1, bits + 1)) + 1
+                r = isqrt(4 * a * c - 1)
+                b = rng.randrange(-r, r + 1)
+                assert classgroup._reduce(a, b, c) == reference_reduce(a, b, c), bits
+
+    def test_every_beta_for_of_the_golden_fields(self, golden_contexts):
+        # principal_generator reduces (a, -b, c) of q^h for each S0 member
+        reductions = 0
+        for ctx in golden_contexts.values():
+            for q in enumerate_S0(ctx, 4):
+                qh = form_power(ctx.D, q.ideal, ctx.h)
+                assert classgroup._reduce(qh.a, -qh.b, qh.c) == reference_reduce(qh.a, -qh.b, qh.c)
+                reductions += 1
+        assert reductions == 4 * len(golden_contexts)
+
+    def test_beta_for_at_h_31057_within_5_s(self):
+        # q^h has a of 107,440 bits; recomputing c at every step took
+        # minutes, updating it takes about a second
+        ctx = make_field(-100000000003)
+        q = enumerate_S0(ctx, 1)[0]
+        assert (ctx.h, q.l) == (31057, 11)
+        t0 = time.monotonic()
+        t, y = beta_for(ctx, q)
+        assert time.monotonic() - t0 < 5
+        assert t * t - ctx.D * y * y == 4 * 11**31057
+
+
 class TestPrimeForm:
     """prime_form's square root mod l against the linear scan over b of
     `ideal_reference.prime_ideal_above`."""
@@ -426,6 +490,20 @@ class TestPrimeForm:
                 assert (f.b * f.b - D) % (4 * l) == 0
         with pytest.raises(AssertionError):
             prime_form(-7, 15)  # (-7|15) = 1, yet -7 is a square mod neither 3 nor 5
+
+    def test_sqrt_mod_every_square(self, monkeypatch):
+        # every nonzero square mod each prime l < 1000 of the classes 3 mod
+        # 4, 5 mod 8 and 1 mod 8; for l = 3 mod 4 no non-residue is sought
+        real = classgroup.kronecker
+        monkeypatch.setattr(classgroup, "kronecker",
+                            lambda z, l: real(z, l) if l % 4 == 1 else pytest.fail(str(l)))
+        classes = set()
+        for l in primes_up_to(1000)[1:]:
+            classes.add(l % 8 if l % 4 == 1 else 3)
+            for n in {x * x % l for x in range(1, l)}:
+                r = classgroup._sqrt_mod(n, l)
+                assert 0 <= r < l and r * r % l == n, (n, l)
+        assert classes == {1, 3, 5}
 
 
 class TestPrimeClasses:

@@ -1,21 +1,22 @@
 import random
 from collections import Counter
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ideal_reference import QuadInt
+from lucas_reference import reference_lucas
 from quatbound import arith, weilsets
-from quatbound.arith import FactorBudget, FactoredInteger, factor, is_prime
-from quatbound.bound import assemble_sets
+from quatbound.arith import FactorBudget, FactoredInteger, factor, is_prime, primes_up_to
+from quatbound.bound import BoundParams, assemble_sets
 from quatbound.classgroup import enumerate_S0
 from quatbound.quadfield import is_fundamental, make_field
 from quatbound.weilsets import (
     ASet,
-    _lucas,
     _lucas_parts,
+    _lucas_v,
     _trace_differences,
     a3_family,
     beta_for,
@@ -96,13 +97,60 @@ class TestTracePower:
     def test_matches_ring_oracle_hypothesis(self, t, n, e):
         assert trace_power(t, n, e) == ring_trace_oracle(t, n, e)
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(0, 120))
-    def test_lucas_u_matches_recurrence(self, P, Q, n):
-        u_prev, u = 0, 1  # U_0, U_1
-        for _ in range(n):
-            u_prev, u = u, P * u - Q * u_prev
-        assert _lucas(P, Q, n)[0] == u_prev
+    def test_lucas_u_matches_recurrence(self):
+        # _lucas_parts reads U_d as (2*V_d+1 + m*V_d)/(m^2 - 4l), so the
+        # product of Psi_e over e | d, e > 1, is U_d(-m, l) of the
+        # recurrence, for every (l, m) with m^2 < 4l and gcd(l, m) = 1
+        for l in primes_up_to(60):
+            m_max = isqrt(4 * l)
+            for m in range(-m_max, m_max + 1):
+                if gcd(l, m) != 1:
+                    continue
+                for h in (1, 2, 5):
+                    us = [0, 1]  # U_0, U_1
+                    while len(us) <= 12 * h:
+                        us.append(-m * us[-1] - l * us[-2])
+                    delta, psi = _lucas_parts(l, m, h)
+                    assert delta == m * m - 4 * l
+                    for d in psi:
+                        u_d = prod(part for e, part in psi.items() if d % e == 0)
+                        assert u_d == us[d], (l, m, h, d)
+
+
+class TestLucasChain:
+    """_lucas_v against the (U, V) doubling ladder of lucas_reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=4),
+           st.integers(-30, 30), st.integers(0, 200))
+    @example([3], 5, 0)
+    @example([3], 5, 1)
+    @example([-7, 0, 7], -2, 2)
+    @example([4, -4], 9, 105)
+    @example([1, 2, 3], 11, 24 * 8)
+    @example([5], -3, 128)
+    def test_matches_reference_ladder(self, Ps, Q, n):
+        assert _lucas_v(Ps, Q, n) == [reference_lucas(P, Q, n)[1] for P in Ps]
+
+    def test_trace_sets_of_the_golden_requests(self, golden_contexts):
+        # every (l, h) of S and of the default S0 truncation of each field
+        pairs = set()
+        for ctx in golden_contexts.values():
+            S0 = enumerate_S0(ctx, BoundParams().s0_count)
+            pairs |= {(q.l, ctx.h) for q in [*ctx.generators, *S0]}
+        assert max(h for _, h in pairs) == 362
+        for l, h in sorted(pairs):
+            m_max = isqrt(4 * l)
+            assert trace_set(l, h) == {m: reference_lucas(-m, l, 24 * h)[1]
+                                       for m in range(-m_max, m_max + 1)}, (l, h)
+
+    def test_a1_shift_identity(self):
+        # trace_families reads V_24 = V_3(V_8, Q^8) = V_8*(V_8^2 - 3*Q^8)
+        rng = random.Random(24)
+        for _ in range(200):
+            t, Q = rng.randrange(-10**40, 10**40), rng.randrange(-10**30, 10**30)
+            v8 = reference_lucas(t, Q, 8)[1]
+            assert v8 * (v8 * v8 - 3 * Q**8) == reference_lucas(t, Q, 24)[1]
 
 
 class TestBeta:
@@ -151,7 +199,7 @@ class TestTraceSet:
         assert ts[3] == ts[-3] == 2 * 3**24
 
     def test_each_trace_from_its_own_ladder(self):
-        # trace_set mirrors the |m| ladders; every m, in order from -m_max
+        # trace_set mirrors one chain over |m|; every m, in order from -m_max
         for l, h in ((3, 2), (5, 1), (7, 3), (41, 12), (101, 5), (1009, 2)):
             ts = trace_set(l, h)
             m_max = isqrt(4 * l)
