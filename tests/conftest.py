@@ -14,7 +14,7 @@ def contexts():
 @pytest.fixture(scope="session")
 def golden_contexts():
     """The fields of every golden bound, verify, sets and candidates request,
-    and -57911 (h = 362), whose sets report CI pins by its SHA-256."""
+    and -57911 (h = 362), whose sets report test_cli.PINNED pins by its SHA-256."""
     return {D: make_field(D)
             for D in (-20, -23, -40, -71, -84, -419, -1151, -2999, -3299, -5879, -57911)}
 

@@ -1,7 +1,9 @@
+import hashlib
 import inspect
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -162,8 +164,7 @@ class TestOneMazurSearch:
         monkeypatch.setattr(bound, "mazur_prime_set", refuse)
         monkeypatch.setattr(cli, "mazur_prime_set", refuse)
         out = tmp_path / "sets.json"
-        assert main(["sets", "--d", "-419", *BASE, "--json", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / "sets_-419.json").read_bytes()
+        assert_pinned(["sets", "--d", "-419", *BASE], "sets_-419.json", out)
         with pytest.raises(RuntimeError):
             main(["bound", "--d", "-419", *BASE, "--json", str(out)])
 
@@ -226,6 +227,72 @@ class TestPrimeFormsOncePerField:
 
 GOLDEN = Path(__file__).parent / "data"
 
+# Every pinned request, as (argv, pin): pin is a file under tests/data/ or the
+# SHA-256 of the report, recorded with json.dumps(indent=2, sort_keys=True).
+# To pin a new request, add a row.
+PINNED = [
+    # h_k = 3680: class data with no O(|D|) form search
+    (["field", "--d", "-1000000003"], "field_-1000000003.json"),
+    # the forms of the walk's group, 3,680 of them at -1000000003
+    (["classgroup", "--d", "-3299"], "classgroup_-3299.json"),
+    (["classgroup", "--d", "-1000000003"],
+     "9aae509f65f60000fba9168c62af85b129e65ae9415ec2626a5980e9ff4f4a31"),
+    # class_order is computed where the s0 report prints it: cyclic walks to
+    # order 1,840 at -1000000003
+    (["s0", "--d", "-2999", "--s0-count", "10"], "s0_-2999.json"),
+    (["s0", "--d", "-3299", "--s0-count", "10"], "s0_-3299.json"),
+    (["s0", "--d", "-1000000003", "--s0-count", "10"],
+     "b960f4099d07b689b182827365bf144baa29cfc4425f80f5439dc500f515f17f"),
+    (["mazur", "--d", "-2999", "--mazur-bound", "10000000"], "mazur_-2999.json"),
+    # the widest groups of split primes
+    (["mazur", "--d", "-3299", "--mazur-bound", "100000000"], "mazur_-3299.json"),
+    # families by name, no Mazur search
+    (["sets", "--d", "-419"], "sets_-419.json"),
+    # h = 362: elements above str()'s 4,300-digit limit
+    (["sets", "--d", "-57911", "--rho-iters", "0"],
+     "62cb078757389810817de330520f91eb31b991309b53ff7c99910fa0cef32357"),
+    # h = 41: A3 elements of 494 bits, factored through their Lucas parts
+    (["bound", "--d", "-1151", "--require-certified"], "bound_-1151.json"),
+    (["bound", "--d", "-1151", "--rho-iters", "1000000", "--require-certified"],
+     "bound_-1151.json"),
+    # a budget too small for -1151: composite cofactors in A3 and in an A1
+    # intersection, and the "factor budget exhausted" caveat
+    (["bound", "--d", "-1151", "--trial-bound", "50", "--rho-iters", "2",
+      "--mazur-bound", "1000"], "bound_-1151_tiny.json"),
+    # h = 73: Psi_876 leaves a 104-bit part that 10^6 rho iterations do not
+    # split; p-1 over the trial primes does, and the report equals the one
+    # recorded at the default budget
+    (["bound", "--d", "-2999", "--require-certified"], "bound_-2999.json"),
+    (["bound", "--d", "-2999", "--rho-iters", "1000000", "--require-certified"],
+     "bound_-2999.json"),
+    # trial bound 3 and no rho: composite parts below 41^2 but above 9, such
+    # as 1085 = 5*7*31, stay listed cofactors
+    (["bound", "--d", "-84", "--trial-bound", "3", "--rho-iters", "0",
+      "--mazur-bound", "1000"], "bound_-84_tb3.json"),
+    # S = {7}, h = 2: m = +-1, +-4, +-5 give one A3 element, factored through
+    # the Lucas parts of m = -5, which list 23 at this budget
+    (["bound", "--d", "-40", "--trial-bound", "3", "--rho-iters", "0",
+      "--mazur-bound", "1000"], "bound_-40_tb3.json"),
+    # uncertified at default flags (a 98-bit BPSW-probable part); verify
+    # writes the bound document
+    (["bound", "--d", "-5879"], "bound_-5879.json"),
+    (["verify", "--d", "-5879"], "bound_-5879.json"),
+    (["candidates", "--d", "-84", *BASE], "candidates_-84.json"),
+    *((["verify", "--d", D, *BASE], f"verify_{D}.json")
+      for D in ("-20", "-23", "-71", "-84", "-419", "-3299")),
+]
+
+
+def assert_pinned(argv, pin, out):
+    """Runs argv into out and checks exit 0 and the pin; returns the text."""
+    assert main([*argv, "--json", str(out)]) == 0, argv
+    data = out.read_bytes()
+    if pin.endswith(".json"):
+        assert data == (GOLDEN / pin).read_bytes(), argv
+    else:
+        assert hashlib.sha256(data).hexdigest() == pin, argv
+    return data.decode()
+
 
 def count_prime_classes(monkeypatch) -> Counter:
     calls = Counter()
@@ -242,114 +309,48 @@ class TestClassData:
     def test_bound_lists_no_forms(self, tmp_path, monkeypatch):
         # the class number, h and S come from the one generating-set walk
         calls = count_prime_classes(monkeypatch)
-        out = tmp_path / "bound.json"
-        assert main(["bound", "--d", "-2999", "--rho-iters", "1000000",
-                     "--json", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / "bound_-2999.json").read_bytes()
+        assert_pinned(["bound", "--d", "-2999", "--rho-iters", "1000000"],
+                      "bound_-2999.json", tmp_path / "bound.json")
         assert calls == {-2999: 1}
 
     def test_classgroup_lists_the_walks_group(self, tmp_path, monkeypatch):
         # the report's forms are the group of the walk that gives h_k
         calls = count_prime_classes(monkeypatch)
-        out = tmp_path / "classgroup.json"
-        assert main(["classgroup", "--d", "-3299", "--json", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / "classgroup_-3299.json").read_bytes()
+        assert_pinned(["classgroup", "--d", "-3299"], "classgroup_-3299.json",
+                      tmp_path / "classgroup.json")
         assert calls == {-3299: 1}
 
 
 class TestGoldenVerify:
-    @pytest.mark.parametrize("D", ["-20", "-23", "-71", "-84", "-419", "-3299"])
-    def test_verify_bytes(self, tmp_path, D):
-        out = tmp_path / "verify.json"
-        assert main(["verify", "--d", D, *BASE, "--json", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / f"verify_{D}.json").read_bytes()
-
-    @pytest.mark.parametrize("D", ["-2999", "-3299"])
-    def test_s0_bytes(self, tmp_path, D):
-        # class_order is computed where the s0 report prints it
-        out = tmp_path / "s0.json"
-        assert main(["s0", "--d", D, "--s0-count", "10", "--json", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / f"s0_{D}.json").read_bytes()
-
-    def test_bound_large_h_bytes(self, tmp_path):
-        # h = 41: A3 elements of 494 bits, factored through their Lucas parts
-        out = tmp_path / "bound.json"
-        assert main(["bound", "--d", "-1151", "--rho-iters", "1000000",
-                     "--json", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / "bound_-1151.json").read_bytes()
-
-    def test_bound_minus_2999_certified_at_1e6_rho(self, tmp_path):
-        # h = 73: Psi_876 leaves a 104-bit part that 10^6 rho iterations do
-        # not split; p-1 over the trial primes does, and the report equals
-        # the one recorded at the default budget
-        out = tmp_path / "bound.json"
-        assert main(["bound", "--d", "-2999", "--rho-iters", "1000000",
-                     "--require-certified", "--json", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / "bound_-2999.json").read_bytes()
-
-    def test_bound_uncertified_bytes(self, tmp_path):
-        # a budget too small for -1151: composite cofactors in A3 and in an
-        # A1 intersection, and the "factor budget exhausted" caveat
-        out = tmp_path / "bound.json"
-        assert main(["bound", "--d", "-1151", "--trial-bound", "50", "--rho-iters", "2",
-                     "--mazur-bound", "1000", "--json", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / "bound_-1151_tiny.json").read_bytes()
-
-    def test_bound_tiny_trial_bound_bytes(self, tmp_path):
-        # trial bound 3 and no rho: composite parts below 41^2 but above 9,
-        # such as 1085 = 5*7*31, stay listed cofactors
-        out = tmp_path / "bound.json"
-        assert main(["bound", "--d", "-84", "--trial-bound", "3", "--rho-iters", "0",
-                     "--mazur-bound", "1000", "--json", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / "bound_-84_tb3.json").read_bytes()
-
-    def test_bound_shared_a3_origin_bytes(self, tmp_path):
-        # S = {7}, h = 2: m = +-1, +-4, +-5 give one A3 element, factored
-        # through the Lucas parts of m = -5, which list 23 at this budget
-        out = tmp_path / "bound.json"
-        assert main(["bound", "--d", "-40", "--trial-bound", "3", "--rho-iters", "0",
-                     "--mazur-bound", "1000", "--json", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / "bound_-40_tb3.json").read_bytes()
-
     def test_cross_bound_bytes_in_one_process(self, tmp_path):
         # one process, one list of primes: the trial bound 50 after the list
         # and its run products have reached 10^6, then 10^6 again
         tiny = ["--trial-bound", "50", "--rho-iters", "2", "--mazur-bound", "1000"]
-        out = tmp_path / "bound.json"
         for flags, golden in (([], "bound_-1151.json"), (tiny, "bound_-1151_tiny.json"),
                               ([], "bound_-1151.json")):
-            assert main(["bound", "--d", "-1151", *flags, "--json", str(out)]) == 0
-            assert out.read_bytes() == (GOLDEN / golden).read_bytes(), flags
+            assert_pinned(["bound", "--d", "-1151", *flags], golden, tmp_path / "bound.json")
 
-    # every golden bound, verify, sets and candidates request, by file
-    GOLDEN_REQUESTS = {
-        "bound_-1151.json": ["bound", "--d", "-1151"],
-        "bound_-1151_tiny.json": ["bound", "--d", "-1151", "--trial-bound", "50",
-                                  "--rho-iters", "2", "--mazur-bound", "1000"],
-        "bound_-2999.json": ["bound", "--d", "-2999"],
-        "bound_-40_tb3.json": ["bound", "--d", "-40", "--trial-bound", "3", "--rho-iters", "0",
-                               "--mazur-bound", "1000"],
-        "bound_-5879.json": ["bound", "--d", "-5879"],
-        "bound_-84_tb3.json": ["bound", "--d", "-84", "--trial-bound", "3", "--rho-iters", "0",
-                               "--mazur-bound", "1000"],
-        **{f"verify_{D}.json": ["verify", "--d", str(D), *BASE]
-           for D in (-20, -23, -71, -84, -419, -3299)},
-        "sets_-419.json": ["sets", "--d", "-419", *BASE],
-        "candidates_-84.json": ["candidates", "--d", "-84", *BASE],
-    }
+    @pytest.mark.usefixtures("fresh")
+    @pytest.mark.parametrize("argv, pin", PINNED, ids=[" ".join(a) for a, _ in PINNED])
+    def test_pinned_request(self, tmp_path, argv, pin):
+        # in a fresh process's state; 20 s bounds the -1000000003 requests,
+        # whose class data needs no O(|D|) form search
+        start = time.perf_counter()
+        text = assert_pinned(argv, pin, tmp_path / "out.json")
+        assert time.perf_counter() - start < 20
+        assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+
+    def test_every_golden_file_pinned(self):
+        pins = {pin for _, pin in PINNED}
+        assert {p.name for p in GOLDEN.glob("*.json")} <= pins
+        assert all((GOLDEN / pin).is_file() or re.fullmatch("[0-9a-f]{64}", pin) for pin in pins)
 
     @pytest.mark.usefixtures("fresh")
     def test_every_golden_in_one_process(self, tmp_path):
         # A3 parts are kept across requests under (l, h, budget): each
         # request, after the others and at other budgets, in both orders
-        assert sorted(self.GOLDEN_REQUESTS) == sorted(
-            p.name for p in GOLDEN.glob("*.json")
-            if p.name.split("_")[0] in ("bound", "verify", "sets", "candidates"))
-        out = tmp_path / "out.json"
-        requests = list(self.GOLDEN_REQUESTS.items())
-        for golden, argv in requests + requests[::-1]:
-            assert main([*argv, "--json", str(out)]) == 0, golden
-            assert out.read_bytes() == (GOLDEN / golden).read_bytes(), golden
+        for argv, pin in PINNED + PINNED[::-1]:
+            assert_pinned(argv, pin, tmp_path / "out.json")
 
     def test_clock_changes_nothing(self, tmp_path, monkeypatch):
         # factoring is bounded by iterations alone: a clock that jumps by
@@ -358,21 +359,8 @@ class TestGoldenVerify:
         monkeypatch.setattr(time, "monotonic", lambda: float(next(clock)))
         p, q = 1000000007, 998244353
         assert factor(p * q, FactorBudget(trial_bound=100)).complete
-        out = tmp_path / "bound.json"
-        assert main(["bound", "--d", "-1151", "--rho-iters", "1000000",
-                     "--json", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / "bound_-1151.json").read_bytes()
-
-    @pytest.mark.parametrize("argv", [
-        ["classgroup", "--d", "-3299"],
-        ["sets", "--d", "-419", *BASE],
-        ["candidates", "--d", "-84", *BASE],
-    ], ids=["classgroup_-3299", "sets_-419", "candidates_-84"])
-    def test_other_subcommand_bytes(self, tmp_path, argv):
-        # recorded with json.dumps(indent=2, sort_keys=True)
-        out = tmp_path / "out.json"
-        assert main([*argv, "--json", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / f"{argv[0]}_{argv[2]}.json").read_bytes()
+        assert_pinned(["bound", "--d", "-1151", "--rho-iters", "1000000"],
+                      "bound_-1151.json", tmp_path / "bound.json")
 
     def test_time_flag_zero_changes_nothing(self, tmp_path):
         # --time-per-int-ms is accepted as 0 only, and not read
@@ -804,12 +792,22 @@ class TestExitCodes:
         assert e.value.code == 1
         assert "usage:" in capsys.readouterr().err
 
-    def test_negative_trial_bound(self, tmp_path):
+    @pytest.mark.parametrize("trial_bound", ["-40", "0", "1"])
+    def test_negative_trial_bound(self, tmp_path, trial_bound):
         # a trial bound below 2 would list composites as primes
         out = tmp_path / "o.json"
-        assert main(["bound", "--d", "-5", "--trial-bound", "-40",
+        assert main(["bound", "--d", "-5", "--trial-bound", trial_bound,
                      "--mazur-bound", "1000", "--json", str(out)]) == 1
         assert not out.exists()
+
+    def test_module_entry_point(self):
+        # the __main__ block exits with main()'s code, under this interpreter's -O too
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-m",
+                               "quatbound.cli", "s0", "--d", "-1"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert "class number is 1" in done.stderr
 
     def test_negative_rho_iters(self, tmp_path, capsys):
         # -1 ran as no rho at all: an uncertified report at exit 0
