@@ -36,7 +36,9 @@ def _support(key: str):
 
 def _in_every(key: str):
     """The ps dividing a nonzero element of every raw family under key; a prime divides
-    one exactly when it divides their product, so the ps dividing gcd(prod(ps), products)."""
+    one exactly when it divides their product, so the ps dividing gcd(prod(ps), products).
+    It takes the whole products and shares no helper with intersection_set, so that
+    verify re-derives the intersections independently of the code it checks."""
     def claims(ctx, ps, rep):
         g = gcd(prod(ps), *(prod(v for v in f.elements if v) for f in rep.families[key]))
         return {p for p in ps if g % p == 0}

@@ -4,7 +4,7 @@ subtracted-trace families and their certified prime supports."""
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 from .arith import FactorBudget, FactoredInteger, factor, factor_admissible
 from .quadfield import FieldContext
@@ -250,20 +250,34 @@ def intersection_set(members: list[ASet], budget: FactorBudget = FactorBudget())
     superset of the full (infinite) intersection.
 
     The support of a gcd is the intersection of the supports of its
-    arguments.  With R the gcd over the later members of the product of
-    their nonzero elements, the intersection is the union of supp(gcd(v, R))
-    over the nonzero elements v of the first member, so only those gcds
-    are factored.  A lone member has R = 0, so each v is factored itself.
+    arguments, and a prime divides a nonzero element of a member exactly
+    when it divides P_i, the product of the member's nonzero elements.  So
+    the intersection is the union of supp(gcd(v, P_2, P_3, ...)) over the
+    nonzero elements v of the first member, and only those gcds are
+    factored.  They are built modulo the small gcds, never as products of
+    the third and later members: g_v = gcd(|v|, P_2), then g = lcm of the
+    g_v is reduced by each later member, g <- gcd(g, P_i mod g) with P_i
+    mod g the product of its elements mod g, until g = 1.  As g_v divides
+    the lcm, gcd(g_v, g) = gcd(g_v, P_3, ...) = gcd(v, P_2, P_3, ...).  A
+    lone member leaves each |v| itself.
     """
     if not members:
         raise ValueError("intersection_set: truncation must be nonempty")
-    rest = 0
-    for m in members[1:]:
-        rest = gcd(rest, prod(v for v in m.elements if v != 0))
-        if rest == 1:
-            break
-    gs = {gcd(v, rest) for v in members[0].elements if v != 0} - {1}
+    gs = [abs(v) for v in members[0].elements if v != 0]
+    if len(members) > 1:
+        p1 = prod(w for w in members[1].elements if w != 0)
+        gs = [gcd(v, p1) for v in gs]
+        g = lcm(*gs)
+        for m in members[2:]:
+            if g == 1:
+                break
+            r = 1
+            for w in m.elements:
+                if w != 0:
+                    r = r * (w % g) % g
+            g = gcd(g, r)
+        gs = [gcd(v, g) for v in gs]
     aset = ASet(family=members[0].family,
                 q_list=tuple(l for m in members for l in m.q_list),
-                elements=tuple(sorted(gs)))
+                elements=tuple(sorted(set(gs) - {1})))
     return prime_support(aset, budget)

@@ -14,6 +14,11 @@ from quatbound.arith import kronecker
 from quatbound.classgroup import QuadForm, reduce_form
 
 
+def _same_field(u: "QuadInt", v: "QuadInt") -> None:
+    if u.D != v.D:
+        raise AssertionError(f"elements of D = {u.D} and D = {v.D} combined")
+
+
 @dataclass(frozen=True)
 class QuadInt:
     """(x + y*sqrt(D))/2 with x congruent to D*y mod 2, an element of O_k."""
@@ -33,7 +38,8 @@ class QuadInt:
     @property
     def norm(self) -> int:
         n4 = self.x * self.x - self.D * self.y * self.y
-        assert n4 % 4 == 0
+        if n4 % 4:
+            raise AssertionError(f"{self} has a norm that is not an integer")
         return n4 // 4
 
     def conj(self) -> "QuadInt":
@@ -42,7 +48,7 @@ class QuadInt:
     def __mul__(self, other):
         if isinstance(other, int):
             return QuadInt(self.x * other, self.y * other, self.D)
-        assert self.D == other.D
+        _same_field(self, other)
         x = (self.x * other.x + self.D * self.y * other.y) // 2
         y = (self.x * other.y + self.y * other.x) // 2
         return QuadInt(x, y, self.D)
@@ -50,11 +56,11 @@ class QuadInt:
     __rmul__ = __mul__
 
     def __add__(self, other):
-        assert self.D == other.D
+        _same_field(self, other)
         return QuadInt(self.x + other.x, self.y + other.y, self.D)
 
     def __sub__(self, other):
-        assert self.D == other.D
+        _same_field(self, other)
         return QuadInt(self.x - other.x, self.y - other.y, self.D)
 
     def __neg__(self):
@@ -162,7 +168,8 @@ def module_hnf(D: int, gens: list[QuadInt]) -> IdealRep:
     """Normalize a list of O_k-module generators (in (x, y) coordinates of
     (x + y*sqrt(D))/2) to an IdealRep via 2-column Hermite reduction."""
     vecs = [(u.x, u.y) for u in gens if (u.x, u.y) != (0, 0)]
-    assert vecs
+    if not vecs:
+        raise AssertionError("module_hnf: every generator is 0")
     # reduce to basis (alpha, 0), (beta, g) with g = gcd of y-components
     g = 0
     beta = 0
@@ -182,12 +189,16 @@ def module_hnf(D: int, gens: list[QuadInt]) -> IdealRep:
     for x, y in vecs:
         if g:
             x = x - (y // g) * beta
-            assert y % g == 0
+            if y % g:
+                raise AssertionError(f"y = {y} is not a multiple of the content {g}")
         alpha = gcd(alpha, x)
-    assert g > 0 and alpha > 0
+    if not (g > 0 and alpha > 0):
+        raise AssertionError(f"module_hnf: g = {g} and alpha = {alpha} must be positive")
     # lattice Z*(alpha,0) + Z*(beta,g); content is g, and g | alpha, g | beta
-    assert alpha % g == 0 and alpha % 2 == 0
-    assert beta % g == 0
+    if alpha % g or alpha % 2:
+        raise AssertionError(f"alpha = {alpha} is not an even multiple of g = {g}")
+    if beta % g:
+        raise AssertionError(f"beta = {beta} is not a multiple of g = {g}")
     a = alpha // g // 2
     b = (-(beta // g)) % (2 * a)
     return IdealRep(a=a, b=b, D=D, content=g)
@@ -200,7 +211,8 @@ def ideal_mul(I: IdealRep, J: IdealRep) -> IdealRep:
 
 
 def ideal_pow(I: IdealRep, n: int) -> IdealRep:
-    assert n >= 1
+    if n < 1:
+        raise AssertionError(f"ideal_pow: exponent {n} < 1")
     result = None
     base = I
     while n:

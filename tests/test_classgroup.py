@@ -7,9 +7,11 @@ import pytest
 
 from composition_reference import reference_dirichlet, reference_reduce
 from ideal_reference import (
+    QuadInt,
     ideal_class,
     ideal_mul,
     ideal_pow,
+    module_hnf,
     prime_ideal_above,
     reference_compose,
     reference_reduced_forms,
@@ -385,6 +387,13 @@ class TestAgainstIdealReference:
         check_against_reference(-1151, 4, all_pairs=False)
         assert make_field(-1151).h == 41
         assert enumerate_S0(make_field(-1151), 1)[0].l == 2
+
+    def test_oracle_invariants_raise_under_python_O(self):
+        # raised, not bare asserts: the python -O tier-1 run keeps them
+        with pytest.raises(AssertionError, match="every generator is 0"):
+            module_hnf(-20, [])
+        with pytest.raises(AssertionError, match="combined"):
+            QuadInt(1, 1, -3) + QuadInt(0, 1, -20)
 
 
 def unimodular_image(f: QuadForm, rng: random.Random, steps: int, bits: int) -> QuadForm:

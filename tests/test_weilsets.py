@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ideal_reference import QuadInt
+from intersection_reference import reference_intersection
 from lucas_reference import reference_lucas
 from quatbound import arith, weilsets
 from quatbound.arith import FactorBudget, FactoredInteger, factor, is_prime, primes_up_to
@@ -439,6 +440,43 @@ class TestGcdIntersection:
         ms[member] = ASet(family="A1", q_list=(s0[member].l,), elements=(0,))
         assert factor_then_filter(ms) == (frozenset(), True)
         assert intersect(ms) == (frozenset(), True)
+
+
+# the elements are compared, not their factorizations: the least budget, no rho
+NO_EFFORT = FactorBudget(trial_bound=2, rho_iterations=0)
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+# 0, small-prime products of either sign (so gcds share primes), and any int
+intersection_elements = st.one_of(
+    st.just(0),
+    st.builds(lambda sign, ps: sign * prod(ps), st.sampled_from((1, -1)),
+              st.lists(st.sampled_from(SMALL_PRIMES), max_size=6)),
+    st.integers(-(10**12), 10**12),
+)
+
+
+class TestIntersectionOracle:
+    """intersection_set's elements equal the gcd-of-products reference
+    exactly: the values, not only their supports, and never negative."""
+
+    @pytest.mark.parametrize("family", ["A1", "A2"])
+    def test_golden_fields_truncations_1_to_4(self, golden_contexts, family):
+        for D, ctx in golden_contexts.items():
+            ms = trace_families(ctx, enumerate_S0(ctx, 4))[family]
+            for k in range(1, len(ms) + 1):
+                expected = reference_intersection([m.elements for m in ms[:k]])
+                assert intersection_set(ms[:k], NO_EFFORT).elements == expected, (D, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(intersection_elements, max_size=6), min_size=1, max_size=5))
+    @example([[-12, 0, 12, -30, 1, -1]])
+    @example([[-12, 18, -18, 35], [0, 0]])
+    @example([[-12, 18, -18, 35], [0, -6, -6, 7], [-10, 21]])
+    @example([[60, -84, 0], [30, 42, -7], [-4, 0, 14], [3, 7], [-1]])
+    def test_equals_reference(self, members):
+        ms = [ASet(family="A1", q_list=(i,), elements=tuple(m))
+              for i, m in enumerate(members)]
+        assert intersection_set(ms, NO_EFFORT).elements == reference_intersection(members)
 
 
 def whole_element_factorizations(aset, budget):
