@@ -231,32 +231,23 @@ _D = 2310
 
 
 class _TrialPrimes:
-    """The trial primes for a modulus d: the primes that divide d or are
-    +-1 mod d, for d = 2 or phi(d) > 2.  For d = 2 they are all the primes:
-    _PRIMES, the process's one list, and the only one that is sieved.  For
-    phi(d) > 2 they are about 2/phi(d) of them (Dirichlet), filtered from
-    _PRIMES.  Kept are the primes as far as limit so far and the products
-    of the full runs built so far, each built the first time a walk or a
-    factorization reaches it, so a process builds only what it uses.  The
-    prime lists are arrays, 8 bytes a prime."""
+    """The trial primes: all the primes, sieved by segments.  _PRIMES is
+    the process's one list.  Kept are the primes as far as limit so far and
+    the products of the full runs built so far, each built the first time a
+    walk or a factorization reaches it, so a process builds only what it
+    uses.  The prime list is an array, 8 bytes a prime."""
 
-    def __init__(self, d: int = 2):
-        self.d = d
+    def __init__(self):
         self.limit = 4
-        self.primes = array("Q", [p for p in (2, 3) if d % p == 0 or p % d in (1, d - 1)])
+        self.primes = array("Q", [2, 3])
         self.products: list[int] = []
 
     def extend(self, x: int | float = inf) -> None:
-        """Append the trial primes in (limit, min(4*limit, x)], limit < x.
-        _PRIMES sieves the odd numbers there by its own primes up to
-        sqrt(4*limit) <= limit; a class list filters them from _PRIMES."""
-        lo, hi, d = self.limit, min(4 * self.limit, x), self.d
-        if d == 2:
-            self.primes.extend(_segment(lo, hi, self.primes))
-        else:
-            shared = _PRIMES.through(hi)
-            self.primes.extend(p for p in shared[bisect_right(shared, lo) : bisect_right(shared, hi)]
-                               if p % d in (1, d - 1) or d % p == 0)
+        """Append the primes in (limit, min(4*limit, x)], limit < x: the odd
+        numbers there sieved by the list's own primes up to sqrt(4*limit) <=
+        limit."""
+        hi = min(4 * self.limit, x)
+        self.primes.extend(_segment(self.limit, hi, self.primes))
         self.limit = hi
 
     def through(self, x: int) -> array:
@@ -267,11 +258,6 @@ class _TrialPrimes:
 
 
 _PRIMES = _TrialPrimes()
-
-
-@lru_cache(maxsize=64)
-def _class_primes(d: int) -> _TrialPrimes:
-    return _TrialPrimes(d)
 
 
 def _trial_divide(m: int, trial: _TrialPrimes, bound: int) -> tuple[dict[int, int], int]:
@@ -413,7 +399,13 @@ def _torus_pm1(n: int, bound: int, D: int, l: int) -> int | None:
     gcd(a^2 - D, 2lD) = 1 puts gamma's ideal on split primes not above l:
     gamma is no root of unity times a power of alpha/beta, whose order mod
     each prime of Psi_d divides d.  Stage 1 is V_E(t, 1) by a Lucas
-    ladder; returns as _pollard_pm1."""
+    ladder; returns as _pollard_pm1.
+
+    On Psi_d, the primitive part of U_d, the run is aimed: a prime p of
+    Psi_d that divides neither d nor D has rank of apparition d, so
+    d | p - (D/p) (Carmichael 1913), and the run is p-1 where (D/p) = 1
+    and p+1 where it is -1, with the factor d known.  Base-3 p-1 stays the
+    fallback, as where stage 1 catches every prime of a part."""
     exponent, rows = _pm1_plan(bound)
     a2 = next(a * a for a in count(1) if gcd(a * a - D, 2 * l * D) == 1)
     g = gcd((a2 - D) * D, n)  # t undefined, or gamma = 1 mod p
@@ -450,7 +442,8 @@ def _pm1_stage2(n: int, rows: tuple[array, ...], v: int, acc: int) -> int | None
     return None
 
 
-def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
+def factor(n: int, budget: FactorBudget = FactorBudget(),
+           torus: tuple[int, int] | None = None) -> FactoredInteger:
     """Factor n under an effort budget: trial division by every prime up
     to the trial bound, then for each composite part Pollard p-1 over the
     same primes and Brent rho.
@@ -469,63 +462,24 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> FactoredInteger:
     division alone finishes, is divided by the primes up to 37 instead, to
     the same prime powers, kept per |n| (at most 1,680 of them).
 
-    The result depends on (n, budget) alone.  p-1 runs only when the trial
-    primes, one step each, fit in the rho iteration budget; if it finds
-    nothing, rho runs with the whole budget.  Any composite part left when
-    rho runs out of iterations, and any part that is only a BPSW probable
-    prime, is reported in the cofactor.  The torus run needs a Lucas
-    part's discriminant: factor_admissible alone makes it.
+    The result depends on (n, budget, torus) alone.  p-1 runs only when the
+    trial primes, one step each, fit in the rho iteration budget; if it
+    finds nothing, rho runs with the whole budget.  Any composite part left
+    when rho runs out of iterations, and any part that is only a BPSW
+    probable prime, is reported in the cofactor.
+
+    torus = (D, l) says that n is a part of a Lucas sequence with
+    discriminant D and Q = l: the torus run over (D, l) (_torus_pm1) then
+    goes before base-3 p-1, under the same gate.  The result still
+    multiplies back to n, and is factor(n, budget) whenever that is
+    complete; where the torus run splits a part rho leaves whole, it is
+    more complete.
     """
-    return _factor(n, budget, _PRIMES)
-
-
-def factor_admissible(n: int, d: int, m: int, l: int,
-                      budget: FactorBudget = FactorBudget()) -> FactoredInteger:
-    """Factor n = Psi_d of U(-m, l), each of whose primes divides d >= 1 or
-    is +-1 mod d, under budget: trial division by these admissible primes
-    up to the trial bound alone, in runs of 128 as in factor(), then for
-    each composite part the torus run over D = m^2 - 4l (_torus_pm1) and
-    factor()'s p-1 and rho, under factor()'s gate.  The result multiplies
-    back to n, and is factor(n, budget) whenever that is complete; where
-    the torus run splits a part rho leaves whole, it is more complete.
-
-    A prime p of Psi_d that divides neither d nor D has rank of apparition
-    d, so d | p - (D/p) (Carmichael 1913), and the torus base's order
-    divides p - (D/p): the run is p-1 where (D/p) = 1 and p+1 where it is
-    -1, with the factor d known.  Base-3 p-1 stays the fallback, as where
-    stage 1 catches every prime of a part.
-
-    Trial division gives factor()'s prime powers and part exactly.
-    Dividing by every prime in ascending order stops at the first prime p
-    with p*p above the part left, which is then 1 or prime.  A prime that
-    divides nothing leaves the part as it is, and no prime outside the
-    admissible ones divides n.  So dividing by the admissible primes in
-    ascending order stops with the same prime powers and the same part
-    left: up to the full walk's stop the parts agree, and after it no
-    admissible p has p*p below the part.
-
-    phi(d) <= 2 holds for d = 1, 2, 3, 4, 6 alone; there the classes +-1
-    are every class prime to d and the admissible primes are all the
-    primes.  Below 727^2, 727 the first prime past the shared list's first
-    run, that run finishes the division, and a list of its own would save
-    nothing.  Both go by the shared list.  Else the admissible list of d,
-    filtered from the shared list as far as divisions reach, is cut at the
-    trial bound; the lists of the last 64 moduli are kept.
-    """
-    shared = d in (1, 2, 3, 4, 6) or abs(n) < 727 * 727
-    return _factor(n, budget, _PRIMES if shared else _class_primes(d), (m * m - 4 * l, l))
-
-
-def _factor(n: int, budget: FactorBudget, trial: _TrialPrimes,
-            torus: tuple[int, int] | None = None) -> FactoredInteger:
-    """factor(n, budget) with trial division by the list trial cut at
-    budget.trial_bound, which holds every prime of n up to that bound, and
-    the torus run over torus = (D, l), if given, before p-1."""
     if n == 0:
         raise ValueError("factor: n must be nonzero")
     if abs(n) < min(_SMALL_LIMIT, budget.trial_bound * budget.trial_bound):
         return FactoredInteger(value=n, prime_powers=_small_powers(abs(n)))
-    powers, m = _trial_divide(abs(n), trial, budget.trial_bound)
+    powers, m = _trial_divide(abs(n), _PRIMES, budget.trial_bound)
     # every part pushed is above 1: isqrt(m) >= 2, and p-1 and rho give 1 < f < m
     stack = [m] if m > 1 else []
     cofactor = 1

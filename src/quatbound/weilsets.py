@@ -6,7 +6,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 
-from .arith import FactorBudget, FactoredInteger, factor, factor_admissible
+from .arith import FactorBudget, FactoredInteger, factor
 from .quadfield import FieldContext
 from .classgroup import SplitPrime, form_power, principal_generator
 
@@ -182,10 +182,10 @@ def _lucas_parts(l: int, m: int, h: int) -> tuple[int, dict[int, int]]:
     U_n is the product of Psi_d over d | n (Psi_1 = U_1 = 1), so Psi_d is
     the Moebius product of the U_e, e | d: U_d divided exactly by the
     Psi_e of its proper divisors.  For a non-degenerate sequence with
-    gcd(P, Q) = 1, each prime p of Psi_d divides d or is +-1 mod d
-    (Carmichael 1913; Bilu-Hanrot-Voutier 2001, section 2): if p does not
-    divide d, its rank of apparition is d, so d | p - (D/p), D = P^2 - 4Q.
-    _factor_a3 trial-divides Psi_d by these primes alone."""
+    gcd(P, Q) = 1, each prime p of Psi_d that does not divide d has rank of
+    apparition d, so d | p - (D/p), D = P^2 - 4Q (Carmichael 1913;
+    Bilu-Hanrot-Voutier 2001, section 2): _factor_a3 splits Psi_d by the
+    torus run over D."""
     n = 12 * h
     psi: dict[int, int] = {}
     for d in range(2, n + 1):
@@ -207,22 +207,21 @@ def _factor_a3(v: int, l: int, m: int, h: int, budget: FactorBudget) -> Factored
     that is complete.  The cofactor is Delta's times the squares of the
     Psi_d's.
 
-    Delta is divided by every trial prime, each Psi_d by the primes that
-    divide d or are +-1 mod d alone, as no other prime divides Psi_d, and
-    split over the sequence's D by the torus run (factor_admissible).  The
-    theorem's hypotheses hold for every v != 0, with P = -m and Q = l.  v is
-    (alpha^12h - beta^12h)^2, and a root of unity alpha/beta of the
-    imaginary quadratic field has order 1, 2, 3, 4 or 6, which divides
-    12h: so v != 0 makes the sequence non-degenerate.  l is prime and
-    m^2 <= 4l, so l | m only for m = 0 and (l, |m|) = (2, 2), (3, 3), all
-    degenerate: gcd(l, m) = 1, which is checked."""
+    Each part is divided by every trial prime, and each Psi_d is split by
+    the torus run over (Delta, l), aimed by Carmichael's theorem
+    (_lucas_parts).  The theorem's hypotheses hold for every v != 0, with
+    P = -m and Q = l.  v is (alpha^12h - beta^12h)^2, and a root of unity
+    alpha/beta of the imaginary quadratic field has order 1, 2, 3, 4 or 6,
+    which divides 12h: so v != 0 makes the sequence non-degenerate.  l is
+    prime and m^2 <= 4l, so l | m only for m = 0 and (l, |m|) = (2, 2),
+    (3, 3), all degenerate: gcd(l, m) = 1, which is checked."""
     if gcd(l, m) != 1:
         raise AssertionError(f"({l}, {m}) gives a degenerate sequence and the element 0")
     delta, psi = _lucas_parts(l, m, h)
     powers: dict[int, int] = {}
     cofactor = 1
     parts = [(factor(delta, budget), 1),
-             *((factor_admissible(p, d, m, l, budget), 2) for d, p in psi.items())]
+             *((factor(p, budget, (delta, l)), 2) for p in psi.values())]
     for f, twice in parts:
         for p, e in f.prime_powers:
             powers[p] = powers.get(p, 0) + twice * e

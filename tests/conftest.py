@@ -27,15 +27,11 @@ def ctx20(contexts):
 @pytest.fixture
 def fresh(monkeypatch):
     """A fresh process-wide list of primes, as in a new process: walks and
-    trial division sieve from 4 again.  The class lists filter the list
-    that is _PRIMES when they grow, so they are dropped with it.  The A3
-    parts kept across fields are dropped too, so that every A3 element is
-    factored again."""
+    trial division sieve from 4 again.  The A3 parts kept across fields are
+    dropped too, so that every A3 element is factored again."""
     monkeypatch.setattr(arith, "_PRIMES", arith._TrialPrimes())
-    arith._class_primes.cache_clear()
     weilsets._a3_part.cache_clear()
     yield
-    arith._class_primes.cache_clear()
     weilsets._a3_part.cache_clear()
 
 

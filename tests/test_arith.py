@@ -281,10 +281,10 @@ class TestPollardPm1:
     # spends 10^6 iterations on it in vain, while its 43-bit prime has
     # p - 1 = 2^6 * 3^3 * 17 * 67 * 73 * 43943
     PSI_876_PART = 16326167728726390155402199602193
-    # the composite parts that reach rho on bound -1151 and -2999, with the
-    # (d, m, l) of the Psi_d they are left of
+    # the composite parts that reach rho on bound -1151 and -2999, left of
+    # Psi_492, Psi_292 and Psi_876 of (m, l) = (-1, 2): their torus is
+    # (D, l) = (-7, 2), D = m^2 - 4l
     LARGE_H_PARTS = (4626154257697182281987, 5022138166514252974259, PSI_876_PART)
-    LARGE_H_LUCAS = ((492, -1, 2), (292, -1, 2), (876, -1, 2))
 
     def test_splits_psi_876_part_without_rho(self, monkeypatch):
         monkeypatch.setattr(arith, "_brent_rho", lambda n, max_iters: None)
@@ -308,11 +308,11 @@ class TestPollardPm1:
         p = 100000000000000000000000012349
         q = 100000000000000000000000098811
         factor(p * q, FactorBudget(trial_bound, rho_iterations))
-        arith.factor_admissible(p * q, 2, 1, 2, FactorBudget(trial_bound, rho_iterations))
+        factor(p * q, FactorBudget(trial_bound, rho_iterations), (-7, 2))
         assert calls == []
         factor(p * q, FactorBudget(rho_iterations=10**5))  # 78,498 trial primes fit
         assert calls == [("pm1", p * q)]
-        arith.factor_admissible(p * q, 2, 1, 2, FactorBudget(rho_iterations=10**5))
+        factor(p * q, FactorBudget(rho_iterations=10**5), (-7, 2))
         assert calls[1:] == [("torus", p * q, -7, 2), ("pm1", p * q)]
 
     def test_gate_at_pi_of_trial_bound(self, monkeypatch):
@@ -321,11 +321,11 @@ class TestPollardPm1:
         calls = self.record_both_runs(monkeypatch)
         n = 1000003 * 1000033
         assert factor(n, FactorBudget(rho_iterations=78497)).complete
-        assert arith.factor_admissible(n, 2, 1, 2, FactorBudget(rho_iterations=78497)).complete
+        assert factor(n, FactorBudget(rho_iterations=78497), (-7, 2)).complete
         assert calls == []
         assert factor(n, FactorBudget(rho_iterations=78498)).complete
         assert calls == [("pm1", n)]
-        assert arith.factor_admissible(n, 2, 1, 2, FactorBudget(rho_iterations=78498)).complete
+        assert factor(n, FactorBudget(rho_iterations=78498), (-7, 2)).complete
         assert calls[1:] == [("torus", n, -7, 2), ("pm1", n)]
 
     def test_gate_sieves_nothing_past_trial_division(self, monkeypatch, fresh,
@@ -346,17 +346,14 @@ class TestPollardPm1:
         assert segment_calls == walked and calls == []
         assert f.cofactor == 998244353 * 1000000007 and f.reconstruct() == n
 
-    def _oracle_check(self, monkeypatch, n, budget, lucas=None):
-        """factor(n), or with lucas = (d, m, l) factor_admissible(n, d, m, l),
-        against rho alone: equal wherever both are complete."""
-        def run():
-            return factor(n, budget) if lucas is None else arith.factor_admissible(n, *lucas, budget)
-
-        with_pm1 = run()
+    def _oracle_check(self, monkeypatch, n, budget, torus=None):
+        """factor(n, budget, torus) against rho alone: equal wherever both
+        are complete."""
+        with_pm1 = factor(n, budget, torus)
         with monkeypatch.context() as m:
             m.setattr(arith, "_pollard_pm1", lambda n, bound: None)
             m.setattr(arith, "_torus_pm1", lambda n, bound, D, l: None)
-            rho_only = run()
+            rho_only = factor(n, budget, torus)
         if with_pm1.complete and rho_only.complete:
             assert with_pm1 == rho_only, n
         return with_pm1, rho_only
@@ -375,9 +372,9 @@ class TestPollardPm1:
             with_pm1, rho_only = self._oracle_check(monkeypatch, n, FactorBudget())
             assert with_pm1.complete and rho_only.complete
         budget = FactorBudget(rho_iterations=10**6)
-        for n, lucas in zip(self.LARGE_H_PARTS, self.LARGE_H_LUCAS):
-            for run_lucas in (None, lucas):
-                with_pm1, _ = self._oracle_check(monkeypatch, n, budget, run_lucas)
+        for n in self.LARGE_H_PARTS:
+            for torus in (None, (-7, 2)):
+                with_pm1, _ = self._oracle_check(monkeypatch, n, budget, torus)
                 assert with_pm1.complete
 
     def test_gcd_n_falls_through_to_rho(self):
@@ -456,7 +453,7 @@ class TestTorusPm1:
         assert gcd(torus_stage1_trace(n, 2, -7, exponent) - 2, n) == n
         assert arith._torus_pm1(n, 10**6, -7, 2) is None
         monkeypatch.setattr(arith, "_brent_rho", lambda n, max_iters: None)
-        f = arith.factor_admissible(n, 292, -1, 2, FactorBudget())
+        f = factor(n, FactorBudget(), (-7, 2))
         assert f.complete and f.prime_powers == ((46832260859, 1), (107236722601, 1))
 
     def test_splits_psi_327_part(self, monkeypatch):
@@ -468,9 +465,10 @@ class TestTorusPm1:
         assert arith._pollard_pm1(n, 10**6) is None
         assert arith._torus_pm1(n, 10**6, -7, 2) == 27912699976481
         monkeypatch.setattr(arith, "_brent_rho", lambda n, max_iters: None)
-        f = arith.factor_admissible(n, 327, -1, 2, FactorBudget())
+        f = factor(n, FactorBudget(), (-7, 2))
         assert f.complete and f.prime_powers == ((27912699976481, 1), (n // 27912699976481, 1))
-        # factor() has no torus run: more complete than its result
+        # factor() without a torus has no torus run: more complete than its
+        # result
         assert factor(n, FactorBudget()).cofactor == n
 
     def test_guard(self):
@@ -567,22 +565,22 @@ class TestTrialDivision:
     def test_benchmark_pass_inputs(self, monkeypatch):
         # every trial division of one pass over the benchmark's small_panel
         # (verify) and large_h (bound --rho-iters 10^6) fields, the A3
-        # parts' restricted ones too, and every part below 41^2 that the
-        # small-part path splits instead, against division by all the primes
+        # parts' too, and every part below 41^2 that the small-part path
+        # splits instead, against division by all the primes
         seen = []
         real, real_small = arith._trial_divide, arith._small_powers
 
         def checked(m, trial, bound):
             got = real(m, trial, bound)
-            assert got == reference_trial_divide(m, all_primes(bound)), (m, trial.d)
-            seen.append((m, trial.d, got[0]))
+            assert got == reference_trial_divide(m, all_primes(bound)), m
+            seen.append(m)
             return got
 
         def checked_small(m):
             got = real_small(m)
             powers, left = reference_trial_divide(m, all_primes(40))
             assert dict(got) == (powers | {left: 1} if left > 1 else powers), m
-            seen.append((m, 2, dict(got)))
+            seen.append(m)
             return got
 
         monkeypatch.setattr(arith, "_trial_divide", checked)
@@ -592,15 +590,12 @@ class TestTrialDivision:
         for D in (-1151, -2999):
             assert main(["bound", "--d", str(D), "--rho-iters", "1000000",
                          "--json", os.devnull]) == 0
-        assert len(seen) > 250 and max(m for m, _, _ in seen).bit_length() > 140
-        # the restricted path ran on the Psi_876 part of -2999's one nonzero
-        # A3 element, and removed a prime of d from some part
+        assert len(seen) > 250 and max(seen).bit_length() > 140
+        # the Psi_876 part of -2999's one nonzero A3 element is among them
         ctx = make_field(-2999)
         a3 = a3_family(ctx.h, [q.l for q in ctx.generators], FactorBudget(rho_iterations=10**6))
         (lucas,) = (o for v, o in zip(a3.elements, a3.lucas) if v)
-        assert (abs(_lucas_parts(*lucas)[1][876]), 876) in {(n, d) for n, d, _ in seen}
-        # d = 2 is the shared list of all the primes
-        assert any(d > 2 and d % p == 0 for _, d, powers in seen for p in powers)
+        assert abs(_lucas_parts(*lucas)[1][876]) in seen
 
     @pytest.mark.parametrize("trial_bound", TRIAL_BOUNDS)
     def test_edges_match_reference(self, trial_bound):
@@ -892,7 +887,7 @@ class TestPairedStage2:
             assert f.complete and f == rho_only, n
             # the torus run over D = -7 with a = 2, whose guard gcd(11 * 7, n)
             # returns 11 where it is no trial prime
-            assert arith.factor_admissible(n, 2, 1, 2, budget) == rho_only, n
+            assert factor(n, budget, (-7, 2)) == rho_only, n
 
     def test_no_inverse_and_divisors_of_d(self):
         assert arith._pollard_pm1(3 * self.R, 2) == 3
@@ -918,10 +913,10 @@ class TestGrownList:
     @pytest.mark.parametrize("D", [-20, -3299])
     def test_verify_stays_short(self, D):
         # no part reaches p-1, so nothing sieves the list to the trial bound
-        # 10^6: full trial division takes it to 1024, and on -3299 the first
-        # run of the admissible primes of 108 filters it as far as 4^8
+        # 10^6: full trial division takes it to 1024 on -20 and to 4^7 on
+        # -3299
         assert main(["verify", "--d", str(D), "--json", os.devnull]) == 0
-        assert arith._PRIMES.limit == {-20: 1024, -3299: 4**8}[D]
+        assert arith._PRIMES.limit == {-20: 1024, -3299: 4**7}[D]
 
     def test_pm1_request_completes_the_list(self):
         assert main(["bound", "--d", "-1151", "--rho-iters", "1000000",
@@ -1091,19 +1086,13 @@ def admissible(primes, d):
 
 
 class TestAdmissiblePrimes:
-    """A part whose primes all divide d or are +-1 mod d is trial-divided
-    by those primes alone, with factor()'s result for every budget."""
+    """Parts whose primes all divide d or are +-1 mod d, as a Psi_d's do,
+    factored with a torus (D, l): factor()'s result without one wherever
+    that is complete, for every budget."""
 
     MODULI = (5, 7, 8, 10, 12, 24, 73, 123, 492, 876)
 
-    @pytest.fixture(autouse=True)
-    def fresh_lists(self):
-        arith._class_primes.cache_clear()
-        yield
-        arith._class_primes.cache_clear()
-
-    @pytest.mark.parametrize("d, r", [(2, 1), (5, 1), (5, 4), (7, 3), (8, 7), (12, 11),
-                                      (876, 1), (876, 875)])
+    @pytest.mark.parametrize("d, r", [(2, 1)])
     def test_segment_of_one_class(self, d, r):
         # the one sieve of the odd numbers, read along the class r mod d,
         # gives the primes r mod d in each window
@@ -1115,42 +1104,12 @@ class TestAdmissiblePrimes:
             want = [p for p in primes if lo < p <= hi and p % d == r]
             assert [p for p in segment if p % d == r] == want, (lo, hi)
 
-    @pytest.mark.parametrize("bound", (2, 50, 719, 4097, 10**6))
-    def test_lists_grow_exactly(self, bound):
-        full = all_primes(max(bound, 4))
-        for d in self.MODULI:
-            want = admissible(full, d)
-            trial = arith._class_primes(d)
-            limits = [trial.limit]
-            assert list(trial.primes) == want[: bisect_right(want, trial.limit)], d
-            while trial.limit < bound:
-                trial.extend(bound)
-                limits.append(trial.limit)
-                # every intermediate list is the admissible primes up to its limit
-                assert list(trial.primes) == want[: bisect_right(want, trial.limit)], d
-            assert list(trial.through(bound)) == want
-            assert limits[0] == 4 and limits[-1] == max(bound, 4)
-            assert all(hi == min(4 * lo, bound) for lo, hi in zip(limits, limits[1:]))
-
-    @pytest.mark.parametrize("d", [5, 12, 77, 292, 876])
-    def test_filter_across_segment_edges(self, fresh, segment_calls, d):
-        # the primes of d above 4 (5; 7 and 11; 73) are kept too, and every
-        # segment sieved is one of the shared list's: a class list sieves
-        # nothing
-        calls = segment_calls
-        trial = arith._class_primes(d)
-        for x in CROSS_EDGES:
-            want = [v for v in all_primes(x) if v % d in (1, d - 1) or d % v == 0]
-            assert list(trial.through(x)) == want and trial.limit == x, x
-        limits = [4] + [hi for _, hi in calls]
-        assert calls == list(zip(limits, limits[1:])) and limits[-1] == arith._PRIMES.limit
-
     BUDGETS = (FactorBudget(50, 2), FactorBudget(719, 10), FactorBudget(10**4, 1000),
                FactorBudget(10**6, 10**6))
 
     def corpus(self, budget):
-        """(n, d, m, l): products of admissible primes of each modulus, with
-        an (m, l) whose D = m^2 - 4l (-7, -19 or -11) the torus run is over."""
+        """(n, d, torus): products of admissible primes of each modulus, with
+        the torus (D, l) of an (m, l), D = m^2 - 4l (-7, -19 or -11)."""
         rng = random.Random(budget.trial_bound)
         pool = all_primes(2 * 10**6)
         for d in self.MODULI:
@@ -1159,17 +1118,17 @@ class TestAdmissiblePrimes:
                 n = rng.choice((1, -1))
                 for _ in range(rng.randrange(6)):
                     n *= rng.choice(primes) ** rng.randrange(1, 4)
-                yield n, d, *rng.choice(((-1, 2), (1, 2), (-1, 5), (3, 5)))
+                m, l = rng.choice(((-1, 2), (1, 2), (-1, 5), (3, 5)))
+                yield n, d, (m * m - 4 * l, l)
 
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_equals_factor(self, monkeypatch, budget):
-        # without the torus run, trial division by the admissible primes
-        # gives factor()'s result, cofactors included, also where the budget
-        # runs out
+        # without the torus run, a torus changes nothing: factor()'s result,
+        # cofactors included, also where the budget runs out
         monkeypatch.setattr(arith, "_torus_pm1", lambda n, bound, D, l: None)
         incomplete = 0
-        for n, d, m, l in self.corpus(budget):
-            f = arith.factor_admissible(n, d, m, l, budget)
+        for n, d, torus in self.corpus(budget):
+            f = factor(n, budget, torus)
             assert f == factor(n, budget), (n, d)
             incomplete += not f.complete
         if budget.rho_iterations < 1000:
@@ -1177,35 +1136,15 @@ class TestAdmissiblePrimes:
 
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_multiplies_back_and_equals_complete_factor(self, budget):
-        for n, d, m, l in self.corpus(budget):
-            f = arith.factor_admissible(n, d, m, l, budget)
+        for n, d, torus in self.corpus(budget):
+            f = factor(n, budget, torus)
             assert f.reconstruct() == n and all(is_prime(p) for p in f.primes), (n, d)
             want = factor(n, budget)
             if want.complete:
                 assert f == want, (n, d)
 
-    def test_phi_at_most_2_takes_the_shared_list(self, monkeypatch):
-        # the classes +-1 are every class prime to d: no list of its own
-        monkeypatch.setattr(arith, "_class_primes", None)
-        n = -(5**3) * 7 * 1000003 * 1000033
-        for d in (1, 2, 3, 4, 6):
-            assert arith.factor_admissible(n, d, 1, 2) == factor(n)
-
-    def test_small_parts_take_the_shared_list(self, monkeypatch):
-        # below 727^2 the shared list's first run finishes the division
-        assert all_primes(727)[127:] == [719, 727]
-        monkeypatch.setattr(arith, "_class_primes", None)
-        # 877 = 876 + 1 is prime, and 2 * 3 * 73 = 438
-        for n in (1, 438, 73**2, 877 * 438, -877 * 438):
-            assert abs(n) < 727**2
-            assert arith.factor_admissible(n, 876, -1, 2) == factor(n)
-        monkeypatch.undo()
-        assert arith.factor_admissible(727**2, 363, -1, 2) == factor(727**2)
-        assert arith._class_primes.cache_info().currsize == 1
-
     def test_warm_up_builds_nothing_new(self, fresh):
-        # the benchmark's warm-up request sieves the shared list as far as
-        # full trial division did, and builds no list of its own
+        # the benchmark's warm-up request sieves the list as far as full
+        # trial division did
         assert main(["verify", "--d", "-20", "--json", os.devnull]) == 0
         assert arith._PRIMES.limit == 1024
-        assert arith._class_primes.cache_info().currsize == 0

@@ -545,28 +545,23 @@ class TestA3Split:
         assert any(d not in (2, 3, 4, 6) for d, _ in divides_d), divides_d
 
     def test_one_factor_call_per_part(self, a3_panel, monkeypatch):
-        # one factor() call for Delta and one factor_admissible() call for
-        # each Psi_d with the element's (m, l), whose result is factor()'s
+        # one factor() call for Delta and one for each Psi_d with the torus
+        # (m^2 - 4l, l) of the element's (m, l), whose result is factor()'s
         calls = []
 
-        def recording(n, budget):
-            calls.append((n, None))
-            return factor(n, budget)
-
-        def recording_admissible(n, d, m, l, budget):
-            calls.append((n, d, m, l))
-            got = arith.factor_admissible(n, d, m, l, budget)
+        def recording(n, budget, torus=None):
+            calls.append((n, torus))
+            got = factor(n, budget, torus)
             assert got == factor(n, budget)
             return got
 
         monkeypatch.setattr(weilsets, "factor", recording)
-        monkeypatch.setattr(weilsets, "factor_admissible", recording_admissible)
         a3 = a3_panel[-1]
         v, lucas = next((v, s) for v, s in zip(a3.elements, a3.lucas) if v)
         prime_support(a3._replace(elements=(v,), lucas=(lucas,)), self.BUDGET)
         delta, psi = _lucas_parts(*lucas)
         l, m, _ = lucas
-        assert calls == [(delta, None), *((p, d, m, l) for d, p in psi.items())]
+        assert calls == [(delta, None), *((p, (m * m - 4 * l, l)) for p in psi.values())]
 
     def test_degenerate_pair_rejected(self):
         # l | m only for degenerate pairs, whose element is 0
