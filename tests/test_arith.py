@@ -1085,6 +1085,12 @@ def admissible(primes, d):
     return [p for p in primes if d % p == 0 or p % d in (1, d - 1)]
 
 
+@cache
+def admissible_pool(d):
+    """The admissible primes of d below 2*10^6."""
+    return admissible(all_primes(2 * 10**6), d)
+
+
 class TestAdmissiblePrimes:
     """Parts whose primes all divide d or are +-1 mod d, as a Psi_d's do,
     factored with a torus (D, l): factor()'s result without one wherever
@@ -1092,7 +1098,8 @@ class TestAdmissiblePrimes:
 
     MODULI = (5, 7, 8, 10, 12, 24, 73, 123, 492, 876)
 
-    @pytest.mark.parametrize("d, r", [(2, 1)])
+    @pytest.mark.parametrize("d, r", [(2, 1), (5, 1), (5, 4), (7, 3), (8, 7), (12, 11),
+                                      (876, 1), (876, 875)])
     def test_segment_of_one_class(self, d, r):
         # the one sieve of the odd numbers, read along the class r mod d,
         # gives the primes r mod d in each window
@@ -1104,6 +1111,21 @@ class TestAdmissiblePrimes:
             want = [p for p in primes if lo < p <= hi and p % d == r]
             assert [p for p in segment if p % d == r] == want, (lo, hi)
 
+    @pytest.mark.parametrize("bound", (2, 50, 719, 4097, 10**6))
+    def test_lists_grow_exactly(self, bound):
+        # the one list that every Psi_d part is divided by, grown segment by
+        # segment, is all the primes up to its limit at each step
+        full = all_primes(max(bound, 4))
+        trial = arith._TrialPrimes()
+        limits = [trial.limit]
+        while trial.limit < bound:
+            trial.extend(bound)
+            limits.append(trial.limit)
+            assert list(trial.primes) == full[: bisect_right(full, trial.limit)]
+        assert list(trial.through(bound)) == full
+        assert limits[0] == 4 and limits[-1] == max(bound, 4)
+        assert all(hi == min(4 * lo, bound) for lo, hi in zip(limits, limits[1:]))
+
     BUDGETS = (FactorBudget(50, 2), FactorBudget(719, 10), FactorBudget(10**4, 1000),
                FactorBudget(10**6, 10**6))
 
@@ -1111,9 +1133,8 @@ class TestAdmissiblePrimes:
         """(n, d, torus): products of admissible primes of each modulus, with
         the torus (D, l) of an (m, l), D = m^2 - 4l (-7, -19 or -11)."""
         rng = random.Random(budget.trial_bound)
-        pool = all_primes(2 * 10**6)
         for d in self.MODULI:
-            primes = admissible(pool, d)
+            primes = admissible_pool(d)
             for _ in range(15):
                 n = rng.choice((1, -1))
                 for _ in range(rng.randrange(6)):
@@ -1142,6 +1163,25 @@ class TestAdmissiblePrimes:
             want = factor(n, budget)
             if want.complete:
                 assert f == want, (n, d)
+
+    @pytest.mark.parametrize("d", MODULI)
+    def test_every_part_takes_the_one_list(self, monkeypatch, d):
+        # with a torus or without, at every budget, trial division runs on
+        # the process's one list and no other list is built
+        divided = []
+        real = arith._trial_divide
+
+        def recording(m, trial, bound):
+            divided.append(trial)
+            return real(m, trial, bound)
+
+        monkeypatch.setattr(arith, "_trial_divide", recording)
+        monkeypatch.setattr(arith, "_TrialPrimes", None)
+        for budget in self.BUDGETS:
+            for n, _, torus in (c for c in self.corpus(budget) if c[1] == d):
+                assert factor(n, budget, torus).reconstruct() == n
+                assert factor(n, budget).reconstruct() == n
+        assert divided and all(trial is arith._PRIMES for trial in divided)
 
     def test_warm_up_builds_nothing_new(self, fresh):
         # the benchmark's warm-up request sieves the list as far as full
