@@ -3,7 +3,7 @@
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import compress, count, islice
 from math import gcd, inf, isqrt, lcm, prod
 
@@ -301,19 +301,6 @@ def _trial_divide(m: int, trial: _TrialPrimes, bound: int) -> tuple[dict[int, in
     return powers, m
 
 
-@cache
-def _small_powers(m: int) -> tuple[tuple[int, int], ...]:
-    """The prime powers of 1 <= m < 41^2, by the primes p <= 37 while p*p <= m."""
-    powers = {}
-    for p in _SMALL_PRIMES:
-        if p * p > m:
-            break
-        while m % p == 0:
-            powers[p] = powers.get(p, 0) + 1
-            m //= p
-    return (*powers.items(), (m, 1)) if m > 1 else tuple(powers.items())
-
-
 def _proven_prime(m: int) -> bool:
     # prime_status says "prime" only below the deterministic limit: a larger
     # m is not tested, as its test could only cost time
@@ -458,10 +445,6 @@ def factor(n: int, budget: FactorBudget = FactorBudget(),
     with p*p <= the part in turn.  The trial primes are the process's one
     list cut at the trial bound, sieved as far as the division reaches.
 
-    An n with |n| below both 41^2 and the trial bound squared, which trial
-    division alone finishes, is divided by the primes up to 37 instead, to
-    the same prime powers, kept per |n| (at most 1,680 of them).
-
     The result depends on (n, budget, torus) alone.  p-1 runs only when the
     trial primes, one step each, fit in the rho iteration budget; if it
     finds nothing, rho runs with the whole budget.  Any composite part left
@@ -477,8 +460,6 @@ def factor(n: int, budget: FactorBudget = FactorBudget(),
     """
     if n == 0:
         raise ValueError("factor: n must be nonzero")
-    if abs(n) < min(_SMALL_LIMIT, budget.trial_bound * budget.trial_bound):
-        return FactoredInteger(value=n, prime_powers=_small_powers(abs(n)))
     powers, m = _trial_divide(abs(n), _PRIMES, budget.trial_bound)
     # every part pushed is above 1: isqrt(m) >= 2, and p-1 and rho give 1 < f < m
     stack = [m] if m > 1 else []

@@ -70,6 +70,8 @@ class TestKronecker:
 
 
 class TestIsPrime:
+    LIMIT = 41 * 41
+
     def test_examples(self):
         assert is_prime(2)
         assert not is_prime(561)  # 3 * 11 * 17
@@ -92,6 +94,13 @@ class TestIsPrime:
         assert prime_status(10**25 + 13) == "probable"
         assert prime_status(10**25 + 11) == "composite"
         assert prime_status((10**10 + 19) ** 2) == "composite"
+
+    def test_prime_status_against_a_sieve(self):
+        # below 41^2 a number no prime up to 37 divides is prime; 41^2 itself
+        # and the composites past it go to Miller-Rabin
+        primes = set(all_primes(4 * self.LIMIT))
+        for n in range(-5, 4 * self.LIMIT):
+            assert prime_status(n) == ("prime" if n in primes else "composite"), n
 
 
 def trial_division_primes(bound):
@@ -565,10 +574,9 @@ class TestTrialDivision:
     def test_benchmark_pass_inputs(self, monkeypatch):
         # every trial division of one pass over the benchmark's small_panel
         # (verify) and large_h (bound --rho-iters 10^6) fields, the A3
-        # parts' too, and every part below 41^2 that the small-part path
-        # splits instead, against division by all the primes
+        # parts' too, against division by all the primes
         seen = []
-        real, real_small = arith._trial_divide, arith._small_powers
+        real = arith._trial_divide
 
         def checked(m, trial, bound):
             got = real(m, trial, bound)
@@ -576,15 +584,7 @@ class TestTrialDivision:
             seen.append(m)
             return got
 
-        def checked_small(m):
-            got = real_small(m)
-            powers, left = reference_trial_divide(m, all_primes(40))
-            assert dict(got) == (powers | {left: 1} if left > 1 else powers), m
-            seen.append(m)
-            return got
-
         monkeypatch.setattr(arith, "_trial_divide", checked)
-        monkeypatch.setattr(arith, "_small_powers", checked_small)
         for D in (-20, -23, -84, -71, -419, -3299):
             assert main(["verify", "--d", str(D), "--json", os.devnull]) == 0
         for D in (-1151, -2999):
@@ -663,77 +663,31 @@ class TestTrialDivision:
 
 
 class TestSmallParts:
-    """An n with |n| < min(41^2, trial_bound^2), which trial division alone
-    finishes, is split by the primes up to 37 alone (arith._small_powers)."""
+    """Every 0 < |n| < 41^2 through factor(): at trial bounds 2, 3 and 5
+    trial division leaves composite parts above trial_bound^2, which the
+    square check, p-1 and rho then meet on tiny inputs."""
 
     LIMIT = 41 * 41
 
     @pytest.mark.parametrize("rho_iterations", (0, 10**6))
     @pytest.mark.parametrize("trial_bound", (2, 3, 5, 37, 41, 50, 10**6))
-    def test_matches_the_general_path(self, monkeypatch, trial_bound, rho_iterations):
-        # every 0 < |n| < 41^2, both signs, against factor() with the small
-        # part path off (a limit of 0): at trial bounds 2, 3 and 5 the
-        # general path leaves composite parts above trial_bound^2 to p-1 and
-        # rho, which the small-part path must not split
+    def test_every_small_n(self, trial_bound, rho_iterations):
         budget = FactorBudget(trial_bound, rho_iterations)
+        primes = set(all_primes(self.LIMIT))
         ns = [s * n for n in range(1, self.LIMIT) for s in (1, -1)]
-        divided = []
-        real = arith._trial_divide
-
-        def recorded(m, trial, bound):
-            divided.append(m)
-            return real(m, trial, bound)
-
-        monkeypatch.setattr(arith, "_trial_divide", recorded)
-        fast = [factor(n, budget) for n in ns]
-        cut = min(self.LIMIT, trial_bound * trial_bound)
-        assert all(m >= cut for m in divided)
-        assert len(divided) == 2 * (self.LIMIT - cut)
-        monkeypatch.setattr(arith, "_SMALL_LIMIT", 0)
-        assert fast == [factor(n, budget) for n in ns]
+        results = [factor(n, budget) for n in ns]
+        for n, f in zip(ns, results):
+            assert f.reconstruct() == n and primes.issuperset(f.primes), f
+            if rho_iterations:
+                assert f.complete, f
+            elif not f.complete:
+                # what no prime <= trial_bound divides and is not prime: a
+                # product of composite parts, each above trial_bound^2
+                c = f.cofactor
+                assert c > trial_bound * trial_bound and c not in primes, f
+                assert all(c % p for p in primes if p <= trial_bound), f
         if trial_bound <= 3 and rho_iterations == 0:
-            assert any(not f.complete for f in fast)
-
-    def test_stops_once_p_squared_passes_the_part(self, monkeypatch):
-        # the division reads the primes up to the first p with p*p above
-        # what is left, and none after it
-        read = []
-
-        class Recorded(tuple):
-            def __iter__(self):
-                for p in tuple.__iter__(self):
-                    read.append(p)
-                    yield p
-
-        monkeypatch.setattr(arith, "_SMALL_PRIMES", Recorded(arith._SMALL_PRIMES))
-        small = all_primes(40)
-        for m in range(1, self.LIMIT):
-            del read[:]
-            arith._small_powers.__wrapped__(m)
-            left, expected = m, []
-            for p in small:
-                expected.append(p)
-                if p * p > left:
-                    break
-                while left % p == 0:
-                    left //= p
-            assert read == expected, m
-
-    def test_cache_is_keyed_by_the_part_alone(self):
-        # one entry per |n| below 41^2, whatever the budget or the sign
-        arith._small_powers.cache_clear()
-        for budget in (FactorBudget(), FactorBudget(50, 0), FactorBudget(2, 10)):
-            for n in range(-3 * self.LIMIT, 3 * self.LIMIT):
-                if n:
-                    factor(n, budget)
-        assert arith._small_powers.cache_info().currsize == self.LIMIT - 1
-
-    def test_prime_status_against_a_sieve(self):
-        # below 41^2 a number no prime up to 37 divides is prime; 41^2 itself
-        # and the composites past it go to Miller-Rabin
-        primes = set(all_primes(4 * self.LIMIT))
-        for n in range(-5, 4 * self.LIMIT):
-            assert prime_status(n) == ("prime" if n in primes else "composite"), n
+            assert any(not f.complete for f in results)
 
 
 class TestPairedStage2:

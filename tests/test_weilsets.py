@@ -250,9 +250,12 @@ class TestFamilies:
         assert all(v <= 0 for v in a3.elements)
         assert len(a3.elements) <= 7
         assert a3_family(ctx20.h, [q.l for q in S]) == prime_support(a3)
-        # an empty S would leave A3 empty
+        # an empty S would leave A3 empty, and an empty truncation the A1/A2
+        # intersection
         with pytest.raises(ValueError, match="S must be nonempty"):
             a3_family(ctx20.h, [])
+        with pytest.raises(ValueError, match="truncation must be nonempty"):
+            weilsets.intersection_set([])
 
     def test_families_by_name(self, ctx20):
         # one A1 and one A2 family per S0 member, in S0 order
