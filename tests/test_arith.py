@@ -689,6 +689,37 @@ class TestSmallParts:
         if trial_bound <= 3 and rho_iterations == 0:
             assert any(not f.complete for f in results)
 
+    def test_every_small_n_is_trial_divided(self, monkeypatch):
+        # no size branch before trial division: each factor() call divides
+        # |n| once, by the budget's trial bound, however small n is
+        divided = []
+        real = arith._trial_divide
+
+        def recorded(m, trial, bound):
+            divided.append((m, bound))
+            return real(m, trial, bound)
+
+        monkeypatch.setattr(arith, "_trial_divide", recorded)
+        for trial_bound in (2, 37, 10**6):
+            budget = FactorBudget(trial_bound, 0)
+            for n in range(1, self.LIMIT):
+                for s in (1, -1):
+                    del divided[:]
+                    factor(s * n, budget)
+                    assert divided == [(n, trial_bound)], s * n
+
+    def test_no_memo_across_budgets(self):
+        # the result depends on (n, budget) alone: the same calls in the
+        # reverse order give the same results, and a small budget's
+        # incomplete results do not carry over to a larger budget
+        budgets = [FactorBudget(2, 0), FactorBudget(), FactorBudget(3, 0), FactorBudget(50, 10)]
+        ns = [s * n for n in range(1, self.LIMIT) for s in (1, -1)]
+        forward = {(n, b): factor(n, b) for b in budgets for n in ns}
+        backward = {(n, b): factor(n, b) for b in reversed(budgets) for n in reversed(ns)}
+        assert forward == backward
+        assert any(not forward[n, budgets[0]].complete for n in ns)
+        assert all(forward[n, budgets[1]].complete for n in ns)
+
 
 class TestPairedStage2:
     # safe primes: (R - 1)/2 is a prime far above every trial bound below,
