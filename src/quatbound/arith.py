@@ -1,4 +1,5 @@
-"""Exact big-integer primitives: Kronecker symbol, primality, bounded factoring."""
+"""Exact big-integer primitives: Kronecker and Legendre symbols, primality,
+bounded factoring."""
 
 from array import array
 from bisect import bisect_right
@@ -53,6 +54,25 @@ def kronecker(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+def legendre(a: int, p: int) -> int:
+    """kronecker(a, p) for a prime p, by Euler's criterion a^((p-1)/2) =
+    (a|p) mod p for odd p, one modular power in place of kronecker's
+    reciprocity loop, and by a mod 8 for p = 2.  p is not tested for
+    primality: a power other than 0, 1 or p - 1 proves it composite and
+    raises ValueError, as does an even p > 2."""
+    if p & 1 and p > 2:
+        e = pow(a, p >> 1, p)
+        if e == 1:
+            return 1
+        if e == p - 1:
+            return -1
+        if e == 0:
+            return 0
+    elif p == 2:
+        return 0 if a % 2 == 0 else 1 if a % 8 in (1, 7) else -1
+    raise ValueError(f"legendre: {p} is not a prime")
 
 
 def _miller_rabin_composite(n: int, a: int) -> bool:

@@ -120,7 +120,9 @@ def prime_form(D: int, l: int) -> QuadForm:
     """The form (l, b, c) of the degree-1 prime Z*l + Z*(-b + sqrt(D))/2
     above l, with the smallest valid b >= 0.  The valid b in [0, 2l) are
     = +-r mod l, of the parity of D, for r a square root of D mod l; l = 2
-    tries both b of that parity."""
+    tries both b of that parity.  kronecker, not arith.legendre: l is not
+    known to be prime here, and a composite l gets a form or the
+    AssertionError, not legendre's ValueError."""
     if kronecker(D, l) == -1:
         raise ValueError(f"{l} is inert in Q(sqrt({D})): no degree-1 prime")
     r = D % l if l == 2 or D % l == 0 else _sqrt_mod(D, l)

@@ -5,7 +5,7 @@ searched here up to a configurable bound."""
 from collections import namedtuple
 from functools import cache
 
-from .arith import is_prime, kronecker
+from .arith import is_prime, legendre
 from .quadfield import FieldContext, is_fundamental, split_primes
 
 
@@ -14,16 +14,20 @@ MazurResult = namedtuple("MazurResult", "bound members")
 
 def is_in_mazur(ctx: FieldContext, N: int) -> bool:
     """Membership test: every split-in-k prime l with 2 < l < |N|/4 must
-    have kronecker(N, l) != 1.  Vacuously true when the range is empty.
-    The split primes are walked by Kronecker symbol alone, independent of
+    have (N|l) != 1.  Vacuously true when the range is empty.  The split
+    primes, and each witness (N|l), are found by Legendre symbol
+    (arith.legendre, Euler's criterion) alone, independent of
     mazur_prime_set's bitset sieve, up to the first witness; every call
-    reads the field's one list of split primes, so each is found once."""
+    reads the field's one list of split primes, so each is found once.
+    N must be fundamental: an N = 1 mod 4 whose |N| is proven prime, as
+    every union prime that verify checks is, needs no factorization, and
+    a BPSW-probable |N| is factored (quadfield.is_fundamental)."""
     if not is_fundamental(N):
         raise ValueError(f"{N} is not a fundamental discriminant")
     for l in split_primes(ctx):
         if 4 * l >= abs(N):  # l < |N|/4  <=>  4l < |N|
             return True
-        if l > 2 and kronecker(N, l) == 1:
+        if l > 2 and legendre(N, l) == 1:
             return False
 
 

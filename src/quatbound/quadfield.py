@@ -5,7 +5,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import count
 
-from .arith import FactoredInteger, factor, kronecker, prime_stream
+from .arith import FactoredInteger, factor, legendre, prime_stream, prime_status
 
 
 def _factored(n: int) -> FactoredInteger:
@@ -22,8 +22,12 @@ def _squarefree(n: int) -> bool:
 
 
 def is_fundamental(D: int) -> bool:
+    """Whether D is a fundamental discriminant.  A D = 1 mod 4 with |D|
+    proven prime is one without a factorization; a BPSW-probable |D|
+    proves nothing, so it is factored, which raises where trial division,
+    p-1 and rho cannot finish it."""
     if D % 4 == 1:
-        return _squarefree(D)
+        return prime_status(abs(D)) == "prime" or _squarefree(D)
     if D % 4 == 0:
         m = D // 4
         return m % 4 in (2, 3) and _squarefree(m)
@@ -40,8 +44,9 @@ class FieldContext(namedtuple("FieldContext", "D ram_primes")):
 
     @cached_property
     def _split(self) -> tuple:
-        """The split primes found so far and the walk that finds the rest."""
-        return [], (l for l in prime_stream() if kronecker(self.D, l) == 1)
+        """The split primes found so far and the walk that finds the rest,
+        each prime classified by arith.legendre."""
+        return [], (l for l in prime_stream() if legendre(self.D, l) == 1)
 
     @cached_property
     def _forms(self) -> dict:  # classgroup.SplitPrime.above's, by l
@@ -92,7 +97,9 @@ def make_field(d_or_D: int) -> FieldContext:
 
 
 def splitting_type(ctx: FieldContext, p: int) -> str:
-    s = kronecker(ctx.D, p)
+    """How the prime p splits in k, by arith.legendre: a composite p may
+    raise ValueError."""
+    s = legendre(ctx.D, p)
     if s == 0:
         return "ramified"
     return "split" if s == 1 else "inert"

@@ -18,6 +18,7 @@ from quatbound.arith import (
     factor,
     is_prime,
     kronecker,
+    legendre,
     prime_status,
     primes_up_to,
 )
@@ -67,6 +68,21 @@ class TestKronecker:
                     continue
                 sign = (-1) ** ((p - 1) // 2 * (q - 1) // 2)
                 assert kronecker(p, q) * kronecker(q, p) == sign
+
+
+class TestLegendre:
+    def test_matches_kronecker_at_primes(self):
+        # every a in [-p, p], negatives and the multiples -p, 0, p included
+        for p in primes_up_to(2000):
+            for a in range(-max(p, 16), max(p, 16) + 1):
+                assert legendre(a, p) == kronecker(a, p), (a, p)
+
+    def test_composite_or_even_modulus_raises(self):
+        # 2^7 = 8 mod 15 is none of 0, 1, 14; an even modulus above 2, and
+        # a modulus below 2, is no prime either
+        for a, n in ((2, 15), (3, 4), (5, 1), (5, 0), (5, -3)):
+            with pytest.raises(ValueError, match="not a prime"):
+                legendre(a, n)
 
 
 class TestIsPrime:
@@ -573,8 +589,10 @@ class TestTrialDivision:
     @pytest.mark.usefixtures("fresh")
     def test_benchmark_pass_inputs(self, monkeypatch):
         # every trial division of one pass over the benchmark's small_panel
-        # (verify) and large_h (bound --rho-iters 10^6) fields, the A3
-        # parts' too, against division by all the primes
+        # (verify) and large_h (bound --rho-iters 10^6) fields and the first
+        # eight survey_warm fields (bound at its flags, no --cache), the A3
+        # parts' too, against division by all the primes; verify proves
+        # its union primes fundamental without factoring them
         seen = []
         real = arith._trial_divide
 
@@ -590,6 +608,9 @@ class TestTrialDivision:
         for D in (-1151, -2999):
             assert main(["bound", "--d", str(D), "--rho-iters", "1000000",
                          "--json", os.devnull]) == 0
+        for D in (-15, -20, -23, -24, -31, -35, -39, -40):
+            assert main(["bound", "--d", str(D), "--mazur-bound", "100000",
+                         "--rho-iters", "1000000", "--json", os.devnull]) == 0
         assert len(seen) > 250 and max(seen).bit_length() > 140
         # the Psi_876 part of -2999's one nonzero A3 element is among them
         ctx = make_field(-2999)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from quatbound import bound, classgroup, weilsets
+from quatbound import arith, bound, classgroup, quadfield, weilsets
 from quatbound.arith import FactorBudget, primes_up_to
 from quatbound.bound import (
     BoundParams,
@@ -160,6 +160,21 @@ class TestVerify:
         claimed = verify_claims(ctx, rep.union, rep)
         assert claimed == verify_claims(make_field(D), rep.union, rep)
         assert claimed["mazur_primes"]
+
+    @pytest.mark.parametrize("D", [-20, -23, -84, -71, -419, -3299])
+    def test_claims_factor_nothing(self, D, monkeypatch):
+        # every union prime p = 1 mod 4 that the Mazur claim checks is
+        # proven prime, hence fundamental, so verify factors nothing
+        ctx = make_field(D)
+        rep = assemble_bound(ctx)
+
+        def refuse(*args):
+            raise AssertionError(f"verify factored {args[0]}")
+
+        for module in (arith, quadfield, weilsets):
+            monkeypatch.setattr(module, "factor", refuse)
+        claimed = verify_claims(ctx, rep.union, rep)
+        assert claimed["mazur_primes"] == set(rep.mazur.members) & rep.union
 
 
 class TestVerifyMismatch:

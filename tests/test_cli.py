@@ -142,13 +142,13 @@ class TestOneMazurSearch:
         # the generating set, S0, the Mazur sieve and every Mazur claim read
         # the field's one list of split primes
         pairs = Counter()
-        real = quadfield.kronecker
+        real = quadfield.legendre
 
         def counting(D, l):
             pairs[D, l] += 1
             return real(D, l)
 
-        monkeypatch.setattr(quadfield, "kronecker", counting)
+        monkeypatch.setattr(quadfield, "legendre", counting)
         code, doc = run(tmp_path, "verify", "--d", "-3299", *BASE)
         assert code == 0
         claims = [p for p in map(int, doc["bound"]["union"]) if p % 4 == 1 and p <= 10**4]

@@ -146,8 +146,8 @@ class TestIsInMazur:
             classified.append(l)
             return real(D, l)
 
-        real = quadfield.kronecker
-        monkeypatch.setattr(quadfield, "kronecker", recording)
+        real = quadfield.legendre
+        monkeypatch.setattr(quadfield, "legendre", recording)
         N = 4 * 10**7 + 9  # l = 3 is a witness
         members = [p for p in primes_up_to(2000) if p % 4 == 1 and is_in_mazur(ctx, p)]
         assert not is_in_mazur(ctx, N)
@@ -167,6 +167,18 @@ class TestIsInMazur:
 
 
 class TestMazurPrimeSet:
+    def test_split_list_matches_kronecker(self):
+        # every fundamental D in [-3000, -3]: the split primes that the
+        # sieve at 10^6 walks to its stop, classified by arith.legendre,
+        # are those that kronecker finds split
+        for D in range(-3, -3001, -1):
+            if is_fundamental(D):
+                ctx = make_field(D)
+                mazur_prime_set(ctx, 10**6)
+                found = ctx._split[0]
+                assert found == [l for l in primes_up_to(found[-1])
+                                 if kronecker(D, l) == 1], D
+
     def test_small_bound_examples(self, ctx20):
         res = mazur_prime_set(ctx20, 30)
         assert 5 in res.members and 17 in res.members

@@ -119,6 +119,16 @@ class TestMakeField:
             pass
         assert len(calls) == 1, calls
 
+    def test_proven_prime_is_fundamental_unfactored(self, monkeypatch):
+        # |D| = 2^61 - 1 is proven prime by deterministic Miller-Rabin: no
+        # factorization.  2^89 - 1 is only BPSW-probable, so it is factored
+        # and, left as a cofactor, raises
+        monkeypatch.setattr(quadfield, "factor", lambda *args: pytest.fail(str(args)))
+        assert is_fundamental(-(2**61 - 1))
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="factored completely"):
+            is_fundamental(-(2**89 - 1))
+
     def test_incomplete_factorization_names_the_number(self):
         # the number factored: n, or m for n = 4m with m = 2, 3 mod 4
         m = 2**89 - 1  # 3 mod 4
