@@ -71,14 +71,12 @@ def beta_for(ctx: FieldContext, q: SplitPrime) -> tuple[int, int]:
     return beta
 
 
-class ASet(namedtuple("ASet", "family q_list elements factorizations lucas",
-                      defaults=((), ()))):
+class ASet(namedtuple("ASet", "family q_list elements factorizations",
+                      defaults=((),))):
     """One subtracted-trace family: raw elements, the factorizations of the
     nonzero ones once prime_support has run, and the prime support and its
-    certification, read off the factorizations.  An A3 family also keeps,
-    for each element, an (l, m, h) it comes from: the element is
-    V_24h(-m, l) - 2*l^12h, which prime_support factors through its parts.
-    family is "A1", "A2" or "A3"."""
+    certification, read off the factorizations.  family is "A1", "A2" or
+    "A3"."""
 
     __slots__ = ()
 
@@ -95,26 +93,12 @@ class ASet(namedtuple("ASet", "family q_list elements factorizations lucas",
                    for v, f in zip(self.elements, facs) if v != 0)
 
 
-def _trace_differences(
-    family: str, h: int, triples: list[tuple[int, dict[int, int], int]]
-) -> ASet:
+def _trace_differences(family: str, triples: list[tuple[int, dict[int, int], int]]) -> ASet:
     """The family {a - shift : a in traces} over the (l, traces, shift)
-    triples, traces = trace_set(l, h), with the first (l, m, h) that gives
-    each element.  trace_set's order starts at m = -m_max, so an A3 value
-    shared by several m (roots a unit of Q(i) or Q(sqrt(-3)) apart, which
-    the 24h-th power kills) keeps its largest |m|: _factor_a3 factors it
-    through that m's parts, which decide the primes listed on a small budget."""
-    origin: dict[int, tuple[int, int, int]] = {}
-    for l, traces, shift in triples:
-        for m, a in traces.items():
-            origin.setdefault(a - shift, (l, m, h))
-    elements = tuple(sorted(origin))
-    return ASet(
-        family=family,
-        q_list=tuple(l for l, _, _ in triples),
-        elements=elements,
-        lucas=tuple(origin[v] for v in elements) if family == "A3" else (),
-    )
+    triples, traces = trace_set(l, h)."""
+    return ASet(family=family, q_list=tuple(l for l, _, _ in triples),
+                elements=tuple(sorted({a - shift for _, traces, shift in triples
+                                       for a in traces.values()})))
 
 
 def trace_families(ctx: FieldContext, s0: list[SplitPrime]) -> dict[str, tuple[ASet, ...]]:
@@ -131,14 +115,19 @@ def trace_families(ctx: FieldContext, s0: list[SplitPrime]) -> dict[str, tuple[A
         v8, q8 = trace_power(beta_for(ctx, q)[0], q.l**h, 8), q.l ** (8 * h)
         shifts.append((q.l, v8 * (v8 * v8 - 3 * q8), q8 * v8))
     return {
-        "A1": tuple(_trace_differences("A1", h, [(l, traces[l], a1)]) for l, a1, _ in shifts),
-        "A2": tuple(_trace_differences("A2", h, [(l, traces[l], a2)]) for l, _, a2 in shifts),
+        "A1": tuple(_trace_differences("A1", [(l, traces[l], a1)]) for l, a1, _ in shifts),
+        "A2": tuple(_trace_differences("A2", [(l, traces[l], a2)]) for l, _, a2 in shifts),
     }
 
 
 @lru_cache(maxsize=256)
 def _a3_part(l: int, h: int, budget: FactorBudget) -> ASet:
     """The A3 family of the one prime l at exponent h, factored within
+    budget.  Each nonzero element v = V_24h(-m, l) - 2*l^12h is factored by
+    _factor_a3 through the first m that gives it in trace_set's order,
+    from m = -m_max: a value shared by several m (roots a unit of Q(i) or
+    Q(sqrt(-3)) apart, which the 24h-th power kills) goes through its
+    largest |m|, whose Lucas parts decide the primes listed on a small
     budget.  A3 depends on the field only through S's primes and h, so a
     part is kept for the whole process under (l, h, budget), never D: the
     budget decides every cofactor, so it is part of the key.  A pass over
@@ -147,8 +136,13 @@ def _a3_part(l: int, h: int, budget: FactorBudget) -> ASet:
     it the elements); taken in order, 256 parts hit as often as an
     unbounded memo (84%), 128 hit 79%.  The ASet and its FactoredIntegers
     are tuples, so no caller can change a kept part."""
-    return prime_support(_trace_differences("A3", h, [(l, trace_set(l, h), 2 * l ** (12 * h))]),
-                         budget)
+    shift = 2 * l ** (12 * h)
+    first: dict[int, int] = {}
+    for m, a in trace_set(l, h).items():
+        first.setdefault(a - shift, m)
+    elements = tuple(sorted(first))
+    return ASet(family="A3", q_list=(l,), elements=elements, factorizations=tuple(
+        None if v == 0 else _factor_a3(v, l, first[v], h, budget) for v in elements))
 
 
 def a3_family(h: int, ls: list[int], budget: FactorBudget = FactorBudget()) -> ASet:
@@ -156,23 +150,19 @@ def a3_family(h: int, ls: list[int], budget: FactorBudget = FactorBudget()) -> A
     within budget: the union of the primes' parts, merged in ls order.  A
     part depends on (l, h, budget) alone, never on D, and _a3_part keeps
     the last 256 for the whole process.  A value already present keeps its
-    first (l, m, h) and its factorization, the origin rule of
-    _trace_differences over all of ls at once; a factorization depends on
-    the value, its origin and the budget alone, so the merge equals
-    prime_support of that one pass.  The element 0, which m = 0 gives for
-    every l, keeps the first l's origin.  An empty S would leave A3 empty:
-    it is refused."""
+    first factorization: the value comes from the first l of ls that gives
+    it, through the first m of that l's part.  An empty S would leave A3
+    empty: it is refused."""
     if not ls:
         raise ValueError("a3_family: S must be nonempty")
-    kept: dict[int, tuple] = {}
+    kept: dict[int, FactoredInteger | None] = {}
     for l in ls:
         part = _a3_part(l, h, budget)
-        for v, o, f in zip(part.elements, part.lucas, part.factorizations):
-            kept.setdefault(v, (o, f))
+        for v, f in zip(part.elements, part.factorizations):
+            kept.setdefault(v, f)
     elements = tuple(sorted(kept))
     return ASet(family="A3", q_list=tuple(ls), elements=elements,
-                factorizations=tuple(kept[v][1] for v in elements),
-                lucas=tuple(kept[v][0] for v in elements))
+                factorizations=tuple(kept[v] for v in elements))
 
 
 def _lucas_parts(l: int, m: int, h: int) -> tuple[int, dict[int, int]]:
@@ -235,12 +225,9 @@ def _factor_a3(v: int, l: int, m: int, h: int, budget: FactorBudget) -> Factored
 
 
 def prime_support(aset: ASet, budget: FactorBudget = FactorBudget()) -> ASet:
-    """The family with each nonzero element factored within budget; an A3
-    element with its (l, m, h) is factored through its Lucas parts."""
-    lucas = aset.lucas or (None,) * len(aset.elements)
+    """The family with each nonzero element factored within budget."""
     return aset._replace(factorizations=tuple(
-        None if v == 0 else _factor_a3(v, *o, budget) if o else factor(v, budget)
-        for v, o in zip(aset.elements, lucas)))
+        None if v == 0 else factor(v, budget) for v in aset.elements))
 
 
 def intersection_set(members: list[ASet], budget: FactorBudget = FactorBudget()) -> ASet:

@@ -24,7 +24,8 @@ from quatbound.arith import (
 )
 from quatbound.cli import main
 from quatbound.quadfield import make_field
-from quatbound.weilsets import _lucas_parts, a3_family
+from quatbound.weilsets import _lucas_parts
+from test_weilsets import generators_A3
 
 
 def legendre_euler(a, p):
@@ -613,10 +614,8 @@ class TestTrialDivision:
                          "--rho-iters", "1000000", "--json", os.devnull]) == 0
         assert len(seen) > 250 and max(seen).bit_length() > 140
         # the Psi_876 part of -2999's one nonzero A3 element is among them
-        ctx = make_field(-2999)
-        a3 = a3_family(ctx.h, [q.l for q in ctx.generators], FactorBudget(rho_iterations=10**6))
-        (lucas,) = (o for v, o in zip(a3.elements, a3.lucas) if v)
-        assert abs(_lucas_parts(*lucas)[1][876]) in seen
+        (origin,) = (o for v, o in generators_A3(make_field(-2999))[1].items() if v)
+        assert abs(_lucas_parts(*origin)[1][876]) in seen
 
     @pytest.mark.parametrize("trial_bound", TRIAL_BOUNDS)
     def test_edges_match_reference(self, trial_bound):

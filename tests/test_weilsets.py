@@ -35,11 +35,21 @@ def build_A1_A2(ctx, q):
     return families["A1"][0], families["A2"][0]
 
 
-def build_A3(ctx, S):
-    """The raw A3 family over S in one pass over all of S's primes, with no
-    memo: the build that a3_family's merged parts, once factored, equal."""
-    h = ctx.h
-    return _trace_differences("A3", h, [(q.l, trace_set(q.l, h), 2 * q.l ** (12 * h)) for q in S])
+def build_A3(h, ls):
+    """The raw A3 family over the primes ls of S in one pass, with no memo,
+    and the (l, m, h) of each element that a3_family factors it through:
+    the first that gives it, over ls's order, then m from -m_max."""
+    triples = [(l, trace_set(l, h), 2 * l ** (12 * h)) for l in ls]
+    origin = {}
+    for l, traces, shift in triples:
+        for m, a in traces.items():
+            origin.setdefault(a - shift, (l, m, h))
+    return _trace_differences("A3", triples), origin
+
+
+def generators_A3(ctx):
+    """build_A3 over the field's S, its class-group generators."""
+    return build_A3(ctx.h, [q.l for q in ctx.generators])
 
 
 def quadint_pow(u: QuadInt, e: int) -> QuadInt:
@@ -245,7 +255,7 @@ class TestFamilies:
 
     def test_a3(self, ctx20):
         S = ctx20.generators
-        a3 = build_A3(ctx20, S)
+        a3, _ = generators_A3(ctx20)
         assert 0 in a3.elements
         assert all(v <= 0 for v in a3.elements)
         assert len(a3.elements) <= 7
@@ -295,7 +305,7 @@ class TestReadOff:
     follow every replace() of them."""
 
     def test_replaced_factorizations(self, ctx20):
-        a = prime_support(build_A3(ctx20, ctx20.generators))
+        a = prime_support(generators_A3(ctx20)[0])
         assert a.support and a.certified
         bare = a._replace(factorizations=())
         assert bare.support == frozenset() and not bare.certified
@@ -320,7 +330,7 @@ class TestReadOff:
 
     def test_panel_support_is_union(self, a3_panel):
         budget = FactorBudget(rho_iterations=10**6)
-        for a3 in a3_panel:
+        for a3, _ in a3_panel:
             out = prime_support(a3, budget)
             facs = [f for f in out.factorizations if f is not None]
             assert len(facs) == sum(v != 0 for v in a3.elements)
@@ -484,21 +494,21 @@ class TestIntersectionOracle:
 
 def whole_element_factorizations(aset, budget):
     """The oracle: factor() on each whole nonzero element, as prime_support
-    did before A3 elements were split into their Lucas parts."""
+    does."""
     return tuple(factor(v, budget) if v else None for v in aset.elements)
 
 
 @pytest.fixture(scope="module")
 def a3_panel():
-    """The A3 family of every fundamental D in [-500, -3] with h_k > 1, and of
-    -1151 (h = 41)."""
+    """The raw A3 family of every fundamental D in [-500, -3] with h_k > 1,
+    and of -1151 (h = 41), each with its elements' (l, m, h)."""
     out = []
     for D in [*range(-3, -501, -1), -1151]:
         if not is_fundamental(D):
             continue
         ctx = _field(D)
         if ctx.class_number > 1:
-            out.append(build_A3(ctx, ctx.generators))
+            out.append(generators_A3(ctx))
     return out
 
 
@@ -506,13 +516,14 @@ class TestA3Split:
     BUDGET = FactorBudget(rho_iterations=10**6)
 
     def test_panel(self, a3_panel):
+        # each element has an origin, and only elements have one
         assert len(a3_panel) == 145
-        for a3 in a3_panel:
-            assert len(a3.lucas) == len(a3.elements)
+        for a3, origin in a3_panel:
+            assert tuple(sorted(origin)) == a3.elements
 
     def test_identity(self, a3_panel):
-        for a3 in a3_panel:
-            for v, (l, m, h) in zip(a3.elements, a3.lucas):
+        for _, origin in a3_panel:
+            for v, (l, m, h) in origin.items():
                 assert v == trace_power(-m, l, 24 * h) - 2 * l ** (12 * h)
                 if v == 0:
                     continue
@@ -520,19 +531,32 @@ class TestA3Split:
                 assert v == delta * prod(psi.values()) ** 2
                 assert sorted(psi) == [d for d in range(2, 12 * h + 1) if 12 * h % d == 0]
 
-    def test_equals_whole_element_oracle(self, a3_panel):
-        for a3 in a3_panel:
-            split = prime_support(a3, self.BUDGET)
+    @pytest.mark.usefixtures("fresh")
+    def test_equals_whole_element_oracle(self, a3_panel, monkeypatch):
+        # a3_family factors every nonzero element through its Lucas parts
+        calls = Counter()
+        real = weilsets._factor_a3
+
+        def counting(v, l, m, h, budget):
+            calls[v] += 1
+            return real(v, l, m, h, budget)
+
+        monkeypatch.setattr(weilsets, "_factor_a3", counting)
+        for a3, origin in a3_panel:
+            h = origin[0][2]  # m = 0 gives the element 0 for every l
+            split = a3_family(h, list(a3.q_list), self.BUDGET)
+            assert split.elements == a3.elements
             assert split.certified, a3.q_list
             assert split.factorizations == whole_element_factorizations(a3, self.BUDGET)
+        assert set(calls) == {v for a3, _ in a3_panel for v in a3.elements if v}
 
     def test_primitive_part_primes(self, a3_panel):
         # every prime of Psi_d divides d or is +-1 mod d, over the panel and
         # -2999 (h = 73, d up to 876), by full trial division
         ctx = _field(-2999)
         divides_d = set()
-        for a3 in [*a3_panel, build_A3(ctx, ctx.generators)]:
-            for v, (l, m, h) in zip(a3.elements, a3.lucas):
+        for _, origin in [*a3_panel, generators_A3(ctx)]:
+            for v, (l, m, h) in origin.items():
                 if v == 0:
                     continue
                 for d, part in _lucas_parts(l, m, h)[1].items():
@@ -542,14 +566,16 @@ class TestA3Split:
                         assert d % p == 0 or p % d in (1, d - 1), (l, m, d, p)
                         if d % p == 0:
                             divides_d.add((d, p))
-        assert max(h for _, _, h in a3.lucas) == 73
+        assert max(h for _, _, h in origin.values()) == 73
         # the primes of d are admissible for a reason: some Psi_d has one,
         # also where phi(d) > 2 and the classes +-1 are not all primes
         assert any(d not in (2, 3, 4, 6) for d, _ in divides_d), divides_d
 
+    @pytest.mark.usefixtures("fresh")
     def test_one_factor_call_per_part(self, a3_panel, monkeypatch):
         # one factor() call for Delta and one for each Psi_d with the torus
-        # (m^2 - 4l, l) of the element's (m, l), whose result is factor()'s
+        # (m^2 - 4l, l) of the element's first (m, l), whose result is
+        # factor()'s
         calls = []
 
         def recording(n, budget, torus=None):
@@ -559,11 +585,11 @@ class TestA3Split:
             return got
 
         monkeypatch.setattr(weilsets, "factor", recording)
-        a3 = a3_panel[-1]
-        v, lucas = next((v, s) for v, s in zip(a3.elements, a3.lucas) if v)
-        prime_support(a3._replace(elements=(v,), lucas=(lucas,)), self.BUDGET)
-        delta, psi = _lucas_parts(*lucas)
-        l, m, _ = lucas
+        a3, origin = a3_panel[-1]
+        assert a3.q_list == (2,) and sum(v != 0 for v in a3.elements) == 1
+        ((l, m, h),) = (o for v, o in origin.items() if v)
+        weilsets._a3_part(l, h, self.BUDGET)
+        delta, psi = _lucas_parts(l, m, h)
         assert calls == [(delta, None), *((p, (m * m - 4 * l, l)) for p in psi.values())]
 
     def test_degenerate_pair_rejected(self):
@@ -580,25 +606,25 @@ class TestA3Split:
         # |m| = 1 gives 71 and |m| = 4 gives 47
         ctx = _field(-40)
         assert ([q.l for q in ctx.generators], ctx.h) == ([7], 2)
-        a3 = build_A3(ctx, ctx.generators)
+        a3, origin = generators_A3(ctx)
         traces = trace_set(7, 2)
         v = traces[5] - 2 * 7**24
         assert [m for m, a in traces.items() if a - 2 * 7**24 == v] == [-5, -4, -1, 1, 4, 5]
         i = a3.elements.index(v)
-        assert a3.lucas[i] == (7, -5, 2)
+        assert origin[v] == (7, -5, 2)
         tiny = FactorBudget(trial_bound=3, rho_iterations=0)
-        assert prime_support(a3, tiny).factorizations[i].primes == [2, 3, 5, 11, 13, 23]
+        assert a3_family(2, [7], tiny).factorizations[i].primes == [2, 3, 5, 11, 13, 23]
         assert weilsets._factor_a3(v, 7, 1, 2, tiny).primes == [2, 3, 5, 11, 13, 71]
         assert weilsets._factor_a3(v, 7, 4, 2, tiny).primes == [2, 3, 5, 47]
 
     def test_incomplete_cofactor_is_squared(self):
         # on a tiny budget each unfinished Psi_d enters the cofactor squared
         ctx = _field(-1151)
-        a3 = build_A3(ctx, ctx.generators)
+        a3, origin = generators_A3(ctx)
         tiny = FactorBudget(trial_bound=50, rho_iterations=2)
-        out = prime_support(a3, tiny)
+        out = a3_family(ctx.h, list(a3.q_list), tiny)
         assert not out.certified
-        unfinished = [(s, f) for s, f in zip(a3.lucas, out.factorizations)
+        unfinished = [(origin[v], f) for v, f in zip(out.elements, out.factorizations)
                       if f is not None and not f.complete]
         assert unfinished
         for (l, m, h), f in unfinished:
@@ -631,6 +657,7 @@ class TestCacheRule:
         _, rest = arith._trial_divide(abs(v), arith._PRIMES, trial_bound)
         assert (rest > 1 and not is_prime(rest)) == past_trial
 
+    @pytest.mark.usefixtures("fresh")
     def test_minus_1151_element_needing_pm1_stored(self, monkeypatch):
         # the Psi_492 part of its one nonzero A3 element leaves a 72-bit
         # composite after trial division, which the torus run over D = -7
@@ -649,17 +676,17 @@ class TestCacheRule:
         monkeypatch.setattr(arith, "_torus_pm1", recording_torus)
         monkeypatch.setattr(arith, "_pollard_pm1", recording_pm1)
         ctx = _field(-1151)
-        a3 = build_A3(ctx, ctx.generators)
-        out = prime_support(a3, FactorBudget())
+        (l,) = [q.l for q in ctx.generators]
+        out = weilsets._a3_part(l, ctx.h, FactorBudget())
         assert calls == [("torus", 4626154257697182281987, -7, 2)]
-        nonzero = [f for v, f in zip(a3.elements, out.factorizations) if v]
+        nonzero = [f for v, f in zip(out.elements, out.factorizations) if v]
         assert len(nonzero) == 1 and nonzero[0].complete
         assert sum(e for p, e in nonzero[0].prime_powers if p > FactorBudget().trial_bound) >= 2
 
     def test_incomplete_not_stored(self):
         ctx = _field(-1151)
-        a3 = build_A3(ctx, ctx.generators)
-        out = prime_support(a3, FactorBudget(trial_bound=50, rho_iterations=2))
+        out = a3_family(ctx.h, [q.l for q in ctx.generators],
+                        FactorBudget(trial_bound=50, rho_iterations=2))
         assert not out.certified
         assert any(f is not None and not f.complete for f in out.factorizations)
 
@@ -680,7 +707,8 @@ def fields_to_1000():
 class TestA3Parts:
     """a3_family merges the factored A3 part of each prime of S, kept for the
     whole process under (l, h, budget), into the family that one pass over
-    all of S's primes gives once factored: the whole ASet, origins included."""
+    all of S's primes gives once each element is factored through its
+    first (l, m, h)."""
 
     BUDGETS = (FactorBudget(), FactorBudget(3, 0), FactorBudget(50, 2))
 
@@ -695,13 +723,11 @@ class TestA3Parts:
             for D, h, ls in fields:
                 for budget in self.BUDGETS:
                     if (D, budget) not in direct:
-                        one_pass = _trace_differences(
-                            "A3", h, [(l, trace_set(l, h), 2 * l ** (12 * h)) for l in ls])
-                        direct[D, budget] = prime_support(one_pass, budget)
-                    got = a3_family(h, ls, budget)
-                    assert got == direct[D, budget], (D, budget)
-                    # m = 0 gives the element 0 for every l: it keeps the first
-                    assert got.lucas[got.elements.index(0)][0] == ls[0]
+                        one_pass, origin = build_A3(h, ls)
+                        direct[D, budget] = one_pass._replace(factorizations=tuple(
+                            weilsets._factor_a3(v, *origin[v], budget) if v else None
+                            for v in one_pass.elements))
+                    assert a3_family(h, ls, budget) == direct[D, budget], (D, budget)
 
     def test_each_element_factored_once(self, fields_to_1000, monkeypatch):
         # five fields share S = {3} and h = 4: their A3 elements are
