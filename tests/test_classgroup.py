@@ -389,7 +389,7 @@ class TestAgainstIdealReference:
         assert enumerate_S0(make_field(-1151), 1)[0].l == 2
 
     def test_oracle_invariants_raise_under_python_O(self):
-        # raised, not bare asserts: the python -O tier-1 run keeps them
+        # raised, not bare asserts, so that python -O keeps them
         with pytest.raises(AssertionError, match="every generator is 0"):
             module_hnf(-20, [])
         with pytest.raises(AssertionError, match="combined"):
