@@ -21,24 +21,25 @@ MAX_FACTORS = 4
 BoundParams = namedtuple("BoundParams", "s0_count mazur_bound factor_budget S_override",
                          defaults=(4, 10**6, FactorBudget(), None))
 
-# families maps "A1", "A2" and "A3" to their raw families, and sets each name to
-# one factored family: the A1/A2 gcds, the A3 family itself
-FamilySets = namedtuple("FamilySets", "S s0_truncation families sets")
+# families maps "A1" and "A2" to their raw families, one per member of S0, and
+# "A3" to its one family, factored
+FamilySets = namedtuple("FamilySets", "S s0_truncation families")
 
-# components maps each component's name to its primes; mazur is a MazurResult
+# sets maps each name of families to its factored form (the A1/A2 gcds, the A3
+# family itself); components maps each component's name to its primes
 BoundReport = namedtuple("BoundReport", FamilySets._fields
-                         + ("components", "union", "certified", "mazur", "caveats"))
+                         + ("sets", "components", "union", "certified", "mazur", "caveats"))
 
 
 def _support(key: str):
-    return lambda ctx, fs, mz: fs.sets[key].support
+    return lambda ctx, S, sets, mz: sets[key].support
 
 
 def _in_every(key: str):
-    """The ps dividing a nonzero element of every raw family under key; a prime divides
+    """The ps dividing a nonzero element of every family under key; a prime divides
     one exactly when it divides their product, so the ps dividing gcd(prod(ps), products).
-    It takes the whole products and shares no helper with intersection_set, so that
-    verify re-derives the intersections independently of the code it checks."""
+    It reads the elements alone, never a factorization, and shares no helper with
+    intersection_set, so verify re-derives the rows independently of the code it checks."""
     def claims(ctx, ps, rep):
         g = gcd(prod(ps), *(prod(v for v in f.elements if v) for f in rep.families[key]))
         return {p for p in ps if g % p == 0}
@@ -46,41 +47,36 @@ def _in_every(key: str):
 
 
 # One (name, primes, claims, factored) row per component, in claim order:
-# primes from (ctx, FamilySets, MazurResult); claims picks the members of a set
+# primes from (ctx, S, sets, MazurResult); claims picks the members of a set
 # of primes from raw evidence alone; a factored row must agree only if certified.
 COMPONENTS = (
-    ("ram", lambda ctx, fs, mz: frozenset(ctx.ram_primes),
+    ("ram", lambda ctx, S, sets, mz: frozenset(ctx.ram_primes),
      lambda ctx, ps, rep: {p for p in ps if ctx.D % p == 0}, False),
-    ("small", lambda ctx, fs, mz: frozenset(primes_up_to(SMALL_PRIME_CAP)),
+    ("small", lambda ctx, S, sets, mz: frozenset(primes_up_to(SMALL_PRIME_CAP)),
      lambda ctx, ps, rep: {p for p in ps if p <= SMALL_PRIME_CAP}, False),
     ("a1_intersection", _support("A1"), _in_every("A1"), True),
     ("a2_intersection", _support("A2"), _in_every("A2"), True),
     ("a3_support", _support("A3"), _in_every("A3"), True),
-    ("mazur_primes", lambda ctx, fs, mz: frozenset(mz.members),
+    ("mazur_primes", lambda ctx, S, sets, mz: frozenset(mz.members),
      lambda ctx, ps, rep: {p for p in ps if p % 4 == 1 and p <= rep.mazur.bound
                            and is_in_mazur(ctx, p)}, False),
-    ("l_of_S", lambda ctx, fs, mz: frozenset(q.l for q in fs.S),
+    ("l_of_S", lambda ctx, S, sets, mz: frozenset(q.l for q in S),
      lambda ctx, ps, rep: {q.l for q in rep.S}.intersection(ps), False),
 )
 
 
 def assemble_sets(ctx: FieldContext, params: BoundParams = BoundParams()) -> FamilySets:
-    """S0, S, the A1/A2 families and their intersections, and the A3
-    support: everything but the Mazur search.  Raises ClassNumberOne, from
+    """S0, S, the raw A1/A2 families and the factored A3 family: everything
+    but the intersections and the Mazur search.  Raises ClassNumberOne, from
     enumerate_S0, when k has class number 1."""
     s0 = enumerate_S0(ctx, params.s0_count)
     if params.S_override is not None:
         S = _validated_override(ctx, params.S_override)
     else:
         S = list(ctx.generators)
-    budget = params.factor_budget
     families = trace_families(ctx, s0)
-    a3 = a3_family(ctx.h, [q.l for q in S], budget)
-    families["A3"] = (a3._replace(factorizations=()),)
-    sets = {"A1": intersection_set(families["A1"], budget),
-            "A2": intersection_set(families["A2"], budget),
-            "A3": a3}
-    return FamilySets(S=S, s0_truncation=s0, families=families, sets=sets)
+    families["A3"] = (a3_family(ctx.h, [q.l for q in S], params.factor_budget),)
+    return FamilySets(S=S, s0_truncation=s0, families=families)
 
 
 def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> BoundReport:
@@ -89,22 +85,19 @@ def assemble_bound(ctx: FieldContext, params: BoundParams = BoundParams()) -> Bo
     # the Mazur search checks its bound before any family is built
     mz = mazur_prime_set(ctx, params.mazur_bound)
     fs = assemble_sets(ctx, params)
+    sets = {"A1": intersection_set(fs.families["A1"], params.factor_budget),
+            "A2": intersection_set(fs.families["A2"], params.factor_budget),
+            "A3": fs.families["A3"][0]}
     caveats = [f"mazur set truncated at bound {params.mazur_bound}"]
 
-    certified = all(s.certified for s in fs.sets.values())
+    certified = all(s.certified for s in sets.values())
     if not certified:
         caveats.append("factor budget exhausted; unfactored cofactors listed")
 
-    components = {name: primes(ctx, fs, mz) for name, primes, _, _ in COMPONENTS}
+    components = {name: primes(ctx, fs.S, sets, mz) for name, primes, _, _ in COMPONENTS}
     union = frozenset().union(*components.values())
-    return BoundReport(
-        *fs,
-        components=components,
-        union=union,
-        certified=certified,
-        mazur=mz,
-        caveats=caveats,
-    )
+    return BoundReport(*fs, sets=sets, components=components, union=union,
+                       certified=certified, mazur=mz, caveats=caveats)
 
 
 def _validated_override(ctx: FieldContext, ls: tuple[int, ...]) -> list[SplitPrime]:

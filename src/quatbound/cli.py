@@ -241,10 +241,10 @@ def _run(args, ctx, budget) -> tuple[dict, int]:
 
 
 def _all_families(report: FamilySets) -> list[ASet]:
-    # A1/A2 families are emitted raw; their factored gcds are listed under
-    # bound.intersections.  A3 is emitted factored.
+    # as assemble_sets holds them: A1/A2 raw (their gcds are bound.intersections),
+    # A3 factored
     pairs = zip(report.families["A1"], report.families["A2"])
-    return [f for pair in pairs for f in pair] + [report.sets["A3"]]
+    return [f for pair in pairs for f in pair] + list(report.families["A3"])
 
 
 def _parse_S(spec: str | None):

@@ -107,7 +107,8 @@ class TestAssemble:
         assert report20.families["A1"] == tuple(f["A1"][0] for f in pairs)
         assert report20.families["A2"] == tuple(f["A2"][0] for f in pairs)
         assert report20.sets["A3"].q_list == tuple(q.l for q in report20.S)
-        assert report20.families["A3"] == (report20.sets["A3"]._replace(factorizations=()),)
+        assert report20.families["A3"] == (report20.sets["A3"],)
+        assert report20.families["A3"][0] is report20.sets["A3"]
 
 
 class TestBuildOnce:
@@ -175,6 +176,19 @@ class TestVerify:
             monkeypatch.setattr(module, "factor", refuse)
         claimed = verify_claims(ctx, rep.union, rep)
         assert claimed["mazur_primes"] == set(rep.mazur.members) & rep.union
+
+    @pytest.mark.parametrize("D", [-20, -23, -84, -71, -419, -3299])
+    def test_claims_read_no_factorization(self, golden_contexts, D):
+        # the golden verify reports: families holds A3 factored, and the
+        # claims read the elements alone, so families stripped of every
+        # factorization make the same claims
+        ctx = golden_contexts[D]
+        rep = assemble_bound(ctx, BoundParams(mazur_bound=10**4))
+        assert rep.certified and rep.families["A3"][0].factorizations
+        stripped = {name: tuple(f._replace(factorizations=()) for f in fams)
+                    for name, fams in rep.families.items()}
+        assert (verify_claims(ctx, rep.union, rep._replace(families=stripped))
+                == verify_claims(ctx, rep.union, rep))
 
 
 class TestVerifyMismatch:

@@ -169,6 +169,33 @@ class TestOneMazurSearch:
             main(["bound", "--d", "-419", *BASE, "--json", str(out)])
 
 
+class TestIntersectionsWhenPrinted:
+    def test_sets_builds_none(self, tmp_path, monkeypatch):
+        # sets prints no A1/A2 intersection, so it must not build one
+        def refuse(*args):
+            raise RuntimeError("sets built an intersection")
+
+        monkeypatch.setattr(bound, "intersection_set", refuse)
+        out = tmp_path / "sets.json"
+        assert_pinned(["sets", "--d", "-419", *BASE], "sets_-419.json", out)
+        with pytest.raises(RuntimeError):
+            main(["bound", "--d", "-419", *BASE, "--json", str(out)])
+
+    @pytest.mark.parametrize("sub", ["bound", "verify", "candidates"])
+    def test_one_per_family_per_request(self, tmp_path, monkeypatch, sub):
+        calls = Counter()
+        real = bound.intersection_set
+
+        def counting(members, budget):
+            calls[members[0].family] += 1
+            return real(members, budget)
+
+        monkeypatch.setattr(bound, "intersection_set", counting)
+        code, _ = run(tmp_path, sub, "--d", "-419", *BASE)
+        assert code == 0
+        assert calls == Counter({"A1": 1, "A2": 1})
+
+
 class TestOneFamilyBuild:
     @pytest.mark.usefixtures("fresh")
     def test_each_family_built_once_per_verify(self, tmp_path, monkeypatch):

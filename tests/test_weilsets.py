@@ -742,6 +742,6 @@ class TestA3Parts:
         monkeypatch.setattr(weilsets, "_factor_a3", counting)
         same = [D for D, h, ls in fields_to_1000 if (h, ls) == (4, [3])]
         assert same == [-56, -68, -155, -203, -323]
-        sets = [assemble_sets(_field(D)).sets["A3"] for D in same]
+        sets = [assemble_sets(_field(D)).families["A3"][0] for D in same]
         assert all(a3 == sets[0] for a3 in sets)
         assert calls == Counter(v for v in sets[0].elements if v)
