@@ -246,7 +246,7 @@ class FactoredInteger(namedtuple("FactoredInteger", "value prime_powers cofactor
 _TRIAL_RUN = 128
 
 
-# p-1 stage 2 pairs its primes around the multiples of 2*3*5*7*11.
+# The torus run's stage 2 pairs its primes around the multiples of 2*3*5*7*11.
 _D = 2310
 
 
@@ -365,12 +365,12 @@ def _brent_rho(n: int, max_iters: int) -> int | None:
 
 @lru_cache(maxsize=8)
 def _pm1_plan(bound: int) -> tuple[int, tuple[array, ...]]:
-    """p-1's plan for the trial primes up to bound, the largest of them T:
-    the stage-1 exponent E, the product of the largest power of each prime
-    that is at most sqrt(T), which is lcm(1, ..., sqrt(T)), and the rows of
-    the stage-2 grid, row k the distinct j with k*_D - j or k*_D + j a
-    prime in (sqrt(T), T].  Built from _PRIMES cut at bound the first time
-    p-1 runs for bound."""
+    """The torus run's plan for the trial primes up to bound, the largest
+    of them T: the stage-1 exponent E, the product of the largest power of
+    each prime that is at most sqrt(T), which is lcm(1, ..., sqrt(T)), and
+    the rows of the stage-2 grid, row k the distinct j with k*_D - j or
+    k*_D + j a prime in (sqrt(T), T].  Built from _PRIMES cut at bound the
+    first time a torus run needs it."""
     primes = _PRIMES.through(bound)
     n = bisect_right(primes, bound)
     root = isqrt(primes[n - 1])
@@ -382,21 +382,6 @@ def _pm1_plan(bound: int) -> tuple[int, tuple[array, ...]]:
     return lcm(*range(1, root + 1)), tuple(rows)
 
 
-def _pollard_pm1(n: int, bound: int) -> int | None:
-    """Pollard p-1 with base 3 over the trial primes up to bound (Pollard
-    1974), by the plan _pm1_plan(bound): stage 1 gives a = 3^E, E the
-    product of the prime powers up to sqrt(T), T the largest trial prime,
-    and stage 2 (_pm1_stage2) takes the primes q <= T.  Returns a proper
-    factor of n, or None, also when every prime of n is caught within one
-    row (the gcd is n) and rho must split it."""
-    exponent, rows = _pm1_plan(bound)
-    a = pow(3, exponent, n)
-    g = gcd(a, n)  # 3 | n: a has no inverse
-    if g > 1:
-        return g if g < n else None
-    return _pm1_stage2(n, rows, (a + pow(a, -1, n)) % n, a - 1)
-
-
 def _torus_pm1(n: int, bound: int, D: int, l: int) -> int | None:
     """p-1 and p+1 in one run (Williams 1982) on a part n of a Lucas
     sequence with Q = l and discriminant D, by the plan _pm1_plan(bound).
@@ -406,13 +391,15 @@ def _torus_pm1(n: int, bound: int, D: int, l: int) -> int | None:
     gcd(a^2 - D, 2lD) = 1 puts gamma's ideal on split primes not above l:
     gamma is no root of unity times a power of alpha/beta, whose order mod
     each prime of Psi_d divides d.  Stage 1 is V_E(t, 1) by a Lucas
-    ladder; returns as _pollard_pm1.
+    ladder, and stage 2 (_pm1_stage2) takes the primes q <= T, T the
+    largest trial prime.  Returns a proper factor of n, or None, also when
+    every prime of n is caught within one row (the gcd is n).
 
     On Psi_d, the primitive part of U_d, the run is aimed: a prime p of
     Psi_d that divides neither d nor D has rank of apparition d, so
     d | p - (D/p) (Carmichael 1913), and the run is p-1 where (D/p) = 1
-    and p+1 where it is -1, with the factor d known.  Base-3 p-1 stays the
-    fallback, as where stage 1 catches every prime of a part."""
+    and p+1 where it is -1, with the factor d known.  Where it finds
+    nothing, rho splits the part."""
     exponent, rows = _pm1_plan(bound)
     a2 = next(a * a for a in count(1) if gcd(a * a - D, 2 * l * D) == 1)
     g = gcd((a2 - D) * D, n)  # t undefined, or gamma = 1 mod p
@@ -427,7 +414,7 @@ def _torus_pm1(n: int, bound: int, D: int, l: int) -> int | None:
 
 
 def _pm1_stage2(n: int, rows: tuple[array, ...], v: int, acc: int) -> int | None:
-    """Stage 2 of both p-1 runs over a plan's rows, from v = b + 1/b, b the
+    """Stage 2 of the torus run over a plan's rows, from v = b + 1/b, b the
     base's stage-1 power, and the stage-1 accumulator acc.  Each stage-2
     prime q is k*_D +- j, j <= _D/2 (Montgomery 1987, section 4), and with
     X = b^(k*_D), Y = b^j, (X + 1/X) - (Y + 1/Y) = (X - Y)(XY - 1)/(XY):
@@ -452,8 +439,8 @@ def _pm1_stage2(n: int, rows: tuple[array, ...], v: int, acc: int) -> int | None
 def factor(n: int, budget: FactorBudget = FactorBudget(),
            torus: tuple[int, int] | None = None) -> FactoredInteger:
     """Factor n under an effort budget: trial division by every prime up
-    to the trial bound, then for each composite part Pollard p-1 over the
-    same primes and Brent rho.
+    to the trial bound, then for each composite part the square check, the
+    torus run when torus is given, and Brent rho.
 
     Trial division goes by runs of 128 consecutive trial primes, one gcd
     per run: a run coprime to the part is skipped, any other is divided
@@ -465,15 +452,15 @@ def factor(n: int, budget: FactorBudget = FactorBudget(),
     with p*p <= the part in turn.  The trial primes are the process's one
     list cut at the trial bound, sieved as far as the division reaches.
 
-    The result depends on (n, budget, torus) alone.  p-1 runs only when the
-    trial primes, one step each, fit in the rho iteration budget; if it
-    finds nothing, rho runs with the whole budget.  Any composite part left
-    when rho runs out of iterations, and any part that is only a BPSW
+    The result depends on (n, budget, torus) alone.  Any composite part
+    left when rho runs out of iterations, and any part that is only a BPSW
     probable prime, is reported in the cofactor.
 
     torus = (D, l) says that n is a part of a Lucas sequence with
-    discriminant D and Q = l: the torus run over (D, l) (_torus_pm1) then
-    goes before base-3 p-1, under the same gate.  The result still
+    discriminant D and Q = l: the torus run over (D, l) (_torus_pm1, one
+    p+-1 run over the trial primes) then goes before rho, but only when the
+    trial primes, one step each, fit in the rho iteration budget; if it
+    finds nothing, rho runs with the whole budget.  The result still
     multiplies back to n, and is factor(n, budget) whenever that is
     complete; where the torus run splits a part rho leaves whole, it is
     more complete.
@@ -481,7 +468,8 @@ def factor(n: int, budget: FactorBudget = FactorBudget(),
     if n == 0:
         raise ValueError("factor: n must be nonzero")
     powers, m = _trial_divide(abs(n), _PRIMES, budget.trial_bound)
-    # every part pushed is above 1: isqrt(m) >= 2, and p-1 and rho give 1 < f < m
+    # every part pushed is above 1: isqrt(m) >= 2, and the torus run and rho
+    # give 1 < f < m
     stack = [m] if m > 1 else []
     cofactor = 1
     while stack:
@@ -500,14 +488,12 @@ def factor(n: int, budget: FactorBudget = FactorBudget(),
             stack.extend((r, r))
             continue
         f = None
-        # both p-1 runs make pi(T) steps; trial division left a composite
-        # part above T^2 only by a walk to T, so this sieves nothing more
-        primes = _PRIMES.through(budget.trial_bound)
-        if bisect_right(primes, budget.trial_bound) <= budget.rho_iterations:
-            if torus is not None:
+        if torus is not None:
+            # the torus run makes pi(T) steps; trial division left a composite
+            # part above T^2 only by a walk to T, so this sieves nothing more
+            primes = _PRIMES.through(budget.trial_bound)
+            if bisect_right(primes, budget.trial_bound) <= budget.rho_iterations:
                 f = _torus_pm1(m, budget.trial_bound, *torus)
-            if f is None:
-                f = _pollard_pm1(m, budget.trial_bound)
         if f is None:
             f = _brent_rho(m, budget.rho_iterations)
         if f is None:

@@ -24,8 +24,8 @@ def _squarefree(n: int) -> bool:
 def is_fundamental(D: int) -> bool:
     """Whether D is a fundamental discriminant.  A D = 1 mod 4 with |D|
     proven prime is one without a factorization; a BPSW-probable |D|
-    proves nothing, so it is factored, which raises where trial division,
-    p-1 and rho cannot finish it."""
+    proves nothing, so it is factored, which raises where trial division
+    and rho cannot finish it."""
     if D % 4 == 1:
         return prime_status(abs(D)) == "prime" or _squarefree(D)
     if D % 4 == 0:

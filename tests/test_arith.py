@@ -273,8 +273,8 @@ class TestFactor:
             FactorBudget()._replace(rho_iterations=rho_iterations)
 
     def test_zero_rho_iterations_run_no_rho(self):
-        # 0 stays legal: no p-1, no rho, so a product of two primes above
-        # the trial bound stays a cofactor
+        # 0 stays legal: no torus run, no rho, so a product of two primes
+        # above the trial bound stays a cofactor
         f = factor(1000003 * 1000033, FactorBudget(trial_bound=100, rho_iterations=0))
         assert f.prime_powers == () and f.cofactor == 1000003 * 1000033
 
@@ -302,7 +302,11 @@ class TestFactor:
         assert f.complete and f.reconstruct() == n
 
 
-class TestPollardPm1:
+class TestTorusRunInFactor:
+    """factor()'s one p+-1 run: the torus run, for a part given a torus, under
+    the gate that its pi(T) steps fit in the rho budget; any other part goes
+    from the square check to rho."""
+
     # -2999's Psi_876 leaves this 104-bit part after trial division; rho
     # spends 10^6 iterations on it in vain, while its 43-bit prime has
     # p - 1 = 2^6 * 3^3 * 17 * 67 * 73 * 43943
@@ -314,52 +318,50 @@ class TestPollardPm1:
 
     def test_splits_psi_876_part_without_rho(self, monkeypatch):
         monkeypatch.setattr(arith, "_brent_rho", lambda n, max_iters: None)
-        f = factor(self.PSI_876_PART, FactorBudget(rho_iterations=10**6))
+        f = factor(self.PSI_876_PART, FactorBudget(rho_iterations=10**6), (-7, 2))
         assert f.complete
         assert f.prime_powers == ((6313643057089, 1), (2585855358166829137, 1))
 
     @staticmethod
-    def record_both_runs(monkeypatch):
-        """Each p-1 run's calls, as ("pm1", n) and ("torus", n, D, l), with
-        both finding nothing."""
+    def record_stage2(monkeypatch):
+        """The n of each p+-1 run's stage 2, which finds nothing: every run
+        that passes its guard ends in one _pm1_stage2 call."""
         calls = []
-        monkeypatch.setattr(arith, "_pollard_pm1", lambda n, bound: calls.append(("pm1", n)))
-        monkeypatch.setattr(arith, "_torus_pm1",
-                            lambda n, bound, D, l: calls.append(("torus", n, D, l)))
+        monkeypatch.setattr(arith, "_pm1_stage2",
+                            lambda n, rows, v, acc: calls.append(n))
         return calls
 
     @pytest.mark.parametrize("trial_bound, rho_iterations", [(50, 2), (100, 10)])
-    def test_tiny_budget_skips_pm1(self, monkeypatch, trial_bound, rho_iterations):
-        calls = self.record_both_runs(monkeypatch)
+    def test_one_run_with_a_torus_only(self, monkeypatch, trial_bound, rho_iterations):
+        calls = self.record_stage2(monkeypatch)
         p = 100000000000000000000000012349
         q = 100000000000000000000000098811
         factor(p * q, FactorBudget(trial_bound, rho_iterations))
         factor(p * q, FactorBudget(trial_bound, rho_iterations), (-7, 2))
         assert calls == []
         factor(p * q, FactorBudget(rho_iterations=10**5))  # 78,498 trial primes fit
-        assert calls == [("pm1", p * q)]
+        assert calls == []
         factor(p * q, FactorBudget(rho_iterations=10**5), (-7, 2))
-        assert calls[1:] == [("torus", p * q, -7, 2), ("pm1", p * q)]
+        assert calls == [p * q]
 
     def test_gate_at_pi_of_trial_bound(self, monkeypatch):
-        # p-1 makes pi(10^6) = 78,498 steps: both runs run when they fit in
-        # the rho budget, and not at one iteration fewer
-        calls = self.record_both_runs(monkeypatch)
+        # the torus run makes pi(10^6) = 78,498 steps: it runs when they fit
+        # in the rho budget, and not at one iteration fewer
+        calls = self.record_stage2(monkeypatch)
         n = 1000003 * 1000033
         assert factor(n, FactorBudget(rho_iterations=78497)).complete
         assert factor(n, FactorBudget(rho_iterations=78497), (-7, 2)).complete
-        assert calls == []
         assert factor(n, FactorBudget(rho_iterations=78498)).complete
-        assert calls == [("pm1", n)]
+        assert calls == []
         assert factor(n, FactorBudget(rho_iterations=78498), (-7, 2)).complete
-        assert calls[1:] == [("torus", n, -7, 2), ("pm1", n)]
+        assert calls == [n]
 
     def test_gate_sieves_nothing_past_trial_division(self, monkeypatch, fresh,
                                                      segment_calls):
         # a composite part above T^2 is left only by a walk over every
         # trial prime, so the gate's count of pi(T) finds the list at T: on
         # this input, where pi(10^7) = 664,579 is far above 1000 iterations
-        # and neither run runs, trial division alone sieves to 10^7
+        # and the torus run does not run, trial division alone sieves to 10^7
         n = 1000003 * 1000033 * 998244353 * 1000000007
         budget = FactorBudget(10**7, 1000)
         arith._trial_divide(n, arith._PRIMES, budget.trial_bound)
@@ -367,22 +369,21 @@ class TestPollardPm1:
         assert walked[-1] == (4**11, 10**7)
         monkeypatch.setattr(arith, "_PRIMES", arith._TrialPrimes())
         segment_calls.clear()
-        calls = self.record_both_runs(monkeypatch)
-        f = factor(n, budget)
+        calls = self.record_stage2(monkeypatch)
+        f = factor(n, budget, (-7, 2))
         assert segment_calls == walked and calls == []
         assert f.cofactor == 998244353 * 1000000007 and f.reconstruct() == n
 
-    def _oracle_check(self, monkeypatch, n, budget, torus=None):
+    def _oracle_check(self, monkeypatch, n, budget, torus):
         """factor(n, budget, torus) against rho alone: equal wherever both
         are complete."""
-        with_pm1 = factor(n, budget, torus)
+        with_run = factor(n, budget, torus)
         with monkeypatch.context() as m:
-            m.setattr(arith, "_pollard_pm1", lambda n, bound: None)
             m.setattr(arith, "_torus_pm1", lambda n, bound, D, l: None)
             rho_only = factor(n, budget, torus)
-        if with_pm1.complete and rho_only.complete:
-            assert with_pm1 == rho_only, n
-        return with_pm1, rho_only
+        if with_run.complete and rho_only.complete:
+            assert with_run == rho_only, n
+        return with_run, rho_only
 
     def test_same_factorization_as_rho_only(self, monkeypatch):
         rng = random.Random(2024)
@@ -395,20 +396,21 @@ class TestPollardPm1:
 
         for _ in range(12):
             n = prime_in(10**6, 10**10) * prime_in(10**6, 10**10)
-            with_pm1, rho_only = self._oracle_check(monkeypatch, n, FactorBudget())
-            assert with_pm1.complete and rho_only.complete
+            with_run, rho_only = self._oracle_check(monkeypatch, n, FactorBudget(), (-7, 2))
+            assert with_run.complete and rho_only.complete
         budget = FactorBudget(rho_iterations=10**6)
         for n in self.LARGE_H_PARTS:
-            for torus in (None, (-7, 2)):
-                with_pm1, _ = self._oracle_check(monkeypatch, n, budget, torus)
-                assert with_pm1.complete
+            with_run, _ = self._oracle_check(monkeypatch, n, budget, (-7, 2))
+            assert with_run.complete
 
     def test_gcd_n_falls_through_to_rho(self):
-        # p - 1 = 2^3 * 487 * 773 * 997 and q - 1 = 2^3 * 61 * 487 * 881:
-        # stage 1 alone catches both primes, so the gcd is n itself
+        # p - 1 = 2^3 * 487 * 773 * 997 and q - 1 = 2^3 * 61 * 487 * 881,
+        # with (-7/p) = (-7/q) = 1: the torus run is p-1 on both, and stage 1
+        # alone catches both primes, so the gcd is n itself
         p, q = 3002573177, 209374937
-        assert arith._pollard_pm1(p * q, 10**6) is None
-        f = factor(p * q)
+        assert kronecker(-7, p) == kronecker(-7, q) == 1
+        assert arith._torus_pm1(p * q, 10**6, -7, 2) is None
+        f = factor(p * q, FactorBudget(), (-7, 2))
         assert f.complete and f.prime_powers == ((q, 1), (p, 1))
 
 
@@ -429,14 +431,14 @@ def torus_stage1_trace(n, a, D, exponent):
 
 class TestTorusPm1:
     """p-1 and p+1 in one run over the norm-1 torus of Q(sqrt(D)), for the
-    parts of Psi_d of U(-m, l), D = m^2 - 4l, before base-3 p-1.  Every
-    part below comes from (l, m) = (2, -1), D = -7."""
+    parts of Psi_d of U(-m, l), D = m^2 - 4l, before rho.  Every part below
+    comes from (l, m) = (2, -1), D = -7."""
 
     # Psi_492 of -1151 after trial division: 570611465293 * 8107362959
     PSI_492_PART = 4626154257697182281987
     # Psi_292 of -2999: both p - 1 and q + 1 are smooth over the plan
     PSI_292_PART = 5022138166514252974259
-    # Psi_327 of -5711, which 10^7 rho iterations and base-3 p-1 leave whole
+    # Psi_327 of -5711, which 10^7 rho iterations leave whole
     PSI_327_PART = 37936697251471858321678740431
     R = 2199023255867  # a safe prime, with (-7/R) = 1: caught by no run
 
@@ -450,12 +452,10 @@ class TestTorusPm1:
 
     def test_splits_psi_492_part(self):
         # q + 1 = 2^4 * 3 * 5 * 29 * 41 * 28411, where (-7/q) = -1: the run
-        # finds q in row 12, base-3 p-1 the other prime, whose p - 1 is
-        # smooth, only in row 252
+        # finds q in row 12
         q = 8107362959
         assert kronecker(-7, q) == -1 and q + 1 == 2**4 * 3 * 5 * 29 * 41 * 28411
         assert arith._torus_pm1(self.PSI_492_PART, 10**6, -7, 2) == q
-        assert arith._pollard_pm1(self.PSI_492_PART, 10**6) == 570611465293
 
     def test_base_rule(self, monkeypatch):
         # for D = -7 and l = 2, a^2 + 7 is 8, 11, 16 for a = 1, 2, 3: the
@@ -464,23 +464,31 @@ class TestTorusPm1:
         # prime of every part collides in stage 1
         exponent = arith._pm1_plan(10**6)[0]
         assert [gcd(a * a + 7, 2 * 2 * 7) for a in (1, 2, 3)] == [4, 1, 4]
-        for n in (self.PSI_492_PART, self.PSI_327_PART, TestPollardPm1.PSI_876_PART):
+        for n in (self.PSI_492_PART, self.PSI_327_PART, TestTorusRunInFactor.PSI_876_PART):
             v = torus_stage1_trace(n, 2, -7, exponent)
             assert self.stage1(monkeypatch, n) == [(v, v - 2)]
             assert gcd(v - 2, n) == 1
             for a in (1, 3):
                 assert gcd(torus_stage1_trace(n, a, -7, exponent) - 2, n) == n, (n, a)
 
-    def test_psi_292_part_falls_back_to_base_3(self, monkeypatch):
-        # both primes are caught in stage 1 (the gcd is n), and base-3 p-1
-        # splits the part, which rho needs about 2^18 iterations for
+    def test_psi_292_part_falls_back_to_rho(self, monkeypatch):
+        # both primes are caught in stage 1 (the gcd is n), and rho splits
+        # the part within 10^6 iterations
         exponent = arith._pm1_plan(10**6)[0]
         n = self.PSI_292_PART
         assert gcd(torus_stage1_trace(n, 2, -7, exponent) - 2, n) == n
         assert arith._torus_pm1(n, 10**6, -7, 2) is None
-        monkeypatch.setattr(arith, "_brent_rho", lambda n, max_iters: None)
-        f = factor(n, FactorBudget(), (-7, 2))
+        rho_calls = []
+        real_rho = arith._brent_rho
+
+        def recording_rho(m, max_iters):
+            rho_calls.append(m)
+            return real_rho(m, max_iters)
+
+        monkeypatch.setattr(arith, "_brent_rho", recording_rho)
+        f = factor(n, FactorBudget(rho_iterations=10**6), (-7, 2))
         assert f.complete and f.prime_powers == ((46832260859, 1), (107236722601, 1))
+        assert rho_calls == [n]
 
     def test_splits_psi_327_part(self, monkeypatch):
         # q = 27912699976481 has (-7/q) = -1 and q + 1 =
@@ -488,7 +496,6 @@ class TestTorusPm1:
         # q - 1 and the other prime's p - 1 have a factor above 10^6
         n = self.PSI_327_PART
         assert kronecker(-7, 27912699976481) == -1
-        assert arith._pollard_pm1(n, 10**6) is None
         assert arith._torus_pm1(n, 10**6, -7, 2) == 27912699976481
         monkeypatch.setattr(arith, "_brent_rho", lambda n, max_iters: None)
         f = factor(n, FactorBudget(), (-7, 2))
@@ -563,6 +570,19 @@ def reference_pm1(n, primes):
             break
     g = gcd(acc, n)
     return g if 1 < g < n else None
+
+
+def stage2_base_3(n, bound):
+    """p-1 with base 3 through the plan _pm1_plan(bound) and _pm1_stage2:
+    a = 3^E, then stage 2 from a + 1/a and a - 1 where a has an inverse
+    mod n.  A proper factor of n, or None: reference_pm1's result, by which
+    the paired stage 2 is checked."""
+    exponent, rows = arith._pm1_plan(bound)
+    a = pow(3, exponent, n)
+    g = gcd(a, n)  # 3 | n: a has no inverse
+    if g > 1:
+        return g if g < n else None
+    return arith._pm1_stage2(n, rows, (a + pow(a, -1, n)) % n, a - 1)
 
 
 def reference_factor(monkeypatch, n, budget):
@@ -685,7 +705,7 @@ class TestTrialDivision:
 class TestSmallParts:
     """Every 0 < |n| < 41^2 through factor(): at trial bounds 2, 3 and 5
     trial division leaves composite parts above trial_bound^2, which the
-    square check, p-1 and rho then meet on tiny inputs."""
+    square check and rho then meet on tiny inputs."""
 
     LIMIT = 41 * 41
 
@@ -789,7 +809,7 @@ class TestPairedStage2:
         for p in corpus:
             expected = reference_pm1(p * self.R, primes)
             assert expected in (p, None)
-            assert arith._pollard_pm1(p * self.R, trial_bound) == expected, p
+            assert stage2_base_3(p * self.R, trial_bound) == expected, p
             caught += expected == p
         return caught
 
@@ -820,13 +840,13 @@ class TestPairedStage2:
 
     def test_large_h_parts_match_reference(self):
         primes = all_primes(10**6)
-        for n in TestPollardPm1.LARGE_H_PARTS:
-            got = arith._pollard_pm1(n, 10**6)
+        for n in TestTorusRunInFactor.LARGE_H_PARTS:
+            got = stage2_base_3(n, 10**6)
             assert got is not None and got == reference_pm1(n, primes), n
 
     @pytest.mark.parametrize("trial_bound", [2, 3, 50, 2311, 10**5, 10**6])
     def test_rows_pair_every_stage2_prime(self, trial_bound):
-        assert arith._pollard_pm1(self.R * self.R2, trial_bound) is None
+        assert stage2_base_3(self.R * self.R2, trial_bound) is None
         primes = all_primes(trial_bound)
         assert arith._PRIMES.limit >= trial_bound and primes_up_to(trial_bound) == primes
         _, plan_rows = arith._pm1_plan(trial_bound)
@@ -849,16 +869,19 @@ class TestPairedStage2:
 
     def test_rows_built_lazily(self):
         # building the plan's 434 rows at 10^6 takes about 10 ms, a cost
-        # only a process that runs p-1 should pay, and then once
+        # only a process that runs the torus run should pay, and then once
         arith._pm1_plan.cache_clear()
-        assert factor(2**20 * 999983 * 1000003).complete  # no part reaches p-1
+        # no part reaches the torus run
+        assert factor(2**20 * 999983 * 1000003, FactorBudget(), (-7, 2)).complete
         # the benchmark's warm-up requests
         assert main(["verify", "--d", "-20", "--json", os.devnull]) == 0
         assert main(["bound", "--d", "-20", "--rho-iters", "1000000",
                      "--json", os.devnull]) == 0
+        # a part past the square check, but without a torus: straight to rho
+        factor(self.R * self.R2, FactorBudget(rho_iterations=10**5))
         assert arith._pm1_plan.cache_info().currsize == 0
         for _ in range(2):
-            factor(self.R * self.R2, FactorBudget(rho_iterations=10**5))
+            factor(self.R * self.R2, FactorBudget(rho_iterations=10**5), (-7, 2))
         info = arith._pm1_plan.cache_info()
         assert info.currsize == 1 and info.misses == 1 and info.hits == 1
 
@@ -870,35 +893,37 @@ class TestPairedStage2:
         rows = self.stage2_rows(primes)
         p = self.caught_by(rng, primes, rows[5][0])
         p2 = self.caught_by(rng, primes, rows[6][-1])
-        assert arith._pollard_pm1(p * p2, 10**6) == p
-        assert arith._pollard_pm1(p * p2 * self.R, 10**6) == p
+        assert stage2_base_3(p * p2, 10**6) == p
+        assert stage2_base_3(p * p2 * self.R, 10**6) == p
         assert reference_pm1(p * p2, primes) is None
 
     @pytest.mark.parametrize("trial_bound", [2, 3, 5, 7, 50])
     def test_tiny_trial_bounds(self, monkeypatch, trial_bound):
-        # at T = 2, 3 is no trial prime, so for 3 | n a = 3^E has no inverse
-        # modulo n; at T = 7, 11, 13, 61 and 547 are caught by the stage-2
-        # primes 5, 3, 5 and 7, which divide D (3^10, 3^6, 3^10 and 3^14 are
-        # 1 modulo them)
+        # the values of test_no_inverse_and_divisors_of_d, and others, at
+        # one-row plans: the torus run over D = -7 with a = 2, whose guard
+        # gcd(11 * 7, n) returns 11 where it is no trial prime, gives rho's
+        # result
         budget = FactorBudget(trial_bound, rho_iterations=10**5)
         values = (3 * 1000003, 27 * 1000003, 3**5, 3 * 11 * 13, 11 * self.R,
                   13 * 1000003, 61 * 1000033, 547 * 1093 * 1000003,
                   11**3 * 13 * 61, 9 * 1000003 * 1000033)
         for n in values:
-            f = factor(n, budget)
+            f = factor(n, budget, (-7, 2))
             with monkeypatch.context() as m:
-                m.setattr(arith, "_pollard_pm1", lambda n, bound: None)
-                rho_only = factor(n, budget)
+                m.setattr(arith, "_torus_pm1", lambda n, bound, D, l: None)
+                rho_only = factor(n, budget, (-7, 2))
             assert f.complete and f == rho_only, n
-            # the torus run over D = -7 with a = 2, whose guard gcd(11 * 7, n)
-            # returns 11 where it is no trial prime
-            assert factor(n, budget, (-7, 2)) == rho_only, n
+            assert factor(n, budget) == rho_only, n
 
     def test_no_inverse_and_divisors_of_d(self):
-        assert arith._pollard_pm1(3 * self.R, 2) == 3
-        assert arith._pollard_pm1(27 * self.R, 3) == 3
+        # at T = 2, 3 is no trial prime, so for 3 | n a = 3^E has no inverse
+        # modulo n; at T = 7, 11, 13, 61 and 547 are caught by the stage-2
+        # primes 5, 3, 5 and 7, which divide D (3^10, 3^6, 3^10 and 3^14 are
+        # 1 modulo them)
+        assert stage2_base_3(3 * self.R, 2) == 3
+        assert stage2_base_3(27 * self.R, 3) == 3
         for p in (11, 13, 61, 547):
-            assert arith._pollard_pm1(p * self.R, 7) == p
+            assert stage2_base_3(p * self.R, 7) == p
 
 
 # limits on either side of the segment edges 4^k and of the runs' edge 727
@@ -910,16 +935,16 @@ CROSS_EDGES = (5, 15, 16, 17, 63, 64, 65, 719, 727, 1023, 1025, 4095, 4096, 4097
 class TestGrownList:
     """The process's one list starts from 2 and 3 and is sieved as far as
     walks and trial division reach, in segments of up to 4 times the last
-    limit that end at the bound asked for; p-1 sieves it to the trial
-    bound."""
+    limit that end at the bound asked for; the torus run sieves it to the
+    trial bound."""
 
     EDGE_BOUNDS = (2, 3, 4, 5, 17, 719, 727, 4095, 4096, 4097, 16385, 10**6)
 
     @pytest.mark.parametrize("D", [-20, -3299])
     def test_verify_stays_short(self, D):
-        # no part reaches p-1, so nothing sieves the list to the trial bound
-        # 10^6: full trial division takes it to 1024 on -20 and to 4^7 on
-        # -3299
+        # no part reaches the torus run, so nothing sieves the list to the
+        # trial bound 10^6: full trial division takes it to 1024 on -20 and
+        # to 4^7 on -3299
         assert main(["verify", "--d", str(D), "--json", os.devnull]) == 0
         assert arith._PRIMES.limit == {-20: 1024, -3299: 4**7}[D]
 
@@ -1096,10 +1121,12 @@ def admissible_pool(d):
     return admissible(all_primes(2 * 10**6), d)
 
 
-class TestAdmissiblePrimes:
-    """Parts whose primes all divide d or are +-1 mod d, as a Psi_d's do,
-    factored with a torus (D, l): factor()'s result without one wherever
-    that is complete, for every budget."""
+class TestPsiShapedParts:
+    """Parts whose primes all divide d or are +-1 mod d, as a Psi_d's do:
+    the one trial list they are divided by, sieved along each class mod d
+    and grown segment by segment, and their factorization with a torus
+    (D, l), factor()'s result without one wherever that is complete, for
+    every budget."""
 
     MODULI = (5, 7, 8, 10, 12, 24, 73, 123, 492, 876)
 

@@ -287,7 +287,7 @@ PINNED = [
     (["bound", "--d", "-1151", "--trial-bound", "50", "--rho-iters", "2",
       "--mazur-bound", "1000"], "bound_-1151_tiny.json"),
     # h = 73: Psi_876 leaves a 104-bit part that 10^6 rho iterations do not
-    # split; p-1 over the trial primes does, and the report equals the one
+    # split; the torus run over (-7, 2) does, and the report equals the one
     # recorded at the default budget
     (["bound", "--d", "-2999", "--require-certified"], "bound_-2999.json"),
     (["bound", "--d", "-2999", "--rho-iters", "1000000", "--require-certified"],

@@ -22,10 +22,10 @@ PIN = Path(__file__).resolve().parent / "data" / "survey_-1000.tsv"
 
 def test_pinned_to_minus_1000(monkeypatch, capsys):
     # every fundamental D in [-1000, -3] of class number > 1 (296 fields,
-    # all certified; in a fresh process 30 torus runs, 9 base-3 p-1 runs and
-    # 5 rho runs), byte for byte against the recorded table: the header and
-    # rows with the time column dropped and the rest tab-separated, then the
-    # band lines as printed
+    # all certified; in a fresh process 30 torus runs and 9 rho runs), byte
+    # for byte against the recorded table: the header and rows with the
+    # time column dropped and the rest tab-separated, then the band lines as
+    # printed
     monkeypatch.setattr("sys.argv", [str(SCRIPT), "--min", "-1000"])
     runpy.run_path(str(SCRIPT), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()

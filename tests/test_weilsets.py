@@ -552,7 +552,8 @@ class TestA3Split:
 
     def test_primitive_part_primes(self, a3_panel):
         # every prime of Psi_d divides d or is +-1 mod d, over the panel and
-        # -2999 (h = 73, d up to 876), by full trial division
+        # -2999 (h = 73, d up to 876), by full trial division and, as
+        # _factor_a3 does, the torus run over (m^2 - 4l, l)
         ctx = _field(-2999)
         divides_d = set()
         for _, origin in [*a3_panel, generators_A3(ctx)]:
@@ -560,7 +561,7 @@ class TestA3Split:
                 if v == 0:
                     continue
                 for d, part in _lucas_parts(l, m, h)[1].items():
-                    f = factor(part, self.BUDGET)
+                    f = factor(part, self.BUDGET, (m * m - 4 * l, l))
                     assert f.complete
                     for p in f.primes:
                         assert d % p == 0 or p % d in (1, d - 1), (l, m, d, p)
@@ -634,12 +635,11 @@ class TestA3Split:
             assert f.reconstruct() == f.value
 
 
-class TestCacheRule:
-    """The rule by which the former --cache file chose what to store: a
-    complete factorization with two primes above the trial bound, counted
-    with multiplicity.  The rule holds exactly when trial division leaves a
-    composite part, so it names the values that p-1, rho or the square
-    check must finish; each of them must still factor completely."""
+class TestPastTrialDivision:
+    """Values with two primes above the trial bound, counted with
+    multiplicity: exactly those for which trial division leaves a composite
+    part, so the values that the square check, the torus run or rho must
+    finish; each of them must still factor completely."""
 
     P, Q = 1000003, 1000033  # the first primes above the default trial bound
 
@@ -648,7 +648,7 @@ class TestCacheRule:
         (-732921459200, 10, True),  # the same value below its primes 23 and 47
         (2 * 3 * P, 10**6, False),  # one large prime: left prime after trial division
         (2 * P * P, 10**6, True),  # the square check splits what trial division leaves
-        (-5 * P * Q, 10**6, True),  # p-1 or rho splits what trial division leaves
+        (-5 * P * Q, 10**6, True),  # rho splits what trial division leaves
     ])
     def test_two_primes_above_trial_bound(self, v, trial_bound, past_trial):
         f = factor(v, FactorBudget(trial_bound=trial_bound))
@@ -658,23 +658,18 @@ class TestCacheRule:
         assert (rest > 1 and not is_prime(rest)) == past_trial
 
     @pytest.mark.usefixtures("fresh")
-    def test_minus_1151_element_needing_pm1_stored(self, monkeypatch):
+    def test_minus_1151_element_split_by_torus_run(self, monkeypatch):
         # the Psi_492 part of its one nonzero A3 element leaves a 72-bit
         # composite after trial division, which the torus run over D = -7
-        # splits before base-3 p-1
+        # splits
         calls = []
-        real_torus, real_pm1 = arith._torus_pm1, arith._pollard_pm1
+        real_torus = arith._torus_pm1
 
         def recording_torus(n, bound, D, l):
             calls.append(("torus", n, D, l))
             return real_torus(n, bound, D, l)
 
-        def recording_pm1(n, bound):
-            calls.append(("pm1", n))
-            return real_pm1(n, bound)
-
         monkeypatch.setattr(arith, "_torus_pm1", recording_torus)
-        monkeypatch.setattr(arith, "_pollard_pm1", recording_pm1)
         ctx = _field(-1151)
         (l,) = [q.l for q in ctx.generators]
         out = weilsets._a3_part(l, ctx.h, FactorBudget())
@@ -683,7 +678,7 @@ class TestCacheRule:
         assert len(nonzero) == 1 and nonzero[0].complete
         assert sum(e for p, e in nonzero[0].prime_powers if p > FactorBudget().trial_bound) >= 2
 
-    def test_incomplete_not_stored(self):
+    def test_tiny_budget_leaves_incomplete(self):
         ctx = _field(-1151)
         out = a3_family(ctx.h, [q.l for q in ctx.generators],
                         FactorBudget(trial_bound=50, rho_iterations=2))
