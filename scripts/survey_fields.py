@@ -2,10 +2,11 @@
 """Survey the prime superset across a range of imaginary quadratic fields.
 
 For every fundamental discriminant D from -3 down to --min whose field has
-class number > 1, runs the full pipeline and prints one row: the class
-number h_k and the class-group exponent h, the chosen generators S, the
-size of the union, whether it is certified, the time taken in milliseconds
-(wall clock, by time.perf_counter), and the union.
+class number > 1, runs the full pipeline and prints one tab-separated row:
+the class number h_k and the class-group exponent h, the chosen generators
+S, the size of the union, whether it is certified, and the union.  The
+time each field took goes to stderr as one "D<TAB>ms" line (wall clock, by
+time.perf_counter), so that stdout is the same on every run.
 h_k and h are read off the field context, which walks the class group
 once, on first use: its greedy generating set is the report's S, and h is
 the exponent of the group that walk builds.  Fields of class number 1 are
@@ -17,6 +18,7 @@ the certified fields of the band out of all its fields.
 """
 
 import argparse
+import sys
 import time
 
 from quatbound.bound import BoundParams, assemble_bound
@@ -33,8 +35,7 @@ def main():
     args = ap.parse_args()
 
     params = BoundParams(s0_count=args.s0_count, mazur_bound=args.mazur_bound)
-    print(f"{'D':>6} {'h_k':>4} {'h':>3} {'S':<12} {'|union|':>7} "
-          f"{'cert':>5} {'time':>8}  union")
+    print("D\th_k\th\tS\t|union|\tcert\tunion")
     surveyed = []  # (h, certified) per field
     for D in range(-3, args.min - 1, -1):
         if not is_fundamental(D):
@@ -47,8 +48,8 @@ def main():
         ms = 1000 * (time.perf_counter() - t0)
         S = ",".join(str(q.l) for q in rep.S)
         union = ",".join(str(p) for p in sorted(rep.union))
-        print(f"{D:>6} {ctx.class_number:>4} {ctx.h:>3} {S:<12} "
-              f"{len(rep.union):>7} {str(rep.certified):>5} {ms:>6.1f}ms  {union}")
+        print(f"{D}\t{ctx.class_number}\t{ctx.h}\t{S}\t{len(rep.union)}\t{rep.certified}\t{union}")
+        print(f"{D}\t{ms:.1f}", file=sys.stderr)
         surveyed.append((ctx.h, rep.certified))
     for lo, hi in H_BANDS:
         band = [cert for h, cert in surveyed if lo <= h and (hi is None or h <= hi)]

@@ -146,6 +146,8 @@ class TestVerify:
         pool = primes_up_to(10**5)
         for ctx in contexts.values():
             rep = assemble_bound(ctx, BoundParams(mazur_bound=10**4))
+            assert rep.certified, ctx.D
+            assert rep.union == frozenset().union(*rep.components.values()), ctx.D
             absent = [p for p in pool if p not in rep.union]
             # some row claims each union prime, and none a sampled absent one
             claimed = verify_claims(ctx, rep.union | set(rng.sample(absent, 50)), rep)

@@ -195,6 +195,8 @@ class TestDirichletAgainstReference:
 
 class TestExponent:
     def test_examples(self):
+        assert (make_field(-23).class_number, make_field(-23).h) == (3, 3)
+        assert (make_field(-24).class_number, make_field(-24).h) == (2, 2)
         assert make_field(-20).h == 2
         assert make_field(-84).h == 2  # four classes, all two-torsion
         assert make_field(-47).h == 5

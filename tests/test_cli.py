@@ -407,6 +407,8 @@ class TestRequestDefaults:
                      "--trial-bound", "1000000", "--rho-iters", "10000000",
                      "--json", str(explicit)]) == 0
         assert implicit.read_bytes() == explicit.read_bytes()
+        doc = json.loads(implicit.read_text())
+        assert doc["bound"]["certified"] is True and doc["S"] == ["3"]
 
     def test_max_factors_defaults_to_the_librarys(self, tmp_path):
         # bound.MAX_FACTORS, the default of candidate_discriminants too
