@@ -141,17 +141,16 @@ class TestVerify:
         assert {"ram", "small", "mazur_primes"} <= {name for name, ps in claimed.items()
                                                     if 5 in ps}
 
-    def test_union_and_absent_primes(self, contexts):
-        rng = random.Random(31)
-        pool = primes_up_to(10**5)
-        for ctx in contexts.values():
-            rep = assemble_bound(ctx, BoundParams(mazur_bound=10**4))
-            assert rep.certified, ctx.D
-            assert rep.union == frozenset().union(*rep.components.values()), ctx.D
-            absent = [p for p in pool if p not in rep.union]
-            # some row claims each union prime, and none a sampled absent one
-            claimed = verify_claims(ctx, rep.union | set(rng.sample(absent, 50)), rep)
-            assert frozenset().union(*claimed.values()) == rep.union
+    @pytest.mark.parametrize("D", [-20, -23, -24, -47, -84])
+    def test_union_and_absent_primes(self, contexts, D):
+        ctx = contexts[D]
+        rep = assemble_bound(ctx, BoundParams(mazur_bound=10**4))
+        assert rep.certified
+        assert rep.union == frozenset().union(*rep.components.values())
+        absent = [p for p in primes_up_to(10**5) if p not in rep.union]
+        # some row claims each union prime, and none a sampled absent one
+        claimed = verify_claims(ctx, rep.union | set(random.Random(31 + D).sample(absent, 50)), rep)
+        assert frozenset().union(*claimed.values()) == rep.union
 
     @pytest.mark.parametrize("D", [-20, -23, -84, -71, -419, -3299])
     def test_shared_walk_same_claims(self, D):

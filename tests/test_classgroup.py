@@ -194,12 +194,12 @@ class TestDirichletAgainstReference:
 
 
 class TestExponent:
-    def test_examples(self):
-        assert (make_field(-23).class_number, make_field(-23).h) == (3, 3)
-        assert (make_field(-24).class_number, make_field(-24).h) == (2, 2)
-        assert make_field(-20).h == 2
-        assert make_field(-84).h == 2  # four classes, all two-torsion
-        assert make_field(-47).h == 5
+    @pytest.mark.parametrize("D, h_k, h", [(-20, 2, 2), (-23, 3, 3), (-24, 2, 2), (-47, 5, 5),
+                                           (-84, 4, 2), (-299, 8, 8)])  # -84: all 2-torsion
+    def test_examples(self, D, h_k, h):
+        assert (make_field(D).class_number, make_field(D).h) == (h_k, h)
+
+    def test_exponent_is_not_the_coset_count(self):
         # S = {3, 5}: 5 adds two cosets and 5^2 is not principal, so the
         # cyclic group's exponent is 2 * 4, not the coset count 2 alone
         assert [q.l for q in make_field(-299).generators] == [3, 5]

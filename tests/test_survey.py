@@ -2,6 +2,9 @@ import re
 import runpy
 from pathlib import Path
 
+from quatbound.bound import BoundParams, assemble_bound
+from quatbound.quadfield import make_field
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "survey_fields.py"
 PIN = Path(__file__).resolve().parent / "data" / "survey_-1000.tsv"
 
@@ -19,3 +22,15 @@ def test_pinned_to_minus_1000(monkeypatch, capsys):
     assert len(times) == len(rows)
     for row, line in zip(rows, times):
         assert re.fullmatch(row.split("\t")[0] + r"\t\d+\.\d+", line), line
+
+
+def test_flags_reach_the_bound(monkeypatch, capsys):
+    # each row's union is BoundParams(s0_count=2, mazur_bound=50)'s; -31 reads both flags
+    argv = [str(SCRIPT), "--min", "-40", "--s0-count", "2", "--mazur-bound", "50"]
+    monkeypatch.setattr("sys.argv", argv)
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+    rows = [row.split("\t") for row in capsys.readouterr().out.splitlines()[1:-4]]
+    assert [int(row[0]) for row in rows] == [-15, -20, -23, -24, -31, -35, -39, -40]
+    for row in rows:
+        rep = assemble_bound(make_field(int(row[0])), BoundParams(s0_count=2, mazur_bound=50))
+        assert row[-1] == ",".join(str(p) for p in sorted(rep.union))
