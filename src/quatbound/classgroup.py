@@ -6,7 +6,7 @@ exponent and the split-prime sets feeding the trace families.  A form
 
 from collections import namedtuple
 from itertools import chain, islice, takewhile
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .arith import kronecker
 from .quadfield import FieldContext, split_primes
@@ -34,46 +34,46 @@ class SplitPrime(namedtuple("SplitPrime", "l form ideal")):
         return ctx._forms[l]
 
 
-def _reduce(a: int, b: int, c: int) -> tuple[QuadForm, tuple[int, int]]:
-    """Standard reduction loop for positive-definite forms (Cohen, GTM 138,
-    Algorithm 5.4.2).  Besides the reduced form it returns the image (x, y)
-    of the first basis vector: the reduced form's a is the minimum a*x^2 +
-    b*x*y + c*y^2 of the input form.  The columns (x, y), (u, v) follow each
-    step: a translation b -> b + 2at adds t*(x, y) to (u, v), and a swap
-    (a, b, c) -> (c, -b, a) maps them to (u, v), (-x, -y).  A translation
-    keeps b^2 - 4ac, so it sets c to c + t*(b + a*t) with the old b: no
-    full-size square and division by 4a per step, which would make the
-    reduction of a large power such as q^h cubic."""
-    x, y, u, v = 1, 0, 0, 1
+def reduce_form(a: int, b: int, c: int) -> QuadForm:
+    """The reduced form of (a, b, c)'s class (Cohen, GTM 138, Algorithm
+    5.4.2).  A translation b -> b + 2at keeps b^2 - 4ac, so it sets c to
+    c + t*(b + a*t) with the old b: no full-size square and division by 4a
+    per step, which would make reducing a large power such as q^h cubic."""
     while True:
         if not -a < b <= a:
             # normalize b into (-a, a]
             t = (a - b) // (2 * a)
             b, c = b + 2 * a * t, c + t * (b + a * t)
-            u, v = u + t * x, v + t * y
         if a < c or (a == c and b >= 0):
-            return QuadForm(a, b, c), (x, y)
+            return QuadForm(a, b, c)
         a, b, c = c, -b, a
-        x, y, u, v = u, v, -x, -y
-
-
-def reduce_form(a: int, b: int, c: int) -> QuadForm:
-    return _reduce(a, b, c)[0]
 
 
 def principal_generator(f: QuadForm) -> tuple[int, int] | None:
     """A generator (t + y*sqrt(D))/2 of the ideal Z*a + Z*(-b + sqrt(D))/2
     of the form f = (a, b, c), D = b^2 - 4ac, as (t, y), or None when it is
-    not principal.  The element x*a + y*(-b + sqrt(D))/2 has norm
-    a*(a*x^2 - b*x*y + c*y^2), so the ideal is principal exactly when
-    (a, -b, c) reduces to the principal form, and the vector (x, y) of that
-    minimum 1 gives a generator.  It is canonicalized to t > 0, or t = 0
-    and y > 0."""
-    g, (x, y) = _reduce(f.a, -f.b, f.c)
-    if g.a != 1:
+    not principal: the modified Cornacchia algorithm (Cornacchia 1908;
+    Cohen, GTM 138, Algorithm 1.5.3).  An element x*a + y*(-b + sqrt(D))/2
+    of norm a generates the ideal; its t = 2ax - by, so t = -b*y mod 2a.
+    Euclid on (2a, r), r = -b mod 2a, stopped at the first remainder <=
+    isqrt(4a), gives t; t^2 - D*y^2 = 4a gives |y|, the congruence its sign.
+    Cohen states it for a prime; any a, such as q^h's l^h, works: x and y
+    are coprime (a*x^2 - b*x*y + c*y^2 = 1) and |t*y| < a for |D| > 4, so
+    t = |y*r - 2a*z| for a convergent z/|y| of r/2a (Legendre); an earlier
+    remainder <= isqrt(4a) would give a generator of smaller |y|, which
+    the units +-1 rule out.  Trying y before -y makes the result canonical,
+    t > 0, or t = 0 and y > 0 (for D = -3, -4, one of several)."""
+    if f.a == 1:
+        return 2, 0
+    a2, bound = 2 * f.a, isqrt(4 * f.a)
+    r, t = a2, -f.b % a2
+    while t > bound:
+        r, t = t, r % t
+    D = f.b * f.b - 4 * f.a * f.c
+    y = isqrt((4 * f.a - t * t) // -D)
+    if t * t - D * y * y != 4 * f.a:
         return None
-    t = 2 * f.a * x - f.b * y
-    return (t, y) if t > 0 or (t == 0 and y > 0) else (-t, -y)
+    return next(((t, s) for s in (y, -y) if (t + f.b * s) % a2 == 0), None)
 
 
 def principal_form(D: int) -> QuadForm:

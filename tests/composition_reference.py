@@ -1,11 +1,14 @@
-"""Reference Dirichlet composition and form reduction for the class-group
-tests.  Composition follows Cohen, GTM 138, Lemma 5.4.5, with the Bezout
-coefficients of both gcds from an extended Euclid written out step by
-step.  classgroup._dirichlet takes the same gcds from math.gcd and its
-coefficients from modular inverses; this is the independent path to its
-unreduced (a, b, c).  The reduction recomputes c = (b^2 - D)/4a after
-every translation, where classgroup._reduce updates c.  Both are used only
-as oracles."""
+"""Reference Dirichlet composition, form reduction and principal
+generators for the class-group tests.  Composition follows Cohen, GTM 138,
+Lemma 5.4.5, with the Bezout coefficients of both gcds from an extended
+Euclid written out step by step.  classgroup._dirichlet takes the same
+gcds from math.gcd and its coefficients from modular inverses; this is the
+independent path to its unreduced (a, b, c).  The reduction recomputes
+c = (b^2 - D)/4a after every translation, where classgroup.reduce_form
+updates c, and it carries the vector of the reduced form's minimum, from
+which reference_generator reads the generator that
+classgroup.principal_generator finds by Cornacchia's algorithm.  All are
+used only as oracles."""
 
 from quatbound.classgroup import QuadForm
 
@@ -50,3 +53,17 @@ def reference_reduce(a: int, b: int, c: int) -> tuple[QuadForm, tuple[int, int]]
             return QuadForm(a, b, c), (x, y)
         a, b, c = c, -b, a
         x, y, u, v = u, v, -x, -y
+
+
+def reference_generator(f: QuadForm) -> tuple[int, int] | None:
+    """The generator (t + y*sqrt(D))/2 of the ideal Z*a + Z*(-b + sqrt(D))/2
+    of f = (a, b, c) as (t, y), or None when it is not principal: the
+    element x*a + y*(-b + sqrt(D))/2 has norm a*(a*x^2 - b*x*y + c*y^2), so
+    the ideal is principal exactly when (a, -b, c) reduces to a form of
+    a = 1, and the vector (x, y) of that minimum gives t = 2ax - by.  It is
+    canonicalized to t > 0, or t = 0 and y > 0."""
+    g, (x, y) = reference_reduce(f.a, -f.b, f.c)
+    if g.a != 1:
+        return None
+    t = 2 * f.a * x - f.b * y
+    return (t, y) if t > 0 or (t == 0 and y > 0) else (-t, -y)

@@ -4,8 +4,10 @@ from itertools import combinations, islice
 from math import isqrt, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from composition_reference import reference_dirichlet, reference_reduce
+from composition_reference import reference_dirichlet, reference_generator, reference_reduce
 from ideal_reference import (
     QuadInt,
     ideal_class,
@@ -35,7 +37,7 @@ from quatbound.classgroup import (
     reduce_form,
     subgroup_closure,
 )
-from quatbound.quadfield import is_fundamental, make_field
+from quatbound.quadfield import is_fundamental, make_field, split_primes
 from quatbound.weilsets import beta_for
 
 
@@ -411,21 +413,29 @@ def unimodular_image(f: QuadForm, rng: random.Random, steps: int, bits: int) -> 
 
 
 class TestReduceAgainstReference:
-    """classgroup._reduce, which updates c after each translation, against
-    reference_reduce, which recomputes it from the discriminant: the same
-    form and vector (x, y)."""
+    """classgroup.reduce_form, which updates c after each translation,
+    against reference_reduce, which recomputes it from the discriminant: the
+    same form.  principal_generator, which runs Cornacchia's Euclid, against
+    reference_generator, which reads the generator off reference_reduce's
+    vector (x, y): the same (t, y), or None for both."""
 
     def test_unimodular_images(self):
         rng = random.Random(5)
+        principal = 0
         for D in (-20, -23, -3299, -1000000003, -(10**40 + 3)):
             for f in [principal_form(D), *(prime_form(D, l) for l in (3, 7, 11, 13)
                                            if kronecker(D, l) == 1)]:
                 # a of up to about 10^5 bits, after up to about 100 steps
                 for steps, bits in ((1, 8), (5, 64), (40, 40), (50, 200), (10, 5000)):
                     g = unimodular_image(f, rng, steps, bits)
-                    got = classgroup._reduce(*g)
-                    assert got == reference_reduce(*g), (D, f, steps, bits)
-                    assert got[0] == reduce_form(*f)
+                    got = reduce_form(*g)
+                    assert got == reference_reduce(*g)[0], (D, f, steps, bits)
+                    assert got == reduce_form(*f)
+                    beta = principal_generator(g)
+                    assert beta == reference_generator(g), (D, f, steps, bits)
+                    principal += beta is not None
+        # the images of the principal form, and of no prime form
+        assert principal == 5 * 5
 
     def test_random_forms_to_100000_bits(self):
         # a, b, c of up to 10^5 bits with b^2 < 4ac: few steps on huge entries
@@ -436,21 +446,26 @@ class TestReduceAgainstReference:
                 c = rng.getrandbits(rng.randrange(1, bits + 1)) + 1
                 r = isqrt(4 * a * c - 1)
                 b = rng.randrange(-r, r + 1)
-                assert classgroup._reduce(a, b, c) == reference_reduce(a, b, c), bits
+                f = QuadForm(a, b, c)
+                assert reduce_form(*f) == reference_reduce(*f)[0], bits
+                assert principal_generator(f) == reference_generator(f), bits
 
     def test_every_beta_for_of_the_golden_fields(self, golden_contexts):
-        # principal_generator reduces (a, -b, c) of q^h for each S0 member
+        # beta_for runs principal_generator on q^h for each S0 member; the
+        # reference reduces its (a, -b, c)
         reductions = 0
         for ctx in golden_contexts.values():
             for q in enumerate_S0(ctx, 4):
                 qh = form_power(ctx.D, q.ideal, ctx.h)
-                assert classgroup._reduce(qh.a, -qh.b, qh.c) == reference_reduce(qh.a, -qh.b, qh.c)
+                assert reduce_form(qh.a, -qh.b, qh.c) == reference_reduce(qh.a, -qh.b, qh.c)[0]
+                assert beta_for(ctx, q) == principal_generator(qh) == reference_generator(qh)
                 reductions += 1
         assert reductions == 4 * len(golden_contexts)
 
     def test_beta_for_at_h_31057_within_5_s(self):
-        # q^h has a of 107,440 bits; recomputing c at every step took
-        # minutes, updating it takes about a second
+        # q^h has a of 107,440 bits; a reduction that recomputed c at every
+        # step took minutes.  beta_for takes 0.8-1.0 s: form_power about 0.4 s
+        # and Cornacchia's Euclid on 2a about 0.4 s
         ctx = make_field(-100000000003)
         q = enumerate_S0(ctx, 1)[0]
         assert (ctx.h, q.l) == (31057, 11)
@@ -546,6 +561,11 @@ class TestPrimeClasses:
         assert ctx.class_number == 1 and ctx.generators == ()
 
 
+# fundamental D of both kinds, 4 < |D| <= 10^6: -4m and -4m - 3
+FUNDAMENTAL = st.one_of(st.integers(2, 250_000).map(lambda m: -4 * m),
+                        st.integers(1, 249_999).map(lambda m: -4 * m - 3)).filter(is_fundamental)
+
+
 def lattice_generator(D: int, f: QuadForm):
     """The Gauss-Lagrange oracle's generator of the ideal of f, as (t, y)."""
     beta = shortest_generator(D, f.a, f.b)
@@ -553,7 +573,7 @@ def lattice_generator(D: int, f: QuadForm):
 
 
 class TestPrincipalGenerator:
-    """Generators read off the form reduction against Gauss-Lagrange
+    """Generators found by Cornacchia's algorithm against Gauss-Lagrange
     reduction of the ideal lattice in `ideal_reference`."""
 
     def test_examples(self):
@@ -580,3 +600,19 @@ class TestPrincipalGenerator:
                 assert g == lattice_generator(D, f), (D, f)
                 nones += g is None
         assert (len(fields), nones) == (448, 8504)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(FUNDAMENTAL, st.data())
+    def test_matches_lattice_oracle_at_random_fields(self, D, data):
+        # the principal form (a = 1), a reduced form of the group, a
+        # ramified prime's form and an unreduced power f^n of a split or
+        # ramified prime's form, n a multiple of the exponent h or any n <= 2h
+        ctx = make_field(D)
+        ram = sorted(ctx.ram_primes)
+        f = prime_form(D, data.draw(st.sampled_from([*islice(split_primes(ctx), 6), *ram])))
+        n = data.draw(st.integers(1, 2).map(lambda k: k * ctx.h) | st.integers(1, 2 * ctx.h))
+        forms = [principal_form(D), data.draw(st.sampled_from(sorted(ctx.classes))),
+                 prime_form(D, data.draw(st.sampled_from(ram))),
+                 form_power(D, f, n)]
+        for g in forms:
+            assert principal_generator(g) == lattice_generator(D, g), (D, g)

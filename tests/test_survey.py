@@ -1,7 +1,9 @@
 import re
 import runpy
+from hashlib import sha256
 from pathlib import Path
 
+from quatbound import cli
 from quatbound.bound import BoundParams, assemble_bound
 from quatbound.quadfield import make_field
 
@@ -34,3 +36,23 @@ def test_flags_reach_the_bound(monkeypatch, capsys):
     for row in rows:
         rep = assemble_bound(make_field(int(row[0])), BoundParams(s0_count=2, mazur_bound=50))
         assert row[-1] == ",".join(str(p) for p in sorted(rep.union))
+
+
+def test_hash_column_is_the_cli_report(monkeypatch, capsys):
+    # each row's last column is the SHA-256 of what `quatbound bound` prints
+    # for its D at the script's flags, and the columns before it are the
+    # row without --hash
+    monkeypatch.setattr("sys.argv", [str(SCRIPT), "--min", "-40", "--hash"])
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+    out = capsys.readouterr().out.splitlines()
+    pinned = PIN.read_text().splitlines()
+    assert out[0] == pinned[0] + "\tsha256"
+    rows = out[1:-4]
+    assert len(rows) == 8 and out[-4:] == ["h 1-9     certified 8/8", "h 10-39   certified 0/0",
+                                           "h 40-99   certified 0/0", "h >= 100  certified 0/0"]
+    for row, want in zip(rows, pinned[1:]):
+        D, *_, digest = row.split("\t")
+        assert row == want + "\t" + digest
+        argv = ["bound", "--d", D, "--s0-count", str(BoundParams().s0_count), "--mazur-bound", "100000"]
+        assert cli.main(argv) == 0
+        assert digest == sha256(capsys.readouterr().out.encode("ascii")).hexdigest(), D
