@@ -1,9 +1,15 @@
 import pytest
 
 from quatbound import arith, weilsets
-from quatbound.quadfield import make_field
+from quatbound.quadfield import is_fundamental, make_field
 
 TEST_FIELDS = (-20, -23, -24, -47, -84)
+
+
+def class_group_fields(lo: int) -> list[int]:
+    """Every fundamental D in [lo, -3] with h_k > 1, from -3 down."""
+    return [D for D in range(-3, lo - 1, -1)
+            if is_fundamental(D) and make_field(D).class_number > 1]
 
 
 @pytest.fixture(scope="session")

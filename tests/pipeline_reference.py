@@ -1,17 +1,27 @@
-"""Reference ideal arithmetic for the class-group tests: ring elements
-(x + y*sqrt(D))/2, integral ideals of an imaginary quadratic order
-multiplied by a two-column Hermite normal form of the four basis products,
-principal-ideal generators by Gauss-Lagrange lattice reduction, and the
-reduced forms of a discriminant by a search over every (a, b).  This is an
-independent path to the products, generators and classes that `classgroup`
-computes on forms, and is used only as the oracle those computations are
-compared against."""
+"""The reference pipeline: every prime set of the containment rebuilt from
+its definitions, on a path that shares no code with the program's.
 
+Ring elements (x + y*sqrt(D))/2, integral ideals of an imaginary quadratic
+order multiplied by a two-column Hermite normal form of the four basis
+products, principal-ideal generators by Gauss-Lagrange lattice reduction,
+and the reduced forms of a discriminant by a search over every (a, b).  On
+these the class group: class orders and closures by repeated products, the
+greedy generating set S, S0 and the exponent h.  Traces of powers by exact
+powering in Z[gamma], each family by its shift, and each component's
+membership of a prime p from its definition, with `v % p`.  From quatbound
+it takes only kronecker, QuadForm and reduce_form; it is used only as the
+oracle the program's computations are compared against."""
+
+from collections import namedtuple
 from dataclasses import dataclass
-from math import gcd, isqrt
+from functools import cache
+from itertools import islice
+from math import gcd, isqrt, lcm
 
 from quatbound.arith import kronecker
 from quatbound.classgroup import QuadForm, reduce_form
+
+SMALL = 23  # every prime p <= 23 is in the bound
 
 
 def _same_field(u: "QuadInt", v: "QuadInt") -> None:
@@ -247,17 +257,158 @@ def reference_reduced_forms(D: int) -> list[QuadForm]:
     """All reduced primitive forms of discriminant D < 0, one per class, by
     trying every (a, b) with a <= sqrt(|D|/3): O(|D|) steps."""
     forms = []
-    a_max = isqrt(-D // 3)
-    for a in range(1, a_max + 1):
+    for a in range(1, isqrt(-D // 3) + 1):
         for b in range(-a + 1, a + 1):
-            if (b * b - D) % (4 * a) != 0:
-                continue
-            c = (b * b - D) // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and a == c:
-                continue
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            forms.append(QuadForm(a, b, c))
+            c, r = divmod(b * b - D, 4 * a)
+            if r == 0 and (a < c or a == c and b >= 0) and gcd(a, b, c) == 1:
+                forms.append(QuadForm(a, b, c))
     return sorted(forms)
+
+
+@cache
+def all_primes(bound: int) -> list[int]:
+    """The primes up to bound by a sieve of Eratosthenes over all the
+    integers: the reference for the program's one segmented sieve."""
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return [n for n in range(bound + 1) if sieve[n]]
+
+
+def principal(D: int) -> QuadForm:
+    """The reduced form of the class of O_k."""
+    return ideal_class(IdealRep(a=1, b=D % 2, D=D))
+
+
+def reference_order(D: int, f: QuadForm) -> int:
+    """The order of the reduced form f's class, by repeated reference_compose."""
+    ident = principal(D)
+    order, cur = 1, f
+    while cur != ident:
+        cur = reference_compose(D, cur, f)
+        order += 1
+    return order
+
+
+def reference_split_primes(D: int):
+    """(l, reduced form, ideal) of the split non-principal primes by norm,
+    each classified when a walk reaches it."""
+    ident = principal(D)
+    for l in all_primes(10**4):
+        if kronecker(D, l) == 1:
+            I = prime_ideal_above(D, l)
+            if (f := ideal_class(I)) != ident:
+                yield l, f, I
+
+
+def reference_closure(D: int, classes) -> set[QuadForm]:
+    """The subgroup the classes generate, by products until none is new."""
+    seen = frontier = {principal(D)}
+    while frontier:
+        frontier = {reference_compose(D, f, g) for f in frontier for g in classes} - seen
+        seen = seen | frontier
+    return seen
+
+
+def reference_generating_set(D: int) -> list[int]:
+    """Greedy by norm: keep a prime iff its class is not yet in the reference
+    closure of the classes kept, until that closure holds every class."""
+    h_k = len(reference_reduced_forms(D))
+    kept, H = {}, {principal(D)}
+    for l, f, _ in reference_split_primes(D):
+        if f not in H:
+            kept[l] = f
+            H = reference_closure(D, kept.values())
+            if len(H) == h_k:
+                return list(kept)
+    raise AssertionError("reference S0 slice does not generate")
+
+
+def ring_trace_oracle(t: int, n: int, e: int) -> int:
+    """Trace of gamma^e by exact binary powering of (u, v) pairs in the
+    commutative ring Z[gamma] with gamma^2 = t*gamma - n."""
+
+    def mul(p, q):
+        u1, v1 = p
+        u2, v2 = q
+        return (u1 * u2 - n * v1 * v2, u1 * v2 + u2 * v1 + t * v1 * v2)
+
+    acc, base = (1, 0), (0, 1)  # gamma
+    k = e
+    while k:
+        if k & 1:
+            acc = mul(acc, base)
+        base = mul(base, base)
+        k >>= 1
+    u, v = acc
+    return 2 * u + t * v  # gamma^e + conj = 2u + v*(gamma + conj)
+
+
+def reference_traces(l: int, h: int) -> list[int]:
+    """The traces of the 24h-th powers of the roots of X^2 + m*X + l, m^2 <= 4l."""
+    return [ring_trace_oracle(-m, l, 24 * h) for m in range(-isqrt(4 * l), isqrt(4 * l) + 1)]
+
+
+def in_mazur(N: int, split: list[int]) -> bool:
+    """Whether no odd prime l < |N|/4 that splits in k, given ascending in
+    split, splits in Q(sqrt(N)): a direct Legendre loop (symbols by
+    exponentiation, no shared code path with kronecker)."""
+    for l in split:
+        if 4 * l >= abs(N):
+            break
+        if pow(N % l, (l - 1) // 2, l) == 1:
+            return False
+    return True
+
+
+def in_every(families, p: int) -> bool:
+    """Whether p divides a nonzero element of every family."""
+    return all(any(v % p == 0 for v in f if v) for f in families)
+
+
+def component_rules(D: int, families: dict, S, mazur_bound: int) -> dict:
+    """Each component's rule for one prime p, by name: families maps "A1",
+    "A2" and "A3" to their families' elements, and S lists S's primes."""
+    split = [l for l in all_primes(mazur_bound // 4 + 1) if l > 2 and kronecker(D, l) == 1]
+    return {
+        "ram": lambda p: D % p == 0,
+        "small": lambda p: p <= SMALL,
+        "a1_intersection": lambda p: in_every(families["A1"], p),
+        "a2_intersection": lambda p: in_every(families["A2"], p),
+        "a3_support": lambda p: in_every(families["A3"], p),
+        "mazur_primes": lambda p: p % 4 == 1 and p <= mazur_bound and in_mazur(p, split),
+        "l_of_S": lambda p: p in S,
+    }
+
+
+S0Member = namedtuple("S0Member", "l form ideal power beta")
+Reference = namedtuple("Reference", "forms orders h S s0 families components")
+
+
+def reference_bound(D: int, s0_count: int, mazur_bound: int, E: int) -> Reference:
+    """The reduced forms, their orders, h, S, the S0 members (each with its
+    ideal q, q^h and q^h's generator beta), the families A1 = {a -
+    Tr(beta^24)} and A2 = {a - l^8h*Tr(beta^8)} of each member and A3 =
+    {a - 2*l^12h} over S, a running over the traces of l, and each
+    component's primes up to E."""
+    forms = reference_reduced_forms(D)
+    orders = [reference_order(D, f) for f in forms]
+    h = lcm(*orders)
+    S = reference_generating_set(D)
+    s0, families = [], {"A1": [], "A2": [], "A3": []}
+    for l, f, I in islice(reference_split_primes(D), s0_count):
+        power = ideal_pow(I, h)
+        beta = shortest_generator(D, power.a, power.b)
+        if power.content != 1 or beta is None or beta.norm != l**h:
+            raise AssertionError(f"q^h for l = {l} has no generator of norm l^h")
+        s0.append(S0Member(l, f, I, power, beta))
+        for key, shift in (("A1", ring_trace_oracle(beta.x, l**h, 24)),
+                           ("A2", l ** (8 * h) * ring_trace_oracle(beta.x, l**h, 8))):
+            families[key].append(tuple(sorted({a - shift for a in reference_traces(l, h)})))
+    families["A3"].append(tuple(sorted({a - 2 * l ** (12 * h)
+                                        for l in S for a in reference_traces(l, h)})))
+    rules = component_rules(D, families, S, mazur_bound)
+    return Reference(forms, orders, h, S, s0, families,
+                     {name: set(filter(rule, all_primes(E))) for name, rule in rules.items()})

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pipeline_reference import all_primes
 from quatbound import arith
 from quatbound.arith import (
     _MR_BASE_LIMITS,
@@ -122,18 +123,6 @@ class TestIsPrime:
 
 def trial_division_primes(bound):
     return [n for n in range(2, bound + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
-
-
-@cache
-def all_primes(bound):
-    """The primes up to bound by a sieve of Eratosthenes over all the
-    integers: the reference for the program's one segmented sieve."""
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
-    return [n for n in range(bound + 1) if sieve[n]]
 
 
 class TestPrimesUpTo:
@@ -955,10 +944,15 @@ class TestGrownList:
         assert arith._PRIMES.limit == 10**6
         assert list(arith._PRIMES.primes) == all_primes(10**6)
 
-    @pytest.mark.parametrize("bound", EDGE_BOUNDS)
+    @pytest.mark.parametrize("bound", (50, *EDGE_BOUNDS))
     def test_segment_edges(self, bound, segment_calls):
-        calls = segment_calls
-        assert list(arith._PRIMES.through(bound)) == all_primes(max(bound, 4))
+        # grown segment by segment, the list is all the primes up to its
+        # limit at each step
+        calls, full, trial = segment_calls, all_primes(max(bound, 4)), arith._PRIMES
+        while trial.limit < bound:
+            trial.extend(bound)
+            assert list(trial.primes) == full[: bisect_right(full, trial.limit)]
+        assert list(trial.through(bound)) == full
         # contiguous from 4, each up to 4 times as wide as the list was
         # long, the last one capped at bound
         limits = [4] + [hi for _, hi in calls]
@@ -1123,40 +1117,20 @@ def admissible_pool(d):
 
 class TestPsiShapedParts:
     """Parts whose primes all divide d or are +-1 mod d, as a Psi_d's do:
-    the one trial list they are divided by, sieved along each class mod d
-    and grown segment by segment, and their factorization with a torus
-    (D, l), factor()'s result without one wherever that is complete, for
-    every budget."""
+    the one trial list of all the primes they are divided by, and their
+    factorization with a torus (D, l), factor()'s result without one
+    wherever that is complete, for every budget."""
 
     MODULI = (5, 7, 8, 10, 12, 24, 73, 123, 492, 876)
 
-    @pytest.mark.parametrize("d, r", [(2, 1), (5, 1), (5, 4), (7, 3), (8, 7), (12, 11),
-                                      (876, 1), (876, 875)])
-    def test_segment_of_one_class(self, d, r):
-        # the one sieve of the odd numbers, read along the class r mod d,
-        # gives the primes r mod d in each window
+    def test_segment_of_one_class(self):
+        # the one sieve of the odd numbers gives the odd primes in each
+        # window, so those of every class mod d
         primes = all_primes(5000)
         for lo, hi in ((2, 4), (2, 100), (4, 16), (100, 101), (874, 878), (1000, 4000),
                        (4000, 5000)):
             segment = list(arith._segment(lo, hi, primes))
             assert segment == [p for p in primes if lo < p <= hi and p > 2], (lo, hi)
-            want = [p for p in primes if lo < p <= hi and p % d == r]
-            assert [p for p in segment if p % d == r] == want, (lo, hi)
-
-    @pytest.mark.parametrize("bound", (2, 50, 719, 4097, 10**6))
-    def test_lists_grow_exactly(self, bound):
-        # the one list that every Psi_d part is divided by, grown segment by
-        # segment, is all the primes up to its limit at each step
-        full = all_primes(max(bound, 4))
-        trial = arith._TrialPrimes()
-        limits = [trial.limit]
-        while trial.limit < bound:
-            trial.extend(bound)
-            limits.append(trial.limit)
-            assert list(trial.primes) == full[: bisect_right(full, trial.limit)]
-        assert list(trial.through(bound)) == full
-        assert limits[0] == 4 and limits[-1] == max(bound, 4)
-        assert all(hi == min(4 * lo, bound) for lo, hi in zip(limits, limits[1:]))
 
     BUDGETS = (FactorBudget(50, 2), FactorBudget(719, 10), FactorBudget(10**4, 1000),
                FactorBudget(10**6, 10**6))
@@ -1214,9 +1188,3 @@ class TestPsiShapedParts:
                 assert factor(n, budget, torus).reconstruct() == n
                 assert factor(n, budget).reconstruct() == n
         assert divided and all(trial is arith._PRIMES for trial in divided)
-
-    def test_warm_up_builds_nothing_new(self, fresh):
-        # the benchmark's warm-up request sieves the list as far as full
-        # trial division did
-        assert main(["verify", "--d", "-20", "--json", os.devnull]) == 0
-        assert arith._PRIMES.limit == 1024

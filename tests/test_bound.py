@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from pipeline_reference import component_rules
 from quatbound import arith, bound, classgroup, quadfield, weilsets
 from quatbound.arith import FactorBudget, primes_up_to
 from quatbound.bound import (
@@ -16,7 +17,6 @@ from quatbound.bound import (
 )
 from quatbound.classgroup import ClassNumberOne
 from quatbound.cli import main
-from quatbound.mazur import is_in_mazur
 from quatbound.quadfield import make_field, splitting_type
 from quatbound.weilsets import trace_families
 
@@ -309,35 +309,21 @@ class TestComponentTable:
 ORACLE_PRIMES = frozenset(primes_up_to(10**4))
 
 
-def in_every(key):
-    return lambda ctx, rep, p: all(any(v % p == 0 for v in f.elements if v)
-                                   for f in rep.families[key])
-
-
-# each row's rule for one prime, read straight off the report's raw evidence
-DIRECT = {
-    "ram": lambda ctx, rep, p: ctx.D % p == 0,
-    "small": lambda ctx, rep, p: p <= 23,
-    "a1_intersection": in_every("A1"),
-    "a2_intersection": in_every("A2"),
-    "a3_support": in_every("A3"),
-    "mazur_primes": lambda ctx, rep, p: (p % 4 == 1 and p <= rep.mazur.bound
-                                         and is_in_mazur(ctx, p)),
-    "l_of_S": lambda ctx, rep, p: p in [q.l for q in rep.S],
-}
+def direct_rules(ctx, rep):
+    """Each row's rule for one prime, read straight off the report's raw evidence."""
+    families = {key: [f.elements for f in fs] for key, fs in rep.families.items()}
+    return component_rules(ctx.D, families, [q.l for q in rep.S], rep.mazur.bound)
 
 
 @pytest.fixture(scope="module")
 def oracle_reports(contexts):
-    # Mazur bound 10, so that the members 17, 41, 73 and 89 lie above it;
-    # the uncertified -84 report is the one TestVerifyUncertified runs
-    reports = [(ctx, assemble_bound(ctx, BoundParams(mazur_bound=10)))
-               for ctx in (make_field(-20), make_field(-84), make_field(-419),
-                           make_field(-3299))]
+    # Mazur bound 10, so that members lie above it (test_pipeline checks the
+    # fields to -500); the uncertified -84 report is TestVerifyUncertified's
+    ctx = make_field(-3299)
     uncertified = assemble_bound(contexts[-84], BoundParams(
         s0_count=1, mazur_bound=10**4, factor_budget=FactorBudget(50, 2)))
     assert not uncertified.certified
-    return [*reports, (contexts[-84], uncertified)]
+    return [(ctx, assemble_bound(ctx, BoundParams(mazur_bound=10))), (contexts[-84], uncertified)]
 
 
 def disagreements(table, reports):
@@ -345,7 +331,7 @@ def disagreements(table, reports):
     10^4, differ from its direct rule on some report."""
     return [(ctx.D, name) for ctx, rep in reports for name, _, claims, _ in table
             if claims(ctx, ORACLE_PRIMES, rep)
-            != {p for p in ORACLE_PRIMES if DIRECT[name](ctx, rep, p)}]
+            != set(filter(direct_rules(ctx, rep)[name], ORACLE_PRIMES))]
 
 
 def mutant_table(kept: str, mutated: str):
@@ -360,7 +346,7 @@ def mutant_table(kept: str, mutated: str):
 
 class TestClaimOracle:
     def test_rows_match_direct_rules(self, oracle_reports):
-        assert sorted(DIRECT) == sorted(name for name, *_ in bound.COMPONENTS)
+        assert list(direct_rules(*oracle_reports[0])) == [name for name, *_ in bound.COMPONENTS]
         assert disagreements(bound.COMPONENTS, oracle_reports) == []
 
     def test_verify_claims_every_prime(self, oracle_reports):
@@ -368,8 +354,8 @@ class TestClaimOracle:
         # component misses, and passes, as factored rows are exempt there
         for ctx, rep in oracle_reports:
             claimed = verify_claims(ctx, ORACLE_PRIMES, rep)
-            assert claimed == {name: {p for p in ORACLE_PRIMES if rule(ctx, rep, p)}
-                               for name, rule in DIRECT.items()}
+            assert claimed == {name: set(filter(rule, ORACLE_PRIMES))
+                               for name, rule in direct_rules(ctx, rep).items()}
             listed = {name: primes & ORACLE_PRIMES for name, primes in rep.components.items()}
             assert (claimed == listed) == rep.certified
 

@@ -1,21 +1,17 @@
 import random
 import time
 from itertools import combinations, islice
-from math import isqrt, lcm
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composition_reference import reference_dirichlet, reference_generator, reference_reduce
-from ideal_reference import (
-    QuadInt,
-    ideal_class,
-    ideal_mul,
-    ideal_pow,
-    module_hnf,
+from conftest import class_group_fields
+from pipeline_reference import (
     prime_ideal_above,
-    reference_compose,
+    reference_order,
     reference_reduced_forms,
     shortest_generator,
 )
@@ -63,16 +59,6 @@ def dirichlet_class_number(D: int) -> int:
     total = sum(kronecker(D, a) * a for a in range(1, abs(D)))
     assert total % D == 0
     return abs(total) // abs(D)
-
-
-def reference_order(D: int, f: QuadForm) -> int:
-    """The order of the reduced form f's class, by repeated reference_compose."""
-    ident = principal_form(D)
-    order, cur = 1, f
-    while cur != ident:
-        cur = reference_compose(D, cur, f)
-        order += 1
-    return order
 
 
 class TestReducedForms:
@@ -207,14 +193,6 @@ class TestExponent:
         assert [q.l for q in make_field(-299).generators] == [3, 5]
         assert make_field(-299).h == 8
 
-    def test_divides_and_attained(self):
-        for D in (-20, -23, -24, -47, -84, -299):
-            h = make_field(D).h
-            orders = [reference_order(D, f) for f in group(D)]
-            assert [form_order(D, f) for f in group(D)] == orders
-            assert all(h % o == 0 for o in orders)
-            assert h in orders
-
     def test_orders_in_the_thousands(self):
         # the cyclic walk at orders in the thousands: the S0 members of a
         # group of 3,680 classes against repeated reference composition
@@ -232,18 +210,6 @@ class TestIdealClasses:
         assert reduce_form(q3.a, q3.b, q3.c) == QuadForm(2, 2, 3)
         sq = form_power(-20, q3, 2)
         assert reduce_form(sq.a, sq.b, sq.c) == principal_form(-20) == QuadForm(1, 0, 5)
-
-    def test_consistent_with_compose(self, contexts):
-        for ctx in contexts.values():
-            s0 = enumerate_S0(ctx, 3)
-            for qa in s0:
-                for qb in s0:
-                    prod = ideal_mul(prime_ideal_above(ctx.D, qa.l),
-                                     prime_ideal_above(ctx.D, qb.l))
-                    expected = compose(ctx.D, qa.form, qb.form)
-                    assert ideal_class(prod) == expected
-                    assert compose(ctx.D, prime_form(ctx.D, qa.l),
-                                   prime_form(ctx.D, qb.l)) == expected
 
 
 class TestS0:
@@ -303,101 +269,6 @@ class TestGeneratesAndChooseS:
 
     def test_closure_sizes(self):
         assert len(subgroup_closure(-84, set())) == 1
-
-
-def reference_split_primes(D: int):
-    """(l, reduced form, ideal) of the split non-principal primes by norm,
-    through the reference ideal arithmetic."""
-    ident = principal_form(D)
-    for l in primes_up_to(10**4):
-        if kronecker(D, l) == 1:
-            I = prime_ideal_above(D, l)
-            f = ideal_class(I)
-            if f != ident:
-                yield l, f, I
-
-
-def reference_s0(D: int, count: int) -> list[tuple]:
-    """(l, reduced form, class order, ideal) of the first `count` S0 members."""
-    return [(l, f, reference_order(D, f), I)
-            for l, f, I in islice(reference_split_primes(D), count)]
-
-
-def reference_closure(D: int, classes) -> set[QuadForm]:
-    seen = {principal_form(D)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in classes:
-                h = reference_compose(D, f, g)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return seen
-
-
-def reference_generating_set(D: int) -> list[int]:
-    """Greedy by norm: keep a prime iff the reference closure grows."""
-    h_k = len(reference_reduced_forms(D))
-    chosen, gens, size = [], [], 1
-    for l, f, _ in reference_split_primes(D):
-        trial = reference_closure(D, gens + [f])
-        if len(trial) > size:
-            chosen.append(l)
-            gens.append(f)
-            size = len(trial)
-        if size == h_k:
-            return chosen
-    raise AssertionError("reference S0 slice does not generate")
-
-
-def check_against_reference(D: int, s0_count: int, all_pairs: bool) -> None:
-    ctx = make_field(D)
-    forms = group(D)
-    if all_pairs:
-        for f in forms:
-            for g in forms:
-                assert compose(D, f, g) == reference_compose(D, f, g), (D, f, g)
-    assert make_field(D).h == lcm(*(reference_order(D, f) for f in forms)), D
-    ref = reference_s0(D, s0_count)
-    s0 = enumerate_S0(ctx, s0_count)
-    assert [(q.l, q.form, form_order(D, q.form)) for q in s0] == [r[:3] for r in ref], D
-    for k in range(1, len(s0) + 1):
-        gens = [q.form for q in s0[:k]]
-        assert subgroup_closure(D, set(gens)) == reference_closure(D, gens), (D, k)
-    for q, (_, _, _, I) in zip(s0, ref):
-        qh = form_power(D, prime_form(D, q.l), ctx.h)
-        Ih = ideal_pow(I, ctx.h)
-        assert (qh.a, qh.b, Ih.content) == (Ih.a, Ih.b, 1), (D, q.l)
-        beta = shortest_generator(D, Ih.a, Ih.b)
-        assert beta_for(ctx, q) == (beta.x, beta.y), (D, q.l)
-
-
-class TestAgainstIdealReference:
-    """Dirichlet composition, form powers and subgroups grown coset by coset
-    against the HNF ideal product of `ideal_reference`."""
-
-    def test_fundamental_discriminants_to_500(self):
-        fields = [D for D in range(-3, -501, -1)
-                  if is_fundamental(D) and make_field(D).class_number > 1]
-        assert len(fields) > 100
-        for D in fields:
-            check_against_reference(D, 6, all_pairs=True)
-            assert [q.l for q in make_field(D).generators] == reference_generating_set(D), D
-
-    def test_h41_with_l2_in_s0(self):
-        check_against_reference(-1151, 4, all_pairs=False)
-        assert make_field(-1151).h == 41
-        assert enumerate_S0(make_field(-1151), 1)[0].l == 2
-
-    def test_oracle_invariants_raise_under_python_O(self):
-        # raised, not bare asserts, so that python -O keeps them
-        with pytest.raises(AssertionError, match="every generator is 0"):
-            module_hnf(-20, [])
-        with pytest.raises(AssertionError, match="combined"):
-            QuadInt(1, 1, -3) + QuadInt(0, 1, -20)
 
 
 def unimodular_image(f: QuadForm, rng: random.Random, steps: int, bits: int) -> QuadForm:
@@ -477,7 +348,7 @@ class TestReduceAgainstReference:
 
 class TestPrimeForm:
     """prime_form's square root mod l against the linear scan over b of
-    `ideal_reference.prime_ideal_above`."""
+    `pipeline_reference.prime_ideal_above`."""
 
     def test_matches_scan(self):
         fields = [D for D in range(-3, -401, -1) if is_fundamental(D)][::4]
@@ -574,7 +445,7 @@ def lattice_generator(D: int, f: QuadForm):
 
 class TestPrincipalGenerator:
     """Generators found by Cornacchia's algorithm against Gauss-Lagrange
-    reduction of the ideal lattice in `ideal_reference`."""
+    reduction of the ideal lattice in `pipeline_reference`."""
 
     def test_examples(self):
         q3 = prime_form(-20, 3)
@@ -586,8 +457,7 @@ class TestPrincipalGenerator:
     def test_matches_lattice_reduction_oracle(self):
         # every reduced form, and q, q^2, q^h, q^2h for the first four
         # split non-principal primes q, h the exponent
-        fields = [D for D in range(-3, -1501, -1)
-                  if is_fundamental(D) and make_field(D).class_number > 1]
+        fields = class_group_fields(-1500)
         nones = 0
         for D in [*fields, -2999, -5711]:
             ctx = make_field(D)

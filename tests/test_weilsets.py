@@ -6,14 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ideal_reference import QuadInt
+from conftest import class_group_fields
+from pipeline_reference import QuadInt, ring_trace_oracle
 from intersection_reference import reference_intersection
 from lucas_reference import reference_lucas
 from quatbound import arith, weilsets
 from quatbound.arith import FactorBudget, FactoredInteger, factor, is_prime, primes_up_to
 from quatbound.bound import BoundParams, assemble_sets
 from quatbound.classgroup import enumerate_S0
-from quatbound.quadfield import is_fundamental, make_field
+from quatbound.quadfield import make_field
 from quatbound.weilsets import (
     ASet,
     _lucas_parts,
@@ -67,26 +68,6 @@ def quadint_pow(u: QuadInt, e: int) -> QuadInt:
 def weil_cap(l: int, h: int) -> int:
     """2 * l^(12h): the Weil bound on the traces of trace_set(l, h)."""
     return 2 * l ** (12 * h)
-
-
-def ring_trace_oracle(t: int, n: int, e: int) -> int:
-    """Trace of gamma^e by exact binary powering of (u, v) pairs in the
-    commutative ring Z[gamma] with gamma^2 = t*gamma - n."""
-
-    def mul(p, q):
-        u1, v1 = p
-        u2, v2 = q
-        return (u1 * u2 - n * v1 * v2, u1 * v2 + u2 * v1 + t * v1 * v2)
-
-    acc, base = (1, 0), (0, 1)  # gamma
-    k = e
-    while k:
-        if k & 1:
-            acc = mul(acc, base)
-        base = mul(base, base)
-        k >>= 1
-    u, v = acc
-    return 2 * u + t * v  # gamma^e + conj = 2u + v*(gamma + conj)
 
 
 class TestTracePower:
@@ -247,12 +228,6 @@ class TestFamilies:
         for alt in (-beta, beta.conj(), -beta.conj()):
             assert quadint_pow(alt, 24).trace == quadint_pow(beta, 24).trace
             assert quadint_pow(alt, 8).trace == quadint_pow(beta, 8).trace
-
-    def test_nonvanishing_first_five(self, contexts):
-        for ctx in contexts.values():
-            for q in enumerate_S0(ctx, 5):
-                assert 0 not in build_A1_A2(ctx, q)[0].elements, (ctx.D, q.l)
-                assert 0 not in build_A1_A2(ctx, q)[1].elements, (ctx.D, q.l)
 
     def test_a3(self, ctx20):
         S = ctx20.generators
@@ -503,14 +478,7 @@ def whole_element_factorizations(aset, budget):
 def a3_panel():
     """The raw A3 family of every fundamental D in [-500, -3] with h_k > 1,
     and of -1151 (h = 41), each with its elements' (l, m, h)."""
-    out = []
-    for D in [*range(-3, -501, -1), -1151]:
-        if not is_fundamental(D):
-            continue
-        ctx = _field(D)
-        if ctx.class_number > 1:
-            out.append(generators_A3(ctx))
-    return out
+    return [generators_A3(_field(D)) for D in [*class_group_fields(-500), -1151]]
 
 
 class TestA3Split:
@@ -690,13 +658,8 @@ class TestPastTrialDivision:
 @pytest.fixture(scope="module")
 def fields_to_1000():
     """(D, h, S's primes) of every fundamental D in [-1000, -3] with h_k > 1."""
-    out = []
-    for D in range(-3, -1001, -1):
-        if is_fundamental(D):
-            ctx = _field(D)
-            if ctx.class_number > 1:
-                out.append((D, ctx.h, [q.l for q in ctx.generators]))
-    return out
+    ctxs = [_field(D) for D in class_group_fields(-1000)]
+    return [(ctx.D, ctx.h, [q.l for q in ctx.generators]) for ctx in ctxs]
 
 
 @pytest.mark.usefixtures("fresh")
